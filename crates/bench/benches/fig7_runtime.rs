@@ -86,7 +86,8 @@ fn main() {
 
     // ---- Thread scaling of the parallel path-inference stage ----
     // Unique token sequences fan out across the `sns_rt::pool` workers
-    // (`SNS_THREADS`); the reduction is serial, so results are
+    // (the `SNS_THREADS` knob, passed explicitly here through
+    // `prime_path_cache`); the reduction is serial, so results are
     // bit-identical at every thread count. The BOOM-like core is the
     // least regular design in the suite (>1k unique sequences), so it
     // exercises the fan-out rather than the cache.
@@ -111,24 +112,29 @@ fn main() {
         println!("  (single-core machine: speedups are bounded at ~1x here;");
         println!("   the pool still runs and results stay bit-identical)");
     }
-    let mut scale_rows = Vec::new();
-    let mut baseline_ms = 0.0f64;
-    let mut baseline_aggs = None;
-    for threads in [1usize, 2, 4, 8] {
-        std::env::set_var("SNS_THREADS", threads.to_string());
+    // Cold-cache tokenize → prime → reduce → refine at explicit knobs:
+    // the work `predict_netlist` does after sampling.
+    let predict_at = |threads: usize, batch: usize| {
         model.clear_cache();
         let t0 = Instant::now();
-        let (aggs, critical) = model.path_aggregates(&graph, &paths, None);
+        let seqs = model.tokenize_paths(&graph, &paths);
+        model.prime_path_cache(&seqs, threads, batch);
+        let pred = model.predict_primed(&graph, &paths, &seqs, None, t0);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        match &baseline_aggs {
+        ((pred.timing_ps, pred.area_um2, pred.power_mw, pred.critical_path), ms)
+    };
+    let batch = sns_rt::pool::default_batch();
+    let mut scale_rows = Vec::new();
+    let mut baseline_ms = 0.0f64;
+    let mut baseline_pred = None;
+    for threads in [1usize, 2, 4, 8] {
+        let (pred, ms) = predict_at(threads, batch);
+        match &baseline_pred {
             None => {
                 baseline_ms = ms;
-                baseline_aggs = Some((aggs, critical));
+                baseline_pred = Some(pred);
             }
-            Some((base, base_crit)) => {
-                assert_eq!(*base, aggs, "thread count changed the aggregates");
-                assert_eq!(*base_crit, critical, "thread count changed the critical path");
-            }
+            Some(base) => assert_eq!(*base, pred, "thread count changed the prediction"),
         }
         println!(
             "  SNS_THREADS={threads}: {ms:>9.1} ms  ({:.2}x vs 1 thread)",
@@ -136,7 +142,6 @@ fn main() {
         );
         scale_rows.push(format!("{threads},{ms},{}", baseline_ms / ms));
     }
-    std::env::remove_var("SNS_THREADS");
     write_csv("fig7_thread_scaling.csv", "threads,path_aggregates_ms,speedup", &scale_rows);
 
     // ---- Batch scaling of the packed Circuitformer forward ----
@@ -145,26 +150,18 @@ fn main() {
     // Predictions are bit-identical at every batch size — asserted below —
     // so batching is purely a throughput knob, even on one thread.
     println!("\nbatch scaling on {} (SNS_THREADS=1):", d.name);
-    std::env::set_var("SNS_THREADS", "1");
     let mut batch_rows = Vec::new();
     let mut batch_json = Vec::new();
     let mut batch1_ms = 0.0f64;
     let mut batch_base = None;
     for batch in [1usize, 4, 32] {
-        std::env::set_var("SNS_BATCH", batch.to_string());
-        model.clear_cache();
-        let t0 = Instant::now();
-        let (aggs, critical) = model.path_aggregates(&graph, &paths, None);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let (pred, ms) = predict_at(1, batch);
         match &batch_base {
             None => {
                 batch1_ms = ms;
-                batch_base = Some((aggs, critical));
+                batch_base = Some(pred);
             }
-            Some((base, base_crit)) => {
-                assert_eq!(*base, aggs, "batch size changed the aggregates");
-                assert_eq!(*base_crit, critical, "batch size changed the critical path");
-            }
+            Some(base) => assert_eq!(*base, pred, "batch size changed the prediction"),
         }
         let paths_per_s = unique.len() as f64 / (ms / 1e3);
         println!(
@@ -179,8 +176,6 @@ fn main() {
             ("speedup_vs_batch1", Json::Num(batch1_ms / ms)),
         ]));
     }
-    std::env::remove_var("SNS_BATCH");
-    std::env::remove_var("SNS_THREADS");
     write_csv("fig7_batch_scaling.csv", "batch,path_aggregates_ms,paths_per_s,speedup", &batch_rows);
 
     let design_json: Vec<Json> = sized

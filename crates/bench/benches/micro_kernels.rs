@@ -65,15 +65,6 @@ fn main() {
         }
     }
 
-    // The gated int8 path on the serving shape (informational — the f32
-    // prepacked path is the production one).
-    {
-        let a = rand_mat(&mut gemm_rng, 16, 128);
-        let b = rand_mat(&mut gemm_rng, 128, 2304);
-        let qb = sns_nn::PackedBInt8::pack(b.as_slice(), 128, 2304);
-        results.push(bench("gemm_int8_16x128x2304", || a.matmul_prepacked_int8(&qb)));
-    }
-
     // Front end.
     let design = cores::rocket_like(32);
     results.push(bench("parse_rocket32", || {

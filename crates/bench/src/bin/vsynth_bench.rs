@@ -20,12 +20,9 @@ use std::time::Instant;
 use sns_bench::write_root_json;
 use sns_designs::{crypto, dsp, extra, vector, Design};
 use sns_netlist::{parse_and_elaborate, Netlist};
+use sns_rt::env_knob;
 use sns_rt::json::Json;
 use sns_vsynth::{ExpansionMemo, SynthOptions, SynthReport, VirtualSynthesizer};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
 
 /// Mid-to-large catalog designs: wide datapaths (memoizable expanders),
 /// register files, and enough cells to cross the parallel threshold.
@@ -88,7 +85,7 @@ fn stage_json(s: &FlowSample) -> Json {
 }
 
 fn main() {
-    let reps = env_usize("SNS_VSYNTH_BENCH_REPS", 3);
+    let reps = env_knob::<usize>("SNS_VSYNTH_BENCH_REPS").unwrap_or(3);
     let threads = sns_rt::pool::synth_threads();
     println!("vsynth bench: {} designs, best of {reps}, pool {threads} threads", suite().len());
 

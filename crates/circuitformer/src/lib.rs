@@ -41,7 +41,7 @@ use sns_rt::rng::StdRng;
 
 use sns_nn::{
     save_params, load_params, Embedding, Gelu, Grads, LayerNorm, Linear, Mat, ModelState,
-    PackedAttention, PackedLinear, Param, ParamRegistry, QuantMode, SeqSpan,
+    PackedAttention, PackedLinear, Param, ParamRegistry, SeqSpan,
 };
 
 /// Hyperparameters of the Circuitformer.
@@ -123,7 +123,7 @@ impl Block {
     /// per span, so each packed sequence's rows come out bit-identical to
     /// running [`Block::forward`] on that sequence alone. When a prepacked
     /// snapshot is supplied, attention and the FFN run the prepacked
-    /// kernels (bit-identical in f32 mode, tolerance-bounded under int8).
+    /// kernels (bit-identical to the unpacked layers).
     fn infer(&self, x: &Mat, spans: &[SeqSpan], packed: Option<&PackedBlock>) -> Mat {
         let n1 = self.ln1.infer(x);
         let a = match packed {
@@ -145,11 +145,11 @@ impl Block {
     }
 
     /// Snapshots this block's attention + FFN weights into prepacked form.
-    fn prepack(&self, mode: QuantMode) -> PackedBlock {
+    fn prepack(&self) -> PackedBlock {
         PackedBlock {
-            attn: PackedAttention::pack(&self.attn, mode),
-            ff1: PackedLinear::pack(&self.ff1, mode),
-            ff2: PackedLinear::pack(&self.ff2, mode),
+            attn: PackedAttention::pack(&self.attn),
+            ff1: PackedLinear::pack(&self.ff1),
+            ff2: PackedLinear::pack(&self.ff2),
         }
     }
 
@@ -198,16 +198,10 @@ struct PackedBlock {
 /// ([`Circuitformer::visit_mut`]) so stale packs can never be consulted —
 /// inference falls back to the unpacked (bit-identical) layers until the
 /// owner re-packs.
-///
-/// The quantization `mode` applies to the block layers only; the heads
-/// and embeddings always stay f32 (they are a rounding error of the FLOP
-/// budget, and the regression head's 3-wide output is the worst possible
-/// shape for per-column quantization).
 #[derive(Debug, Clone)]
 struct PackedPlan {
     blocks: Vec<PackedBlock>,
     head1: PackedLinear,
-    mode: QuantMode,
 }
 
 impl PackedPlan {
@@ -270,26 +264,18 @@ impl Circuitformer {
             head2,
             packed: None,
         };
-        m.prepack(QuantMode::F32);
+        m.prepack();
         m
     }
 
-    /// Rebuilds the prepacked inference plan under `mode`. Called
-    /// automatically by [`new`](Self::new) and [`load`](Self::load) (f32 /
-    /// previous mode); call it explicitly after in-place training or to
-    /// switch quantization modes.
-    pub fn prepack(&mut self, mode: QuantMode) {
+    /// Rebuilds the prepacked inference plan. Called automatically by
+    /// [`new`](Self::new) and [`load`](Self::load); call it explicitly
+    /// after in-place training.
+    pub fn prepack(&mut self) {
         self.packed = Some(PackedPlan {
-            blocks: self.blocks.iter().map(|b| b.prepack(mode)).collect(),
-            head1: PackedLinear::pack(&self.head1, QuantMode::F32),
-            mode,
+            blocks: self.blocks.iter().map(Block::prepack).collect(),
+            head1: PackedLinear::pack(&self.head1),
         });
-    }
-
-    /// The quantization mode of the current prepacked plan
-    /// ([`QuantMode::F32`] when no plan is live).
-    pub fn quant_mode(&self) -> QuantMode {
-        self.packed.as_ref().map(|p| p.mode).unwrap_or_default()
     }
 
     /// Whether a prepacked plan is live (it drops on any parameter
@@ -479,7 +465,7 @@ impl Circuitformer {
     }
 
     /// Restores parameters from a snapshot and rebuilds the prepacked
-    /// plan under the mode that was live before the load (f32 if none).
+    /// plan.
     ///
     /// # Errors
     ///
@@ -488,9 +474,8 @@ impl Circuitformer {
     /// partially overwritten, but the unpacked fallback stays coherent
     /// with whatever they now hold).
     pub fn load(&mut self, state: &ModelState) -> Result<(), String> {
-        let mode = self.quant_mode();
         load_params(state, |f| self.visit_mut(f))?;
-        self.prepack(mode);
+        self.prepack();
         Ok(())
     }
 }
@@ -629,7 +614,6 @@ mod tests {
         let mut m = model();
         // new() leaves a live f32 plan with real resident bytes.
         assert!(m.is_prepacked());
-        assert_eq!(m.quant_mode(), sns_nn::QuantMode::F32);
         assert!(m.prepack_bytes() > 0);
         let packed_out = m.predict_batch(&[&[1usize, 2, 3][..]]);
         // Any mutable visit drops the plan; the unpacked fallback is
@@ -640,7 +624,7 @@ mod tests {
         let unpacked_out = m.predict_batch(&[&[1usize, 2, 3][..]]);
         assert_eq!(packed_out, unpacked_out);
         // Re-packing restores the plan and the outputs.
-        m.prepack(sns_nn::QuantMode::F32);
+        m.prepack();
         assert!(m.is_prepacked());
         assert_eq!(m.predict_batch(&[&[1usize, 2, 3][..]]), packed_out);
         // load() re-packs automatically.
@@ -650,29 +634,6 @@ mod tests {
         m.load(&state).unwrap();
         assert!(m.is_prepacked());
         assert_eq!(m.predict_batch(&[&[1usize, 2, 3][..]]), packed_out);
-    }
-
-    #[test]
-    fn int8_mode_is_deterministic_and_close_to_f32() {
-        let mut m = model();
-        let paths: Vec<&[usize]> = vec![&[3, 40, 44, 9], &[1, 2, 3], &[7; 30]];
-        let f32_out = m.predict_batch(&paths);
-        m.prepack(sns_nn::QuantMode::Int8);
-        assert_eq!(m.quant_mode(), sns_nn::QuantMode::Int8);
-        let q1 = m.predict_batch(&paths);
-        let q2 = m.predict_batch(&paths);
-        assert_eq!(q1, q2, "int8 inference must be deterministic");
-        // Batch-invariance: each path solo under int8 equals its batched row.
-        for (i, p) in paths.iter().enumerate() {
-            assert_eq!(m.predict_batch(&[p])[0], q1[i], "int8 path {i} batch-variant");
-        }
-        // Tolerance versus f32 in normalized log space.
-        for (i, (qv, fv)) in q1.iter().zip(&f32_out).enumerate() {
-            for d in 0..3 {
-                let err = (qv[d] - fv[d]).abs();
-                assert!(err < 0.35, "path {i} dim {d}: int8 {} vs f32 {}", qv[d], fv[d]);
-            }
-        }
     }
 
     #[test]

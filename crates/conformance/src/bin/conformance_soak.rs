@@ -24,6 +24,7 @@ use sns_conformance::oracle::{
     PredictorHarness, ServeHarness,
 };
 use sns_conformance::{corpus, shrink};
+use sns_rt::env_knob;
 use sns_rt::json::Json;
 
 const STIM_SEED_SALT: u64 = 0x5EED_5717;
@@ -34,10 +35,6 @@ const MODEL_STRIDE: usize = 20;
 /// runs (the reference flow re-propagates the full graph every sizing
 /// iteration, so it dominates when run on every design).
 const VSYNTH_REF_STRIDE: usize = 10;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 struct OracleStat {
     kind: OracleKind,
@@ -87,8 +84,8 @@ impl OracleStat {
 }
 
 fn main() {
-    let n = env_u64("SNS_SOAK_N", 2000) as usize;
-    let seed0 = env_u64("SNS_SOAK_SEED", 1);
+    let n = env_knob::<u64>("SNS_SOAK_N").unwrap_or(2000) as usize;
+    let seed0 = env_knob::<u64>("SNS_SOAK_SEED").unwrap_or(1);
     let cfg = GenConfig::default();
 
     eprintln!("conformance soak: {n} designs, seeds {seed0}..{}", seed0 + n as u64);

@@ -36,16 +36,13 @@ use sns_conformance::{corpus, shrink};
 use sns_core::aggmlp::MlpTrainConfig;
 use sns_core::dataset::AugmentConfig;
 use sns_core::{train_sns, SessionStore, SnsModel, SnsTrainConfig};
+use sns_rt::env_knob;
 use sns_rt::json::Json;
 use sns_sampler::SampleConfig;
 
 const EDIT_SEED_SALT: u64 = 0xEC0_5EED;
 /// The acceptance floor for the catalog warm-vs-cold speedup.
 const MIN_SPEEDUP: f64 = 5.0;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
 
 /// A model with the paper's Table 2 Circuitformer architecture (dim
 /// 128, FFN 2304, ≈1.4 M parameters) on a minimal training schedule:
@@ -139,9 +136,9 @@ fn catalog_eco(model: &Arc<SnsModel>) -> Result<(String, f64, f64), String> {
 }
 
 fn main() {
-    let n = env_u64("SNS_ECO_N", 500) as usize;
-    let k = env_u64("SNS_ECO_EDITS", 4) as usize;
-    let seed0 = env_u64("SNS_ECO_SEED", 1);
+    let n = env_knob::<u64>("SNS_ECO_N").unwrap_or(500) as usize;
+    let k = env_knob::<u64>("SNS_ECO_EDITS").unwrap_or(4) as usize;
+    let seed0 = env_knob::<u64>("SNS_ECO_SEED").unwrap_or(1);
     let cfg = GenConfig::default();
 
     eprintln!("eco soak: {n} designs x {k} edits, seeds {seed0}..{}", seed0 + n as u64);

@@ -22,14 +22,11 @@ use sns_conformance::oracle::{
 };
 use sns_conformance::{corpus, shrink};
 use sns_netlist::parse_and_elaborate;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+use sns_rt::env_knob;
 
 fn main() {
-    let n = env_u64("SNS_VSYNTH_SOAK_N", 2000) as usize;
-    let seed0 = env_u64("SNS_VSYNTH_SOAK_SEED", 1);
+    let n = env_knob::<u64>("SNS_VSYNTH_SOAK_N").unwrap_or(2000) as usize;
+    let seed0 = env_knob::<u64>("SNS_VSYNTH_SOAK_SEED").unwrap_or(1);
     let mut failures = 0usize;
 
     // Blessed corpus first: regressions promoted from past soak failures.

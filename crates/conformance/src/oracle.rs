@@ -14,11 +14,7 @@
 //! 3. [`PredictorHarness::check`] — a trained `SnsModel` must predict
 //!    bit-identically across thread-count × batch-size × cache-capacity
 //!    configurations (the explicit-argument priming API, so the sweep
-//!    needs no environment variables). Its tolerance mode,
-//!    [`PredictorHarness::check_labels_close`], bounds the *relative*
-//!    label error against a reference prediction instead — the contract
-//!    for quantized (`SNS_INT8=1`) inference, which is deterministic but
-//!    deliberately not bit-equal to f32.
+//!    needs no environment variables).
 //! 4. [`ServeHarness::check`] — `POST /predict` against a live `sns-serve`
 //!    instance must return exactly the numbers the in-process model
 //!    produces (the daemon's shortest-round-trip JSON printer makes f64
@@ -438,51 +434,6 @@ impl PredictorHarness {
         self.model.cache().set_capacity(None);
         self.model.clear_cache();
         result
-    }
-
-    /// Oracle 3's tolerance mode: the wrapped model's prediction for
-    /// `spec` must land within `rel_tol` relative error of `reference`
-    /// on every label, and the labels must stay finite and positive.
-    /// Path provenance (count and critical path) must agree exactly —
-    /// quantization perturbs label values, never the sampled paths.
-    ///
-    /// This is the acceptance contract for the int8 path: wrap the
-    /// quantized model here and pass the f32 model's prediction of the
-    /// same source as `reference`.
-    pub fn check_labels_close(
-        &self,
-        spec: &DesignSpec,
-        reference: &DesignPrediction,
-        rel_tol: f64,
-    ) -> Result<(), String> {
-        let pred = self
-            .model
-            .predict_verilog(&spec.verilog(), spec.top())
-            .map_err(|e| format!("prediction failed: {e}"))?;
-        for (name, want, got) in [
-            ("timing_ps", reference.timing_ps, pred.timing_ps),
-            ("area_um2", reference.area_um2, pred.area_um2),
-            ("power_mw", reference.power_mw, pred.power_mw),
-        ] {
-            if !got.is_finite() || got <= 0.0 {
-                return Err(format!("label {name} is not finite-positive: {got}"));
-            }
-            let rel = (got - want).abs() / want.abs().max(1e-9);
-            if rel > rel_tol {
-                return Err(format!(
-                    "label {name} drifts {rel:.4} relative from the reference \
-                     (bound {rel_tol}): {got} vs {want}"
-                ));
-            }
-        }
-        if pred.path_count != reference.path_count || pred.critical_path != reference.critical_path
-        {
-            return Err(format!(
-                "path provenance diverges from the reference: {}/{:?} vs {}/{:?}",
-                pred.path_count, pred.critical_path, reference.path_count, reference.critical_path
-            ));
-        }
-        Ok(())
     }
 
     fn sweep(

@@ -397,42 +397,3 @@ fn serve_metrics_reconcile_under_cache_pressure() {
 
     serve.shutdown();
 }
-
-#[test]
-fn int8_mode_is_deterministic_and_within_tolerance_of_f32() {
-    // The quantized path's contract, on real vsynth-labeled designs:
-    // deterministic (oracle 3's bit-identity sweep must still pass in
-    // int8 mode — across threads, batch sizes, and cache evictions) and
-    // close to the f32 labels (the tolerance oracle). Trains its own
-    // model: the shared harness must stay f32 for every other test.
-    use sns_conformance::oracle::tiny_train_config;
-    use sns_core::{train_sns, DesignPrediction, QuantMode};
-
-    let cfg = GenConfig::default();
-    let designs =
-        vec![sns_designs::vector::simd_alu(2, 8), sns_designs::nonlinear::piecewise(4, 8)];
-    let (mut model, _) = train_sns(&designs, &tiny_train_config());
-    assert_eq!(model.quant_mode(), QuantMode::F32);
-
-    let specs: Vec<DesignSpec> = (1..=6).map(|i| generate(i * 37 + 5, &cfg)).collect();
-    let f32_refs: Vec<DesignPrediction> = specs
-        .iter()
-        .map(|s| model.predict_verilog(&s.verilog(), s.top()).unwrap())
-        .collect();
-
-    model.set_quant_mode(QuantMode::Int8);
-    assert_eq!(model.quant_mode(), QuantMode::Int8);
-    let int8 = PredictorHarness::from_model(Arc::new(model));
-
-    // Labels drift (quantization), provenance must not. The bound is
-    // loose — int8 is an accuracy/speed trade, not a bit-identity one —
-    // but tight enough to catch a broken dequant scale or a clamped
-    // activation path, which throw labels off by orders of magnitude.
-    for (spec, reference) in specs.iter().zip(&f32_refs) {
-        int8.check_labels_close(spec, reference, 0.5).unwrap();
-        // Determinism sweep: int8 is per-row quantized, so thread count,
-        // batch size, and eviction-forced recomputes must not change a
-        // single bit of the quantized prediction either.
-        int8.check(spec).unwrap();
-    }
-}

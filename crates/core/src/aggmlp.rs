@@ -4,7 +4,7 @@
 
 use sns_rt::rng::{SliceRandom, StdRng};
 
-use sns_nn::{Grads, Linear, Mat, Optimizer, PackedLinear, QuantMode, Relu, Sgd};
+use sns_nn::{Grads, Linear, Mat, Optimizer, PackedLinear, Relu, Sgd};
 
 /// Saved forward state for one backward pass through the four layers.
 type MlpFwdCtx = (
@@ -17,10 +17,9 @@ type MlpFwdCtx = (
     sns_nn::LinearCtx,
 );
 
-/// The four layers of an [`AggMlp`] in prepacked inference form. Always
-/// f32: the MLPs are microseconds per design, so the int8 path does not
-/// extend here — but the m=1 feature-vector GEMMs still benefit from
-/// skipping per-call weight packing.
+/// The four layers of an [`AggMlp`] in prepacked inference form. The MLPs
+/// are microseconds per design, but the m=1 feature-vector GEMMs still
+/// benefit from skipping per-call weight packing.
 #[derive(Debug, Clone)]
 struct PackedMlp {
     l1: PackedLinear,
@@ -88,10 +87,10 @@ impl AggMlp {
     /// any mutable parameter visit).
     pub fn prepack(&mut self) {
         self.packed = Some(PackedMlp {
-            l1: PackedLinear::pack(&self.l1, QuantMode::F32),
-            l2: PackedLinear::pack(&self.l2, QuantMode::F32),
-            l3: PackedLinear::pack(&self.l3, QuantMode::F32),
-            out: PackedLinear::pack(&self.out, QuantMode::F32),
+            l1: PackedLinear::pack(&self.l1),
+            l2: PackedLinear::pack(&self.l2),
+            l3: PackedLinear::pack(&self.l3),
+            out: PackedLinear::pack(&self.out),
         });
     }
 

@@ -54,7 +54,6 @@ pub use model_io::{
     ZooEntry, ZooError, ZooManifest, ZOO_MANIFEST,
 };
 pub use predictor::{DesignPrediction, SnsModel};
-pub use sns_nn::QuantMode;
 pub use session::{DesignSession, SessionError, SessionOutcome, SessionStore};
 pub use train::{
     refit_correction, train_sns, train_sns_on_labeled, FineTuneConfig, FineTuner, SnsTrainConfig,

@@ -157,7 +157,7 @@ fn model_from_json(json: &str) -> Result<SnsModel, String> {
         seed: saved.sample_seed,
         dedup: true,
     };
-    let mut model = SnsModel {
+    Ok(SnsModel {
         circuitformer,
         path_scaler: saved.path_scaler,
         design_scaler: saved.design_scaler,
@@ -166,15 +166,7 @@ fn model_from_json(json: &str) -> Result<SnsModel, String> {
         sample,
         vocab,
         cache: PathPredictionCache::new(),
-    };
-    // The experimental int8 inference gate: consulted exactly once, at
-    // model load (per-call env reads would race between threads and make
-    // cached predictions mode-ambiguous). Programmatic switching is
-    // `SnsModel::set_quant_mode`.
-    if std::env::var("SNS_INT8").map(|v| v == "1").unwrap_or(false) {
-        model.set_quant_mode(sns_nn::QuantMode::Int8);
-    }
-    Ok(model)
+    })
 }
 
 /// Serializes a trained model to JSON at `path` (atomically: temp file +

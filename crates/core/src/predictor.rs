@@ -71,10 +71,8 @@ impl SnsModel {
     ///
     /// Routed through the batched entry point (batch of one) so every
     /// inference — including cache-miss recomputes inside the reductions —
-    /// runs the same prepacked kernels and quantization mode as the batch
-    /// path. In f32 mode this is bit-identical to the unbatched forward;
-    /// in int8 mode it keeps single-path values consistent with
-    /// batch-filled cache entries.
+    /// runs the same prepacked kernels as the batch path, bit-identical to
+    /// the unbatched forward.
     pub fn predict_path(&self, tokens: &[usize]) -> [f64; 3] {
         let z = self.circuitformer.predict_batch(&[tokens])[0];
         self.path_scaler.inverse(z)
@@ -300,10 +298,15 @@ impl SnsModel {
     /// (`SNS_THREADS=1` vs `8`, `SNS_BATCH=1` vs `32` all agree exactly).
     fn predict_paths(&self, graph: &GraphIr, paths: &[CircuitPath]) -> Vec<Vec<usize>> {
         let token_seqs = self.tokenize_paths(graph, paths);
-        let threads = sns_rt::pool::default_threads();
-        let batch = sns_rt::pool::default_batch();
+        let (threads, batch) = Self::default_knobs();
         self.prime_path_cache(&token_seqs, threads, batch);
         token_seqs
+    }
+
+    /// The process's resolved `(SNS_THREADS, SNS_BATCH)`: the priming
+    /// knobs of every call that is not given explicit ones.
+    pub(crate) fn default_knobs() -> (usize, usize) {
+        (sns_rt::pool::default_threads(), sns_rt::pool::default_batch())
     }
 
     /// Tokenizes each sampled path into the vocabulary id sequence the
@@ -356,25 +359,6 @@ impl SnsModel {
     /// weights, which invalidates cached outputs.
     pub fn clear_cache(&self) {
         self.cache.clear();
-    }
-
-    /// Switches the Circuitformer's prepacked inference plan between f32
-    /// and int8 and drops the path-prediction cache (cached values carry
-    /// the arithmetic of the mode they were computed under, so they must
-    /// never survive a mode switch). The aggregation MLPs and scalers are
-    /// untouched — quantization applies to the transformer blocks only.
-    ///
-    /// This is the programmatic form of the `SNS_INT8=1` knob (the env
-    /// var is consulted once at model load, never per call, so tests and
-    /// concurrent servers can flip modes without env races).
-    pub fn set_quant_mode(&mut self, mode: sns_nn::QuantMode) {
-        self.circuitformer.prepack(mode);
-        self.cache.clear();
-    }
-
-    /// The quantization mode of the live prepacked plan.
-    pub fn quant_mode(&self) -> sns_nn::QuantMode {
-        self.circuitformer.quant_mode()
     }
 
     /// Resident bytes of all prepacked weight panels in this model: the

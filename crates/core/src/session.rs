@@ -123,6 +123,8 @@ struct SessionsInner {
 pub struct SessionStore {
     elab: Arc<ModuleElabCache>,
     inner: RwLock<SessionsInner>,
+    /// `(threads, batch)` for priming path predictions.
+    inference: (usize, usize),
 }
 
 impl std::fmt::Debug for SessionStore {
@@ -142,7 +144,10 @@ impl Default for SessionStore {
 
 impl SessionStore {
     /// Creates a store bounded to `session_cap` sessions with a fresh
-    /// elaboration-unit cache bounded to `elab_cap` units.
+    /// elaboration-unit cache bounded to `elab_cap` units. Its sessions
+    /// prime path predictions at the process's resolved `SNS_THREADS` /
+    /// `SNS_BATCH` unless [`with_inference`](Self::with_inference) says
+    /// otherwise.
     pub fn new(session_cap: usize, elab_cap: usize) -> Self {
         SessionStore {
             elab: Arc::new(ModuleElabCache::new(elab_cap)),
@@ -151,7 +156,17 @@ impl SessionStore {
                 order: VecDeque::new(),
                 cap: session_cap,
             }),
+            inference: SnsModel::default_knobs(),
         }
+    }
+
+    /// Primes session predictions over `threads` workers in batches of at
+    /// most `batch` sequences (a serving replica's configured values)
+    /// instead of the process defaults. Predictions are bit-identical at
+    /// any setting; this only moves throughput.
+    pub fn with_inference(mut self, threads: usize, batch: usize) -> Self {
+        self.inference = (threads, batch);
+        self
     }
 
     /// The shared per-module elaboration-unit cache.
@@ -311,11 +326,8 @@ impl SnsModel {
 
         let flat: Vec<&PortablePath> = flatten_samples(&samples, self.sample.max_paths);
         let token_seqs: Vec<Vec<usize>> = flat.iter().map(|p| p.tokens.clone()).collect();
-        self.prime_path_cache(
-            &token_seqs,
-            sns_rt::pool::default_threads(),
-            sns_rt::pool::default_batch(),
-        );
+        let (threads, batch) = store.inference;
+        self.prime_path_cache(&token_seqs, threads, batch);
         // Sessions carry no per-register activity map, so every path's
         // coefficient is 1.0 — same as `predict_netlist(_, None)`.
         let (aggregates, critical) = self.reduce_items(
@@ -458,6 +470,22 @@ mod tests {
             .unwrap();
         assert_eq!(patched.token, scratch.token);
         assert_same_prediction(&patched.prediction, &scratch.prediction);
+    }
+
+    #[test]
+    fn configured_inference_knobs_keep_predictions_bit_identical() {
+        let model = tiny_model();
+        let leaf = "module leaf (input [7:0] a, output [7:0] y); assign y = a ^ 8'h5A; endmodule";
+        let run = |store: SessionStore| {
+            let m = model.fork_replica();
+            let base = m.predict_session(&store, &src("a + 8'd1"), "top").unwrap();
+            let patched = m.predict_patch(&store, &base.token, leaf).unwrap();
+            (base.prediction, patched.prediction)
+        };
+        let (base, patched) = run(SessionStore::default());
+        let (b, p) = run(SessionStore::default().with_inference(3, 2));
+        assert_same_prediction(&base, &b);
+        assert_same_prediction(&patched, &p);
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub fn train_sns_on_labeled(
     // Training mutated the parameters (dropping the construction-time
     // pack); snapshot the final weights so every inference below and every
     // later prediction runs the prepacked kernels.
-    circuitformer.prepack(sns_nn::QuantMode::F32);
+    circuitformer.prepack();
 
     // ---- Aggregation MLPs (§3.4) ----
     let design_labels: Vec<[f64; 3]> = entries
@@ -346,8 +346,7 @@ impl FineTuner {
         self.opt.step_visit(&grads, |f| model.circuitformer.visit_mut(f));
         // The weights changed: re-pack the inference kernels and drop
         // every cached path prediction.
-        let mode = model.quant_mode();
-        model.circuitformer.prepack(mode);
+        model.circuitformer.prepack();
         model.clear_cache();
         self.steps += 1;
         loss / normalized.len() as f32

@@ -15,7 +15,8 @@
 
 use sns_rt::rng::StdRng;
 
-use crate::linear::{Linear, LinearCtx, PackedLinear, PackedWeights, QuantMode};
+use crate::gemm::PackedB;
+use crate::linear::{Linear, LinearCtx, PackedLinear};
 use crate::mat::Mat;
 use crate::param::{Grads, Param, ParamRegistry};
 
@@ -265,17 +266,12 @@ const TQ: usize = 64;
 ///   f32 bit-identity, so the tiling is over whole query rows only: every
 ///   per-row max/exp/sum/divide happens in exactly the
 ///   [`Mat::softmax_rows`] op order, and every GEMM row is the same
-///   ascending-k reduction regardless of tile height. In
-///   [`QuantMode::F32`] the result is therefore bit-identical to
-///   [`MultiHeadAttention::infer_masked`]; memory never exceeds
-///   `O(TQ · T)` per attention tile.
-///
-/// Under [`QuantMode::Int8`] the QKV and output projections run the
-/// quantized prepacked kernel (tolerance-bounded, not bit-compared); the
-/// softmax·V arithmetic itself always stays f32.
+///   ascending-k reduction regardless of tile height. The result is
+///   therefore bit-identical to [`MultiHeadAttention::infer_masked`];
+///   memory never exceeds `O(TQ · T)` per attention tile.
 #[derive(Debug, Clone)]
 pub struct PackedAttention {
-    qkv: PackedWeights,
+    qkv: PackedB,
     qkv_bias: Vec<f32>,
     wo: PackedLinear,
     heads: usize,
@@ -283,8 +279,8 @@ pub struct PackedAttention {
 }
 
 impl PackedAttention {
-    /// Snapshots `mha` under `mode`, fusing the Q/K/V projections.
-    pub fn pack(mha: &MultiHeadAttention, mode: QuantMode) -> PackedAttention {
+    /// Snapshots `mha`, fusing the Q/K/V projections.
+    pub fn pack(mha: &MultiHeadAttention) -> PackedAttention {
         let dim = mha.dim;
         let mut fused = Mat::zeros(dim, 3 * dim);
         for l in 0..dim {
@@ -298,9 +294,9 @@ impl PackedAttention {
         qkv_bias.extend_from_slice(mha.wk.bias());
         qkv_bias.extend_from_slice(mha.wv.bias());
         PackedAttention {
-            qkv: PackedWeights::pack(&fused, mode),
+            qkv: PackedB::pack(fused.as_slice(), dim, 3 * dim),
             qkv_bias,
-            wo: PackedLinear::pack(&mha.wo, mode),
+            wo: PackedLinear::pack(&mha.wo),
             heads: mha.heads,
             dim,
         }
@@ -316,11 +312,6 @@ impl PackedAttention {
         self.qkv.bytes() + self.wo.bytes()
     }
 
-    /// Whether the projections are int8-quantized.
-    pub fn is_int8(&self) -> bool {
-        self.qkv.is_int8()
-    }
-
     /// Copies `rows` rows of the `dh`-wide column window at `col0` out of
     /// the packed `[ΣT, 3·dim]` QKV matrix.
     fn window(qkv: &Mat, row0: usize, rows: usize, col0: usize, dh: usize) -> Mat {
@@ -333,13 +324,13 @@ impl PackedAttention {
 
     /// Batched, masked self-attention — the packed counterpart of
     /// [`MultiHeadAttention::infer_masked`], with the same span/masking
-    /// semantics (see there) and, in f32 mode, bit-identical output.
+    /// semantics (see there) and bit-identical output.
     ///
     /// # Panics
     ///
     /// Panics if spans overlap `x` out of bounds or `valid > padded`.
     pub fn infer_masked(&self, x: &Mat, spans: &[SeqSpan]) -> Mat {
-        let qkv = self.qkv.matmul(x).add_row_broadcast(&self.qkv_bias);
+        let qkv = x.matmul_prepacked(&self.qkv).add_row_broadcast(&self.qkv_bias);
         let dh = self.dim / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut concat = Mat::zeros(x.rows(), self.dim);
@@ -534,8 +525,7 @@ mod tests {
     #[test]
     fn packed_attention_f32_is_bit_identical() {
         let (_, a) = setup(8, 2);
-        let p = PackedAttention::pack(&a, QuantMode::F32);
-        assert!(!p.is_int8());
+        let p = PackedAttention::pack(&a);
         assert!(p.bytes() >= (3 * 8 * 8 + 8 * 8) * 4);
         let mut rng = StdRng::seed_from_u64(31);
         // Span lengths: tiny, exactly TQ, crossing TQ, padded, empty.
@@ -562,31 +552,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Int8 packed attention stays within a small relative error of f32
-    /// on valid rows and is deterministic.
-    #[test]
-    fn packed_attention_int8_is_close() {
-        let (_, a) = setup(8, 2);
-        let p = PackedAttention::pack(&a, QuantMode::Int8);
-        assert!(p.is_int8());
-        let mut rng = StdRng::seed_from_u64(32);
-        let spans = [SeqSpan::dense(0, 5), SeqSpan { start: 5, valid: 4, padded: 6 }];
-        let x = rand_mat(11, 8, &mut rng);
-        let want = a.infer_masked(&x, &spans);
-        let got = p.infer_masked(&x, &spans);
-        assert_eq!(got, p.infer_masked(&x, &spans), "int8 attention must be deterministic");
-        let (mut num, mut den) = (0.0f64, 0.0f64);
-        for span in &spans {
-            for r in 0..span.valid {
-                for (gv, wv) in got.row(span.start + r).iter().zip(want.row(span.start + r)) {
-                    num += (*gv as f64 - *wv as f64).powi(2);
-                    den += (*wv as f64).powi(2);
-                }
-            }
-        }
-        let rel = (num / den.max(1e-30)).sqrt();
-        assert!(rel < 0.15, "int8 attention relative error {rel}");
     }
 }

@@ -19,8 +19,6 @@
 //!   [`gemm_prepacked_nn`] skips `pack_b` entirely: the per-call cost at
 //!   small m is just A-packing (tiny) plus micro-kernels. Weights are
 //!   packed once at model load and reused by every inference.
-//!   [`PackedBInt8`] is the quantized variant (symmetric per-output-column
-//!   scales, i32 accumulation) behind the experimental `SNS_INT8` path.
 //!
 //! # The K-order contract
 //!
@@ -39,9 +37,7 @@
 //! B panels from the prepacked buffer). Tile edges are handled by
 //! zero-padding the packed panels: padded lanes accumulate into
 //! accumulator slots that are never written back, so real elements see no
-//! extra additions. The int8 path is the one deliberate exception — it is
-//! *not* bit-identical to f32 (it trades a bounded relative error for
-//! bandwidth) and is validated by tolerance oracles instead.
+//! extra additions.
 //!
 //! The old element-level `a == 0.0` skip is gone — on dense embedding
 //! activations it was a branch per multiply that blocked vectorization.
@@ -631,135 +627,9 @@ fn gemm_prepacked_smallm(m: usize, a: &[f32], pb: &PackedB, out: &mut [f32], zr:
     }
 }
 
-// ---------------------------------------------------------------------------
-// Int8 prepack: the experimental quantized inference path (SNS_INT8=1).
-// ---------------------------------------------------------------------------
-
-/// A weight matrix quantized to `i8` with one symmetric scale per output
-/// column (`scale[j] = max|B[:,j]| / 127`), stored as `[k][NR]` panels.
-/// Consumed by [`gemm_prepacked_int8`], which quantizes each activation
-/// row symmetrically on the fly and accumulates in `i32` — exact integer
-/// arithmetic, so the path is deterministic and batch-invariant, but the
-/// quantization itself makes results differ from f32 by a bounded
-/// relative error (validated by the conformance tolerance oracle, never
-/// bit-compared).
-#[derive(Debug, Clone)]
-pub struct PackedBInt8 {
-    k: usize,
-    n: usize,
-    /// `[n.div_ceil(NR)]` panels of `[k][NR]` quantized weights
-    /// (zero-padded edge columns).
-    q: Vec<i8>,
-    /// Per-output-column dequantization scales (`n` entries).
-    scales: Vec<f32>,
-}
-
-impl PackedBInt8 {
-    /// Quantizes and packs row-major `b: [k, n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != k * n` or the `i32` accumulator could
-    /// overflow (`k > 133152`, far beyond any model shape here).
-    pub fn pack(b: &[f32], k: usize, n: usize) -> PackedBInt8 {
-        assert_eq!(b.len(), k * n, "PackedBInt8 shape/data mismatch");
-        assert!(
-            k as u64 * 127 * 127 < i32::MAX as u64,
-            "int8 GEMM accumulator would overflow at k={k}"
-        );
-        let mut scales = vec![0.0f32; n];
-        for j in 0..n {
-            let mut maxabs = 0.0f32;
-            for l in 0..k {
-                maxabs = maxabs.max(b[l * n + j].abs());
-            }
-            scales[j] = maxabs / 127.0;
-        }
-        let n_panels = n.div_ceil(NR);
-        let mut q = vec![0i8; n_panels * k * NR];
-        for l in 0..k {
-            for j in 0..n {
-                let (pj, c) = (j / NR, j % NR);
-                let s = scales[j];
-                let v = if s == 0.0 { 0.0 } else { (b[l * n + j] / s).round() };
-                q[pj * k * NR + l * NR + c] = v.clamp(-127.0, 127.0) as i8;
-            }
-        }
-        PackedBInt8 { k, n, q, scales }
-    }
-
-    /// Reduction depth.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Output width.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Resident bytes of the quantized panels + scales.
-    pub fn bytes(&self) -> usize {
-        self.q.len() + self.scales.len() * std::mem::size_of::<f32>()
-    }
-}
-
-/// `out = a @ B` against an int8-prepacked B: each activation row is
-/// quantized symmetrically (`scale = max|row| / 127`, round-half-away,
-/// clamp to ±127), the dot products run in exact `i32`, and the result is
-/// dequantized per element as `(row_scale · col_scale) · acc`. Per-row
-/// arithmetic depends only on that row, so outputs are bit-stable across
-/// batch compositions and thread counts — just not bit-equal to f32.
-///
-/// # Panics
-///
-/// Panics if `a.len() != m * pb.k()` or `out.len() != m * pb.n()`.
-pub fn gemm_prepacked_int8(m: usize, a: &[f32], pb: &PackedBInt8, out: &mut [f32]) {
-    let (k, n) = (pb.k, pb.n);
-    assert_eq!(a.len(), m * k, "int8 A shape");
-    assert_eq!(out.len(), m * n, "int8 out shape");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let n_panels = n.div_ceil(NR);
-    let mut qa = vec![0i8; k];
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut maxabs = 0.0f32;
-        for &v in arow {
-            maxabs = maxabs.max(v.abs());
-        }
-        let sa = maxabs / 127.0;
-        if sa == 0.0 {
-            out[i * n..(i + 1) * n].fill(0.0);
-            continue;
-        }
-        for (q, &v) in qa.iter_mut().zip(arow) {
-            *q = (v / sa).round().clamp(-127.0, 127.0) as i8;
-        }
-        for pj in 0..n_panels {
-            let panel = &pb.q[pj * k * NR..(pj + 1) * k * NR];
-            let mut acc = [0i32; NR];
-            for (l, &qv) in qa.iter().enumerate() {
-                let al = qv as i32;
-                let brow = &panel[l * NR..(l + 1) * NR];
-                for (c, &bq) in brow.iter().enumerate() {
-                    acc[c] += al * bq as i32;
-                }
-            }
-            let j0 = pj * NR;
-            let nr = NR.min(n - j0);
-            let orow = &mut out[i * n + j0..i * n + j0 + nr];
-            for (c, o) in orow.iter_mut().enumerate() {
-                *o = (sa * pb.scales[j0 + c]) * acc[c] as f32;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{gemm_prepacked_int8, gemm_prepacked_nn, PackedB, PackedBInt8};
+    use super::{gemm_prepacked_nn, PackedB};
     use crate::mat::Mat;
     use sns_rt::rng::StdRng;
 
@@ -852,40 +722,5 @@ mod tests {
                 assert!(pb.bytes() >= k * n * 4);
             }
         }
-    }
-
-    /// The int8 path is deterministic, batch-invariant per row, and close
-    /// to f32 in relative terms.
-    #[test]
-    fn int8_is_deterministic_and_close_to_f32() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (m, k, n) = (7usize, 96usize, 48usize);
-        let a = rand_mat(&mut rng, m, k);
-        let b = rand_mat(&mut rng, k, n);
-        let pb = PackedBInt8::pack(b.as_slice(), k, n);
-        let mut q1 = Mat::zeros(m, n);
-        let mut q2 = Mat::zeros(m, n);
-        gemm_prepacked_int8(m, a.as_slice(), &pb, q1.as_mut_slice());
-        gemm_prepacked_int8(m, a.as_slice(), &pb, q2.as_mut_slice());
-        assert_eq!(q1, q2, "int8 GEMM must be deterministic");
-        // Row 3 alone must reproduce row 3 of the batch bit-for-bit.
-        let solo = a.rows_slice(3, 4);
-        let mut qs = Mat::zeros(1, n);
-        gemm_prepacked_int8(1, solo.as_slice(), &pb, qs.as_mut_slice());
-        assert_eq!(qs.row(0), q1.row(3), "int8 rows must be batch-invariant");
-        // Against f32: small relative error on a well-conditioned product.
-        let f = a.matmul_ref(&b);
-        let (mut num, mut den) = (0.0f64, 0.0f64);
-        for (qv, fv) in q1.as_slice().iter().zip(f.as_slice()) {
-            num += (*qv as f64 - *fv as f64).powi(2);
-            den += (*fv as f64).powi(2);
-        }
-        let rel = (num / den.max(1e-30)).sqrt();
-        assert!(rel < 0.05, "int8 relative error {rel} too large");
-        // All-zero activation rows stay exactly zero.
-        let z = Mat::zeros(2, k);
-        let mut qz = Mat::full(2, n, 7.0);
-        gemm_prepacked_int8(2, z.as_slice(), &pb, qz.as_mut_slice());
-        assert!(qz.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -199,8 +199,7 @@ impl Gru {
 ///   own prepacked matrix.
 ///
 /// Gate arithmetic replicates [`Gru::forward`]'s exact op order, so
-/// hidden states are bit-identical. The GRU always runs f32 — it is a
-/// tiny fraction of inference time, so the int8 path does not extend here.
+/// hidden states are bit-identical.
 #[derive(Debug, Clone)]
 pub struct PackedGru {
     wx: PackedB,

@@ -64,9 +64,9 @@ pub mod serialize;
 pub use act::{Gelu, Relu, Sigmoid, Tanh};
 pub use attention::{AttentionCtx, MultiHeadAttention, PackedAttention, SeqSpan};
 pub use embedding::{Embedding, EmbeddingCtx};
-pub use gemm::{PackedB, PackedBInt8};
+pub use gemm::PackedB;
 pub use gru::{Gru, GruCtx, PackedGru};
-pub use linear::{Linear, LinearCtx, PackedLinear, PackedWeights, QuantMode};
+pub use linear::{Linear, LinearCtx, PackedLinear};
 pub use loss::{bce_with_logits_loss, mse_loss, softmax_cross_entropy};
 pub use mat::Mat;
 pub use norm::{LayerNorm, LayerNormCtx};

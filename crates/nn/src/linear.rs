@@ -2,109 +2,33 @@
 //!
 //! [`Linear`] owns trainable parameters and the backward pass.
 //! [`PackedLinear`] is a read-only snapshot taken at model load: the
-//! weight matrix repacked into GEMM panel layout ([`PackedB`], or
-//! [`PackedBInt8`] under [`QuantMode::Int8`]) so inference skips per-call
-//! packing entirely. In f32 mode `PackedLinear::infer` is bit-identical
-//! to [`Linear::infer`].
+//! weight matrix repacked into GEMM panel layout ([`PackedB`]) so
+//! inference skips per-call packing entirely. `PackedLinear::infer` is
+//! bit-identical to [`Linear::infer`].
 
 use sns_rt::rng::StdRng;
 
-use crate::gemm::{PackedB, PackedBInt8};
+use crate::gemm::PackedB;
 use crate::mat::Mat;
 use crate::param::{Grads, Param, ParamRegistry};
 
-/// Which arithmetic a packed inference path runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QuantMode {
-    /// Full f32 — bit-identical to the unpacked layers. The default.
-    #[default]
-    F32,
-    /// Symmetric int8 weights + dynamic per-row activation scales
-    /// (`SNS_INT8=1`). Deterministic and batch-invariant but carries a
-    /// bounded relative error versus f32; only validated by tolerance
-    /// oracles, never bit-compared.
-    Int8,
-}
-
-/// A weight matrix in packed, inference-ready form: f32 panels or
-/// int8-quantized panels depending on [`QuantMode`].
-#[derive(Debug, Clone)]
-pub enum PackedWeights {
-    /// f32 `[kc][NR]` panels — bit-identical GEMM.
-    F32(PackedB),
-    /// int8 panels with per-output-column scales — tolerance-bounded GEMM.
-    Int8(PackedBInt8),
-}
-
-impl PackedWeights {
-    /// Packs a row-major `[k, n]` weight matrix under `mode`.
-    pub fn pack(w: &Mat, mode: QuantMode) -> PackedWeights {
-        match mode {
-            QuantMode::F32 => {
-                PackedWeights::F32(PackedB::pack(w.as_slice(), w.rows(), w.cols()))
-            }
-            QuantMode::Int8 => {
-                PackedWeights::Int8(PackedBInt8::pack(w.as_slice(), w.rows(), w.cols()))
-            }
-        }
-    }
-
-    /// `x @ W` through the packed kernel for this mode.
-    pub fn matmul(&self, x: &Mat) -> Mat {
-        match self {
-            PackedWeights::F32(pb) => x.matmul_prepacked(pb),
-            PackedWeights::Int8(pb) => x.matmul_prepacked_int8(pb),
-        }
-    }
-
-    /// Reduction depth (input width).
-    pub fn k(&self) -> usize {
-        match self {
-            PackedWeights::F32(pb) => pb.k(),
-            PackedWeights::Int8(pb) => pb.k(),
-        }
-    }
-
-    /// Output width.
-    pub fn n(&self) -> usize {
-        match self {
-            PackedWeights::F32(pb) => pb.n(),
-            PackedWeights::Int8(pb) => pb.n(),
-        }
-    }
-
-    /// Resident bytes of the packed representation.
-    pub fn bytes(&self) -> usize {
-        match self {
-            PackedWeights::F32(pb) => pb.bytes(),
-            PackedWeights::Int8(pb) => pb.bytes(),
-        }
-    }
-
-    /// Whether this is the int8 representation.
-    pub fn is_int8(&self) -> bool {
-        matches!(self, PackedWeights::Int8(_))
-    }
-}
-
 /// An inference-only snapshot of a [`Linear`]: weights prepacked once,
-/// bias copied. In [`QuantMode::F32`] the output of [`infer`](Self::infer)
-/// is bit-identical to [`Linear::infer`] (both kernels honor the GEMM
-/// K-order contract); in [`QuantMode::Int8`] it carries the quantization
-/// error bound instead.
+/// bias copied. The output of [`infer`](Self::infer) is bit-identical to
+/// [`Linear::infer`] (both kernels honor the GEMM K-order contract).
 #[derive(Debug, Clone)]
 pub struct PackedLinear {
-    w: PackedWeights,
+    w: PackedB,
     b: Vec<f32>,
     in_dim: usize,
     out_dim: usize,
 }
 
 impl PackedLinear {
-    /// Snapshots `l` under `mode`.
-    pub fn pack(l: &Linear, mode: QuantMode) -> PackedLinear {
+    /// Snapshots `l`.
+    pub fn pack(l: &Linear) -> PackedLinear {
+        let w = &l.w.value;
         PackedLinear {
-            w: PackedWeights::pack(&l.w.value, mode),
+            w: PackedB::pack(w.as_slice(), w.rows(), w.cols()),
             b: l.b.value.row(0).to_vec(),
             in_dim: l.in_dim,
             out_dim: l.out_dim,
@@ -127,18 +51,13 @@ impl PackedLinear {
     ///
     /// Panics if `x.cols() != in_dim`.
     pub fn infer(&self, x: &Mat) -> Mat {
-        self.w.matmul(x).add_row_broadcast(&self.b)
+        x.matmul_prepacked(&self.w).add_row_broadcast(&self.b)
     }
 
     /// Resident bytes of the packed weights (bias excluded — it is not
     /// duplicated panel storage).
     pub fn bytes(&self) -> usize {
         self.w.bytes()
-    }
-
-    /// Whether the weights are int8-quantized.
-    pub fn is_int8(&self) -> bool {
-        self.w.is_int8()
     }
 }
 
@@ -316,7 +235,7 @@ mod tests {
         assert_eq!((dx.rows(), dx.cols()), (2, 3));
     }
 
-    /// PackedLinear in f32 mode is bit-identical to Linear::infer across
+    /// PackedLinear is bit-identical to Linear::infer across
     /// batch sizes spanning the small-m dispatch edge and odd widths.
     #[test]
     fn packed_linear_f32_is_bit_identical() {
@@ -324,8 +243,7 @@ mod tests {
         for &(in_dim, out_dim) in &[(3usize, 2usize), (17, 33), (128, 2304)] {
             let mut reg = ParamRegistry::new();
             let l = Linear::new(&mut reg, in_dim, out_dim, &mut rng);
-            let p = PackedLinear::pack(&l, QuantMode::F32);
-            assert!(!p.is_int8());
+            let p = PackedLinear::pack(&l);
             assert_eq!((p.in_dim(), p.out_dim()), (in_dim, out_dim));
             for &m in &[1usize, 2, 3, 16, 17] {
                 let mut x = Mat::zeros(m, in_dim);
@@ -339,31 +257,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// PackedLinear in int8 mode is deterministic and within a small
-    /// relative error of the f32 layer.
-    #[test]
-    fn packed_linear_int8_is_close_and_deterministic() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut reg = ParamRegistry::new();
-        let l = Linear::new(&mut reg, 64, 48, &mut rng);
-        let p = PackedLinear::pack(&l, QuantMode::Int8);
-        assert!(p.is_int8());
-        let mut x = Mat::zeros(5, 64);
-        for v in x.as_mut_slice() {
-            *v = rng.gen_range(-1.0f32..1.0);
-        }
-        let q1 = p.infer(&x);
-        let q2 = p.infer(&x);
-        assert_eq!(q1, q2);
-        let f = l.infer(&x);
-        let (mut num, mut den) = (0.0f64, 0.0f64);
-        for (qv, fv) in q1.as_slice().iter().zip(f.as_slice()) {
-            num += (*qv as f64 - *fv as f64).powi(2);
-            den += (*fv as f64).powi(2);
-        }
-        let rel = (num / den.max(1e-30)).sqrt();
-        assert!(rel < 0.05, "int8 PackedLinear relative error {rel}");
     }
 }

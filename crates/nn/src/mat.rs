@@ -183,21 +183,6 @@ impl Mat {
         out
     }
 
-    /// `self @ B` against an int8-quantized prepacked weight matrix
-    /// ([`crate::gemm::PackedBInt8`]). Deterministic and batch-invariant,
-    /// but **not** bit-identical to f32 — carries the bounded relative
-    /// error of symmetric per-row/per-column quantization.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an inner-dimension mismatch.
-    pub fn matmul_prepacked_int8(&self, pb: &crate::gemm::PackedBInt8) -> Mat {
-        assert_eq!(self.cols, pb.k(), "matmul_prepacked_int8 inner dims");
-        let mut out = Mat::zeros(self.rows, pb.n());
-        crate::gemm::gemm_prepacked_int8(self.rows, &self.data, pb, &mut out.data);
-        out
-    }
-
     /// Reference `self @ other`: the naive ikj triple loop. This is the
     /// semantic contract the blocked kernel must match bit-for-bit — each
     /// `out[i][j]` accumulates `a(i,l)·b(l,j)` with `l` strictly

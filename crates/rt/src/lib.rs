@@ -12,7 +12,7 @@
 //! * [`pool`] — a scoped thread pool with order-preserving `par_map`
 //!   primitives, used by training minibatches, dataset labeling, and the
 //!   parallel path-inference hot path. Thread count defaults honour the
-//!   `SNS_THREADS` environment variable.
+//!   `SNS_THREADS` environment variable, read once per process.
 //! * [`net`] — readiness-based I/O on `poll(2)` (poll sets, a self-pipe
 //!   waker, non-blocking fd control), the substrate under the
 //!   `sns-serve` event-driven reactor. Unix-only.
@@ -29,3 +29,10 @@ pub mod rng;
 pub use json::{parse as parse_json, Json, JsonError};
 pub use pool::{default_threads, par_map, par_map_chunks};
 pub use rng::{SliceRandom, StdRng};
+
+/// Reads environment knob `name` parsed as `T`, ignoring surrounding
+/// whitespace. `None` when it is unset or does not parse; callers apply
+/// their own range filter and default.
+pub fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.trim().parse().ok()
+}

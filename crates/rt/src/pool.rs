@@ -10,21 +10,42 @@
 //!   reduce per-worker state (e.g. private gradient buffers).
 //!
 //! Thread counts default to [`default_threads`], which honours the
-//! `SNS_THREADS` environment variable.
+//! `SNS_THREADS` environment variable. The pool knobs (`SNS_THREADS`,
+//! `SNS_SYNTH_THREADS`, `SNS_BATCH`) are read from the environment once
+//! per process, on first use; callers that need other values pass them
+//! explicitly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// The pool knobs as resolved from the environment.
+struct Knobs {
+    threads: usize,
+    synth_threads: usize,
+    batch: usize,
+}
+
+/// Resolves the knobs on first call; every later call returns the same
+/// values, whatever the environment holds by then.
+fn knobs() -> &'static Knobs {
+    static KNOBS: OnceLock<Knobs> = OnceLock::new();
+    KNOBS.get_or_init(|| {
+        let positive = |name| crate::env_knob::<usize>(name).filter(|&n| n >= 1);
+        let threads = positive("SNS_THREADS").unwrap_or_else(|| {
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
+        });
+        Knobs {
+            threads,
+            synth_threads: positive("SNS_SYNTH_THREADS").unwrap_or(threads),
+            batch: positive("SNS_BATCH").unwrap_or(32),
+        }
+    })
+}
 
 /// The default worker count: `SNS_THREADS` if set to a positive integer,
 /// otherwise the machine's available parallelism, capped at 16.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("SNS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
+    knobs().threads
 }
 
 /// Worker count for the virtual synthesizer's internal parallelism:
@@ -34,14 +55,7 @@ pub fn default_threads() -> usize {
 /// different budget than model inference. Synthesis results are
 /// bit-identical at any value — this is purely a throughput knob.
 pub fn synth_threads() -> usize {
-    if let Ok(v) = std::env::var("SNS_SYNTH_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    default_threads()
+    knobs().synth_threads
 }
 
 /// The default inference batch size: `SNS_BATCH` if set to a positive
@@ -51,14 +65,7 @@ pub fn synth_threads() -> usize {
 /// forward pass. Predictions are bit-identical at any value (batching is
 /// per-row / per-span exact), so it is purely a throughput knob.
 pub fn default_batch() -> usize {
-    if let Ok(v) = std::env::var("SNS_BATCH") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    32
+    knobs().batch
 }
 
 /// Maps `f` over `items` on up to `threads` workers, returning results in

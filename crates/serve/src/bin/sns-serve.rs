@@ -20,11 +20,7 @@
 //! Environment knobs: SNS_REPLICAS, SNS_WORKERS (alias
 //! SNS_SERVE_WORKERS), SNS_QUEUE_CAP, SNS_MAX_CONNS, SNS_MAX_BODY,
 //! SNS_DEADLINE_MS, SNS_CACHE_CAP, SNS_THREADS, SNS_BATCH,
-//! SNS_SESSION_CAP, SNS_ELAB_CACHE_CAP, SNS_INT8, SNS_ZOO_DIR.
-//!
-//! `SNS_INT8=1` switches the Circuitformer block GEMMs to the
-//! experimental int8 path (deterministic but not bit-equal to f32);
-//! consulted once at model load/train, never per request.
+//! SNS_SESSION_CAP, SNS_ELAB_CACHE_CAP, SNS_ZOO_DIR.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,7 +81,7 @@ SIGHUP or POST /admin/reload hot-swaps to the zoo's latest checkpoint.
 
 env: SNS_REPLICAS SNS_WORKERS SNS_QUEUE_CAP SNS_MAX_CONNS SNS_MAX_BODY
      SNS_DEADLINE_MS SNS_CACHE_CAP SNS_THREADS SNS_BATCH SNS_SESSION_CAP
-     SNS_ELAB_CACHE_CAP SNS_INT8 SNS_ZOO_DIR"
+     SNS_ELAB_CACHE_CAP SNS_ZOO_DIR"
     );
     ExitCode::from(2)
 }
@@ -115,14 +111,8 @@ fn main() -> ExitCode {
         let Ok(n) = n.parse::<usize>() else { return usage() };
         let designs: Vec<_> = sns_designs::catalog().into_iter().take(n.max(2)).collect();
         eprintln!("training a demo model on {} designs (fast schedule)...", designs.len());
-        let (mut model, report) =
-            sns_core::train_sns(&designs, &sns_core::SnsTrainConfig::fast());
+        let (model, report) = sns_core::train_sns(&designs, &sns_core::SnsTrainConfig::fast());
         eprintln!("trained on {} paths", report.path_dataset_size);
-        // `load_model` applies this gate itself; the demo-train path has
-        // to mirror it so both entry points honor the knob.
-        if std::env::var("SNS_INT8").map(|v| v == "1").unwrap_or(false) {
-            model.set_quant_mode(sns_core::QuantMode::Int8);
-        }
         (model, "boot".to_string())
     } else if let Some(dir) = config.zoo_dir.clone() {
         eprintln!("loading latest checkpoint from zoo {}...", dir.display());

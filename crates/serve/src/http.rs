@@ -12,12 +12,7 @@
 //! byte buffer and reports "need more bytes" (`Ok(None)`) until the
 //! blank line arrives, which is what lets the event-driven reactor in
 //! [`crate::reactor`] frame requests from non-blocking reads without a
-//! thread parked per connection. The blocking [`read_request`] used by
-//! tests and simple clients is a thin loop over the same core.
-
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::time::Duration;
+//! thread parked per connection.
 
 /// Upper bound on the request line + headers, in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -45,7 +40,7 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// Why a request head could not be framed.
 #[derive(Debug)]
 pub enum HttpError {
     /// Malformed framing; the message is safe to echo to the peer.
@@ -55,14 +50,6 @@ pub enum HttpError {
         /// The limit that was exceeded.
         limit: usize,
     },
-    /// The socket failed or the peer vanished mid-request.
-    Io(std::io::Error),
-}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
-    }
 }
 
 /// A fully parsed request head: everything before the body, plus the
@@ -171,47 +158,6 @@ pub fn parse_head(buf: &[u8], max_body: usize) -> Result<Option<FramedHead>, Htt
     Ok(Some(FramedHead { request, head_end, content_length }))
 }
 
-/// Reads one HTTP/1.1 request from `stream`, honouring `max_body`.
-/// Blocking; used by tests and simple clients (the server frames
-/// requests incrementally through [`parse_head`] instead).
-///
-/// # Errors
-///
-/// [`HttpError::BadRequest`] for malformed framing,
-/// [`HttpError::PayloadTooLarge`] when `Content-Length > max_body`, and
-/// [`HttpError::Io`] when the socket fails (including read timeouts).
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    let framed = loop {
-        if let Some(framed) = parse_head(&buf, max_body)? {
-            break framed;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(HttpError::BadRequest("connection closed mid-headers".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-
-    // The head read may have pulled in part (or all) of the body.
-    let total = framed.total_len();
-    if buf.len() > total {
-        return Err(HttpError::BadRequest("body longer than Content-Length".into()));
-    }
-    while buf.len() < total {
-        let want = (total - buf.len()).min(chunk.len());
-        let n = stream.read(&mut chunk[..want])?;
-        if n == 0 {
-            return Err(HttpError::BadRequest("connection closed mid-body".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-
-    let body = buf[framed.head_end + 4..].to_vec();
-    Ok(Request { body, ..framed.request })
-}
-
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -252,72 +198,46 @@ pub fn build_response(status: u16, extra_headers: &[(&str, String)], body: &str)
     bytes
 }
 
-/// Writes one `Connection: close` JSON response. Errors are ignored by
-/// callers that are already tearing the connection down.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, String)],
-    body: &str,
-) -> std::io::Result<()> {
-    stream.write_all(&build_response(status, extra_headers, body))?;
-    stream.flush()
-}
-
-/// Lingering close: half-close the write side, then discard whatever the
-/// peer is still sending until it closes (bounded by `timeout`).
-///
-/// Necessary whenever a response was written *without* fully reading the
-/// request (shed connections, 413s, framing errors): closing a socket
-/// with unread bytes in its receive buffer makes the kernel send RST,
-/// which can destroy the very response the peer is trying to read. The
-/// reactor implements the same discipline as a non-blocking state
-/// (`Lingering`); this blocking form serves simple callers.
-pub fn lingering_close(stream: &mut TcpStream, timeout: Duration) {
-    let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(timeout));
-    let mut scratch = [0u8; 4096];
-    while matches!(stream.read(&mut scratch), Ok(n) if n > 0) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
 
-    /// Feeds `bytes` through a real socket pair into `read_request`.
-    fn parse_bytes(bytes: &[u8], max_body: usize) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let payload = bytes.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&payload).unwrap();
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        let r = read_request(&mut conn, max_body);
-        writer.join().unwrap();
-        r
+    /// Feeds `bytes` into a growing buffer `step` bytes at a time, the way
+    /// the reactor's non-blocking reads do, until [`parse_head`] frames a
+    /// head. Returns the framed request with its body, or `Ok(None)` when
+    /// the bytes run out first (mid-head or mid-body).
+    fn feed(bytes: &[u8], step: usize, max_body: usize) -> Result<Option<Request>, HttpError> {
+        let mut buf = Vec::new();
+        for chunk in bytes.chunks(step) {
+            buf.extend_from_slice(chunk);
+            if let Some(head) = parse_head(&buf, max_body)? {
+                let total = head.total_len();
+                if bytes.len() < total {
+                    return Ok(None);
+                }
+                let body = bytes[head.head_end + 4..total].to_vec();
+                return Ok(Some(Request { body, ..head.request }));
+            }
+        }
+        Ok(None)
     }
 
     #[test]
     fn parses_a_post_with_body() {
-        let req = parse_bytes(
-            b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
-            1024,
-        )
-        .unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.target, "/predict");
-        assert_eq!(req.header("host"), Some("x"));
-        assert_eq!(req.header("HOST"), Some("x"));
-        assert_eq!(req.body, b"hello");
+        let bytes = b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
+        for step in [1, 7, bytes.len()] {
+            let req = feed(bytes, step, 1024).unwrap().unwrap();
+            assert_eq!(req.method, "POST");
+            assert_eq!(req.target, "/predict");
+            assert_eq!(req.header("host"), Some("x"));
+            assert_eq!(req.header("HOST"), Some("x"));
+            assert_eq!(req.body, b"hello", "step={step}");
+        }
     }
 
     #[test]
     fn parses_a_get_without_body() {
-        let req = parse_bytes(b"GET /metrics HTTP/1.1\r\n\r\n", 1024).unwrap();
+        let req = feed(b"GET /metrics HTTP/1.1\r\n\r\n", 3, 1024).unwrap().unwrap();
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
     }
@@ -351,16 +271,18 @@ mod tests {
             b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
             b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
         ] {
-            match parse_bytes(bytes, 1024) {
-                Err(HttpError::BadRequest(_)) => {}
-                other => panic!("{bytes:?}: expected BadRequest, got {other:?}"),
+            for step in [1, bytes.len()] {
+                match feed(bytes, step, 1024) {
+                    Err(HttpError::BadRequest(_)) => {}
+                    other => panic!("{bytes:?}: expected BadRequest, got {other:?}"),
+                }
             }
         }
     }
 
     #[test]
     fn rejects_oversized_bodies_by_declared_length() {
-        match parse_bytes(b"POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\n", 10) {
+        match parse_head(b"POST /x HTTP/1.1\r\nContent-Length: 50\r\n\r\n", 10) {
             Err(HttpError::PayloadTooLarge { limit: 10 }) => {}
             other => panic!("expected PayloadTooLarge, got {other:?}"),
         }
@@ -370,22 +292,34 @@ mod tests {
     fn rejects_oversized_head() {
         let mut bytes = b"GET / HTTP/1.1\r\n".to_vec();
         bytes.extend_from_slice(format!("X-Pad: {}\r\n\r\n", "a".repeat(MAX_HEAD_BYTES)).as_bytes());
-        match parse_bytes(&bytes, 1024) {
+        match parse_head(&bytes, 1024) {
+            Err(HttpError::BadRequest(msg)) => assert!(msg.contains("header section")),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        // Fed incrementally, the unterminated head is cut off as soon as
+        // the buffer reaches the limit, before the separator ever arrives.
+        match feed(&bytes, 1024, 1024) {
             Err(HttpError::BadRequest(msg)) => assert!(msg.contains("header section")),
             other => panic!("expected BadRequest, got {other:?}"),
         }
     }
 
     #[test]
-    fn truncated_requests_error() {
-        match parse_bytes(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc", 1024) {
-            Err(HttpError::BadRequest(msg)) => assert!(msg.contains("mid-body")),
-            other => panic!("expected BadRequest, got {other:?}"),
-        }
+    fn truncated_requests_wait_for_more_bytes() {
+        // Mid-head: no separator yet, so the parse asks for more bytes.
+        assert!(parse_head(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n", 1024)
+            .unwrap()
+            .is_none());
+        // Mid-body: the head frames, but the declared length runs past the
+        // bytes received, so the request is not complete.
+        let bytes = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        let head = parse_head(bytes, 1024).unwrap().unwrap();
+        assert_eq!(head.total_len(), bytes.len() + 7);
+        assert!(feed(bytes, 1, 1024).unwrap().is_none());
     }
 
     #[test]
-    fn build_response_round_trips_through_a_socket() {
+    fn build_response_serializes_status_headers_and_body() {
         let bytes = build_response(200, &[("retry-after", "1".into())], "{\"x\":1}");
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));

@@ -99,7 +99,7 @@ pub mod server;
 pub mod shard;
 
 pub use batcher::MicroBatcher;
-pub use http::{read_request, write_response, HttpError, Request};
+pub use http::{HttpError, Request};
 pub use metrics::{
     CacheStats, ElabCacheStats, Histogram, KernelStats, Metrics, ModelTally, ReplicaSnapshot,
     ReplicaStats,

@@ -267,8 +267,6 @@ pub struct KernelStats {
     /// head, and the three Aggregation MLPs). Zero means the model is
     /// running unpacked — a training-in-progress or load-failure signal.
     pub prepack_bytes: usize,
-    /// Whether the experimental int8 path (`SNS_INT8=1`) is active.
-    pub int8: bool,
 }
 
 /// Module-elaboration-cache statistics snapshot merged into the export
@@ -417,7 +415,6 @@ impl Metrics {
                 "kernels",
                 Json::obj(vec![
                     ("prepack_bytes", Json::UInt(kernels.prepack_bytes as u64)),
-                    ("int8", Json::Bool(kernels.int8)),
                 ]),
             ),
             (
@@ -512,7 +509,7 @@ mod tests {
                 invalidations: 4,
                 sessions: 3,
             },
-            KernelStats { prepack_bytes: 4096, int8: false },
+            KernelStats { prepack_bytes: 4096 },
             vec![Json::obj(vec![("id", Json::Str("m-000001".into()))])],
         );
         assert_eq!(j.get("requests_total").unwrap().as_u64().unwrap(), 3);
@@ -526,7 +523,6 @@ mod tests {
         assert_eq!(j.get("sessions").unwrap().as_u64().unwrap(), 3);
         let kernels = j.get("kernels").unwrap();
         assert_eq!(kernels.get("prepack_bytes").unwrap().as_u64().unwrap(), 4096);
-        assert!(!kernels.get("int8").unwrap().as_bool().unwrap());
         assert!(j.get("stages_us").unwrap().get("total").unwrap().get("count").is_ok());
         let router = j.get("router").unwrap();
         assert_eq!(router.get("replicas").unwrap().as_u64().unwrap(), 1);

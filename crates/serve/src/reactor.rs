@@ -348,18 +348,13 @@ fn try_frame(conn: &mut Conn, max_body: usize) -> Framing {
                     msg: format!("request body exceeds the {limit}-byte limit"),
                 }
             }
-            Err(HttpError::Io(e)) => {
-                // parse_head never does I/O; keep the arm total anyway.
-                return Framing::Error { status: 400, msg: format!("malformed HTTP request: {e}") };
-            }
         }
     }
     let Some(head) = &conn.head else { return Framing::Incomplete };
     let total = head.total_len();
     if conn.buf.len() > total {
         // Extra bytes after the framed request: this server is strictly
-        // one-request-per-connection, so pipelined trailers are an error
-        // (same rule the blocking path has always enforced).
+        // one-request-per-connection, so pipelined trailers are an error.
         Framing::Error {
             status: 400,
             msg: "malformed HTTP request: body longer than Content-Length".to_string(),

@@ -56,11 +56,6 @@ pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Reads a positive integer environment knob.
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
 /// Everything tunable about the daemon. `Default` is suitable for tests;
 /// [`from_env`](Self::from_env) layers the documented `SNS_*` knobs on
 /// top for production use.
@@ -140,6 +135,7 @@ impl ServeConfig {
     /// `SNS_MAX_CONNS`, `SNS_ZOO_DIR`.
     pub fn from_env() -> Self {
         let mut c = ServeConfig::default();
+        let env_usize = |name| sns_rt::env_knob::<usize>(name).filter(|&n| n >= 1);
         if let Some(n) = env_usize("SNS_WORKERS").or_else(|| env_usize("SNS_SERVE_WORKERS")) {
             c.workers = n;
         }
@@ -152,12 +148,8 @@ impl ServeConfig {
         if let Some(ms) = env_usize("SNS_DEADLINE_MS") {
             c.deadline = Some(Duration::from_millis(ms as u64));
         }
-        if let Ok(v) = std::env::var("SNS_CACHE_CAP") {
-            c.cache_cap = match v.trim().parse::<usize>() {
-                Ok(0) => None,
-                Ok(n) => Some(n),
-                Err(_) => c.cache_cap,
-            };
+        if let Some(n) = sns_rt::env_knob::<usize>("SNS_CACHE_CAP") {
+            c.cache_cap = (n > 0).then_some(n);
         }
         if let Some(n) = env_usize("SNS_SESSION_CAP") {
             c.session_cap = n;
@@ -332,7 +324,8 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let waker = Waker::new()?;
-        let sessions = SessionStore::new(config.session_cap, config.elab_cache_cap);
+        let sessions = SessionStore::new(config.session_cap, config.elab_cache_cap)
+            .with_inference(config.threads, config.batch);
         let ring = HashRing::new(replica_count);
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
@@ -744,7 +737,6 @@ fn route(request: &Request, shared: &Shared) -> Reply {
             let serving = shared.replicas[0].entry();
             let kernel_stats = KernelStats {
                 prepack_bytes: serving.model.prepack_bytes(),
-                int8: serving.model.quant_mode() == sns_core::QuantMode::Int8,
             };
             let models: Vec<Json> = lock_or_recover(&shared.models)
                 .iter()

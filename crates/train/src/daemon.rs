@@ -38,6 +38,7 @@ use sns_designs::Design;
 use sns_genmodel::{MarkovArm, PathValidator};
 use sns_graphir::{GraphIr, Vocab};
 use sns_netlist::parse_and_elaborate;
+use sns_rt::env_knob;
 use sns_rt::rng::StdRng;
 use sns_sampler::{PathSampler, SampleConfig};
 use sns_vsynth::{
@@ -147,28 +148,28 @@ impl DaemonConfig {
                 cfg.zoo_dir = Some(PathBuf::from(v.trim()));
             }
         }
-        if let Some(v) = env_u64("SNS_TRAIN_SEED") {
+        if let Some(v) = env_knob::<u64>("SNS_TRAIN_SEED") {
             cfg.seed = v;
         }
-        if let Some(v) = env_usize("SNS_TRAIN_DESIGNS_PER_STEP") {
+        if let Some(v) = env_knob::<usize>("SNS_TRAIN_DESIGNS_PER_STEP") {
             cfg.designs_per_step = v.max(1);
         }
-        if let Some(v) = env_f64("SNS_TRAIN_TOP_Q") {
+        if let Some(v) = env_knob::<f64>("SNS_TRAIN_TOP_Q") {
             cfg.top_q = v.clamp(0.0, 1.0);
         }
-        if let Some(v) = env_usize("SNS_TRAIN_MARKOV") {
+        if let Some(v) = env_knob::<usize>("SNS_TRAIN_MARKOV") {
             cfg.markov_per_step = v;
         }
-        if let Some(v) = env_usize("SNS_TRAIN_BOOTSTRAP") {
+        if let Some(v) = env_knob::<usize>("SNS_TRAIN_BOOTSTRAP") {
             cfg.bootstrap_designs = v.max(1);
         }
-        if let Some(v) = env_usize("SNS_TRAIN_CHECKPOINT_EVERY") {
+        if let Some(v) = env_knob::<usize>("SNS_TRAIN_CHECKPOINT_EVERY") {
             cfg.checkpoint_every = v;
         }
-        if let Some(v) = env_usize("SNS_TRAIN_REFIT_EVERY") {
+        if let Some(v) = env_knob::<usize>("SNS_TRAIN_REFIT_EVERY") {
             cfg.refit_every = v;
         }
-        if let Some(nm) = env_usize("SNS_TRAIN_TECH_NM") {
+        if let Some(nm) = env_knob::<usize>("SNS_TRAIN_TECH_NM") {
             if let Some(t) = TechNode::ALL.into_iter().find(|t| t.nanometres() as usize == nm) {
                 cfg.tech = t;
             }
@@ -180,18 +181,6 @@ impl DaemonConfig {
         }
         cfg
     }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Diagnostics for one daemon step.
@@ -520,7 +509,8 @@ fn mean_rel_err(pred: &DesignPrediction, label: &SynthReport) -> f64 {
 }
 
 /// Scales a synthesis report between technology nodes in place
-/// (Stillmaker–Baas factors; exact identity when `from == to`).
+/// (Stillmaker–Baas factors). Not an exact identity when `from == to`:
+/// each value is computed as `x * f / f`, which can change its last bit.
 fn scale_report(report: &mut SynthReport, from: TechNode, to: TechNode) {
     report.area_um2 = scale_area(report.area_um2, from, to);
     report.timing_ps = scale_delay(report.timing_ps, from, to);

@@ -47,6 +47,19 @@ if [ -n "$panic_sites" ]; then
   exit 1
 fi
 
+# No runtime env mutation: knobs are resolved once per process
+# (`sns_rt::pool`), so code that wants other values passes them
+# explicitly or starts a child process with the env set at spawn.
+# routebench is its own package and pins its knobs before any thread
+# exists, so it is outside this gate.
+echo "==> no-env-mutation grep gate (crates/ src/ tests/)"
+env_sites=$(grep -rnE 'env::(set_var|remove_var)' crates src tests || true)
+if [ -n "$env_sites" ]; then
+  echo "runtime environment mutation:"
+  echo "$env_sites"
+  exit 1
+fi
+
 # Differential conformance: 200 fixed-seed random designs through the
 # sim-vs-gates / vsynth-invariant / predictor-determinism / serve-identity
 # oracles, the incremental-ECO oracle smoke (25 hierarchical designs x 3

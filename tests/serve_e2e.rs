@@ -876,7 +876,7 @@ fn eco_session_and_patch_are_bit_identical_and_metered() {
     assert!(elab.get("invalidations").unwrap().as_u64().unwrap() >= 1, "leaf patch invalidates");
 
     // The daemon serves from prepacked kernels: the kernels section
-    // reports exactly the model's resident panel bytes, in f32 mode.
+    // reports exactly the model's resident panel bytes.
     let kernels = m.get("kernels").unwrap();
     assert!(model.prepack_bytes() > 0, "trained model must be prepacked");
     assert_eq!(
@@ -884,7 +884,6 @@ fn eco_session_and_patch_are_bit_identical_and_metered() {
         model.prepack_bytes() as u64,
         "kernels.prepack_bytes reconciles with the model"
     );
-    assert!(!kernels.get("int8").unwrap().as_bool().unwrap(), "f32 mode by default");
 
     // Warm repeat: the same patch against the same base — elaboration
     // cache hot, every GEMM on prepacked panels — answers bit-identically

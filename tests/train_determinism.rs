@@ -9,11 +9,13 @@
 //! must match exactly, and a rerun of the first setting must reproduce
 //! itself.
 //!
-//! This test mutates process-global environment variables, so it lives
-//! in its own test binary (integration test binaries run sequentially;
-//! in-binary parallelism is irrelevant because this is the only test).
+//! The knobs are resolved once per process, so each setting runs in a
+//! child process: the test re-executes its own binary with the knobs set
+//! at spawn, and the child (recognized by `CHILD_TAG`) runs the daemon
+//! and prints its manifest rows on stdout.
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use sns::conformance::GenConfig;
 use sns::core::ZooManifest;
@@ -34,20 +36,50 @@ fn tiny_daemon_config(zoo: PathBuf) -> DaemonConfig {
     cfg
 }
 
-/// Runs the daemon for 4 steps under the given env knobs and returns the
-/// zoo manifest as (id, weight hash, train steps) rows.
+/// Set on a child process to the zoo tag it should train under.
+const CHILD_TAG: &str = "SNS_TRAIN_DET_CHILD";
+/// Stdout prefix of a manifest row printed by a child.
+const ROW: &str = "manifest-row";
+const TEST_NAME: &str = "daemon_checkpoints_are_bit_identical_across_thread_and_batch_knobs";
+
+/// Runs the daemon for 4 steps in a child process started with the given
+/// knobs and returns the zoo manifest as (id, weight hash, train steps)
+/// rows.
 fn run_daemon(tag: &str, threads: &str, batch: &str, synth_threads: &str) -> Vec<(String, String, u64)> {
-    std::env::set_var("SNS_THREADS", threads);
-    std::env::set_var("SNS_BATCH", batch);
-    std::env::set_var("SNS_SYNTH_THREADS", synth_threads);
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = Command::new(exe)
+        .args([TEST_NAME, "--exact", "--nocapture", "--test-threads=1"])
+        .env(CHILD_TAG, tag)
+        .env("SNS_THREADS", threads)
+        .env("SNS_BATCH", batch)
+        .env("SNS_SYNTH_THREADS", synth_threads)
+        .output()
+        .expect("spawn child test process");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "child {tag} failed:\n{stdout}\n{stderr}");
+    stdout
+        .lines()
+        // libtest's own status text can share a line with the first row.
+        .filter_map(|l| l.split_once(ROW).map(|(_, row)| row))
+        .map(|l| {
+            let f: Vec<&str> = l.split_whitespace().collect();
+            (f[0].to_string(), f[1].to_string(), f[2].parse().expect("train steps"))
+        })
+        .collect()
+}
+
+/// The child side: trains under the knobs this process was started with
+/// and prints the manifest rows.
+fn child_run(tag: &str) {
     let zoo = std::env::temp_dir().join(format!("sns_train_det_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&zoo);
-
     let mut daemon = TrainDaemon::new(tiny_daemon_config(zoo.clone())).expect("bootstrap");
     daemon.run(4).expect("train loop");
-    let rows = manifest_rows(&zoo);
+    for (id, hash, steps) in manifest_rows(&zoo) {
+        println!("{ROW} {id} {hash} {steps}");
+    }
     let _ = std::fs::remove_dir_all(&zoo);
-    rows
 }
 
 fn manifest_rows(zoo: &Path) -> Vec<(String, String, u64)> {
@@ -61,6 +93,9 @@ fn manifest_rows(zoo: &Path) -> Vec<(String, String, u64)> {
 
 #[test]
 fn daemon_checkpoints_are_bit_identical_across_thread_and_batch_knobs() {
+    if let Ok(tag) = std::env::var(CHILD_TAG) {
+        return child_run(&tag);
+    }
     let baseline = run_daemon("t1", "1", "2", "1");
     // checkpoint_every=2 over 4 steps: periodic at steps 2 and 4; the
     // final checkpoint coincides with the step-4 one (idempotent).
