@@ -13,8 +13,9 @@
 //!    widening every signal of a design never shrinks its gate count.
 //! 3. [`PredictorHarness::check`] — a trained `SnsModel` must predict
 //!    bit-identically across thread-count × batch-size × cache-capacity
-//!    configurations (the explicit-argument priming API, so the sweep
-//!    needs no environment variables).
+//!    configurations (the core pipeline under explicit
+//!    `Inline { threads, batch }` hooks, so the sweep needs no environment
+//!    variables).
 //! 4. [`ServeHarness::check`] — `POST /predict` against a live `sns-serve`
 //!    instance must return exactly the numbers the in-process model
 //!    produces (the daemon's shortest-round-trip JSON printer makes f64
@@ -42,7 +43,10 @@ use std::time::{Duration, Instant};
 use sns_circuitformer::{CircuitformerConfig, TrainConfig};
 use sns_core::aggmlp::MlpTrainConfig;
 use sns_core::dataset::AugmentConfig;
-use sns_core::{train_sns, DesignPrediction, SessionStore, SnsModel, SnsTrainConfig};
+use sns_core::{
+    train_sns, DesignPrediction, Inline, Input, Output, PipelineError, SessionStore, SnsModel,
+    SnsTrainConfig,
+};
 use sns_graphir::GraphIr;
 use sns_netlist::{
     elaborate_incremental, parse_and_elaborate, parse_source, ModuleElabCache, Netlist, PortDir,
@@ -50,7 +54,7 @@ use sns_netlist::{
 };
 use sns_rt::json::{parse as parse_json, Json};
 use sns_rt::StdRng;
-use sns_sampler::{PathSampler, SampleConfig};
+use sns_sampler::SampleConfig;
 use sns_serve::{ServeConfig, Server};
 use sns_vsynth::{GateSim, SynthOptions, SynthReport, VirtualSynthesizer};
 
@@ -426,33 +430,29 @@ impl PredictorHarness {
     /// Leaves the model's shared cache unbounded and empty on return, so a
     /// harness can be shared with other tests.
     pub fn check(&self, spec: &DesignSpec) -> Result<(), String> {
-        let nl = elaborate(spec)?;
-        let graph = GraphIr::from_netlist(&nl);
-        let paths = PathSampler::new(self.model.sample_config().clone()).sample(&graph);
-        let seqs = self.model.tokenize_paths(&graph, &paths);
-        let result = self.sweep(&graph, &paths, &seqs);
+        let result = self.sweep(&spec.verilog(), spec.top());
         self.model.cache().set_capacity(None);
         self.model.clear_cache();
         result
     }
 
-    fn sweep(
-        &self,
-        graph: &GraphIr,
-        paths: &[sns_sampler::CircuitPath],
-        seqs: &[Vec<usize>],
-    ) -> Result<(), String> {
-        // A capacity well below the sequence count forces evictions while
-        // the prediction is being assembled.
-        let tiny_cap = (seqs.len() / 4).max(2);
+    fn sweep(&self, verilog: &str, top: &str) -> Result<(), String> {
+        let input = Input::Flat { verilog, top, activity: None };
         let mut baseline: Option<DesignPrediction> = None;
-        for &(threads, batch, cap) in
-            &[(1usize, 1usize, None), (4, 4, None), (3, 2, Some(tiny_cap))]
-        {
+        for &(threads, batch, tiny) in &[(1usize, 1usize, false), (4, 4, false), (3, 2, true)] {
+            // A capacity well below the path count forces evictions while
+            // the prediction is being assembled.
+            let cap = baseline.as_ref().filter(|_| tiny).map(|b| (b.path_count / 4).max(2));
             self.model.clear_cache();
             self.model.cache().set_capacity(cap);
-            self.model.prime_path_cache(seqs, threads, batch);
-            let pred = self.model.predict_primed(graph, paths, seqs, None, Instant::now());
+            let pred = match self.model.predict_with(input, &Inline { threads, batch }, Instant::now())
+            {
+                Ok(Output::Flat(pred)) => pred,
+                Ok(other) => return Err(format!("expected a flat prediction, got {other:?}")),
+                Err(PipelineError::Rejected(e)) => {
+                    return Err(format!("generated design failed to elaborate: {e}"))
+                }
+            };
             match &baseline {
                 None => baseline = Some(pred),
                 Some(base) => {

@@ -2,9 +2,8 @@
 //!
 //! Regular designs sample many identical token sequences (every PE of a
 //! systolic array yields the same path), and the same sequences recur
-//! between [`SnsModel::path_aggregates`] and
-//! [`SnsModel::critical_paths`], so predictions are memoized once on the
-//! model and reused across calls.
+//! across designs and across the predictions of a session, so predictions
+//! are memoized once on the model and reused across calls.
 //!
 //! The cache can be **bounded**: [`set_capacity`](PathPredictionCache::set_capacity)
 //! installs an entry-count cap with deterministic FIFO (insertion-order)
@@ -22,12 +21,12 @@
 //! counted (the aggregation reduction reads every path through `get`,
 //! which would drown the fill-level signal the counters exist to report).
 //!
-//! [`SnsModel::path_aggregates`]: crate::SnsModel::path_aggregates
-//! [`SnsModel::critical_paths`]: crate::SnsModel::critical_paths
+//! A fill that panicked mid-insert leaves at worst an entry missing from
+//! the eviction order, so the locks recover from poisoning.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -52,11 +51,17 @@ impl Inner {
         if fresh {
             self.order.push_back(tokens);
         }
+        self.evict()
+    }
+
+    /// Evicts FIFO down to the cap; returns how many entries left.
+    fn evict(&mut self) -> u64 {
         let mut evicted = 0;
         while self.map.len() > self.cap {
-            let oldest = self.order.pop_front().expect("order tracks map");
-            self.map.remove(&oldest);
-            evicted += 1;
+            let Some(oldest) = self.order.pop_front() else { break };
+            if self.map.remove(&oldest).is_some() {
+                evicted += 1;
+            }
         }
         evicted
     }
@@ -89,7 +94,7 @@ impl Default for PathPredictionCache {
 
 impl Clone for PathPredictionCache {
     fn clone(&self) -> Self {
-        let inner = self.inner.read().expect("cache lock poisoned");
+        let inner = self.read();
         PathPredictionCache {
             inner: RwLock::new(Inner {
                 map: inner.map.clone(),
@@ -104,6 +109,14 @@ impl Clone for PathPredictionCache {
 }
 
 impl PathPredictionCache {
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// An empty, unbounded cache.
     pub fn new() -> Self {
         Self::default()
@@ -121,7 +134,7 @@ impl PathPredictionCache {
     /// Eviction is deterministic: entries leave in insertion order
     /// (FIFO). Shrinking below the current size evicts immediately.
     pub fn set_capacity(&self, cap: Option<usize>) {
-        let mut inner = self.inner.write().expect("cache lock poisoned");
+        let mut inner = self.write();
         inner.cap = cap.unwrap_or(usize::MAX);
         if inner.cap == usize::MAX {
             inner.order.clear();
@@ -134,25 +147,20 @@ impl PathPredictionCache {
             keys.sort_unstable();
             inner.order = keys.into();
         }
-        let mut evicted = 0u64;
-        while inner.map.len() > inner.cap {
-            let oldest = inner.order.pop_front().expect("order tracks map");
-            inner.map.remove(&oldest);
-            evicted += 1;
-        }
+        let evicted = inner.evict();
         drop(inner);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// The current entry-count bound, if any.
     pub fn capacity(&self) -> Option<usize> {
-        let cap = self.inner.read().expect("cache lock poisoned").cap;
+        let cap = self.read().cap;
         (cap != usize::MAX).then_some(cap)
     }
 
     /// Number of memoized sequences.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("cache lock poisoned").map.len()
+        self.read().map.len()
     }
 
     /// Whether the cache holds no entries.
@@ -178,7 +186,7 @@ impl PathPredictionCache {
     /// Drops every entry (e.g. after mutating model weights). Counters
     /// are preserved — they describe lifetime traffic, not contents.
     pub fn clear(&self) {
-        let mut inner = self.inner.write().expect("cache lock poisoned");
+        let mut inner = self.write();
         inner.map.clear();
         inner.order.clear();
     }
@@ -186,13 +194,13 @@ impl PathPredictionCache {
     /// The memoized prediction for `tokens`, if present. Not counted in
     /// hit/miss statistics (see the module docs).
     pub fn get(&self, tokens: &[usize]) -> Option<[f64; 3]> {
-        self.inner.read().expect("cache lock poisoned").map.get(tokens).copied()
+        self.read().map.get(tokens).copied()
     }
 
     /// Memoizes one prediction, evicting the oldest entry if a capacity
     /// bound is set and exceeded.
     pub fn insert(&self, tokens: Vec<usize>, pred: [f64; 3]) {
-        let mut inner = self.inner.write().expect("cache lock poisoned");
+        let mut inner = self.write();
         let evicted = inner.insert(tokens, pred);
         drop(inner);
         if evicted > 0 {
@@ -205,7 +213,7 @@ impl PathPredictionCache {
     /// unique cached sequence, one miss per returned sequence).
     pub fn missing_unique(&self, seqs: &[Vec<usize>]) -> Vec<Vec<usize>> {
         let missing: Vec<Vec<usize>> = {
-            let inner = self.inner.read().expect("cache lock poisoned");
+            let inner = self.read();
             let mut seen: HashSet<&Vec<usize>> = HashSet::new();
             let mut unique_hits = 0u64;
             let mut out = Vec::new();
@@ -240,7 +248,7 @@ impl PathPredictionCache {
             return;
         }
         let preds = sns_rt::pool::par_map(&missing, threads, |t| predict(t));
-        let mut inner = self.inner.write().expect("cache lock poisoned");
+        let mut inner = self.write();
         let mut evicted = 0;
         for (tokens, pred) in missing.into_iter().zip(preds) {
             evicted += inner.insert(tokens, pred);
@@ -301,7 +309,7 @@ impl PathPredictionCache {
             let refs: Vec<&[usize]> = chunk.iter().map(|t| t.as_slice()).collect();
             predict_batch(&refs)
         });
-        let mut inner = self.inner.write().expect("cache lock poisoned");
+        let mut inner = self.write();
         let mut evicted = 0;
         for (chunk, chunk_preds) in chunks.into_iter().zip(preds) {
             assert_eq!(chunk.len(), chunk_preds.len(), "predict_batch must return one prediction per sequence");

@@ -15,6 +15,9 @@
 //!    area and power, activity-scaled sums for power gating) and refine
 //!    with per-target Aggregation MLPs fed by the graph statistics.
 //!
+//! Flat, session and ECO predictions all run these as the [`Stage`]s of
+//! one [`pipeline`], under [`Hooks`] that can time, stop or re-route it.
+//!
 //! The training flow (§4, Figure 4) lives in [`train`]: ground-truth
 //! labels come from the virtual synthesizer (`sns-vsynth`), scarce path
 //! data is augmented with a Markov chain and a SeqGAN (`sns-genmodel`),
@@ -40,6 +43,7 @@ pub mod dataset;
 pub mod eval;
 pub mod metrics;
 pub mod model_io;
+pub mod pipeline;
 pub mod predictor;
 pub mod session;
 pub mod train;
@@ -53,6 +57,7 @@ pub use model_io::{
     load_from_zoo, load_model, model_weight_hash, save_model, save_to_zoo, ZooCheckpointMeta,
     ZooEntry, ZooError, ZooManifest, ZOO_MANIFEST,
 };
+pub use pipeline::{Hooks, Inline, Input, Output, PipelineError, Stage};
 pub use predictor::{DesignPrediction, SnsModel};
 pub use session::{DesignSession, SessionError, SessionOutcome, SessionStore};
 pub use train::{

@@ -6,10 +6,11 @@ use std::time::{Duration, Instant};
 use sns_circuitformer::{Circuitformer, LabelScaler};
 use sns_graphir::{GraphIr, Vocab};
 use sns_netlist::{Netlist, NetlistError};
-use sns_sampler::{CircuitPath, PathSampler, SampleConfig};
+use sns_sampler::{CircuitPath, SampleConfig};
 
 use crate::aggmlp::AggMlp;
 use crate::cache::PathPredictionCache;
+use crate::pipeline::{Hooks, Inline};
 
 /// Default activity assumed for paths starting at I/O ports when the user
 /// supplies per-register activity coefficients (§3.4.4).
@@ -49,9 +50,8 @@ pub struct SnsModel {
     pub(crate) mlps: [AggMlp; 3],
     pub(crate) sample: SampleConfig,
     pub(crate) vocab: Vocab,
-    /// Memoized per-path predictions, shared between
-    /// [`path_aggregates`](Self::path_aggregates) and
-    /// [`critical_paths`](Self::critical_paths).
+    /// Memoized per-path predictions, shared by every prediction on this
+    /// model.
     pub(crate) cache: PathPredictionCache,
 }
 
@@ -104,16 +104,15 @@ impl SnsModel {
     }
 
     /// Full prediction from an elaborated netlist, optionally with
-    /// per-register activity coefficients for power gating (§3.4.4).
+    /// per-register activity coefficients for power gating (§3.4.4), under
+    /// [`Inline::default`] hooks.
     pub fn predict_netlist(
         &self,
         netlist: &Netlist,
         activity: Option<&HashMap<String, f32>>,
     ) -> DesignPrediction {
-        let start = Instant::now();
-        let graph = GraphIr::from_netlist(netlist);
-        let paths = PathSampler::new(self.sample.clone()).sample(&graph);
-        self.aggregate(&graph, &paths, activity, start)
+        let Ok(prediction) = self.run_flat(netlist, activity, &Inline::default(), Instant::now());
+        prediction
     }
 
     /// The path-level reductions of §3.4 (max timing, summed area,
@@ -125,61 +124,25 @@ impl SnsModel {
         paths: &[CircuitPath],
         activity: Option<&HashMap<String, f32>>,
     ) -> ([f64; 3], Vec<String>) {
-        let token_seqs = self.predict_paths(graph, paths);
-        self.reduce_paths(graph, paths, &token_seqs, activity)
+        let seqs = self.tokenize_paths(graph, paths);
+        Inline::default().prime(self, &seqs);
+        self.reduce(&seqs, path_items(graph, paths, activity))
     }
 
-    /// The serial path-order reduction over already-predicted paths.
-    ///
-    /// Reads each path's prediction from the shared cache; a sequence
-    /// evicted between fill and read (bounded caches under concurrent
-    /// fills) is transparently recomputed — the Circuitformer is pure, so
-    /// the value is bit-identical either way.
-    fn reduce_paths(
+    /// The serial reduction every prediction ends with, over the paths'
+    /// token sequences and `(power coefficient, lazy vertex names)` items
+    /// in path order. A sequence evicted since priming is recomputed with
+    /// the same bits; the strict `>` keeps first-wins critical paths.
+    pub(crate) fn reduce(
         &self,
-        graph: &GraphIr,
-        paths: &[CircuitPath],
-        token_seqs: &[Vec<usize>],
-        activity: Option<&HashMap<String, f32>>,
+        seqs: &[Vec<usize>],
+        items: impl Iterator<Item = (f32, impl FnOnce() -> Vec<String>)>,
     ) -> ([f64; 3], Vec<String>) {
-        self.reduce_items(paths.iter().zip(token_seqs).map(|(p, tokens)| {
-            // Power gating: scale each path's power by the activity
-            // coefficient of its source register (§3.4.4).
-            let coeff = match activity {
-                None => 1.0,
-                Some(map) => {
-                    let src = graph.vertex(p.vertices()[0]);
-                    if src.vertex.vtype == sns_graphir::VocabType::Dff {
-                        map.get(&src.name).copied().unwrap_or(1.0)
-                    } else {
-                        IO_PATH_ACTIVITY
-                    }
-                }
-            };
-            let names = move || {
-                p.vertices().iter().map(|&v| graph.vertex(v).name.clone()).collect()
-            };
-            (tokens.as_slice(), coeff, names)
-        }))
-    }
-
-    /// The serial reduction core shared by the [`CircuitPath`]-based flow
-    /// and the per-terminal portable-path flow of the session layer: each
-    /// item is `(token sequence, power coefficient, lazy vertex names)`.
-    /// The float operations run in item order with exactly the historical
-    /// formulas, so every caller that feeds the same items gets the same
-    /// bits (in particular the strict `>` keeps first-wins critical-path
-    /// selection).
-    pub(crate) fn reduce_items<'a, F, I>(&self, items: I) -> ([f64; 3], Vec<String>)
-    where
-        F: FnOnce() -> Vec<String>,
-        I: Iterator<Item = (&'a [usize], f32, F)>,
-    {
         let mut timing_max = 0.0f64;
         let mut area_sum = 0.0f64;
         let mut power_sum = 0.0f64;
         let mut critical: Vec<String> = Vec::new();
-        for (tokens, coeff, names) in items {
+        for (tokens, (coeff, names)) in seqs.iter().zip(items) {
             let raw =
                 self.cache.get(tokens).unwrap_or_else(|| self.predict_path(tokens));
             if raw[0] > timing_max {
@@ -192,29 +155,10 @@ impl SnsModel {
         ([timing_max.max(1e-3), area_sum.max(1e-6), power_sum.max(1e-9)], critical)
     }
 
-    /// The full aggregation step (reductions + MLP refinement), exposed
-    /// for tests and ablations.
-    pub fn aggregate(
-        &self,
-        graph: &GraphIr,
-        paths: &[CircuitPath],
-        activity: Option<&HashMap<String, f32>>,
-        start: Instant,
-    ) -> DesignPrediction {
-        let (aggregates, critical) = self.path_aggregates(graph, paths, activity);
-        self.refine(graph, paths.len(), aggregates, critical, start)
-    }
-
-    /// Like [`aggregate`](Self::aggregate), but assumes the caller has
-    /// already primed the shared cache (via
-    /// [`prime_path_cache`](Self::prime_path_cache)) for `token_seqs` —
-    /// no new Circuitformer forward passes are scheduled here, so many
-    /// callers can coalesce their inference into shared batches first and
-    /// then reduce independently. Bit-identical to [`aggregate`]: both
-    /// run the same serial reduction over the same pure per-path values
-    /// (a sequence evicted since priming is recomputed inline).
-    ///
-    /// [`aggregate`]: Self::aggregate
+    /// The reduction and MLP refinement over token sequences the caller
+    /// has already primed into the shared cache (via
+    /// [`prime_path_cache`](Self::prime_path_cache)). Bit-identical to
+    /// [`predict_netlist`](Self::predict_netlist) on the same paths.
     pub fn predict_primed(
         &self,
         graph: &GraphIr,
@@ -223,12 +167,11 @@ impl SnsModel {
         activity: Option<&HashMap<String, f32>>,
         start: Instant,
     ) -> DesignPrediction {
-        let (aggregates, critical) = self.reduce_paths(graph, paths, token_seqs, activity);
+        let (aggregates, critical) = self.reduce(token_seqs, path_items(graph, paths, activity));
         self.refine(graph, paths.len(), aggregates, critical, start)
     }
 
-    /// The MLP refinement step shared by [`aggregate`](Self::aggregate),
-    /// [`predict_primed`](Self::predict_primed) and the session layer.
+    /// The MLP refinement step that ends every prediction.
     pub(crate) fn refine(
         &self,
         graph: &GraphIr,
@@ -257,58 +200,6 @@ impl SnsModel {
         }
     }
 
-    /// Ranks the `n` slowest predicted paths — §2.2's "knowing both the
-    /// length and location of the critical path": each entry is the
-    /// predicted path delay (ps) plus the named vertices along the path.
-    pub fn critical_paths(
-        &self,
-        graph: &GraphIr,
-        paths: &[CircuitPath],
-        n: usize,
-    ) -> Vec<(f64, Vec<String>)> {
-        let token_seqs = self.predict_paths(graph, paths);
-        let mut ranked: Vec<(f64, Vec<String>)> = paths
-            .iter()
-            .zip(&token_seqs)
-            .map(|(p, tokens)| {
-                let raw =
-                    self.cache.get(tokens).unwrap_or_else(|| self.predict_path(tokens));
-                let names =
-                    p.vertices().iter().map(|&v| graph.vertex(v).name.clone()).collect();
-                (raw[0], names)
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite predictions"));
-        ranked.truncate(n);
-        ranked
-    }
-
-    /// Tokenizes every path and makes sure the shared
-    /// [`PathPredictionCache`] holds a prediction for each sequence.
-    /// Uncached *unique* sequences are bucketed by exact length, packed
-    /// into batches of at most [`sns_rt::pool::default_batch`] sequences
-    /// (`SNS_BATCH`), and the batches fanned across
-    /// [`sns_rt::pool::default_threads`] workers (`SNS_THREADS`), each
-    /// batch running one packed Circuitformer forward. Returns the
-    /// per-path token sequences for the caller's reduction.
-    ///
-    /// Because batching is per-path exact, the Circuitformer is pure, and
-    /// the callers reduce serially in path order, predictions are
-    /// bit-identical at any thread count and any batch size
-    /// (`SNS_THREADS=1` vs `8`, `SNS_BATCH=1` vs `32` all agree exactly).
-    fn predict_paths(&self, graph: &GraphIr, paths: &[CircuitPath]) -> Vec<Vec<usize>> {
-        let token_seqs = self.tokenize_paths(graph, paths);
-        let (threads, batch) = Self::default_knobs();
-        self.prime_path_cache(&token_seqs, threads, batch);
-        token_seqs
-    }
-
-    /// The process's resolved `(SNS_THREADS, SNS_BATCH)`: the priming
-    /// knobs of every call that is not given explicit ones.
-    pub(crate) fn default_knobs() -> (usize, usize) {
-        (sns_rt::pool::default_threads(), sns_rt::pool::default_batch())
-    }
-
     /// Tokenizes each sampled path into the vocabulary id sequence the
     /// Circuitformer consumes.
     pub fn tokenize_paths(&self, graph: &GraphIr, paths: &[CircuitPath]) -> Vec<Vec<usize>> {
@@ -320,6 +211,10 @@ impl SnsModel {
     /// length-bucketed packed forwards of at most `batch` sequences over
     /// `threads` workers. After this, [`predict_primed`]
     /// (Self::predict_primed) completes without further inference.
+    ///
+    /// Because batching is per-path exact, the Circuitformer is pure, and
+    /// the reduction runs serially in path order, predictions are
+    /// bit-identical at any `threads` and any `batch`.
     pub fn prime_path_cache(&self, token_seqs: &[Vec<usize>], threads: usize, batch: usize) {
         self.cache.ensure_batched(token_seqs, threads, batch, |chunk| {
             self.predict_path_batch(chunk)
@@ -347,12 +242,6 @@ impl SnsModel {
         let mut replica = self.clone();
         replica.cache = PathPredictionCache::new();
         replica
-    }
-
-    /// The number of unique path sequences memoized so far (shared across
-    /// predictions; see [`PathPredictionCache`]).
-    pub fn cached_paths(&self) -> usize {
-        self.cache.len()
     }
 
     /// Drops all memoized path predictions. Call after mutating model
@@ -396,4 +285,28 @@ impl SnsModel {
     pub fn feature_dim(&self) -> usize {
         5 + self.vocab.len()
     }
+}
+
+/// Per sampled path: its power coefficient (§3.4.4: the source register's
+/// activity, [`IO_PATH_ACTIVITY`] from I/O ports, 1.0 without a map) and
+/// its lazily built vertex names.
+pub(crate) fn path_items<'a>(
+    graph: &'a GraphIr,
+    paths: &'a [CircuitPath],
+    activity: Option<&'a HashMap<String, f32>>,
+) -> impl Iterator<Item = (f32, impl FnOnce() -> Vec<String> + 'a)> + 'a {
+    paths.iter().map(move |p| {
+        let coeff = match activity {
+            None => 1.0,
+            Some(map) => {
+                let src = graph.vertex(p.vertices()[0]);
+                if src.vertex.vtype == sns_graphir::VocabType::Dff {
+                    map.get(&src.name).copied().unwrap_or(1.0)
+                } else {
+                    IO_PATH_ACTIVITY
+                }
+            }
+        };
+        (coeff, move || p.vertices().iter().map(|&v| graph.vertex(v).name.clone()).collect())
+    })
 }

@@ -23,16 +23,18 @@
 //! conformance oracle in `sns-conformance`.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use sns_graphir::GraphIr;
 use sns_netlist::ast::Design;
 use sns_netlist::{
-    design_hashes, elaborate_incremental, parse_source, ElabReport, ModuleElabCache, NetlistError,
+    design_hashes, elaborate_incremental, parse_source, ElabReport, ModuleElabCache, Netlist,
+    NetlistError,
 };
 use sns_sampler::{flatten_samples, PathSampler, PortablePath, ResampleOutcome, TerminalSample};
 
+use crate::pipeline::{Hooks, Inline, Stage};
 use crate::predictor::{DesignPrediction, SnsModel};
 
 /// Default bound on concurrently retained sessions.
@@ -58,7 +60,9 @@ impl From<NetlistError> for SessionError {
 impl std::fmt::Display for SessionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SessionError::UnknownBase(token) => write!(f, "unknown base design `{token}`"),
+            SessionError::UnknownBase(token) => {
+                write!(f, "unknown base design `{token}` (expired or never registered)")
+            }
             SessionError::Front(e) => write!(f, "{e}"),
         }
     }
@@ -78,32 +82,9 @@ pub struct DesignSession {
     /// Per-terminal cached samples, keyed by terminal name.
     /// Reference-counted so a resample reuses them by pointer.
     samples: HashMap<String, Arc<TerminalSample>>,
-    prediction: DesignPrediction,
-    /// The elaboration report of the session's netlist.
-    report: ElabReport,
 }
 
 impl DesignSession {
-    /// The content-addressed base token.
-    pub fn token(&self) -> &str {
-        &self.token
-    }
-
-    /// The design's top module.
-    pub fn top(&self) -> &str {
-        &self.top
-    }
-
-    /// The prediction computed when the session was registered.
-    pub fn prediction(&self) -> &DesignPrediction {
-        &self.prediction
-    }
-
-    /// The elaboration report (instance → cell range map).
-    pub fn report(&self) -> &ElabReport {
-        &self.report
-    }
-
     /// The cached per-terminal path samples (terminal name → sample).
     pub fn samples(&self) -> &HashMap<String, Arc<TerminalSample>> {
         &self.samples
@@ -123,8 +104,6 @@ struct SessionsInner {
 pub struct SessionStore {
     elab: Arc<ModuleElabCache>,
     inner: RwLock<SessionsInner>,
-    /// `(threads, batch)` for priming path predictions.
-    inference: (usize, usize),
 }
 
 impl std::fmt::Debug for SessionStore {
@@ -144,10 +123,7 @@ impl Default for SessionStore {
 
 impl SessionStore {
     /// Creates a store bounded to `session_cap` sessions with a fresh
-    /// elaboration-unit cache bounded to `elab_cap` units. Its sessions
-    /// prime path predictions at the process's resolved `SNS_THREADS` /
-    /// `SNS_BATCH` unless [`with_inference`](Self::with_inference) says
-    /// otherwise.
+    /// elaboration-unit cache bounded to `elab_cap` units.
     pub fn new(session_cap: usize, elab_cap: usize) -> Self {
         SessionStore {
             elab: Arc::new(ModuleElabCache::new(elab_cap)),
@@ -156,17 +132,17 @@ impl SessionStore {
                 order: VecDeque::new(),
                 cap: session_cap,
             }),
-            inference: SnsModel::default_knobs(),
         }
     }
 
-    /// Primes session predictions over `threads` workers in batches of at
-    /// most `batch` sequences (a serving replica's configured values)
-    /// instead of the process defaults. Predictions are bit-identical at
-    /// any setting; this only moves throughput.
-    pub fn with_inference(mut self, threads: usize, batch: usize) -> Self {
-        self.inference = (threads, batch);
-        self
+    // A writer that panicked mid-update leaves at worst a session missing
+    // from `order` (never evicted), so a poisoned lock is still usable.
+    fn read(&self) -> RwLockReadGuard<'_, SessionsInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, SessionsInner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The shared per-module elaboration-unit cache.
@@ -176,35 +152,77 @@ impl SessionStore {
 
     /// The session under `token`, if still live.
     pub fn get(&self, token: &str) -> Option<Arc<DesignSession>> {
-        self.inner.read().expect("session lock poisoned").map.get(token).cloned()
+        self.read().map.get(token).cloned()
     }
 
     /// Number of live sessions.
     pub fn session_count(&self) -> usize {
-        self.inner.read().expect("session lock poisoned").map.len()
+        self.read().map.len()
     }
 
     /// Drops every session (the elaboration cache is untouched).
     pub fn clear(&self) {
-        let mut g = self.inner.write().expect("session lock poisoned");
+        let mut g = self.write();
         g.map.clear();
         g.order.clear();
     }
 
     fn insert(&self, session: Arc<DesignSession>) {
-        let mut g = self.inner.write().expect("session lock poisoned");
+        let mut g = self.write();
         let token = session.token.clone();
         if g.map.insert(token.clone(), session).is_none() {
             g.order.push_back(token);
         }
         while g.map.len() > g.cap.max(1) {
-            match g.order.pop_front() {
-                Some(old) => {
-                    g.map.remove(&old);
-                }
-                None => break,
+            let Some(old) = g.order.pop_front() else { break };
+            g.map.remove(&old);
+        }
+    }
+
+    /// The rest of a session's `Parse` stage: hashes `design`, notes which
+    /// modules changed since `prev` and elaborates incrementally.
+    pub(crate) fn elaborate(
+        &self,
+        design: Design,
+        top: &str,
+        prev: Option<Arc<DesignSession>>,
+    ) -> Result<SessionFront, NetlistError> {
+        let trans: HashMap<String, [u64; 2]> =
+            design_hashes(&design).into_iter().map(|(n, h)| (n, h.trans)).collect();
+        // Implicit invalidation: a changed transitive hash is a different
+        // cache key.
+        let changed: BTreeSet<String> = match &prev {
+            Some(p) => trans
+                .iter()
+                .filter(|(name, t)| p.trans.get(*name) != Some(t))
+                .map(|(name, _)| name.clone())
+                .collect(),
+            None => trans.keys().cloned().collect(),
+        };
+        if prev.is_some() {
+            self.elab.note_invalidations(changed.len() as u64);
+        }
+        let (netlist, report) = elaborate_incremental(&design, top, &self.elab)?;
+        Ok(SessionFront { design, top: top.to_string(), prev, trans, changed, netlist, report })
+    }
+
+    /// [`elaborate`](Self::elaborate) for an ECO: the `base` session's
+    /// design with `patch`'s modules replacing (or joining) its own.
+    pub(crate) fn elaborate_patch(
+        &self,
+        base: &str,
+        patch: &str,
+    ) -> Result<SessionFront, SessionError> {
+        let prev = self.get(base).ok_or_else(|| SessionError::UnknownBase(base.to_string()))?;
+        let mut design = prev.design.clone();
+        for m in parse_source(patch)?.modules {
+            match design.modules.iter_mut().find(|x| x.name == m.name) {
+                Some(slot) => *slot = m,
+                None => design.modules.push(m),
             }
         }
+        let top = prev.top.clone();
+        Ok(self.elaborate(design, &top, Some(prev))?)
     }
 }
 
@@ -226,6 +244,19 @@ pub struct SessionOutcome {
     pub resampled_terminals: usize,
 }
 
+/// A session design after the `Parse` stage.
+pub(crate) struct SessionFront {
+    design: Design,
+    top: String,
+    /// The base session of an ECO.
+    prev: Option<Arc<DesignSession>>,
+    trans: HashMap<String, [u64; 2]>,
+    /// Modules whose transitive hash differs from `prev`'s (all if none).
+    changed: BTreeSet<String>,
+    netlist: Netlist,
+    report: ElabReport,
+}
+
 impl SnsModel {
     /// Full prediction from Verilog source through the incremental
     /// pipeline, registering the design in `store` for later
@@ -242,8 +273,10 @@ impl SnsModel {
         source: &str,
         top: &str,
     ) -> Result<SessionOutcome, NetlistError> {
-        let design = parse_source(source)?;
-        self.run_session(store, design, top, None)
+        let start = Instant::now();
+        let front = store.elaborate(parse_source(source)?, top, None)?;
+        let Ok(outcome) = self.run_session(store, front, &Inline::default(), start, start);
+        Ok(outcome)
     }
 
     /// ECO re-prediction: replaces modules of the `base` session's design
@@ -262,56 +295,30 @@ impl SnsModel {
         base: &str,
         patch: &str,
     ) -> Result<SessionOutcome, SessionError> {
-        let prev =
-            store.get(base).ok_or_else(|| SessionError::UnknownBase(base.to_string()))?;
-        let patch_design = parse_source(patch)?;
-        let mut design = prev.design.clone();
-        for m in patch_design.modules {
-            match design.modules.iter_mut().find(|x| x.name == m.name) {
-                Some(slot) => *slot = m,
-                None => design.modules.push(m),
-            }
-        }
-        let top = prev.top.clone();
-        Ok(self.run_session(store, design, &top, Some(&prev))?)
+        let start = Instant::now();
+        let front = store.elaborate_patch(base, patch)?;
+        let Ok(outcome) = self.run_session(store, front, &Inline::default(), start, start);
+        Ok(outcome)
     }
 
-    /// The shared session pipeline: incremental elaboration → stitched
-    /// GraphIR → per-terminal (re-)sampling → cached path predictions →
-    /// the same serial reduction and MLP refinement as
-    /// [`SnsModel::predict_netlist`].
-    fn run_session(
+    /// The session pipeline after elaboration (begun at `t`): stitched
+    /// GraphIR, per-terminal (re-)sampling, the shared tail, and — unless
+    /// a hook stopped the run — registration in `store`.
+    pub(crate) fn run_session<H: Hooks>(
         &self,
         store: &SessionStore,
-        design: Design,
-        top: &str,
-        prev: Option<&DesignSession>,
-    ) -> Result<SessionOutcome, NetlistError> {
-        let start = Instant::now();
-        let trans: HashMap<String, [u64; 2]> =
-            design_hashes(&design).into_iter().map(|(n, h)| (n, h.trans)).collect();
-
-        // Which modules changed relative to the base session (every module
-        // is "changed" on a cold predict). Implicit invalidation: a changed
-        // transitive hash is a different cache key.
-        let changed: BTreeSet<String> = match prev {
-            Some(p) => trans
-                .iter()
-                .filter(|(name, t)| p.trans.get(*name) != Some(t))
-                .map(|(name, _)| name.clone())
-                .collect(),
-            None => trans.keys().cloned().collect(),
-        };
-        if prev.is_some() {
-            store.elab_cache().note_invalidations(changed.len() as u64);
-        }
-
-        let (netlist, report) = elaborate_incremental(&design, top, store.elab_cache())?;
+        front: SessionFront,
+        hooks: &H,
+        t: Instant,
+        start: Instant,
+    ) -> Result<SessionOutcome, H::Stop> {
+        hooks.after(Stage::Parse, t.elapsed())?;
+        let t = Instant::now();
+        let SessionFront { design, top, prev, trans, changed, netlist, report } = front;
         let stitched = GraphIr::from_netlist_stitched(&netlist, &report);
         let graph = &stitched.graph;
-
         let sampler = PathSampler::new(self.sample.clone());
-        let ResampleOutcome { samples, reused, resampled } = match prev {
+        let ResampleOutcome { samples, reused, resampled } = match &prev {
             Some(p) => sampler.resample(graph, &self.vocab, &p.samples),
             None => {
                 let samples: Vec<Arc<TerminalSample>> = sampler
@@ -323,40 +330,36 @@ impl SnsModel {
                 ResampleOutcome { samples, reused: 0, resampled }
             }
         };
-
         let flat: Vec<&PortablePath> = flatten_samples(&samples, self.sample.max_paths);
-        let token_seqs: Vec<Vec<usize>> = flat.iter().map(|p| p.tokens.clone()).collect();
-        let (threads, batch) = store.inference;
-        self.prime_path_cache(&token_seqs, threads, batch);
+        hooks.after(Stage::Sample, t.elapsed())?;
+
+        let t = Instant::now();
+        let seqs: Vec<Vec<usize>> = flat.iter().map(|p| p.tokens.clone()).collect();
         // Sessions carry no per-register activity map, so every path's
         // coefficient is 1.0 — same as `predict_netlist(_, None)`.
-        let (aggregates, critical) = self.reduce_items(
-            flat.iter().map(|p| (p.tokens.as_slice(), 1.0f32, move || p.names.clone())),
-        );
-        let prediction = self.refine(graph, flat.len(), aggregates, critical, start);
+        let items = flat.iter().map(|p| (1.0f32, move || p.names.clone()));
+        let prediction = self.infer_and_aggregate(hooks, t, graph, &seqs, items, start)?;
 
         // Reported modules: the changed set restricted to what this design
         // actually elaborates (instantiated modules plus the top).
         let mut instantiated: BTreeSet<&str> =
             report.records.iter().map(|r| r.module.as_str()).collect();
-        instantiated.insert(top);
+        instantiated.insert(&top);
         let reelaborated: Vec<String> = changed
             .iter()
             .filter(|m| instantiated.contains(m.as_str()))
             .cloned()
             .collect();
 
-        let token = design_token(&trans, top);
+        let token = design_token(&trans, &top);
         let samples_by_name: HashMap<String, Arc<TerminalSample>> =
             samples.into_iter().map(|s| (s.name.clone(), s)).collect();
         store.insert(Arc::new(DesignSession {
             token: token.clone(),
-            top: top.to_string(),
+            top,
             design,
             trans,
             samples: samples_by_name,
-            prediction: prediction.clone(),
-            report,
         }));
 
         Ok(SessionOutcome {
@@ -367,7 +370,6 @@ impl SnsModel {
             resampled_terminals: resampled,
         })
     }
-
 }
 
 /// Content-addressed design token: a stable hex digest over the top name
@@ -397,15 +399,16 @@ fn design_token(trans: &HashMap<String, [u64; 2]>, top: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::sync::OnceLock;
 
     use super::*;
+    use crate::pipeline::{Input, Output};
     use crate::train::{train_sns, SnsTrainConfig};
 
     /// One tiny model shared by every test in this module — training
     /// dominates runtime, prediction does not.
-    fn tiny_model() -> &'static SnsModel {
+    pub(crate) fn tiny_model() -> &'static SnsModel {
         static MODEL: OnceLock<SnsModel> = OnceLock::new();
         MODEL.get_or_init(|| {
             let designs = sns_designs::catalog();
@@ -417,7 +420,7 @@ mod tests {
         })
     }
 
-    fn src(leaf_body: &str) -> String {
+    pub(crate) fn src(leaf_body: &str) -> String {
         format!(
             "module leaf (input [7:0] a, output [7:0] y); assign y = {leaf_body}; endmodule
              module keep (input clk, input [7:0] a, output [7:0] y);
@@ -432,7 +435,7 @@ mod tests {
         )
     }
 
-    fn assert_same_prediction(a: &DesignPrediction, b: &DesignPrediction) {
+    pub(crate) fn assert_same_prediction(a: &DesignPrediction, b: &DesignPrediction) {
         assert_eq!(a.timing_ps, b.timing_ps);
         assert_eq!(a.area_um2, b.area_um2);
         assert_eq!(a.power_mw, b.power_mw);
@@ -473,17 +476,22 @@ mod tests {
     }
 
     #[test]
-    fn configured_inference_knobs_keep_predictions_bit_identical() {
+    fn explicit_inline_knobs_keep_predictions_bit_identical() {
         let model = tiny_model();
         let leaf = "module leaf (input [7:0] a, output [7:0] y); assign y = a ^ 8'h5A; endmodule";
-        let run = |store: SessionStore| {
-            let m = model.fork_replica();
-            let base = m.predict_session(&store, &src("a + 8'd1"), "top").unwrap();
-            let patched = m.predict_patch(&store, &base.token, leaf).unwrap();
+        let source = src("a + 8'd1");
+        let run = |hooks: Inline| {
+            let (m, store) = (model.fork_replica(), SessionStore::default());
+            let session = |input| match m.predict_with(input, &hooks, Instant::now()) {
+                Ok(Output::Session(o)) => o,
+                other => panic!("expected a session outcome, got {other:?}"),
+            };
+            let base = session(Input::Session { store: &store, verilog: &source, top: "top" });
+            let patched = session(Input::Patch { store: &store, base: &base.token, patch: leaf });
             (base.prediction, patched.prediction)
         };
-        let (base, patched) = run(SessionStore::default());
-        let (b, p) = run(SessionStore::default().with_inference(3, 2));
+        let (base, patched) = run(Inline::default());
+        let (b, p) = run(Inline { threads: 3, batch: 2 });
         assert_same_prediction(&base, &b);
         assert_same_prediction(&patched, &p);
     }

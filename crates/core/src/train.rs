@@ -190,42 +190,10 @@ pub fn train_sns_on_labeled(
         cache: PathPredictionCache::new(),
     };
 
-    // Per-design features from the trained Circuitformer.
-    let sampler = PathSampler::new(config.sample.clone());
-    let mut per_design: Vec<([f64; 3], usize, sns_graphir::GraphStats)> = Vec::new();
-    for e in entries.iter() {
-        let nl = parse_and_elaborate(&e.design.verilog, &e.design.top)
-            .unwrap_or_else(|err| panic!("design `{}`: {err}", e.design.name));
-        let graph = GraphIr::from_netlist(&nl);
-        let paths = sampler.sample(&graph);
-        let stats = graph.stats(&model.vocab);
-        // The Circuitformer is already trained here, so these predictions
-        // prime the model's shared path cache for later inference too.
-        let (aggs, _) = model.path_aggregates(&graph, &paths, None);
-        per_design.push((aggs, paths.len(), stats));
-    }
-    // Fit the correction-ratio scaler on label/aggregate ratios, then
-    // build the MLP training sets in that space.
-    let ratios: Vec<[f64; 3]> = per_design
-        .iter()
-        .zip(&design_labels)
-        .map(|((aggs, _, _), label)| {
-            [label[0] / aggs[0], label[1] / aggs[1], label[2] / aggs[2]]
-        })
-        .collect();
-    model.corr_scaler = LabelScaler::fit(&ratios);
-    let mut feature_sets: [Vec<(Vec<f32>, f32)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for ((aggs, n_paths, stats), ratio) in per_design.iter().zip(&ratios) {
-        for d in 0..3 {
-            let f = model.features(d, *aggs, *n_paths, stats);
-            let target = model.corr_scaler.transform_dim(d, ratio[d]);
-            feature_sets[d].push((f, target));
-        }
-    }
-    let mut mlp_curves: [Vec<f32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for d in 0..3 {
-        mlp_curves[d] = model.mlps[d].fit(&feature_sets[d], &config.mlp_train);
-    }
+    // Per-design features from the trained Circuitformer (which also
+    // primes the model's shared path cache for later inference).
+    let mlp_curves =
+        fit_correction(&mut model, entries, &config.mlp_train).unwrap_or_else(|e| panic!("{e}"));
 
     let report = TrainReport {
         path_dataset_size: paths.len(),
@@ -368,6 +336,15 @@ pub fn refit_correction(
     entries: &[&LabeledDesign],
     mlp_train: &MlpTrainConfig,
 ) -> Result<(), String> {
+    fit_correction(model, entries, mlp_train).map(|_| ())
+}
+
+/// [`refit_correction`], returning the three MLPs' loss curves.
+fn fit_correction(
+    model: &mut SnsModel,
+    entries: &[&LabeledDesign],
+    mlp_train: &MlpTrainConfig,
+) -> Result<[Vec<f32>; 3], String> {
     if entries.is_empty() {
         return Err("refit_correction: no labeled designs".into());
     }
@@ -402,10 +379,11 @@ pub fn refit_correction(
             feature_sets[d].push((f, target));
         }
     }
-    for (mlp, set) in model.mlps.iter_mut().zip(&feature_sets) {
-        mlp.fit(set, mlp_train);
+    let mut curves: [Vec<f32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    for ((mlp, set), curve) in model.mlps.iter_mut().zip(&feature_sets).zip(&mut curves) {
+        *curve = mlp.fit(set, mlp_train);
     }
-    Ok(())
+    Ok(curves)
 }
 
 #[cfg(test)]

@@ -37,21 +37,14 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sns_core::SnsModel;
 
 use crate::metrics::{Metrics, ReplicaStats};
-
-/// Locks a mutex, recovering the guard from a poisoned lock. The values
-/// behind every lock in this crate are state machines that tolerate a
-/// panicked writer (worst case: one request's round is re-run), and the
-/// serve front-end is required to be panic-free anyway.
-fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use crate::server::lock_or_recover;
 
 /// Completion gate a handler blocks on after submitting.
 #[derive(Debug, Default)]
@@ -224,17 +217,10 @@ impl MicroBatcher {
         lock_or_recover(&self.shared.queue).len()
     }
 
-    /// Finishes queued rounds, then stops the batcher thread.
-    pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
 }
 
 impl Drop for MicroBatcher {
+    /// Finishes queued rounds, then stops the batcher thread.
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.cv.notify_all();

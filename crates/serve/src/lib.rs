@@ -30,6 +30,11 @@
 //!   histograms, all maintained on plain atomics.
 //! * **`GET /healthz`** — liveness.
 //!
+//! Every body kind runs sns-core's staged pipeline
+//! ([`SnsModel::predict_with`](sns_core::SnsModel::predict_with)); this
+//! crate only supplies its hooks: stage histograms, deadline and replica
+//! liveness checks, and inference (flat bodies through the micro-batcher).
+//!
 //! ## Event-driven connection core
 //!
 //! Socket I/O is readiness-based: a single [`reactor`] thread owns every
@@ -55,8 +60,8 @@
 //!
 //! ## Throughput under concurrency
 //!
-//! Concurrent requests do not run inference independently: each handler
-//! submits its *uncached* path sequences to its replica's
+//! Concurrent flat requests do not run inference independently: each
+//! handler submits its *uncached* path sequences to its replica's
 //! [`MicroBatcher`](batcher::MicroBatcher), which serves jobs FIFO in
 //! rounds bounded at about one `SNS_BATCH` of unique sequences —
 //! cross-request de-duplication happens both inside a round (the union
@@ -71,7 +76,8 @@
 //! Bounded dispatch queue and connection cap with `503 + Retry-After`
 //! shedding, a fixed per-connection framing deadline (`408` for
 //! slow-loris peers), a per-request deadline (`SNS_DEADLINE_MS`) checked
-//! before every expensive stage (`504`), a request body limit (`413`),
+//! at every stage boundary of every body kind (`504`), a request body
+//! limit (`413`),
 //! structured JSON error bodies for malformed HTTP or JSON (`400`), and
 //! graceful shutdown that drains queued and in-flight requests (SIGTERM
 //! / ctrl-C in the `sns-serve` binary).
@@ -101,7 +107,7 @@ pub mod shard;
 pub use batcher::MicroBatcher;
 pub use http::{HttpError, Request};
 pub use metrics::{
-    CacheStats, ElabCacheStats, Histogram, KernelStats, Metrics, ModelTally, ReplicaSnapshot,
+    CacheStats, ElabCacheStats, Histogram, Metrics, ModelTally, ReplicaSnapshot,
     ReplicaStats,
 };
 pub use server::{ReloadError, ReloadOutcome, ServeConfig, Server};

@@ -259,16 +259,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Inference-kernel snapshot merged into the export by the server (the
-/// prepacked weight panels live on the model).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KernelStats {
-    /// Resident bytes of prepacked weight panels (Circuitformer blocks,
-    /// head, and the three Aggregation MLPs). Zero means the model is
-    /// running unpacked — a training-in-progress or load-failure signal.
-    pub prepack_bytes: usize,
-}
-
 /// Module-elaboration-cache statistics snapshot merged into the export
 /// by the server (the cache itself lives on the session store).
 #[derive(Debug, Clone, Copy, Default)]
@@ -303,6 +293,9 @@ impl Metrics {
     /// invariant survives sharding; `capacity` is the *per-replica*
     /// bound). The per-replica detail is exported under `"replicas"`.
     ///
+    /// `prepack_bytes` is the serving model's resident prepacked weight
+    /// panels (zero means it runs unpacked — a load-failure signal).
+    ///
     /// `models` carries one pre-assembled object per model the server
     /// has ever served (id, weight hash, [`ModelTally`] counters); it is
     /// exported verbatim under `"models"` alongside the swap counters.
@@ -310,7 +303,7 @@ impl Metrics {
         &self,
         replicas: &[ReplicaSnapshot],
         elab: ElabCacheStats,
-        kernels: KernelStats,
+        prepack_bytes: usize,
         models: Vec<Json>,
     ) -> Json {
         let cache = CacheStats {
@@ -413,9 +406,7 @@ impl Metrics {
             ),
             (
                 "kernels",
-                Json::obj(vec![
-                    ("prepack_bytes", Json::UInt(kernels.prepack_bytes as u64)),
-                ]),
+                Json::obj(vec![("prepack_bytes", Json::UInt(prepack_bytes as u64))]),
             ),
             (
                 "batcher",
@@ -509,7 +500,7 @@ mod tests {
                 invalidations: 4,
                 sessions: 3,
             },
-            KernelStats { prepack_bytes: 4096 },
+            4096,
             vec![Json::obj(vec![("id", Json::Str("m-000001".into()))])],
         );
         assert_eq!(j.get("requests_total").unwrap().as_u64().unwrap(), 3);
@@ -558,7 +549,7 @@ mod tests {
                 )
             })
             .collect();
-        let j = m.to_json(&snaps, ElabCacheStats::default(), KernelStats::default(), Vec::new());
+        let j = m.to_json(&snaps, ElabCacheStats::default(), 0, Vec::new());
         let cache = j.get("cache").unwrap();
         let entries = cache.get("entries").unwrap().as_u64().unwrap();
         let misses = cache.get("misses").unwrap().as_u64().unwrap();

@@ -1,12 +1,14 @@
 //! Server assembly: the reactor thread, the worker pool, the replica
-//! set with its consistent-hash router, and the `/predict` pipeline.
+//! set with its consistent-hash router, and the `/predict` hooks.
 //!
 //! ```text
 //! reactor ──► dispatch queue ──► workers ──► router (FNV-128 of content)
 //!    ▲  (full → 503 + Retry-After)  │            │
 //!    │                              │            ▼ replica k (alive?)
-//!    └── completions + waker ◄──────┘   parse ► sample ► batcher_k ► cache_k
-//!                                                └─► reduce + MLP (predict_primed)
+//!    └── completions + waker ◄──────┘   SnsModel::predict_with(body, ReplicaHooks)
+//!                                        parse ► sample ► infer ► aggregate
+//!                                                           │
+//!                                            prime: batcher_k ► cache_k
 //! ```
 //!
 //! Connection I/O lives entirely on the reactor thread
@@ -20,9 +22,10 @@
 //! clean `503` at the next stage boundary, new requests fail over along
 //! the ring, and a revived replica resumes exactly its old key range.
 //!
-//! Every stage boundary checks the per-request deadline, so a request
-//! that has already blown `SNS_DEADLINE_MS` never starts sampling or
-//! inference.
+//! Every `/predict` body kind (flat, session, ECO patch) runs the core
+//! pipeline under `ReplicaHooks`, which check liveness and the
+//! per-request deadline at every stage boundary — a request that has
+//! blown `SNS_DEADLINE_MS` never starts sampling or inference.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -33,25 +36,25 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sns_core::{
-    load_from_zoo, model_weight_hash, SessionError, SessionOutcome, SessionStore, SnsModel,
-    ZooError,
+    load_from_zoo, model_weight_hash, Hooks, Inline, Input, Output, PipelineError, SessionError,
+    SessionStore, SnsModel, Stage, ZooError,
 };
-use sns_graphir::GraphIr;
 use sns_netlist::ModuleElabCache;
 use sns_rt::json::{parse as parse_json, Json};
 use sns_rt::net::Waker;
-use sns_sampler::PathSampler;
 
 use crate::batcher::MicroBatcher;
 use crate::http::{build_response, Request};
 use crate::metrics::{
-    CacheStats, ElabCacheStats, KernelStats, Metrics, ModelTally, ReplicaSnapshot, ReplicaStats,
+    CacheStats, ElabCacheStats, Metrics, ModelTally, ReplicaSnapshot, ReplicaStats,
 };
 use crate::reactor::reactor_loop;
 use crate::shard::{design_key, token_key, HashRing};
 
-/// Locks a mutex, recovering from poisoning (see `batcher.rs` for the
-/// rationale; the serve front-end must stay panic-free regardless).
+/// Locks a mutex, recovering the guard from a poisoned lock. The values
+/// behind every lock in this crate are state machines that tolerate a
+/// panicked writer (worst case: one request's round is re-run), and the
+/// serve front-end is required to be panic-free anyway.
 pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -324,8 +327,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let waker = Waker::new()?;
-        let sessions = SessionStore::new(config.session_cap, config.elab_cache_cap)
-            .with_inference(config.threads, config.batch);
+        let sessions = SessionStore::new(config.session_cap, config.elab_cache_cap);
         let ring = HashRing::new(replica_count);
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
@@ -458,11 +460,6 @@ impl Server {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.dispatch_cv.notify_all();
         self.shared.waker.wake();
-    }
-
-    /// Whether a shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Drains in-flight work and joins every thread (reactor, workers,
@@ -735,9 +732,6 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                 sessions: shared.sessions.session_count(),
             };
             let serving = shared.replicas[0].entry();
-            let kernel_stats = KernelStats {
-                prepack_bytes: serving.model.prepack_bytes(),
-            };
             let models: Vec<Json> = lock_or_recover(&shared.models)
                 .iter()
                 .map(|info| {
@@ -755,7 +749,7 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                     Json::Obj(obj)
                 })
                 .collect();
-            (200, Vec::new(), shared.metrics.to_json(&snapshots, elab_stats, kernel_stats, models))
+            (200, Vec::new(), shared.metrics.to_json(&snapshots, elab_stats, serving.model.prepack_bytes(), models))
         }
         ("GET", "/healthz") => (200, Vec::new(), Json::obj(vec![("status", Json::Str("ok".into()))])),
         ("GET", target)
@@ -787,13 +781,9 @@ fn handle_reload(request: &Request, shared: &Shared) -> Reply {
     let id = match request.body.is_empty() {
         true => None,
         false => {
-            let text = match std::str::from_utf8(&request.body) {
-                Ok(t) => t,
-                Err(_) => return (400, Vec::new(), error_body("body is not valid UTF-8", "json")),
-            };
-            let v = match parse_json(text) {
+            let v = match json_body(request) {
                 Ok(v) => v,
-                Err(e) => return (400, Vec::new(), error_body(&e.to_string(), "json")),
+                Err(reply) => return reply,
             };
             match v.get("model") {
                 Err(_) => None,
@@ -835,19 +825,12 @@ fn handle_reload(request: &Request, shared: &Shared) -> Reply {
     }
 }
 
-/// The parsed and validated `/predict` request body: a classic one-shot
-/// prediction, a session-registering prediction, or an ECO patch.
-enum PredictBody {
-    Full(PredictInput),
-    Session { verilog: String, top: String, clock_ps: Option<f64> },
-    Patch { base: String, patch: String, clock_ps: Option<f64> },
-}
-
-struct PredictInput {
-    verilog: String,
-    top: String,
-    clock_ps: Option<f64>,
-    activity: Option<HashMap<String, f32>>,
+/// The request body as JSON, or the `400` reply for a body that is not.
+fn json_body(request: &Request) -> Result<Json, Reply> {
+    std::str::from_utf8(&request.body)
+        .map_err(|_| "body is not valid UTF-8".to_string())
+        .and_then(|text| parse_json(text).map_err(|e| e.to_string()))
+        .map_err(|msg| (400, Vec::new(), error_body(&msg, "json")))
 }
 
 fn parse_clock_ps(v: &Json) -> Result<Option<f64>, String> {
@@ -863,25 +846,29 @@ fn parse_clock_ps(v: &Json) -> Result<Option<f64>, String> {
     }
 }
 
-fn parse_predict_body(body: &[u8]) -> Result<PredictBody, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
-    let v = parse_json(text).map_err(|e| e.to_string())?;
-    let clock_ps = parse_clock_ps(&v)?;
+/// Validates a `/predict` body `v` into the pipeline input — a classic
+/// one-shot prediction (its activity map parsed into `activity`), a
+/// session-registering prediction, or an ECO patch — and its optional
+/// `clock_ps` target.
+fn parse_predict_body<'a>(
+    v: &'a Json,
+    store: &'a SessionStore,
+    activity: &'a mut Option<HashMap<String, f32>>,
+) -> Result<(Input<'a>, Option<f64>), String> {
+    let clock_ps = parse_clock_ps(v)?;
 
     // ECO form: {"base": token, "patch": module sources}.
     if let Ok(base) = v.get("base") {
-        let base = base.as_str().map_err(|e| format!("base: {e}"))?.to_string();
-        let patch =
-            v.get("patch").and_then(Json::as_str).map_err(|e| format!("patch: {e}"))?.to_string();
+        let base = base.as_str().map_err(|e| format!("base: {e}"))?;
+        let patch = v.get("patch").and_then(Json::as_str).map_err(|e| format!("patch: {e}"))?;
         if v.get("verilog").is_ok() {
             return Err("give either {verilog, top} or {base, patch}, not both".to_string());
         }
-        return Ok(PredictBody::Patch { base, patch, clock_ps });
+        return Ok((Input::Patch { store, base, patch }, clock_ps));
     }
 
-    let verilog =
-        v.get("verilog").and_then(Json::as_str).map_err(|e| e.to_string())?.to_string();
-    let top = v.get("top").and_then(Json::as_str).map_err(|e| e.to_string())?.to_string();
+    let verilog = v.get("verilog").and_then(Json::as_str).map_err(|e| e.to_string())?;
+    let top = v.get("top").and_then(Json::as_str).map_err(|e| e.to_string())?;
 
     // Session form: {"verilog", "top", "session": true} registers the
     // design as an ECO base and predicts through the incremental pipeline.
@@ -893,10 +880,10 @@ fn parse_predict_body(body: &[u8]) -> Result<PredictBody, String> {
         if v.get("activity").is_ok() {
             return Err("session predictions do not take an activity map".to_string());
         }
-        return Ok(PredictBody::Session { verilog, top, clock_ps });
+        return Ok((Input::Session { store, verilog, top }, clock_ps));
     }
 
-    let activity = match v.get("activity") {
+    *activity = match v.get("activity") {
         Err(_) => None,
         Ok(Json::Obj(fields)) => {
             let mut map = HashMap::with_capacity(fields.len());
@@ -913,46 +900,87 @@ fn parse_predict_body(body: &[u8]) -> Result<PredictBody, String> {
             return Err(format!("activity must be an object of register→coefficient, got {}", other.print()))
         }
     };
-    Ok(PredictBody::Full(PredictInput { verilog, top, clock_ps, activity }))
+    Ok((Input::Flat { verilog, top, activity: activity.as_ref() }, clock_ps))
 }
 
-fn deadline_reply(stage: &str, shared: &Shared) -> Reply {
-    shared.metrics.deadline_504.fetch_add(1, Ordering::Relaxed);
-    (
-        504,
-        Vec::new(),
-        error_body(&format!("deadline exceeded before {stage} stage (SNS_DEADLINE_MS)"), "deadline"),
-    )
+/// Why [`ReplicaHooks`] stopped a prediction.
+enum Halt {
+    /// The routed replica was killed mid-flight (`503`).
+    Lost,
+    /// The deadline passed before the named stage (`504`).
+    Deadline(&'static str),
 }
 
-/// Raised (as `Err`) by stage-boundary liveness checks when the routed
-/// replica was killed mid-flight.
-struct ReplicaLost;
+/// The daemon's pipeline hooks for one request on one replica: stage
+/// histograms, replica liveness, the per-request deadline, and inference.
+struct ReplicaHooks<'a> {
+    shared: &'a Shared,
+    replica: &'a Replica,
+    entry: &'a ModelEntry,
+    deadline: Option<Instant>,
+    /// Flat requests infer through the replica's micro-batcher; session
+    /// and patch requests on their own worker, as queued behind flat rounds
+    /// they idle the other cores (serve_mix ops/s −25% on 2 cores).
+    batched: bool,
+}
 
-fn check_alive(replica: &Replica) -> Result<(), ReplicaLost> {
-    if replica.is_alive() {
-        Ok(())
-    } else {
-        Err(ReplicaLost)
+impl Hooks for ReplicaHooks<'_> {
+    type Stop = Halt;
+
+    fn after(&self, stage: Stage, took: Duration) -> Result<(), Halt> {
+        let m = &self.shared.metrics;
+        let (histogram, next) = match stage {
+            Stage::Parse => (&m.stage_parse, Some("sampling")),
+            Stage::Sample => (&m.stage_sample, Some("inference")),
+            Stage::Infer => (&m.stage_infer, Some("aggregation")),
+            Stage::Aggregate => (&m.stage_aggregate, None),
+        };
+        histogram.record(took);
+        if !self.replica.is_alive() {
+            return Err(Halt::Lost);
+        }
+        match next {
+            Some(next) if self.deadline.is_some_and(|d| Instant::now() >= d) => {
+                Err(Halt::Deadline(next))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// A batched request submits only the sequences missing from the
+    /// pinned generation's cache (concurrent requests for one design share
+    /// the work) and waits for their fill round at most until the
+    /// deadline, which the `Infer` boundary then reports.
+    fn prime(&self, model: &SnsModel, seqs: &[Vec<usize>]) {
+        if self.batched {
+            let missing = model.cache().missing_unique(seqs);
+            self.entry.batcher.submit(missing).wait(self.deadline);
+        } else {
+            let c = &self.shared.config;
+            Inline { threads: c.threads, batch: c.batch }.prime(model, seqs);
+        }
     }
 }
 
-/// Routes the request body to a replica and runs it there, translating
-/// mid-flight replica loss into a clean `503` (never a truncated or
-/// wrong-valued body — the reply is either a full pipeline product or a
-/// structured error).
+/// Parses the request body, routes it to a replica and runs it there.
 fn handle_predict(request: &Request, shared: &Shared) -> Reply {
     let start = Instant::now();
     shared.metrics.predict_requests.fetch_add(1, Ordering::Relaxed);
 
-    let body = match parse_predict_body(&request.body) {
-        Ok(body) => body,
+    let v = match json_body(request) {
+        Ok(v) => v,
+        Err(reply) => return reply,
+    };
+    let mut activity = None;
+    let (input, clock_ps) = match parse_predict_body(&v, &shared.sessions, &mut activity) {
+        Ok(parsed) => parsed,
         Err(msg) => return (400, Vec::new(), error_body(&msg, "json")),
     };
-    let key = match &body {
-        PredictBody::Full(input) => design_key(&input.verilog, &input.top),
-        PredictBody::Session { verilog, top, .. } => design_key(verilog, top),
-        PredictBody::Patch { base, .. } => token_key(base),
+    let key = match input {
+        Input::Flat { verilog, top, .. } | Input::Session { verilog, top, .. } => {
+            design_key(verilog, top)
+        }
+        Input::Patch { base, .. } => token_key(base),
     };
     let Some(choice) = shared.ring.route(key, |r| {
         shared.replicas.get(r as usize).is_some_and(Replica::is_alive)
@@ -986,23 +1014,7 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
         }
     }
 
-    let mut reply = match predict_on_replica(shared, replica, &entry, body, start) {
-        Ok(reply) => {
-            replica.stats.completed.fetch_add(1, Ordering::Relaxed);
-            reply
-        }
-        Err(ReplicaLost) => {
-            replica.stats.shed.fetch_add(1, Ordering::Relaxed);
-            (
-                503,
-                vec![("retry-after", "1".to_string())],
-                error_body(
-                    &format!("replica {} lost mid-flight, retry", choice.replica),
-                    "replica",
-                ),
-            )
-        }
-    };
+    let mut reply = predict_on_replica(shared, choice.replica, &entry, input, clock_ps, start);
     if reply.0 == 200 {
         entry.tally.ok.fetch_add(1, Ordering::Relaxed);
     }
@@ -1013,83 +1025,69 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
     reply
 }
 
-/// The full prediction pipeline on one replica, with per-stage
-/// instrumentation, deadline checks, and liveness checks at every stage
-/// boundary. Responses are bit-identical to a direct
-/// `SnsModel::predict_verilog` call: the sampler is seeded by config,
-/// the replica's micro-batcher fills the same cache `aggregate` would,
-/// and the final reduction is the model's own `predict_primed`.
+/// Runs one parsed `/predict` body on replica `index`: calls the core
+/// pipeline ([`SnsModel::predict_with`]) under [`ReplicaHooks`] and maps
+/// the outcome onto a reply (a mid-flight replica loss is a clean `503`).
+/// Responses are bit-identical to the direct call on the pinned model:
+/// the batcher fills the same cache with the same pure function.
 fn predict_on_replica(
     shared: &Shared,
-    replica: &Replica,
+    index: u32,
     entry: &ModelEntry,
-    body: PredictBody,
+    input: Input<'_>,
+    clock_ps: Option<f64>,
     start: Instant,
-) -> Result<Reply, ReplicaLost> {
+) -> Reply {
+    let replica = &shared.replicas[index as usize];
     let deadline = shared.config.deadline.map(|d| start + d);
-    check_alive(replica)?;
-    let input = match body {
-        PredictBody::Full(input) => input,
-        PredictBody::Session { verilog, top, clock_ps } => {
-            return handle_session(shared, replica, entry, &verilog, &top, clock_ps, start)
+    let batched = matches!(input, Input::Flat { .. });
+    let hooks = ReplicaHooks { shared, replica, entry, deadline, batched };
+    if matches!(input, Input::Patch { .. }) {
+        shared.metrics.eco_requests.fetch_add(1, Ordering::Relaxed);
+    }
+    let result = entry.model.predict_with(input, &hooks, start);
+    let lost = matches!(result, Err(PipelineError::Stopped(Halt::Lost)));
+    (if lost { &replica.stats.shed } else { &replica.stats.completed })
+        .fetch_add(1, Ordering::Relaxed);
+    let fields = match result {
+        Ok(Output::Flat(pred)) => prediction_fields(&pred, clock_ps),
+        Ok(Output::Session(outcome)) => {
+            shared.metrics.session_predicts.fetch_add(1, Ordering::Relaxed);
+            let mut fields = prediction_fields(&outcome.prediction, clock_ps);
+            fields.push(("base", Json::Str(outcome.token)));
+            fields.push((
+                "reelaborated",
+                Json::Arr(outcome.reelaborated.into_iter().map(Json::Str).collect()),
+            ));
+            fields.push(("reused_terminals", Json::UInt(outcome.reused_terminals as u64)));
+            fields.push(("resampled_terminals", Json::UInt(outcome.resampled_terminals as u64)));
+            fields
         }
-        PredictBody::Patch { base, patch, clock_ps } => {
-            return handle_patch(shared, replica, entry, &base, &patch, clock_ps, start)
+        Err(PipelineError::Stopped(Halt::Lost)) => {
+            let msg = format!("replica {index} lost mid-flight, retry");
+            return (503, vec![("retry-after", "1".to_string())], error_body(&msg, "replica"));
+        }
+        Err(PipelineError::Stopped(Halt::Deadline(next))) => {
+            shared.metrics.deadline_504.fetch_add(1, Ordering::Relaxed);
+            let msg = format!("deadline exceeded before {next} stage (SNS_DEADLINE_MS)");
+            return (504, Vec::new(), error_body(&msg, "deadline"));
+        }
+        Err(PipelineError::Rejected(e)) => {
+            let (status, kind) = match &e {
+                SessionError::UnknownBase(_) => (404, "session"),
+                // Budget rejections (SNS_MAX_CELLS / SNS_MAX_NET_BITS /
+                // SNS_MAX_REPLICATION) are 422: the Verilog may be perfectly
+                // well-formed, the deployment just refuses to elaborate
+                // something that large. Malformed source stays 400.
+                SessionError::Front(f) if f.is_budget() => (422, "budget"),
+                SessionError::Front(_) => (400, "verilog"),
+            };
+            return (status, Vec::new(), error_body(&e.to_string(), kind));
         }
     };
-
-    // Stage 1: Verilog front-end.
-    let t = Instant::now();
-    let netlist = match sns_netlist::parse_and_elaborate(&input.verilog, &input.top) {
-        Ok(nl) => nl,
-        // Budget rejections (SNS_MAX_CELLS / SNS_MAX_NET_BITS /
-        // SNS_MAX_REPLICATION) are 422: the Verilog may be perfectly
-        // well-formed, the deployment just refuses to elaborate something
-        // that large. Malformed source stays 400.
-        Err(e) if e.is_budget() => {
-            return Ok((422, Vec::new(), error_body(&e.to_string(), "budget")))
-        }
-        Err(e) => return Ok((400, Vec::new(), error_body(&e.to_string(), "verilog"))),
-    };
-    shared.metrics.stage_parse.record(t.elapsed());
-    check_alive(replica)?;
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Ok(deadline_reply("sampling", shared));
-    }
-
-    // Stage 2: GraphIR + path sampling.
-    let t = Instant::now();
-    let graph = GraphIr::from_netlist(&netlist);
-    let paths = PathSampler::new(entry.model.sample_config().clone()).sample(&graph);
-    shared.metrics.stage_sample.record(t.elapsed());
-    check_alive(replica)?;
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Ok(deadline_reply("inference", shared));
-    }
-
-    // Stage 3: micro-batched inference — only the sequences this request
-    // is missing; concurrent requests for the same design share work
-    // through the pinned generation's cache.
-    let t = Instant::now();
-    let token_seqs = entry.model.tokenize_paths(&graph, &paths);
-    let missing = entry.model.cache().missing_unique(&token_seqs);
-    let gate = entry.batcher.submit(missing);
-    if !gate.wait(deadline) {
-        return Ok(deadline_reply("aggregation", shared));
-    }
-    shared.metrics.stage_infer.record(t.elapsed());
-    check_alive(replica)?;
-
-    // Stage 4: serial reduction + MLP refinement.
-    let t = Instant::now();
-    let pred =
-        entry.model.predict_primed(&graph, &paths, &token_seqs, input.activity.as_ref(), start);
-    shared.metrics.stage_aggregate.record(t.elapsed());
-
-    let fields = prediction_fields(&pred, input.clock_ps);
     shared.metrics.predict_ok.fetch_add(1, Ordering::Relaxed);
     shared.metrics.stage_total.record(start.elapsed());
-    Ok((200, Vec::new(), Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())))
+    (200, Vec::new(), Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()))
 }
 
 /// The `DesignPrediction` fields every successful `/predict` reply shares.
@@ -1113,84 +1111,4 @@ fn prediction_fields(
         fields.push(("meets_clock", Json::Bool(pred.timing_ps <= clock_ps)));
     }
     fields
-}
-
-/// Builds the 200 reply for a session-registering or ECO prediction:
-/// the shared prediction fields plus the session outcome (`base` token,
-/// which modules were re-elaborated, terminal-sample reuse counts).
-fn session_reply(
-    shared: &Shared,
-    outcome: &SessionOutcome,
-    clock_ps: Option<f64>,
-    start: Instant,
-) -> Reply {
-    let mut fields = prediction_fields(&outcome.prediction, clock_ps);
-    fields.push(("base", Json::Str(outcome.token.clone())));
-    fields.push((
-        "reelaborated",
-        Json::Arr(outcome.reelaborated.iter().map(|m| Json::Str(m.clone())).collect()),
-    ));
-    fields.push(("reused_terminals", Json::UInt(outcome.reused_terminals as u64)));
-    fields.push(("resampled_terminals", Json::UInt(outcome.resampled_terminals as u64)));
-    shared.metrics.session_predicts.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.predict_ok.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.stage_total.record(start.elapsed());
-    (200, Vec::new(), Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()))
-}
-
-/// `{"verilog", "top", "session": true}` — predict through the
-/// incremental pipeline and register the design as an ECO base.
-fn handle_session(
-    shared: &Shared,
-    replica: &Replica,
-    entry: &ModelEntry,
-    verilog: &str,
-    top: &str,
-    clock_ps: Option<f64>,
-    start: Instant,
-) -> Result<Reply, ReplicaLost> {
-    let outcome = match entry.model.predict_session(&shared.sessions, verilog, top) {
-        Ok(o) => o,
-        Err(e) if e.is_budget() => {
-            return Ok((422, Vec::new(), error_body(&e.to_string(), "budget")))
-        }
-        Err(e) => return Ok((400, Vec::new(), error_body(&e.to_string(), "verilog"))),
-    };
-    check_alive(replica)?;
-    Ok(session_reply(shared, &outcome, clock_ps, start))
-}
-
-/// `{"base": token, "patch": module sources}` — merge the patch into the
-/// base session's design and re-predict incrementally.
-fn handle_patch(
-    shared: &Shared,
-    replica: &Replica,
-    entry: &ModelEntry,
-    base: &str,
-    patch: &str,
-    clock_ps: Option<f64>,
-    start: Instant,
-) -> Result<Reply, ReplicaLost> {
-    shared.metrics.eco_requests.fetch_add(1, Ordering::Relaxed);
-    let outcome = match entry.model.predict_patch(&shared.sessions, base, patch) {
-        Ok(o) => o,
-        Err(SessionError::UnknownBase(token)) => {
-            return Ok((
-                404,
-                Vec::new(),
-                error_body(
-                    &format!("unknown base design `{token}` (expired or never registered)"),
-                    "session",
-                ),
-            ))
-        }
-        Err(SessionError::Front(e)) if e.is_budget() => {
-            return Ok((422, Vec::new(), error_body(&e.to_string(), "budget")))
-        }
-        Err(SessionError::Front(e)) => {
-            return Ok((400, Vec::new(), error_body(&e.to_string(), "verilog")))
-        }
-    };
-    check_alive(replica)?;
-    Ok(session_reply(shared, &outcome, clock_ps, start))
 }

@@ -26,16 +26,19 @@ cargo test -q -p sns-netlist -p sns-graphir -p sns-sampler
 
 # No-new-panics gate: the untrusted pipeline (netlist/graphir/sampler),
 # the network-facing serving layer (serve front-end, its binary, and the
-# rt reactor substrate), the virtual synthesizer (labels every
+# rt reactor substrate), the part of sns-core every /predict runs (the
+# staged pipeline, the predictor, sessions and the path cache), the
+# virtual synthesizer (labels every
 # training design — a panic on one odd netlist kills a whole dataset
 # build), and the self-training daemon (long-running; a panic hours into
 # a soak loses the run) must stay free of
 # unwrap/expect/panic!/unreachable! outside tests — every one of these
 # is a remote crash when the input is hostile.
-echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train}/src + rt net)"
+echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train}/src + rt net + core serve path)"
 panic_sites=$(
   for f in crates/netlist/src/*.rs crates/graphir/src/*.rs crates/sampler/src/*.rs \
            crates/serve/src/*.rs crates/serve/src/bin/*.rs crates/rt/src/net.rs \
+           crates/core/src/{pipeline,predictor,session,cache}.rs \
            crates/vsynth/src/*.rs crates/train/src/*.rs crates/train/src/bin/*.rs; do
     # Cut each file at its #[cfg(test)] module; test code may panic freely.
     awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
@@ -44,6 +47,17 @@ panic_sites=$(
 if [ -n "$panic_sites" ]; then
   echo "panic-capable call sites in untrusted-input crates:"
   echo "$panic_sites"
+  exit 1
+fi
+
+# One prediction pipeline: the stages live in sns-core
+# (`SnsModel::predict_with`); the server only supplies hooks, so it must
+# not name the stage internals it would need to grow its own copy.
+echo "==> one-pipeline grep gate (crates/serve/src)"
+copy_sites=$(grep -rnE 'tokenize_paths|PathSampler|GraphIr' crates/serve/src || true)
+if [ -n "$copy_sites" ]; then
+  echo "serve names pipeline stage internals (use SnsModel::predict_with hooks):"
+  echo "$copy_sites"
   exit 1
 fi
 

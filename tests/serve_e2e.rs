@@ -304,6 +304,41 @@ fn zero_deadline_aborts_with_504_before_inference() {
 }
 
 #[test]
+fn zero_deadline_stops_session_and_patch_requests_without_registering() {
+    let model = model();
+    let server = Server::start_shared(
+        Arc::clone(&model),
+        ServeConfig { deadline: Some(Duration::ZERO), ..test_config() },
+    )
+    .unwrap();
+    let addr = server.addr();
+    // An ECO base registered directly on the server's store (a zero
+    // deadline lets no HTTP request register one).
+    let d = &serve_designs()[3];
+    let base = model.predict_session(server.sessions(), &d.verilog, &d.top).unwrap();
+    let session = Json::obj(vec![
+        ("verilog", Json::Str(serve_designs()[4].verilog.clone())),
+        ("top", Json::Str(serve_designs()[4].top.clone())),
+        ("session", Json::Bool(true)),
+    ]);
+    let patch = Json::obj(vec![
+        ("base", Json::Str(base.token.clone())),
+        ("patch", Json::Str(d.verilog.clone())),
+    ]);
+    for body in [session, patch] {
+        let (status, resp) = post_json(addr, "/predict", &body.print());
+        assert_eq!(status, 504, "{}", resp.print());
+        assert_eq!(resp.get("kind").unwrap().as_str().unwrap(), "deadline");
+    }
+    let (_, m) = get(addr, "/metrics");
+    assert_eq!(m.get("deadline_504").unwrap().as_u64().unwrap(), 2);
+    assert_eq!(m.get("session_predicts").unwrap().as_u64().unwrap(), 0);
+    assert_eq!(m.get("sessions").unwrap().as_u64().unwrap(), 1, "only the direct base");
+    assert_eq!(server.sessions().session_count(), 1);
+    server.join();
+}
+
+#[test]
 fn full_queue_sheds_with_503_and_retry_after() {
     // One worker, queue depth one: hold the worker with a deliberately
     // slow request (debug sleep hook), fill the queue slot, and every
@@ -867,6 +902,17 @@ fn eco_session_and_patch_are_bit_identical_and_metered() {
     assert_eq!(m.get("session_predicts").unwrap().as_u64().unwrap(), 2);
     assert_eq!(m.get("eco_requests").unwrap().as_u64().unwrap(), 2);
     assert_eq!(m.get("sessions").unwrap().as_u64().unwrap(), 2);
+    // Session and patch requests run the same staged pipeline as flat
+    // ones: both successful predictions show up in every stage histogram
+    // (the 404 never reached a stage).
+    let stages = m.get("stages_us").unwrap();
+    for stage in ["parse", "sample", "infer", "aggregate", "total"] {
+        assert_eq!(
+            stages.get(stage).unwrap().get("count").unwrap().as_u64().unwrap(),
+            2,
+            "stage {stage} sample count"
+        );
+    }
     let elab = m.get("elab_cache").unwrap();
     let entries = elab.get("entries").unwrap().as_u64().unwrap();
     let misses = elab.get("misses").unwrap().as_u64().unwrap();
