@@ -4,9 +4,10 @@
 //! timing-closure loop); SNS is the trained model's full prediction flow
 //! (parse → GraphIR → sample → Circuitformer → aggregate). The paper's
 //! absolute 760× does not transfer — our baseline is orders of magnitude
-//! faster than Synopsys DC — but the *shape* (speedup grows with design
-//! size; the 16-core stencil shows the largest gap) is what this bench
-//! reports. See EXPERIMENTS.md.
+//! faster than Synopsys DC — so the bench reports the median speedup
+//! next to the mean, how many designs SNS wins, and each design's row
+//! (name, gates, both runtimes) in `BENCH_runtime.json`. See
+//! EXPERIMENTS.md.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -46,18 +47,20 @@ fn main() {
         "design", "gates", "synth ms", "sns ms", "speedup"
     );
     let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut sized: Vec<(u64, f64)> = Vec::new();
+    // (design, gates, synth ms, sns ms, speedup) per design.
+    let mut sized: Vec<(String, u64, f64, f64, f64)> = Vec::new();
     for d in &designs {
         let nl = parse_and_elaborate(&d.verilog, &d.top).expect("catalog design");
         let report = synth.synthesize(&nl);
+        // Every design starts from a cold path cache, so no design is
+        // timed on sequences an earlier one already inferred.
+        model.clear_cache();
         let t0 = Instant::now();
         let _pred = model.predict_netlist(&nl, None);
         let sns_ms = t0.elapsed().as_secs_f64() * 1e3;
         let synth_ms = report.runtime.as_secs_f64() * 1e3;
         let speedup = synth_ms / sns_ms;
-        speedups.push(speedup);
-        sized.push((report.gate_count, speedup));
+        sized.push((d.name.clone(), report.gate_count, synth_ms, sns_ms, speedup));
         let mark = if highlights.contains(&d.name) { "  <-- paper highlight" } else { "" };
         println!(
             "{:<26} {:>10} {:>12.2} {:>12.2} {:>8.2}x{mark}",
@@ -65,15 +68,29 @@ fn main() {
         );
         rows.push(format!("{},{},{synth_ms},{sns_ms},{speedup}", d.name, report.gate_count));
     }
+    let mut speedups: Vec<f64> = sized.iter().map(|r| r.4).collect();
+    speedups.sort_by(f64::total_cmp);
     let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
-    println!("\naverage speedup: {avg:.1}x (paper, vs Synopsys DC: 760x)");
+    let mid = speedups.len() / 2;
+    let median = if speedups.len().is_multiple_of(2) {
+        0.5 * (speedups[mid - 1] + speedups[mid])
+    } else {
+        speedups[mid]
+    };
+    let sns_faster = speedups.iter().filter(|&&s| s > 1.0).count();
+    println!(
+        "\nspeedup: median {median:.2}x, mean {avg:.2}x; SNS faster on {sns_faster} of {} designs \
+         (paper, vs Synopsys DC: 760x)",
+        speedups.len()
+    );
 
     // Shape check: speedup should grow with design size.
-    sized.sort_by_key(|&(g, _)| g);
-    let small_avg: f64 =
-        sized[..sized.len() / 3].iter().map(|&(_, s)| s).sum::<f64>() / (sized.len() / 3) as f64;
-    let large_avg: f64 = sized[2 * sized.len() / 3..].iter().map(|&(_, s)| s).sum::<f64>()
-        / (sized.len() - 2 * sized.len() / 3) as f64;
+    sized.sort_by_key(|r| r.1);
+    let third_mean = |rows: &[(String, u64, f64, f64, f64)]| {
+        rows.iter().map(|r| r.4).sum::<f64>() / rows.len() as f64
+    };
+    let small_avg = third_mean(&sized[..sized.len() / 3]);
+    let large_avg = third_mean(&sized[2 * sized.len() / 3..]);
     println!(
         "shape: mean speedup small third {small_avg:.2}x vs large third {large_avg:.2}x — {}",
         if large_avg > small_avg {
@@ -180,10 +197,13 @@ fn main() {
 
     let design_json: Vec<Json> = sized
         .iter()
-        .map(|&(gates, speedup)| {
+        .map(|(name, gates, synth_ms, sns_ms, speedup)| {
             Json::obj(vec![
-                ("gates", Json::UInt(gates)),
-                ("speedup_vs_synth", Json::Num(speedup)),
+                ("design", Json::Str(name.clone())),
+                ("gates", Json::UInt(*gates)),
+                ("synth_ms", Json::Num(*synth_ms)),
+                ("sns_ms", Json::Num(*sns_ms)),
+                ("speedup_vs_synth", Json::Num(*speedup)),
             ])
         })
         .collect();
@@ -192,7 +212,9 @@ fn main() {
         &Json::obj(vec![
             ("suite", Json::Str("fig7_runtime".to_string())),
             ("designs", Json::Int(designs.len() as i64)),
+            ("median_speedup_vs_synth", Json::Num(median)),
             ("avg_speedup_vs_synth", Json::Num(avg)),
+            ("sns_faster", Json::Int(sns_faster as i64)),
             ("per_design", Json::Arr(design_json)),
             ("batch_scaling", Json::Arr(batch_json)),
         ]),

@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the hot paths of the SNS pipeline: Verilog
 //! front-end, GraphIR construction, path sampling, Circuitformer
-//! inference, unit characterization, and virtual-synthesizer STA.
+//! inference (whole model at the fast shape, per layer at paper shape),
+//! unit characterization, and virtual-synthesizer STA.
 //!
 //! Run with `cargo bench -p sns-bench --bench micro_kernels`.
 
@@ -12,7 +13,11 @@ use sns_circuitformer::{Circuitformer, CircuitformerConfig};
 use sns_designs::cores;
 use sns_graphir::{GraphIr, VocabType};
 use sns_netlist::{parse_and_elaborate, parse_source};
-use sns_nn::Mat;
+use sns_nn::act::bias_gelu_in_place;
+use sns_nn::{
+    LayerNorm, Linear, Mat, MultiHeadAttention, PackedAttention, PackedB, PackedLinear,
+    ParamRegistry, SeqSpan,
+};
 use sns_sampler::{PathSampler, SampleConfig};
 use sns_vsynth::{unit_physical, CellLibrary, SynthOptions, VirtualSynthesizer};
 
@@ -41,7 +46,7 @@ fn main() {
         for &n in &[128usize, 512, 2304] {
             let a = rand_mat(&mut gemm_rng, t, 128);
             let b = rand_mat(&mut gemm_rng, 128, n);
-            let pb = sns_nn::PackedB::pack(b.as_slice(), 128, n);
+            let pb = PackedB::pack(b.as_slice(), 128, n);
             let blocked = bench(&format!("gemm_blocked_{t}x128x{n}"), || a.matmul(&b));
             let prepacked =
                 bench(&format!("gemm_prepacked_{t}x128x{n}"), || a.matmul_prepacked(&pb));
@@ -118,6 +123,46 @@ fn main() {
         results.push(batched);
         results.push(sequential);
     }
+
+    // One encoder block's layers at paper shape (FFN 2304) on T = 165
+    // rows (the ladder's mean packed batch), split into 15 spans of 11
+    // tokens for attention. These
+    // rows split Circuitformer compute the way `Block::infer` runs it:
+    // `ff1` is FF1's GEMM alone, `gelu` the fused bias+GELU epilogue on
+    // its output (including a copy of that output, standing in for the
+    // GEMM's write), `ff2` the second GEMM plus its bias.
+    let paper = CircuitformerConfig::paper();
+    let t = 165;
+    let mut reg = ParamRegistry::new();
+    let ln = LayerNorm::new(&mut reg, paper.dim);
+    let mha = MultiHeadAttention::new(&mut reg, paper.dim, paper.heads, &mut rng);
+    let attn = PackedAttention::pack(&mha);
+    let ff1 = Linear::new(&mut reg, paper.dim, paper.ffn_dim, &mut rng);
+    let ff1_w = PackedB::pack(ff1.weight().as_slice(), paper.dim, paper.ffn_dim);
+    let ff2 = PackedLinear::pack(&Linear::new(&mut reg, paper.ffn_dim, paper.dim, &mut rng));
+    let spans: Vec<SeqSpan> = (0..t / 11).map(|i| SeqSpan::dense(i * 11, 11)).collect();
+    let x = rand_mat(&mut rng, t, paper.dim);
+    let h = x.matmul_prepacked(&ff1_w);
+    let mut g = h.clone();
+    bias_gelu_in_place(g.as_mut_slice(), ff1.bias());
+    let mut epilogue = h.clone();
+    let ffn_gflop = 2.0 * (t * paper.dim * paper.ffn_dim) as f64 * 1e-9;
+    let layer_rows = [
+        bench("cf_paper_ln_t165", || ln.infer(&x)),
+        bench("cf_paper_attn_t165", || attn.infer_masked(&x, &spans)),
+        bench("cf_paper_ff1_t165", || x.matmul_prepacked(&ff1_w)),
+        bench("cf_paper_gelu_t165", || {
+            epilogue.as_mut_slice().copy_from_slice(h.as_slice());
+            bias_gelu_in_place(epilogue.as_mut_slice(), ff1.bias());
+        }),
+        bench("cf_paper_ff2_t165", || ff2.infer(&g)),
+    ];
+    println!(
+        "    -> paper shape T={t}: ff1 {:.1} GFLOP/s, ff2 {:.1} GFLOP/s",
+        ffn_gflop / layer_rows[2].min.as_secs_f64(),
+        ffn_gflop / layer_rows[4].min.as_secs_f64()
+    );
+    results.extend(layer_rows);
 
     // Virtual synthesizer.
     let lib = CellLibrary::freepdk15();

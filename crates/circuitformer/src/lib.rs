@@ -132,11 +132,12 @@ impl Block {
         };
         let x1 = x.add(&a);
         let n2 = self.ln2.infer(&x1);
-        let h = match packed {
-            Some(p) => p.ff1.infer(&n2),
-            None => self.ff1.infer(&n2),
+        // FF1's bias and GELU run in place on the fresh GEMM output, so the
+        // [T, ffn_dim] activation is touched once after the GEMM writes it.
+        let g = match packed {
+            Some(p) => p.ff1.infer_gelu(&n2),
+            None => self.ff1.infer_gelu(&n2),
         };
-        let g = Gelu.infer(&h);
         let f = match packed {
             Some(p) => p.ff2.infer(&g),
             None => self.ff2.infer(&g),
@@ -402,11 +403,10 @@ impl Circuitformer {
         for (i, span) in spans.iter().enumerate() {
             cls.row_mut(i).copy_from_slice(n.row(span.start));
         }
-        let h = match &self.packed {
-            Some(p) => p.head1.infer(&cls),
-            None => self.head1.infer(&cls),
+        let g = match &self.packed {
+            Some(p) => p.head1.infer_gelu(&cls),
+            None => self.head1.infer_gelu(&cls),
         };
-        let g = Gelu.infer(&h);
         let out = self.head2.infer(&g);
         (0..spans.len()).map(|i| [out.get(i, 0), out.get(i, 1), out.get(i, 2)]).collect()
     }

@@ -1,4 +1,10 @@
 //! Elementwise activations with exact backward passes.
+//!
+//! Every tanh here — [`Tanh`], [`Gelu`] and the GRU gates — goes through
+//! the crate-owned [`tanh`], never the platform libm: it is built from
+//! IEEE `+ × ÷` and `clamp` only, so the scalar loop and every SIMD lane
+//! round identically (the GEMM's K-order contract applied to
+//! activations) and predictions do not depend on the host's `tanhf`.
 
 use crate::mat::Mat;
 
@@ -50,13 +56,13 @@ impl Tanh {
 
     /// Inference-only forward (no saved context).
     pub fn infer(&self, x: &Mat) -> Mat {
-        x.map(f32::tanh)
+        x.map(tanh)
     }
 
     /// Backward pass.
     pub fn backward(&self, ctx: &ActCtx, dy: &Mat) -> Mat {
         let d = ctx.x.map(|v| {
-            let t = v.tanh();
+            let t = tanh(v);
             1.0 - t * t
         });
         dy.hadamard(&d)
@@ -99,7 +105,9 @@ impl Gelu {
 
     /// Inference-only forward (no saved context).
     pub fn infer(&self, x: &Mat) -> Mat {
-        x.map(gelu)
+        let mut y = x.clone();
+        gelu_in_place(y.as_mut_slice());
+        y
     }
 
     /// Backward pass (derivative of the tanh approximation).
@@ -109,15 +117,103 @@ impl Gelu {
     }
 }
 
+/// Where [`tanh`] saturates: the rational form below rounds to exactly
+/// `1.0f32` here and rises monotonically up to it.
+const TANH_CLAMP: f32 = 9.0;
+
+/// Hyperbolic tangent, owned by this crate.
+///
+/// Eigen's degree-13/6 float minimax rational `x·P(x²)/Q(x²)` on `x`
+/// clamped to ±[`TANH_CLAMP`], evaluated in f64 from IEEE `+ × ÷` only
+/// (no `mul_add`, no libm) and rounded once to f32. The single rounding
+/// makes it odd, bounded by 1 and monotone, with max abs error 2.4e-7
+/// against the true tanh; an f32 quotient of two separately rounded
+/// polynomials wobbles by up to 8 ulp near saturation. NaN stays NaN.
+#[inline(always)]
+pub fn tanh(x: f32) -> f32 {
+    let x = f64::from(x.clamp(-TANH_CLAMP, TANH_CLAMP));
+    let x2 = x * x;
+    let mut p = x2 * -2.760_768_477_423_55e-16 + 2.000_187_904_824_77e-13;
+    p = x2 * p + -8.604_671_522_137_35e-11;
+    p = x2 * p + 5.122_297_090_371_14e-8;
+    p = x2 * p + 1.485_722_357_179_79e-5;
+    p = x2 * p + 6.372_619_288_754_36e-4;
+    p = x2 * p + 4.893_524_558_917_86e-3;
+    let mut q = x2 * 1.198_258_394_667_02e-6 + 1.185_347_056_866_54e-4;
+    q = x2 * q + 2.268_434_632_439e-3;
+    q = x2 * q + 4.893_525_185_543_85e-3;
+    (x * p / q) as f32
+}
+
+/// Scalar GELU (tanh approximation).
+#[inline(always)]
 fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh(GELU_C * (x + 0.044715 * x * x * x)))
 }
 
 fn gelu_deriv(x: f32) -> f32 {
     let u = GELU_C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
+    let t = tanh(u);
     let du = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+}
+
+/// `x[i] = gelu(x[i])`, bit-identical to mapping the scalar GELU.
+pub fn gelu_in_place(x: &mut [f32]) {
+    gelu_dispatch(x, &[]);
+}
+
+/// `x[r, c] = gelu(x[r, c] + bias[c])` over the rows of `x`, each
+/// `bias.len()` wide: a linear layer's bias and GELU in one pass over its
+/// fresh GEMM output, bit-identical to adding the bias and then mapping
+/// the scalar GELU.
+///
+/// # Panics
+///
+/// Panics if `bias` is empty or does not divide `x` into whole rows.
+pub fn bias_gelu_in_place(x: &mut [f32], bias: &[f32]) {
+    assert!(!bias.is_empty() && x.len().is_multiple_of(bias.len()), "bias width");
+    gelu_dispatch(x, bias);
+}
+
+/// Runs [`gelu_rows`] through its AVX build when the CPU has AVX, chosen
+/// at runtime like the GEMM's `micro_kernel`.
+fn gelu_dispatch(x: &mut [f32], bias: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX probed above.
+        unsafe { gelu_rows_avx(x, bias) };
+        return;
+    }
+    gelu_rows(x, bias);
+}
+
+/// The same loop as [`gelu_rows`], compiled with AVX enabled: wider lanes,
+/// same IEEE operations in the same order, so the same bits.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn gelu_rows_avx(x: &mut [f32], bias: &[f32]) {
+    gelu_rows(x, bias);
+}
+
+/// GELU over `x`, adding `bias` row-wise first unless it is empty.
+#[inline(always)]
+fn gelu_rows(x: &mut [f32], bias: &[f32]) {
+    if bias.is_empty() {
+        for v in x {
+            *v = gelu(*v);
+        }
+        return;
+    }
+    for row in x.chunks_exact_mut(bias.len()) {
+        for (v, b) in row.iter_mut().zip(bias) {
+            *v = gelu(*v + b);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -182,6 +278,113 @@ mod tests {
                 Gelu.backward(&c, dy)
             },
         );
+    }
+
+    /// The grid of the accuracy and monotonicity tests: [-10, 10] in
+    /// steps of 1e-4.
+    fn grid() -> impl Iterator<Item = f32> {
+        (0..=200_000).map(|i| -10.0 + i as f32 * 1e-4)
+    }
+
+    #[test]
+    fn tanh_is_odd_bounded_and_monotone() {
+        let mut prev = f32::NEG_INFINITY;
+        for x in grid() {
+            let t = tanh(x);
+            assert_eq!(tanh(-x).to_bits(), (-t).to_bits(), "odd at {x}");
+            assert!(t.abs() <= 1.0, "unbounded at {x}: {t}");
+            assert!(t >= prev, "decreasing at {x}: {prev} -> {t}");
+            prev = t;
+        }
+    }
+
+    #[test]
+    fn tanh_edge_values() {
+        assert_eq!(tanh(f32::INFINITY), 1.0);
+        assert_eq!(tanh(f32::NEG_INFINITY), -1.0);
+        assert_eq!(tanh(TANH_CLAMP), 1.0);
+        assert_eq!(tanh(-TANH_CLAMP), -1.0);
+        assert!(tanh(f32::NAN).is_nan());
+        assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn tanh_matches_f64_within_1e_6() {
+        let worst = grid()
+            .map(|x| (f64::from(tanh(x)) - f64::from(x).tanh()).abs())
+            .fold(0.0, f64::max);
+        assert!(worst <= 1e-6, "max abs error {worst:e}");
+    }
+
+    #[test]
+    fn gelu_matches_f64_within_2e_6() {
+        let c = f64::from(GELU_C);
+        let worst = grid()
+            .map(|x| {
+                let x64 = f64::from(x);
+                let want = 0.5 * x64 * (1.0 + (c * (x64 + 0.044715 * x64 * x64 * x64)).tanh());
+                (f64::from(gelu(x)) - want).abs()
+            })
+            .fold(0.0, f64::max);
+        assert!(worst <= 2e-6, "max abs error {worst:e}");
+    }
+
+    /// Seeded random values plus the awkward ones: signed zeros,
+    /// subnormals, and both sides of the clamp point for `x` itself and
+    /// for the tanh argument inside GELU.
+    fn kernel_inputs() -> Vec<f32> {
+        let mut rng = sns_rt::rng::StdRng::seed_from_u64(7);
+        let mut xs: Vec<f32> = (0..4099).map(|_| rng.gen_range(-12.0f32..12.0)).collect();
+        let tiny = f32::from_bits(1);
+        xs.extend([0.0, -0.0, tiny, -tiny, f32::MIN_POSITIVE / 3.0, -f32::MIN_POSITIVE / 3.0]);
+        xs.extend([1e-20, -1e-20, 1e30, -1e30, f32::MAX, f32::MIN]);
+        // The smallest x whose GELU tanh argument reaches the clamp.
+        let (mut lo, mut hi) = (0.0f32, TANH_CLAMP);
+        while lo.next_up() < hi {
+            let mid = 0.5 * (lo + hi);
+            if GELU_C * (mid + 0.044715 * mid * mid * mid) < TANH_CLAMP {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        for edge in [TANH_CLAMP, hi] {
+            for e in [edge, -edge] {
+                xs.extend([e.next_down(), e, e.next_up()]);
+            }
+        }
+        xs
+    }
+
+    #[test]
+    fn gelu_kernel_matches_scalar_bitwise() {
+        let xs = kernel_inputs();
+        let want: Vec<u32> = xs.iter().map(|&v| gelu(v).to_bits()).collect();
+        let mut got = xs.clone();
+        gelu_in_place(&mut got);
+        assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            let mut avx = xs.clone();
+            // SAFETY: AVX probed above.
+            unsafe { gelu_rows_avx(&mut avx, &[]) };
+            assert_eq!(avx.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+        }
+    }
+
+    #[test]
+    fn bias_gelu_matches_add_then_gelu_bitwise() {
+        let xs = kernel_inputs();
+        let bias = [0.5, -0.25, 0.0, -0.0, 3.0, -7.0];
+        let mut xs = xs[..xs.len() / bias.len() * bias.len()].to_vec();
+        xs.rotate_left(1);
+        let want: Vec<u32> = xs
+            .chunks_exact(bias.len())
+            .flat_map(|row| row.iter().zip(&bias).map(|(v, b)| gelu(v + b).to_bits()))
+            .collect();
+        bias_gelu_in_place(&mut xs, &bias);
+        assert_eq!(xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use sns_rt::rng::StdRng;
 
-use crate::act::sigmoid;
+use crate::act::{sigmoid, tanh};
 use crate::gemm::PackedB;
 use crate::linear::Linear;
 use crate::mat::Mat;
@@ -82,7 +82,7 @@ impl Gru {
             let rh = r.hadamard(&h);
             let (nx, _) = self.wh.forward(&x);
             let (nh, _) = self.uh.forward(&rh);
-            let n = nx.add(&nh).map(f32::tanh);
+            let n = nx.add(&nh).map(tanh);
             let one_minus_z = z.map(|v| 1.0 - v);
             let new_h = one_minus_z.hadamard(&n).add(&z.hadamard(&h));
             ctx.h_prev.push(h.clone());
@@ -108,7 +108,7 @@ impl Gru {
             let z = self.wz.infer(&x).add(&self.uz.infer(&h)).map(sigmoid);
             let r = self.wr.infer(&x).add(&self.ur.infer(&h)).map(sigmoid);
             let rh = r.hadamard(&h);
-            let n = self.wh.infer(&x).add(&self.uh.infer(&rh)).map(f32::tanh);
+            let n = self.wh.infer(&x).add(&self.uh.infer(&rh)).map(tanh);
             let one_minus_z = z.map(|v| 1.0 - v);
             let new_h = one_minus_z.hadamard(&n).add(&z.hadamard(&h));
             hs.row_mut(t).copy_from_slice(new_h.row(0));
@@ -278,7 +278,7 @@ impl PackedGru {
             let nh = rh.matmul_prepacked(&self.uh).add_row_broadcast(&self.bh);
             let mut n = Mat::zeros(1, hd);
             for j in 0..hd {
-                n.row_mut(0)[j] = (gx[2 * hd + j] + nh.row(0)[j]).tanh();
+                n.row_mut(0)[j] = tanh(gx[2 * hd + j] + nh.row(0)[j]);
             }
             let one_minus_z = z.map(|v| 1.0 - v);
             let new_h = one_minus_z.hadamard(&n).add(&z.hadamard(&h));

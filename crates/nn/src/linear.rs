@@ -8,6 +8,7 @@
 
 use sns_rt::rng::StdRng;
 
+use crate::act::bias_gelu_in_place;
 use crate::gemm::PackedB;
 use crate::mat::Mat;
 use crate::param::{Grads, Param, ParamRegistry};
@@ -52,6 +53,18 @@ impl PackedLinear {
     /// Panics if `x.cols() != in_dim`.
     pub fn infer(&self, x: &Mat) -> Mat {
         x.matmul_prepacked(&self.w).add_row_broadcast(&self.b)
+    }
+
+    /// `gelu(x W + b)`: the bias and GELU applied in one pass over the
+    /// fresh GEMM output, bit-identical to [`Linear::infer_gelu`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != in_dim`.
+    pub fn infer_gelu(&self, x: &Mat) -> Mat {
+        let mut y = x.matmul_prepacked(&self.w);
+        bias_gelu_in_place(y.as_mut_slice(), &self.b);
+        y
     }
 
     /// Resident bytes of the packed weights (bias excluded — it is not
@@ -137,6 +150,18 @@ impl Linear {
         x.matmul(&self.w.value).add_row_broadcast(self.b.value.row(0))
     }
 
+    /// `gelu(x W + b)` with the bias and GELU fused into one pass over the
+    /// GEMM output: bit-identical to `Gelu.infer(&self.infer(x))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != in_dim`.
+    pub fn infer_gelu(&self, x: &Mat) -> Mat {
+        let mut y = x.matmul(&self.w.value);
+        bias_gelu_in_place(y.as_mut_slice(), self.b.value.row(0));
+        y
+    }
+
     /// Backpropagates `dy` (shape `[n, out_dim]`), returning `dx`.
     pub fn backward(&self, ctx: &LinearCtx, dy: &Mat, grads: &mut Grads) -> Mat {
         // dW = xᵀ dy ; db = column sums of dy ; dx = dy Wᵀ
@@ -167,6 +192,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::act::Gelu;
 
     fn setup() -> (ParamRegistry, Linear) {
         let mut rng = StdRng::seed_from_u64(42);
@@ -254,6 +280,12 @@ mod tests {
                 let got = p.infer(&x);
                 for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{in_dim}x{out_dim} m={m}");
+                }
+                let want = Gelu.infer(&want);
+                for got in [l.infer_gelu(&x), p.infer_gelu(&x)] {
+                    for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "gelu {in_dim}x{out_dim} m={m}");
+                    }
                 }
             }
         }

@@ -301,20 +301,20 @@ impl Mat {
         }
     }
 
-    /// Adds a row vector to every row.
+    /// Adds a row vector to every row, in place on `self` (callers pass
+    /// the fresh GEMM output they own, so nothing is cloned).
     ///
     /// # Panics
     ///
     /// Panics if `bias.len() != self.cols()`.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Mat {
+    pub fn add_row_broadcast(mut self, bias: &[f32]) -> Mat {
         assert_eq!(bias.len(), self.cols, "bias width");
-        let mut out = self.clone();
         for r in 0..self.rows {
-            for (x, b) in out.row_mut(r).iter_mut().zip(bias) {
+            for (x, b) in self.row_mut(r).iter_mut().zip(bias) {
                 *x += b;
             }
         }
-        out
+        self
     }
 
     /// Elementwise product.
@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn broadcast_and_reductions() {
         let m = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = m.add_row_broadcast(&[10.0, 20.0]);
+        let b = m.clone().add_row_broadcast(&[10.0, 20.0]);
         assert_eq!(b, Mat::from_rows(&[&[11.0, 22.0], &[13.0, 24.0]]));
         assert_eq!(m.mean_rows(), Mat::from_rows(&[&[2.0, 3.0]]));
         assert_eq!(m.sum(), 10.0);

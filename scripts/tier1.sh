@@ -50,6 +50,23 @@ if [ -n "$panic_sites" ]; then
   exit 1
 fi
 
+# Libm-free activations: every tanh in the NN substrate and the
+# Circuitformer goes through the crate-owned `sns_nn::act::tanh`, built
+# from IEEE + × ÷ only, so scalar and SIMD lanes round identically and
+# predictions do not depend on the platform libm.
+echo "==> libm-free activation grep gate (crates/{nn,circuitformer}/src)"
+tanh_sites=$(
+  for f in crates/nn/src/*.rs crates/circuitformer/src/*.rs; do
+    # Cut each file at its #[cfg(test)] module; tests compare against libm.
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+  done | grep -E 'f32::tanh|\.tanh\(\)' || true
+)
+if [ -n "$tanh_sites" ]; then
+  echo "libm tanh in the activation path (use sns_nn::act::tanh):"
+  echo "$tanh_sites"
+  exit 1
+fi
+
 # One prediction pipeline: the stages live in sns-core
 # (`SnsModel::predict_with`); the server only supplies hooks, so it must
 # not name the stage internals it would need to grow its own copy.
