@@ -5,12 +5,12 @@
 //! the same design pool) at a different concurrency, against a freshly
 //! started server with cold caches, so the K = 1 level *is* the
 //! sequential baseline: any req/s gain at K ≥ 4 comes from the
-//! event-driven connection core pipelining requests and the per-replica
-//! micro-batchers coalescing concurrent requests' path sequences
-//! through their caches. One request in every [`HEAVY_EVERY`] is a
-//! [`heavy_design`] tail anchor, and each level keeps the better of
-//! [`ATTEMPTS`] fresh-server runs (closed-loop numbers on a shared box
-//! are noisy).
+//! event-driven connection core pipelining requests and from workers
+//! running inference side by side, each request priming its replica's
+//! path cache on its own worker. One request in every [`HEAVY_EVERY`]
+//! is a [`heavy_design`] tail anchor, and each level keeps the better
+//! of [`ATTEMPTS`] fresh-server runs (closed-loop numbers on a shared
+//! box are noisy).
 //!
 //! `SNS_REPLICAS=N` runs every level in **sns-shard mode** (N model
 //! replicas behind the consistent-hash router); the artifact records
@@ -18,7 +18,8 @@
 //! latency/throughput rows.
 //!
 //! Artifact: `BENCH_serve.json` at the repo root (req/s, client-side
-//! p50/p99, shed counts, and per-level batcher stats).
+//! p50/p99, shed counts, and per-level inference counters: primes that
+//! computed anything and the sequences they computed).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -56,8 +57,8 @@ fn serving_model_config() -> SnsTrainConfig {
 }
 
 /// A pool of distinct parameterized designs: enough variety that levels
-/// start cold, enough repeats (TOTAL_REQUESTS > pool) that the cache and
-/// batcher dedup see realistic traffic.
+/// start cold, enough repeats (TOTAL_REQUESTS > pool) that the path
+/// cache sees realistic traffic.
 fn design_pool() -> Vec<Design> {
     let mut pool = Vec::new();
     for lanes in [2u32, 4, 8] {
@@ -162,7 +163,7 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
     let mut rows = Vec::new();
     let mut baseline_rps = 0.0f64;
     for &k in CONCURRENCY {
-        let mut best: Option<(f64, f64, Vec<u64>, [u64; 4])> = None;
+        let mut best: Option<(f64, f64, Vec<u64>, [u64; 3])> = None;
         for _attempt in 0..ATTEMPTS {
             // Same cold start for every level: a fresh server (replica
             // forks start with empty caches) and a cleared replica-0
@@ -201,7 +202,6 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
             let rps = TOTAL_REQUESTS as f64 / wall_s;
             let counters = [
                 metrics.batch_rounds.load(Ordering::Relaxed),
-                metrics.coalesced_jobs.load(Ordering::Relaxed),
                 metrics.batched_seqs.load(Ordering::Relaxed),
                 metrics.rejected_503.load(Ordering::Relaxed),
             ];
@@ -210,18 +210,17 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
                 best = Some((rps, wall_s, lat_us, counters));
             }
         }
-        let Some((rps, wall_s, lat_us, [rounds, jobs, seqs, shed])) = best else {
+        let Some((rps, wall_s, lat_us, [rounds, seqs, shed])) = best else {
             unreachable!("ATTEMPTS >= 1");
         };
         if k == 1 {
             baseline_rps = rps;
         }
         println!(
-            "  [k={k:>2}] {rps:7.2} req/s ({:.2}x vs k=1) | p50 {:7.1} ms  p99 {:7.1} ms | {jobs} jobs in {rounds} rounds ({:.1} jobs/round, {seqs} seqs) | shed {shed}",
+            "  [k={k:>2}] {rps:7.2} req/s ({:.2}x vs k=1) | p50 {:7.1} ms  p99 {:7.1} ms | {seqs} seqs in {rounds} primes | shed {shed}",
             rps / baseline_rps,
             quantile(&lat_us, 0.50),
             quantile(&lat_us, 0.99),
-            if rounds == 0 { 0.0 } else { jobs as f64 / rounds as f64 },
         );
         rows.push(Json::obj(vec![
             ("concurrency", Json::UInt(k as u64)),
@@ -233,7 +232,6 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
             ("p50_ms", Json::Num(quantile(&lat_us, 0.50))),
             ("p99_ms", Json::Num(quantile(&lat_us, 0.99))),
             ("batch_rounds", Json::UInt(rounds)),
-            ("coalesced_jobs", Json::UInt(jobs)),
             ("batched_seqs", Json::UInt(seqs)),
             ("shed_503", Json::UInt(shed)),
         ]));
@@ -242,7 +240,7 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
 }
 
 fn main() {
-    headline("sns-serve: throughput vs concurrency (event-driven core + micro-batching)");
+    headline("sns-serve: throughput vs concurrency (event-driven core, inference on the request's worker)");
 
     // `SNS_REPLICAS=N` sweeps one shard configuration; `SNS_SOAK=1`
     // (what `scripts/serve_soak.sh` sets) soaks both the single-replica

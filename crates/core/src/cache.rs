@@ -262,6 +262,7 @@ impl PathPredictionCache {
     /// Like [`ensure`](Self::ensure), but hands the missing unique
     /// sequences to `predict_batch` in length-bucketed chunks of at most
     /// `batch` sequences, fanning the chunks over `threads` workers.
+    /// Returns how many sequences it computed (the misses it counted).
     ///
     /// Sequences are grouped by exact token length (shortest bucket
     /// first, deterministically) so every chunk's packed forward sees
@@ -273,28 +274,19 @@ impl PathPredictionCache {
     /// # Panics
     ///
     /// Panics if `predict_batch` returns the wrong number of predictions.
-    pub fn ensure_batched<F>(&self, seqs: &[Vec<usize>], threads: usize, batch: usize, predict_batch: F)
+    pub fn ensure_batched<F>(
+        &self,
+        seqs: &[Vec<usize>],
+        threads: usize,
+        batch: usize,
+        predict_batch: F,
+    ) -> usize
     where
         F: Fn(&[&[usize]]) -> Vec<[f64; 3]> + Sync,
     {
         let missing = self.missing_unique(seqs);
         if missing.is_empty() {
-            return;
-        }
-        self.compute_batched(missing, threads, batch, predict_batch);
-    }
-
-    /// The fill half of [`ensure_batched`](Self::ensure_batched):
-    /// computes `missing` (assumed unique, counters already updated) in
-    /// length-bucketed chunks and inserts the results. Exposed so a
-    /// cross-request micro-batcher can coalesce the missing sets of many
-    /// concurrent callers into one fill.
-    pub fn compute_batched<F>(&self, missing: Vec<Vec<usize>>, threads: usize, batch: usize, predict_batch: F)
-    where
-        F: Fn(&[&[usize]]) -> Vec<[f64; 3]> + Sync,
-    {
-        if missing.is_empty() {
-            return;
+            return 0;
         }
         let batch = batch.max(1);
         let mut buckets: BTreeMap<usize, Vec<&Vec<usize>>> = BTreeMap::new();
@@ -321,6 +313,7 @@ impl PathPredictionCache {
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
+        missing.len()
     }
 }
 
@@ -384,13 +377,16 @@ mod tests {
             vec![1], // duplicate
         ];
         let max_chunk = AtomicUsize::new(0);
-        cache.ensure_batched(&seqs, 2, 2, |chunk| {
+        let computed = cache.ensure_batched(&seqs, 2, 2, |chunk| {
             max_chunk.fetch_max(chunk.len(), Ordering::Relaxed);
             // Every chunk is length-uniform.
             assert!(chunk.iter().all(|t| t.len() == chunk[0].len()), "mixed-length chunk");
             chunk.iter().map(|t| [t[0] as f64, t.len() as f64, 0.0]).collect()
         });
         assert!(max_chunk.load(Ordering::Relaxed) <= 2);
+        // The count returned is the unique misses, duplicates and the
+        // cached sequence excluded.
+        assert_eq!((computed, cache.misses()), (7, 7));
         assert_eq!(cache.len(), 8);
         assert_eq!(cache.get(&[3]), Some([3.0, 1.0, 0.0]));
         assert_eq!(cache.get(&[4, 5, 6]), Some([4.0, 3.0, 0.0]));

@@ -123,9 +123,24 @@ fn model_json(model: &SnsModel) -> String {
 }
 
 /// Rebuilds a runnable [`SnsModel`] from its parsed serialized form.
+/// A header the Circuitformer cannot be built or run with is an `Err`,
+/// never a panic at construction or on the first request.
 fn model_from_json(json: &str) -> Result<SnsModel, String> {
     let parsed = sns_rt::json::parse(json).map_err(|e| e.to_string())?;
     let saved = SavedModel::from_json(&parsed).map_err(|e| e.to_string())?;
+    let vocab = Vocab::new();
+    if saved.vocab != vocab.len() {
+        return Err(format!("vocab {} != the {}-token vocabulary", saved.vocab, vocab.len()));
+    }
+    if saved.heads == 0 || saved.dim == 0 || saved.dim % saved.heads != 0 {
+        return Err(format!(
+            "dim {} is not a positive multiple of heads {}",
+            saved.dim, saved.heads
+        ));
+    }
+    if saved.max_len < 2 {
+        return Err(format!("max_len {} leaves no room for a path token", saved.max_len));
+    }
     let cfg = CircuitformerConfig {
         vocab: saved.vocab,
         dim: saved.dim,
@@ -140,7 +155,6 @@ fn model_from_json(json: &str) -> Result<SnsModel, String> {
     if saved.mlps.len() != 3 {
         return Err(format!("expected 3 MLP states, found {}", saved.mlps.len()));
     }
-    let vocab = Vocab::new();
     let mut mlps = [
         AggMlp::new(5 + vocab.len(), 0),
         AggMlp::new(5 + vocab.len(), 0),
@@ -574,6 +588,42 @@ mod tests {
         std::fs::write(dir.join(ZOO_MANIFEST), "{\"models\": []}").unwrap();
         assert!(matches!(load_from_zoo(&dir, None), Err(ZooError::Empty)));
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zoo_rejects_hash_consistent_weights_with_a_bad_header() {
+        let dir = zoo_dir("header");
+        let meta = ZooCheckpointMeta {
+            id: "m0".into(),
+            tech: TechNode::N15,
+            train_steps: 0,
+            labeled_designs: 0,
+            seed: 7,
+        };
+        save_to_zoo(&tiny_model(), &dir, &meta).unwrap();
+        assert!(load_from_zoo(&dir, Some("m0")).is_ok(), "the unedited checkpoint loads");
+        let weights = std::fs::read_to_string(dir.join("m0.json")).unwrap();
+        let manifest = std::fs::read_to_string(dir.join(ZOO_MANIFEST)).unwrap();
+        let good_hash = hash_hex(weights.as_bytes());
+        // heads 0; dim not a multiple of heads (2); a vocab other than
+        // the 79-token one; max_len too short to hold CLS plus a token.
+        for (field, value) in [("heads", 0), ("dim", 33), ("vocab", 80), ("max_len", 1)] {
+            let Json::Obj(mut fields) = sns_rt::json::parse(&weights).unwrap() else {
+                panic!("weights file is not an object");
+            };
+            fields.iter_mut().find(|(k, _)| k == field).unwrap().1 = Json::Int(value);
+            let edited = Json::Obj(fields).print();
+            // Rewrite the manifest hash so the integrity check passes and
+            // only the header check stands between the file and a panic.
+            std::fs::write(dir.join("m0.json"), &edited).unwrap();
+            let rehashed = manifest.replace(&good_hash, &hash_hex(edited.as_bytes()));
+            std::fs::write(dir.join(ZOO_MANIFEST), rehashed).unwrap();
+            assert!(
+                matches!(load_from_zoo(&dir, Some("m0")), Err(ZooError::BadWeights(_))),
+                "{field} = {value} must be rejected as bad weights"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -327,7 +327,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -368,7 +368,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         self.enter()?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -394,7 +394,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         self.enter()?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -407,7 +407,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let value = self.value()?;
             fields.push((key, value));
@@ -425,7 +425,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -484,7 +484,9 @@ impl<'a> Parser<'a> {
                     // byte stream is valid UTF-8 by construction).
                     let rest = &self.bytes[self.pos..];
                     let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    let Some(c) = s.chars().next() else {
+                        return err("unterminated string");
+                    };
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -532,7 +534,7 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
+            .map_err(|_| JsonError(format!("invalid number at byte {start}")))?;
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));

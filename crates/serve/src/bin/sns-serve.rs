@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `--replicas N` (or `SNS_REPLICAS=N`) enables **sns-shard mode**: N
-//! model replicas, each with a private path cache and micro-batcher,
-//! behind a consistent-hash router keyed on design content.
+//! model replicas, each with a private path cache, behind a
+//! consistent-hash router keyed on design content.
 //!
 //! `--zoo DIR` (or `SNS_ZOO_DIR`) points at a versioned model zoo (as
 //! written by `sns-train`); without `--model`/`--train` the latest

@@ -26,14 +26,14 @@
 //!   base ⇒ `404`, `kind: "session"`).
 //! * **`GET /metrics`** — counters, queue/in-flight gauges, cache
 //!   hit/miss statistics, module-elab-cache and session counters,
-//!   micro-batcher coalescing stats, and per-stage log2 latency
+//!   inference (`batcher`) counters, and per-stage log2 latency
 //!   histograms, all maintained on plain atomics.
 //! * **`GET /healthz`** — liveness.
 //!
 //! Every body kind runs sns-core's staged pipeline
 //! ([`SnsModel::predict_with`](sns_core::SnsModel::predict_with)); this
 //! crate only supplies its hooks: stage histograms, deadline and replica
-//! liveness checks, and inference (flat bodies through the micro-batcher).
+//! liveness checks, and inference on the request's own worker.
 //!
 //! ## Event-driven connection core
 //!
@@ -49,27 +49,25 @@
 //! ## Replica sharding (`sns-shard` mode)
 //!
 //! With `SNS_REPLICAS=N` the server runs N model replicas, each owning a
-//! private path-prediction cache and [`MicroBatcher`](batcher::MicroBatcher),
-//! behind a consistent-hash router ([`shard`]) keyed on design content
+//! private path-prediction cache, behind a consistent-hash router
+//! ([`shard`]) keyed on design content
 //! (FNV-128 of the Verilog + top, or of the session base token for ECO
 //! patches). Identical designs always land on the same warm cache;
 //! killing a replica moves only its keys (clean `503`s for requests
 //! caught mid-flight), and a revived replica resumes its old range.
-//! `/metrics` gains per-replica queue depth, shed counts, cache stats,
-//! and reactor loop latency.
+//! `/metrics` gains per-replica routed/shed/in-flight counts, inference
+//! counters and cache stats.
 //!
 //! ## Throughput under concurrency
 //!
-//! Concurrent flat requests do not run inference independently: each
-//! handler submits its *uncached* path sequences to its replica's
-//! [`MicroBatcher`](batcher::MicroBatcher), which serves jobs FIFO in
-//! rounds bounded at about one `SNS_BATCH` of unique sequences —
-//! cross-request de-duplication happens both inside a round (the union
-//! is deduplicated) and through the cache (queued jobs re-filter
-//! against what earlier rounds already computed), so a request's
-//! latency tracks *its own* missing work plus at most one well-packed
-//! forward instead of the largest union in the queue, while identical
-//! concurrent designs still compute once.
+//! Every body kind runs inference on the worker that took the request:
+//! the hook computes the request's *uncached* unique path sequences in
+//! length-bucketed packed forwards of at most `SNS_BATCH` sequences over
+//! `SNS_THREADS` pool threads, and inserts them into the replica's
+//! shared cache, where later requests for the same paths hit. Concurrent
+//! workers keep every core busy; a request's latency tracks its own
+//! missing work and never waits behind another request's round
+//! (DESIGN.md §2d has the measurements behind this choice).
 //!
 //! ## Robustness
 //!
@@ -97,14 +95,12 @@
 //! plus the model-level `SNS_THREADS` / `SNS_BATCH` and the elaboration
 //! budgets above.
 
-pub mod batcher;
 pub mod http;
 pub mod metrics;
 pub(crate) mod reactor;
 pub mod server;
 pub mod shard;
 
-pub use batcher::MicroBatcher;
 pub use http::{HttpError, Request};
 pub use metrics::{
     CacheStats, ElabCacheStats, Histogram, Metrics, ModelTally, ReplicaSnapshot,

@@ -122,22 +122,22 @@ pub struct Metrics {
     /// front-end is supposed to be panic-free, so anything non-zero here
     /// is a bug worth paging on.
     pub panics_total: AtomicU64,
-    /// Current depth of the bounded accept queue.
+    /// Current depth of the bounded dispatch queue.
     pub queue_depth: AtomicU64,
     /// Requests currently being handled by workers.
     pub in_flight: AtomicU64,
-    /// Micro-batcher: fill rounds executed.
+    /// Path-cache primes that computed at least one sequence (exported
+    /// as `batcher.rounds`).
     pub batch_rounds: AtomicU64,
-    /// Micro-batcher: handler jobs coalesced into those rounds (more jobs
-    /// than rounds ⇒ cross-request batching happened).
-    pub coalesced_jobs: AtomicU64,
-    /// Micro-batcher: unique sequences computed across all rounds.
+    /// Sequences those primes computed (`batcher.batched_seqs`), each
+    /// one a path-cache miss the prime counted.
     pub batched_seqs: AtomicU64,
     /// Verilog parse + elaborate latency.
     pub stage_parse: Histogram,
     /// GraphIR construction + path sampling latency.
     pub stage_sample: Histogram,
-    /// Micro-batched Circuitformer inference latency (wait included).
+    /// Circuitformer inference latency: the path-cache prime, computed
+    /// on the request's worker.
     pub stage_infer: Histogram,
     /// Reduction + MLP refinement latency.
     pub stage_aggregate: Histogram,
@@ -176,8 +176,8 @@ impl ModelTally {
 }
 
 /// Per-replica service counters, shared between the router, the
-/// replica's micro-batcher, and the `/metrics` exporter. Plain atomics,
-/// same discipline as [`Metrics`].
+/// request hooks, and the `/metrics` exporter. Plain atomics, same
+/// discipline as [`Metrics`].
 #[derive(Debug, Default)]
 pub struct ReplicaStats {
     /// Requests the router homed on this replica.
@@ -189,17 +189,15 @@ pub struct ReplicaStats {
     pub shed: AtomicU64,
     /// Gauge: routed requests not yet completed or shed.
     pub in_flight: AtomicU64,
-    /// This replica's micro-batcher: fill rounds executed.
+    /// Primes on this replica that computed at least one sequence.
     pub batch_rounds: AtomicU64,
-    /// This replica's micro-batcher: jobs served.
-    pub coalesced_jobs: AtomicU64,
-    /// This replica's micro-batcher: unique sequences computed.
+    /// Sequences those primes computed.
     pub batched_seqs: AtomicU64,
 }
 
 /// A point-in-time view of one replica for the `/metrics` export,
 /// assembled by the server from [`ReplicaStats`], the replica's
-/// liveness flag, its batcher queue, and its private cache.
+/// liveness flag, and its private cache.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplicaSnapshot {
     /// Whether the router currently considers this replica alive.
@@ -212,12 +210,8 @@ pub struct ReplicaSnapshot {
     pub shed: u64,
     /// See [`ReplicaStats::in_flight`].
     pub in_flight: u64,
-    /// Jobs waiting in this replica's micro-batcher queue.
-    pub queue_depth: u64,
     /// See [`ReplicaStats::batch_rounds`].
     pub batch_rounds: u64,
-    /// See [`ReplicaStats::coalesced_jobs`].
-    pub coalesced_jobs: u64,
     /// See [`ReplicaStats::batched_seqs`].
     pub batched_seqs: u64,
     /// This replica's private path-prediction cache.
@@ -226,17 +220,15 @@ pub struct ReplicaSnapshot {
 
 impl ReplicaStats {
     /// Snapshots the atomic counters together with externally owned state
-    /// (liveness, batcher queue depth, cache stats).
-    pub fn snapshot(&self, alive: bool, queue_depth: u64, cache: CacheStats) -> ReplicaSnapshot {
+    /// (liveness, cache stats).
+    pub fn snapshot(&self, alive: bool, cache: CacheStats) -> ReplicaSnapshot {
         ReplicaSnapshot {
             alive,
             routed: self.routed.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            queue_depth,
             batch_rounds: self.batch_rounds.load(Ordering::Relaxed),
-            coalesced_jobs: self.coalesced_jobs.load(Ordering::Relaxed),
             batched_seqs: self.batched_seqs.load(Ordering::Relaxed),
             cache,
         }
@@ -325,12 +317,10 @@ impl Metrics {
                     ("completed", Json::UInt(r.completed)),
                     ("shed", Json::UInt(r.shed)),
                     ("in_flight", Json::UInt(r.in_flight)),
-                    ("queue_depth", Json::UInt(r.queue_depth)),
                     (
                         "batcher",
                         Json::obj(vec![
                             ("rounds", Json::UInt(r.batch_rounds)),
-                            ("coalesced_jobs", Json::UInt(r.coalesced_jobs)),
                             ("batched_seqs", Json::UInt(r.batched_seqs)),
                         ]),
                     ),
@@ -412,7 +402,6 @@ impl Metrics {
                 "batcher",
                 Json::obj(vec![
                     ("rounds", Self::g(&self.batch_rounds)),
-                    ("coalesced_jobs", Self::g(&self.coalesced_jobs)),
                     ("batched_seqs", Self::g(&self.batched_seqs)),
                 ]),
             ),
@@ -486,7 +475,6 @@ mod tests {
         stats.routed.fetch_add(9, Ordering::Relaxed);
         let snap = stats.snapshot(
             true,
-            2,
             CacheStats { entries: 7, capacity: Some(100), hits: 3, misses: 1, evictions: 0 },
         );
         let j = m.to_json(
@@ -521,7 +509,11 @@ mod tests {
         assert_eq!(replicas.len(), 1);
         assert!(replicas[0].get("alive").unwrap().as_bool().unwrap());
         assert_eq!(replicas[0].get("routed").unwrap().as_u64().unwrap(), 9);
-        assert_eq!(replicas[0].get("queue_depth").unwrap().as_u64().unwrap(), 2);
+        // Inference runs on the request's worker: a replica has no queue
+        // of its own, and its prime counters carry no job count.
+        assert!(replicas[0].get("queue_depth").is_err());
+        let batcher = replicas[0].get("batcher").unwrap();
+        assert!(batcher.get("rounds").is_ok() && batcher.get("coalesced_jobs").is_err());
         assert!(j.get("reactor_loop_us").unwrap().get("count").is_ok());
         assert_eq!(j.get("model_swaps").unwrap().as_u64().unwrap(), 0);
         let models = j.get("models").unwrap().as_arr().unwrap();
@@ -538,7 +530,6 @@ mod tests {
             .map(|i| {
                 ReplicaStats::default().snapshot(
                     i != 2,
-                    0,
                     CacheStats {
                         entries: (10 + i) as usize,
                         capacity: Some(100),

@@ -8,14 +8,14 @@
 //!    └── completions + waker ◄──────┘   SnsModel::predict_with(body, ReplicaHooks)
 //!                                        parse ► sample ► infer ► aggregate
 //!                                                           │
-//!                                            prime: batcher_k ► cache_k
+//!                                                  prime: cache_k
 //! ```
 //!
 //! Connection I/O lives entirely on the reactor thread
 //! ([`crate::reactor`]); workers only ever see complete requests, so
 //! inference latency and socket behaviour cannot interfere. In
 //! **shard mode** (`replicas > 1`) each replica owns a full model clone
-//! with a private path cache and micro-batcher; the router keys on
+//! with a private path cache; the router keys on
 //! design content (see [`crate::shard`]) so identical designs always
 //! land on the same warm cache. Replicas can be marked dead
 //! ([`Server::kill_replica`]) — in-flight requests routed there get a
@@ -25,7 +25,8 @@
 //! Every `/predict` body kind (flat, session, ECO patch) runs the core
 //! pipeline under `ReplicaHooks`, which check liveness and the
 //! per-request deadline at every stage boundary — a request that has
-//! blown `SNS_DEADLINE_MS` never starts sampling or inference.
+//! blown `SNS_DEADLINE_MS` never starts sampling or inference — and
+//! fill the replica's path cache on the request's own worker.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -36,14 +37,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sns_core::{
-    load_from_zoo, model_weight_hash, Hooks, Inline, Input, Output, PipelineError, SessionError,
+    load_from_zoo, model_weight_hash, Hooks, Input, Output, PipelineError, SessionError,
     SessionStore, SnsModel, Stage, ZooError,
 };
 use sns_netlist::ModuleElabCache;
 use sns_rt::json::{parse as parse_json, Json};
 use sns_rt::net::Waker;
 
-use crate::batcher::MicroBatcher;
 use crate::http::{build_response, Request};
 use crate::metrics::{
     CacheStats, ElabCacheStats, Metrics, ModelTally, ReplicaSnapshot, ReplicaStats,
@@ -51,10 +51,10 @@ use crate::metrics::{
 use crate::reactor::reactor_loop;
 use crate::shard::{design_key, token_key, HashRing};
 
-/// Locks a mutex, recovering the guard from a poisoned lock. The values
-/// behind every lock in this crate are state machines that tolerate a
-/// panicked writer (worst case: one request's round is re-run), and the
-/// serve front-end is required to be panic-free anyway.
+/// Locks a mutex, recovering the guard from a poisoned lock. Every lock
+/// in this crate guards a slot, registry or queue whose updates are a
+/// single store, push or pop, so a panicked writer leaves it consistent,
+/// and the serve front-end is required to be panic-free anyway.
 pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -189,16 +189,14 @@ pub(crate) struct Completion {
 }
 
 /// One generation of the model behind a replica slot: the model clone
-/// with its private path cache, the micro-batcher filling that cache,
-/// and the zoo identity the server reports for every prediction it
-/// makes. Hot-swapping installs a new `Arc<ModelEntry>` in the slot;
-/// requests already holding the old `Arc` finish on the model they
-/// started with (bit-identical to a direct call on it), and the old
-/// generation — batcher thread included — is torn down when the last
-/// in-flight holder drops it.
+/// with its private path cache, and the zoo identity the server reports
+/// for every prediction it makes. Hot-swapping installs a new
+/// `Arc<ModelEntry>` in the slot; requests already holding the old `Arc`
+/// finish on the model they started with (bit-identical to a direct call
+/// on it), and the old generation is freed when the last in-flight
+/// holder drops it.
 pub(crate) struct ModelEntry {
     pub model: Arc<SnsModel>,
-    pub batcher: MicroBatcher,
     pub model_id: String,
     pub weight_hash: String,
     pub tally: Arc<ModelTally>,
@@ -210,7 +208,7 @@ pub(crate) struct ModelEntry {
 /// only the entry changes.
 pub(crate) struct Replica {
     pub entry: Mutex<Arc<ModelEntry>>,
-    pub stats: Arc<ReplicaStats>,
+    pub stats: ReplicaStats,
     pub alive: AtomicBool,
 }
 
@@ -303,17 +301,11 @@ impl Server {
         let metrics = Arc::new(Metrics::default());
         let weight_hash = model_weight_hash(&model);
         let tally = Arc::new(ModelTally::default());
-        let replica_count = config.replicas.max(1);
-        let stats: Vec<Arc<ReplicaStats>> =
-            (0..replica_count).map(|_| Arc::new(ReplicaStats::default())).collect();
-        let entries =
-            build_entries(&model, model_id, &weight_hash, &tally, &config, &metrics, &stats)?;
-        let replicas: Vec<Replica> = entries
+        let replicas: Vec<Replica> = build_entries(&model, model_id, &weight_hash, &tally, &config)
             .into_iter()
-            .zip(&stats)
-            .map(|(entry, stats)| Replica {
+            .map(|entry| Replica {
                 entry: Mutex::new(entry),
-                stats: Arc::clone(stats),
+                stats: ReplicaStats::default(),
                 alive: AtomicBool::new(true),
             })
             .collect();
@@ -328,7 +320,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let waker = Waker::new()?;
         let sessions = SessionStore::new(config.session_cap, config.elab_cache_cap);
-        let ring = HashRing::new(replica_count);
+        let ring = HashRing::new(replicas.len());
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             config,
@@ -462,9 +454,8 @@ impl Server {
         self.shared.waker.wake();
     }
 
-    /// Drains in-flight work and joins every thread (reactor, workers,
-    /// per-replica micro-batchers). Implies
-    /// [`request_shutdown`](Self::request_shutdown).
+    /// Drains in-flight work and joins every thread (reactor, workers).
+    /// Implies [`request_shutdown`](Self::request_shutdown).
     pub fn join(mut self) {
         self.request_shutdown();
         if let Some(r) = self.reactor.take() {
@@ -473,9 +464,6 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Dropping `self` releases the last `Arc<Shared>` (all threads
-        // have exited), which drops every `MicroBatcher`, whose `Drop`
-        // drains any queued round and joins the batcher thread.
     }
 }
 
@@ -535,34 +523,24 @@ fn build_entries(
     weight_hash: &str,
     tally: &Arc<ModelTally>,
     config: &ServeConfig,
-    metrics: &Arc<Metrics>,
-    stats: &[Arc<ReplicaStats>],
-) -> std::io::Result<Vec<Arc<ModelEntry>>> {
-    let mut entries = Vec::with_capacity(stats.len());
-    for (i, stats) in stats.iter().enumerate() {
-        let replica_model = if i == 0 {
-            Arc::clone(model)
-        } else {
-            let fork = model.fork_replica();
-            fork.cache().set_capacity(config.cache_cap);
-            Arc::new(fork)
-        };
-        let batcher = MicroBatcher::start(
-            Arc::clone(&replica_model),
-            config.threads,
-            config.batch,
-            Arc::clone(metrics),
-            Arc::clone(stats),
-        )?;
-        entries.push(Arc::new(ModelEntry {
-            model: replica_model,
-            batcher,
-            model_id: model_id.to_string(),
-            weight_hash: weight_hash.to_string(),
-            tally: Arc::clone(tally),
-        }));
-    }
-    Ok(entries)
+) -> Vec<Arc<ModelEntry>> {
+    (0..config.replicas.max(1))
+        .map(|i| {
+            let model = if i == 0 {
+                Arc::clone(model)
+            } else {
+                let fork = model.fork_replica();
+                fork.cache().set_capacity(config.cache_cap);
+                Arc::new(fork)
+            };
+            Arc::new(ModelEntry {
+                model,
+                model_id: model_id.to_string(),
+                weight_hash: weight_hash.to_string(),
+                tally: Arc::clone(tally),
+            })
+        })
+        .collect()
 }
 
 /// The tally for (`id`, `weight_hash`) in the model registry, appending
@@ -611,21 +589,8 @@ pub(crate) fn reload_from_zoo(
     let sample_config_changed = model.sample_config() != current.model.sample_config();
     let model = Arc::new(model);
     let tally = tally_for(shared, &zoo_entry.id, &zoo_entry.weight_hash);
-    let stats: Vec<Arc<ReplicaStats>> =
-        shared.replicas.iter().map(|r| Arc::clone(&r.stats)).collect();
-    // Build the whole new generation before installing any of it, so a
-    // mid-build failure (batcher thread spawn) leaves the old generation
-    // fully serving.
-    let entries = build_entries(
-        &model,
-        &zoo_entry.id,
-        &zoo_entry.weight_hash,
-        &tally,
-        &shared.config,
-        &shared.metrics,
-        &stats,
-    )
-    .map_err(|e| ReloadError::Zoo(ZooError::Io(e.to_string())))?;
+    let entries =
+        build_entries(&model, &zoo_entry.id, &zoo_entry.weight_hash, &tally, &shared.config);
     for (replica, entry) in shared.replicas.iter().zip(entries) {
         replica.install(entry);
     }
@@ -710,7 +675,6 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                     let cache = entry.model.cache();
                     r.stats.snapshot(
                         r.is_alive(),
-                        entry.batcher.queue_depth() as u64,
                         CacheStats {
                             entries: cache.len(),
                             capacity: cache.capacity(),
@@ -916,12 +880,7 @@ enum Halt {
 struct ReplicaHooks<'a> {
     shared: &'a Shared,
     replica: &'a Replica,
-    entry: &'a ModelEntry,
     deadline: Option<Instant>,
-    /// Flat requests infer through the replica's micro-batcher; session
-    /// and patch requests on their own worker, as queued behind flat rounds
-    /// they idle the other cores (serve_mix ops/s −25% on 2 cores).
-    batched: bool,
 }
 
 impl Hooks for ReplicaHooks<'_> {
@@ -947,17 +906,18 @@ impl Hooks for ReplicaHooks<'_> {
         }
     }
 
-    /// A batched request submits only the sequences missing from the
-    /// pinned generation's cache (concurrent requests for one design share
-    /// the work) and waits for their fill round at most until the
-    /// deadline, which the `Infer` boundary then reports.
+    /// Fills the pinned generation's cache on this worker. A prime that
+    /// computed anything counts as one `batcher` round of that many
+    /// sequences, so `batched_seqs` reconciles with the cache's misses.
     fn prime(&self, model: &SnsModel, seqs: &[Vec<usize>]) {
-        if self.batched {
-            let missing = model.cache().missing_unique(seqs);
-            self.entry.batcher.submit(missing).wait(self.deadline);
-        } else {
-            let c = &self.shared.config;
-            Inline { threads: c.threads, batch: c.batch }.prime(model, seqs);
+        let c = &self.shared.config;
+        let computed = model.prime_path_cache(seqs, c.threads, c.batch) as u64;
+        if computed > 0 {
+            let (m, r) = (&self.shared.metrics, &self.replica.stats);
+            m.batch_rounds.fetch_add(1, Ordering::Relaxed);
+            m.batched_seqs.fetch_add(computed, Ordering::Relaxed);
+            r.batch_rounds.fetch_add(1, Ordering::Relaxed);
+            r.batched_seqs.fetch_add(computed, Ordering::Relaxed);
         }
     }
 }
@@ -998,8 +958,8 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
     replica.stats.routed.fetch_add(1, Ordering::Relaxed);
     replica.stats.in_flight.fetch_add(1, Ordering::Relaxed);
 
-    // Pin one model generation for the whole request: model, batcher,
-    // and cache all come from this entry, so a concurrent hot-swap can
+    // Pin one model generation for the whole request: model and cache
+    // both come from this entry, so a concurrent hot-swap can
     // never mix generations mid-pipeline — the response is bit-identical
     // to a direct call on the model the request started with, and the
     // headers below say which one that was.
@@ -1029,7 +989,7 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
 /// pipeline ([`SnsModel::predict_with`]) under [`ReplicaHooks`] and maps
 /// the outcome onto a reply (a mid-flight replica loss is a clean `503`).
 /// Responses are bit-identical to the direct call on the pinned model:
-/// the batcher fills the same cache with the same pure function.
+/// the hooks fill the same cache with the same pure function.
 fn predict_on_replica(
     shared: &Shared,
     index: u32,
@@ -1040,8 +1000,7 @@ fn predict_on_replica(
 ) -> Reply {
     let replica = &shared.replicas[index as usize];
     let deadline = shared.config.deadline.map(|d| start + d);
-    let batched = matches!(input, Input::Flat { .. });
-    let hooks = ReplicaHooks { shared, replica, entry, deadline, batched };
+    let hooks = ReplicaHooks { shared, replica, deadline };
     if matches!(input, Input::Patch { .. }) {
         shared.metrics.eco_requests.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,9 +1,8 @@
 //! Consistent-hash routing for `sns-shard` mode.
 //!
 //! With N model replicas — each owning a private
-//! [`PathPredictionCache`](sns_core::PathPredictionCache) and
-//! [`MicroBatcher`](crate::MicroBatcher) — the router decides which
-//! replica serves a request. The goal is *cache affinity*: repeated
+//! [`PathPredictionCache`](sns_core::PathPredictionCache) — the router
+//! decides which replica serves a request. The goal is *cache affinity*: repeated
 //! requests for the same design must land on the same replica, so the
 //! per-path predictions it computed the first time are hits the next
 //! time. A round-robin or random router would spray a hot design across

@@ -109,6 +109,26 @@ fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
     (status, parse_json(&body).expect("response body is JSON"))
 }
 
+/// The inference ledger of a single-replica server whose model's cache
+/// started cold and never evicts: every body kind primes through one
+/// hook, so the sequences the hook computed are exactly the cache's
+/// misses, globally and on the replica, and a round computed at least
+/// one sequence.
+fn assert_inference_ledger(m: &Json) {
+    let count = |v: &Json, path: &[&str]| {
+        path.iter().fold(v, |v, key| v.get(key).unwrap()).as_u64().unwrap()
+    };
+    let replicas = m.get("replicas").unwrap().as_arr().unwrap();
+    assert_eq!(replicas.len(), 1);
+    for (scope, v) in [("global", m), ("replica 0", &replicas[0])] {
+        let seqs = count(v, &["batcher", "batched_seqs"]);
+        let rounds = count(v, &["batcher", "rounds"]);
+        assert_eq!(seqs, count(v, &["cache", "misses"]), "{scope}: computed seqs == cache misses");
+        assert_eq!(count(v, &["cache", "evictions"]), 0, "{scope}: the test cache never evicts");
+        assert!(rounds >= 1 && rounds <= seqs, "{scope}: {rounds} rounds for {seqs} seqs");
+    }
+}
+
 fn predict_body(d: &Design) -> String {
     Json::obj(vec![
         ("verilog", Json::Str(d.verilog.clone())),
@@ -121,13 +141,16 @@ fn predict_body(d: &Design) -> String {
 
 #[test]
 fn concurrent_responses_are_bit_identical_to_direct_predictions() {
-    let model = model();
+    // A fork of the shared model: same weights, a private cold cache, so
+    // the inference ledger below counts this test's misses only.
+    let model = Arc::new(model().fork_replica());
     let server = Server::start_shared(Arc::clone(&model), test_config()).unwrap();
     let addr = server.addr();
     let designs = serve_designs();
 
     // 8 clients × 3 requests each, round-robin over the design pool, all
-    // in flight together so the micro-batcher actually coalesces.
+    // in flight together so workers prime the one cache concurrently and
+    // race on the same missing sequences.
     let mut handles = Vec::new();
     for client in 0..8 {
         let designs = designs.clone();
@@ -185,12 +208,8 @@ fn concurrent_responses_are_bit_identical_to_direct_predictions() {
     assert_eq!(m.get("responses").unwrap().get("2xx").unwrap().as_u64().unwrap(), 24);
     assert_eq!(m.get("responses").unwrap().get("4xx").unwrap().as_u64().unwrap(), 0);
     assert_eq!(m.get("responses").unwrap().get("5xx").unwrap().as_u64().unwrap(), 0);
-    // Coalescing invariant: every round serves >= 1 job, and the
-    // per-stage histograms saw every prediction.
-    let batcher = m.get("batcher").unwrap();
-    let rounds = batcher.get("rounds").unwrap().as_u64().unwrap();
-    let jobs = batcher.get("coalesced_jobs").unwrap().as_u64().unwrap();
-    assert!(jobs >= rounds, "jobs {jobs} < rounds {rounds}");
+    assert_inference_ledger(&m);
+    // The per-stage histograms saw every prediction.
     let stages = m.get("stages_us").unwrap();
     for stage in ["parse", "sample", "infer", "aggregate", "total"] {
         assert_eq!(
@@ -811,7 +830,8 @@ fn adversarial_batch_leaves_the_daemon_alive_and_bit_identical() {
 
 #[test]
 fn eco_session_and_patch_are_bit_identical_and_metered() {
-    let model = model();
+    // A private cold cache, as in the concurrent test, for the ledger.
+    let model = Arc::new(model().fork_replica());
     let server = Server::start_shared(Arc::clone(&model), test_config()).unwrap();
     let addr = server.addr();
 
@@ -913,6 +933,8 @@ fn eco_session_and_patch_are_bit_identical_and_metered() {
             "stage {stage} sample count"
         );
     }
+    // Session and patch fills are counted like flat ones.
+    assert_inference_ledger(&m);
     let elab = m.get("elab_cache").unwrap();
     let entries = elab.get("entries").unwrap().as_u64().unwrap();
     let misses = elab.get("misses").unwrap().as_u64().unwrap();
