@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the hot paths of the SNS pipeline: Verilog
 //! front-end, GraphIR construction, path sampling, Circuitformer
 //! inference (whole model at the fast shape, per layer at paper shape),
-//! unit characterization, and virtual-synthesizer STA.
+//! Aggregation-MLP training at the label factory's refit shape, unit
+//! characterization, and virtual-synthesizer STA.
 //!
 //! Run with `cargo bench -p sns-bench --bench micro_kernels`.
 
@@ -10,6 +11,7 @@ use sns_rt::json::Json;
 use sns_rt::rng::StdRng;
 
 use sns_circuitformer::{Circuitformer, CircuitformerConfig};
+use sns_core::aggmlp::{AggMlp, MlpTrainConfig};
 use sns_designs::cores;
 use sns_graphir::{GraphIr, VocabType};
 use sns_netlist::{parse_and_elaborate, parse_source};
@@ -67,6 +69,34 @@ fn main() {
             results.push(blocked);
             results.push(prepacked);
             results.push(naive);
+        }
+    }
+
+    // The label factory's correction refit: one Aggregation-MLP fit at
+    // the replay buffer's shape (64 designs × 84 features, 200 epochs of
+    // one 64-row batch), then the GEMMs inside it — layer 1's forward and
+    // weight gradient, the 32→1 output layer — and attention's a·V
+    // product on a 32-token span (paper head width 64), which shares the
+    // pack-free exact-tile path.
+    let mut mlp_rng = StdRng::seed_from_u64(3);
+    let mlp_data: Vec<(Vec<f32>, f32)> = (0..64)
+        .map(|_| {
+            let f: Vec<f32> = (0..84).map(|_| mlp_rng.gen_range(-1.0f32..1.0)).collect();
+            let t = f[0] - 0.5 * f[1];
+            (f, t)
+        })
+        .collect();
+    let mlp = AggMlp::new(84, 1);
+    let mlp_cfg = MlpTrainConfig { epochs: 200, ..MlpTrainConfig::fast() };
+    results.push(bench("aggmlp_fit_64x84_e200", || mlp.clone().fit(&mlp_data, &mlp_cfg)));
+    for (m, k, n) in [(64usize, 84usize, 32usize), (64, 32, 1), (32, 32, 64)] {
+        let a = rand_mat(&mut gemm_rng, m, k);
+        let b = rand_mat(&mut gemm_rng, k, n);
+        results.push(bench(&format!("gemm_nn_{m}x{k}x{n}"), || a.matmul(&b)));
+        if (m, k, n) == (64, 84, 32) {
+            // Layer 1's weight gradient xᵀ·dy: [84, 64] × [64, 32].
+            let dy = rand_mat(&mut gemm_rng, m, n);
+            results.push(bench("gemm_tn_84x64x32", || a.matmul_tn(&dy)));
         }
     }
 

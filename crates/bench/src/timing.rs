@@ -1,8 +1,9 @@
 //! A small timing harness for the micro-benchmarks: warmup, then a fixed
-//! number of timed samples, reported as min/median per-call times.
+//! number of timed samples, reported as min/median/mean per-call times.
 //!
 //! The min is the best estimate of the kernel's intrinsic cost (least
-//! scheduler noise); the median shows the typical run. No external
+//! scheduler noise); the median shows the typical run, and the mean next
+//! to it shows how far slow samples pull. No external
 //! dependencies, so the benches build with the rest of the hermetic
 //! workspace.
 
@@ -29,17 +30,20 @@ pub struct BenchResult {
     pub min: Duration,
     /// Median sample.
     pub median: Duration,
+    /// Mean over all samples.
+    pub mean: Duration,
 }
 
 impl BenchResult {
     /// A CSV row matching [`csv_header`].
     pub fn csv_row(&self) -> String {
         format!(
-            "{},{},{},{}",
+            "{},{},{},{},{}",
             self.name,
             self.iters_per_sample,
             self.min.as_nanos(),
-            self.median.as_nanos()
+            self.median.as_nanos(),
+            self.mean.as_nanos()
         )
     }
 
@@ -51,6 +55,7 @@ impl BenchResult {
             ("iters_per_sample", Json::UInt(self.iters_per_sample as u64)),
             ("min_ns", Json::UInt(self.min.as_nanos() as u64)),
             ("median_ns", Json::UInt(self.median.as_nanos() as u64)),
+            ("mean_ns", Json::UInt(self.mean.as_nanos() as u64)),
         ])
     }
 }
@@ -65,7 +70,7 @@ pub fn results_to_json(suite: &str, results: &[BenchResult]) -> Json {
 
 /// The header for [`BenchResult::csv_row`] artifacts.
 pub fn csv_header() -> &'static str {
-    "bench,iters_per_sample,min_ns,median_ns"
+    "bench,iters_per_sample,min_ns,median_ns,mean_ns"
 }
 
 /// Formats a per-call duration with an appropriate unit.
@@ -84,8 +89,8 @@ pub fn fmt_duration(d: Duration) -> String {
 
 /// Times `f`: warms up for ~100 ms, picks an iteration count so each
 /// sample lasts ~2 ms, then records [`SAMPLES`] samples and reports the
-/// min and median per-call time. The result of every call goes through
-/// [`black_box`], so the work cannot be optimized away.
+/// min, median and mean per-call time. The result of every call goes
+/// through [`black_box`], so the work cannot be optimized away.
 pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> BenchResult {
     // Warmup doubles as calibration: estimate the per-call cost.
     let warm_start = Instant::now();
@@ -115,12 +120,14 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> BenchResult {
         iters_per_sample: iters,
         min: samples[0],
         median: samples[SAMPLES / 2],
+        mean: samples.iter().sum::<Duration>() / SAMPLES as u32,
     };
     println!(
-        "  {:<32} min {:>12}   median {:>12}   ({} iters/sample)",
+        "  {:<32} min {:>12}   median {:>12}   mean {:>12}   ({} iters/sample)",
         result.name,
         fmt_duration(result.min),
         fmt_duration(result.median),
+        fmt_duration(result.mean),
         result.iters_per_sample
     );
     result
@@ -135,7 +142,7 @@ mod tests {
         // The bound goes through black_box so the fold cannot const-fold
         // to a free call (whose per-call time rounds to 0 ns in release).
         let r = bench("spin", || (0..black_box(100u64)).fold(0, |a, b| a ^ b.wrapping_mul(31)));
-        assert!(r.min <= r.median);
+        assert!(r.min <= r.median && r.min <= r.mean);
         assert!(r.min.as_nanos() > 0);
         assert!(r.iters_per_sample >= 1);
     }

@@ -175,7 +175,8 @@ impl AggMlp {
                 let d2 = Relu.backward(g2, &d2);
                 let d1 = self.l2.backward(c2, &d2, &mut grads);
                 let d1 = Relu.backward(g1, &d1);
-                self.l1.backward(c1, &d1, &mut grads);
+                // Nothing reads the features' gradient: parameters only.
+                self.l1.backward_params(c1, &d1, &mut grads);
                 grads.scale(1.0 / batch.len() as f32);
                 opt.step_visit(&grads, |f| {
                     self.l1.visit_mut(f);
@@ -266,6 +267,81 @@ mod tests {
         let mut unpacked = m.clone();
         unpacked.packed = None;
         assert_eq!(m.predict(&[0.1, 0.2]).to_bits(), unpacked.predict(&[0.1, 0.2]).to_bits());
+    }
+
+    /// `fit` as it was before the first layer dropped its input
+    /// gradient: full [`Linear::backward`] on every layer. The bit-identity
+    /// oracle for [`AggMlp::fit`].
+    fn fit_reference(m: &mut AggMlp, data: &[(Vec<f32>, f32)], config: &MlpTrainConfig) -> Vec<f32> {
+        m.packed = None;
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut opt = Sgd::new(config.lr, config.momentum);
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        let mut curve = Vec::with_capacity(config.epochs);
+        for _ in 0..config.epochs {
+            order.shuffle(&mut rng);
+            let mut epoch_loss = 0.0f64;
+            for batch in order.chunks(config.batch_size) {
+                let rows: Vec<&[f32]> = batch.iter().map(|&i| data[i].0.as_slice()).collect();
+                let x = Mat::from_rows(&rows);
+                let t_rows: Vec<[f32; 1]> = batch.iter().map(|&i| [data[i].1]).collect();
+                let t_refs: Vec<&[f32]> = t_rows.iter().map(|r| r.as_slice()).collect();
+                let t = Mat::from_rows(&t_refs);
+                let (y, ctx) = m.forward(&x);
+                let (loss, dy) = sns_nn::mse_loss(&y, &t);
+                epoch_loss += loss as f64 * batch.len() as f64;
+                let mut grads = Grads::new(&m.registry);
+                let (c1, g1, c2, g2, c3, g3, c4) = &ctx;
+                let d3 = m.out.backward(c4, &dy, &mut grads);
+                let d3 = Relu.backward(g3, &d3);
+                let d2 = m.l3.backward(c3, &d3, &mut grads);
+                let d2 = Relu.backward(g2, &d2);
+                let d1 = m.l2.backward(c2, &d2, &mut grads);
+                let d1 = Relu.backward(g1, &d1);
+                m.l1.backward(c1, &d1, &mut grads);
+                grads.scale(1.0 / batch.len() as f32);
+                opt.step_visit(&grads, |f| {
+                    m.l1.visit_mut(f);
+                    m.l2.visit_mut(f);
+                    m.l3.visit_mut(f);
+                    m.out.visit_mut(f);
+                });
+            }
+            curve.push((epoch_loss / data.len() as f64) as f32);
+        }
+        m.prepack();
+        curve
+    }
+
+    fn weight_bits(m: &AggMlp) -> Vec<u32> {
+        let mut bits = Vec::new();
+        m.visit(&mut |p| bits.extend(p.value.as_slice().iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    /// `fit` is bit-identical to the full-backward reference at the
+    /// correction MLPs' width (84 features), on one full batch, one short
+    /// batch, and a full batch plus a ragged last one.
+    #[test]
+    fn fit_matches_the_full_backward_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let cfg = MlpTrainConfig { epochs: 12, batch_size: 64, lr: 1e-2, momentum: 0.9, seed: 5 };
+        for rows in [64usize, 12, 100] {
+            let data: Vec<(Vec<f32>, f32)> = (0..rows)
+                .map(|_| {
+                    let f: Vec<f32> = (0..84).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                    let t = f[0] - 0.5 * f[1];
+                    (f, t)
+                })
+                .collect();
+            let init = AggMlp::new(84, rows as u64);
+            let (mut fast, mut reference) = (init.clone(), init);
+            let curve = fast.fit(&data, &cfg);
+            let want = fit_reference(&mut reference, &data, &cfg);
+            let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&curve), bits(&want), "{rows}x84 loss curve");
+            assert_eq!(weight_bits(&fast), weight_bits(&reference), "{rows}x84 weights");
+        }
     }
 
     #[test]

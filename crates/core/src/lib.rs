@@ -61,6 +61,6 @@ pub use pipeline::{Hooks, Inline, Input, Output, PipelineError, Stage};
 pub use predictor::{DesignPrediction, SnsModel};
 pub use session::{DesignSession, SessionError, SessionOutcome, SessionStore};
 pub use train::{
-    refit_correction, train_sns, train_sns_on_labeled, FineTuneConfig, FineTuner, SnsTrainConfig,
-    TrainReport,
+    refit_correction, refit_correction_on, train_sns, train_sns_on_labeled, FineTuneConfig,
+    FineTuner, RefitDesign, SnsTrainConfig, TrainReport,
 };

@@ -10,20 +10,23 @@
 //!    per-design features, and train the three Aggregation MLPs against
 //!    the design labels.
 
+use std::collections::HashSet;
+
 use sns_rt::rng::StdRng;
 
 use sns_circuitformer::{
     train as cf_train, Circuitformer, CircuitformerConfig, LabelScaler, TrainConfig, TrainHistory,
 };
 use sns_designs::Design;
-use sns_graphir::{GraphIr, Vocab};
+use sns_graphir::{GraphIr, GraphStats, Vocab};
 use sns_netlist::parse_and_elaborate;
-use sns_sampler::{PathSampler, SampleConfig};
-use sns_vsynth::SynthOptions;
+use sns_sampler::{CircuitPath, PathSampler, SampleConfig};
+use sns_vsynth::{SynthOptions, SynthReport};
 
 use crate::aggmlp::{AggMlp, MlpTrainConfig};
 use crate::cache::PathPredictionCache;
 use crate::dataset::{AugmentConfig, CircuitPathDataset, HardwareDesignDataset, LabeledDesign};
+use crate::pipeline::{Hooks, Inline};
 use crate::predictor::SnsModel;
 
 /// Configuration of the full SNS training flow.
@@ -321,11 +324,43 @@ impl FineTuner {
     }
 }
 
+/// One labeled design as a correction refit reads it: the vsynth report
+/// next to the products of its front-end (parse → elaborate → GraphIR →
+/// sample → tokenize → stats). None of these depends on the model's
+/// weights, so a caller that refits again and again over the same designs
+/// (the label-factory daemon's replay buffer) builds them once, at
+/// labeling time, and [`refit_correction_on`] redoes only the
+/// weight-dependent work: inference, reduction and the MLP fits.
+#[derive(Debug, Clone)]
+pub struct RefitDesign {
+    /// The design's (ground-truth) synthesis report.
+    pub report: SynthReport,
+    /// The sampled paths' token sequences, in path order.
+    pub seqs: Vec<Vec<usize>>,
+    /// The design's graph statistics (Figure 2(c)).
+    pub stats: GraphStats,
+}
+
+impl RefitDesign {
+    /// Keeps the products of an already built front-end: `paths` sampled
+    /// from `graph` under the model's [`SampleConfig`], tokenized with
+    /// `vocab` exactly as [`SnsModel::tokenize_paths`] does.
+    pub fn new(report: SynthReport, graph: &GraphIr, paths: &[CircuitPath], vocab: &Vocab) -> Self {
+        RefitDesign {
+            report,
+            seqs: paths.iter().map(|p| p.token_ids(graph, vocab)).collect(),
+            stats: graph.stats(vocab),
+        }
+    }
+}
+
 /// Refits the correction-ratio scaler and the three Aggregation MLPs on
 /// `entries` against the *current* Circuitformer — the tail of
 /// [`train_sns_on_labeled`], split out so the fine-tune daemon can
 /// periodically re-align the design-level correction after the path
 /// regressor has drifted from its original training distribution.
+///
+/// Runs every design's front-end, then [`refit_correction_on`].
 ///
 /// # Errors
 ///
@@ -339,44 +374,82 @@ pub fn refit_correction(
     fit_correction(model, entries, mlp_train).map(|_| ())
 }
 
+/// [`refit_correction`] over designs whose front-end already ran: one
+/// cache prime over every unique sequence of `designs`, then the
+/// reductions and the MLP fits. Bit-identical to [`refit_correction`] on
+/// the same designs.
+///
+/// # Errors
+///
+/// Returns an error if `designs` is empty; the model is left unchanged.
+pub fn refit_correction_on(
+    model: &mut SnsModel,
+    designs: &[RefitDesign],
+    mlp_train: &MlpTrainConfig,
+) -> Result<(), String> {
+    fit_correction_on(model, designs, mlp_train).map(|_| ())
+}
+
 /// [`refit_correction`], returning the three MLPs' loss curves.
 fn fit_correction(
     model: &mut SnsModel,
     entries: &[&LabeledDesign],
     mlp_train: &MlpTrainConfig,
 ) -> Result<[Vec<f32>; 3], String> {
-    if entries.is_empty() {
+    let sampler = PathSampler::new(model.sample_config().clone());
+    let designs = entries
+        .iter()
+        .map(|e| {
+            let nl = parse_and_elaborate(&e.design.verilog, &e.design.top)
+                .map_err(|err| format!("design `{}`: {err}", e.design.name))?;
+            let graph = GraphIr::from_netlist(&nl);
+            Ok(RefitDesign::new(e.report.clone(), &graph, &sampler.sample(&graph), &model.vocab))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    fit_correction_on(model, &designs, mlp_train)
+}
+
+/// [`refit_correction_on`], returning the three MLPs' loss curves.
+fn fit_correction_on(
+    model: &mut SnsModel,
+    designs: &[RefitDesign],
+    mlp_train: &MlpTrainConfig,
+) -> Result<[Vec<f32>; 3], String> {
+    if designs.is_empty() {
         return Err("refit_correction: no labeled designs".into());
     }
-    let sampler = PathSampler::new(model.sample_config().clone());
-    let mut per_design: Vec<([f64; 3], usize, sns_graphir::GraphStats)> = Vec::new();
-    for e in entries.iter() {
-        let nl = parse_and_elaborate(&e.design.verilog, &e.design.top)
-            .map_err(|err| format!("design `{}`: {err}", e.design.name))?;
-        let graph = GraphIr::from_netlist(&nl);
-        let paths = sampler.sample(&graph);
-        let stats = graph.stats(&model.vocab);
-        let (aggs, _) = model.path_aggregates(&graph, &paths, None);
-        per_design.push((aggs, paths.len(), stats));
-    }
-    let ratios: Vec<[f64; 3]> = per_design
+    let mut seen: HashSet<&[usize]> = HashSet::new();
+    let unique: Vec<Vec<usize>> = designs
         .iter()
-        .zip(entries)
-        .map(|((aggs, _, _), e)| {
+        .flat_map(|d| &d.seqs)
+        .filter(|s| seen.insert(s))
+        .cloned()
+        .collect();
+    Inline::default().prime(model, &unique);
+    // No activity map: every path's power counts in full, and the
+    // critical path's names are not needed.
+    let aggregates: Vec<[f64; 3]> = designs
+        .iter()
+        .map(|d| model.reduce(&d.seqs, d.seqs.iter().map(|_| (1.0, Vec::new))).0)
+        .collect();
+    let ratios: Vec<[f64; 3]> = designs
+        .iter()
+        .zip(&aggregates)
+        .map(|(d, aggs)| {
             [
-                e.report.timing_ps / aggs[0],
-                e.report.area_um2 / aggs[1],
-                e.report.power_mw / aggs[2],
+                d.report.timing_ps / aggs[0],
+                d.report.area_um2 / aggs[1],
+                d.report.power_mw / aggs[2],
             ]
         })
         .collect();
     model.corr_scaler = LabelScaler::fit(&ratios);
     let mut feature_sets: [Vec<(Vec<f32>, f32)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for ((aggs, n_paths, stats), ratio) in per_design.iter().zip(&ratios) {
-        for d in 0..3 {
-            let f = model.features(d, *aggs, *n_paths, stats);
-            let target = model.corr_scaler.transform_dim(d, ratio[d]);
-            feature_sets[d].push((f, target));
+    for ((d, aggs), ratio) in designs.iter().zip(&aggregates).zip(&ratios) {
+        for dim in 0..3 {
+            let f = model.features(dim, *aggs, d.seqs.len(), &d.stats);
+            let target = model.corr_scaler.transform_dim(dim, ratio[dim]);
+            feature_sets[dim].push((f, target));
         }
     }
     let mut curves: [Vec<f32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
@@ -506,6 +579,76 @@ mod tests {
         refit_correction(&mut model, &refs, &cfg).unwrap();
         let pred = model.predict_verilog(&designs[0].verilog, &designs[0].top).unwrap();
         assert!(pred.timing_ps.is_finite() && pred.timing_ps > 0.0);
+    }
+
+    /// Refitting from front-end products built once (the daemon's way:
+    /// from the graph and paths that fed the label) lands on the same
+    /// weights as `refit_correction`'s own front-end, cold cache or warm.
+    #[test]
+    fn refit_from_stored_products_matches_refit_correction() {
+        let designs = tiny_designs();
+        let (model, _) = train_sns(&designs[..2], &tiny_config());
+        let labeled = HardwareDesignDataset::generate(&designs, &SynthOptions::default());
+        let refs: Vec<&LabeledDesign> = labeled.entries.iter().collect();
+        let cfg = MlpTrainConfig { epochs: 20, ..MlpTrainConfig::fast() };
+        let vocab = Vocab::new();
+        let sampler = PathSampler::new(model.sample_config().clone());
+        let stored: Vec<RefitDesign> = labeled
+            .entries
+            .iter()
+            .map(|e| {
+                let nl = parse_and_elaborate(&e.design.verilog, &e.design.top).unwrap();
+                let graph = GraphIr::from_netlist(&nl);
+                RefitDesign::new(e.report.clone(), &graph, &sampler.sample(&graph), &vocab)
+            })
+            .collect();
+
+        let mut want = model.fork_replica();
+        refit_correction(&mut want, &refs, &cfg).unwrap();
+        let want_hash = crate::model_io::model_weight_hash(&want);
+        assert_ne!(want_hash, crate::model_io::model_weight_hash(&model), "refit moved nothing");
+        let warm = model.fork_replica();
+        warm.prime_path_cache(&stored[0].seqs, 1, 4);
+        for mut got in [model.fork_replica(), warm] {
+            refit_correction_on(&mut got, &stored, &cfg).unwrap();
+            assert_eq!(crate::model_io::model_weight_hash(&got), want_hash);
+            let (a, b) = (
+                got.predict_verilog(&designs[3].verilog, &designs[3].top).unwrap(),
+                want.predict_verilog(&designs[3].verilog, &designs[3].top).unwrap(),
+            );
+            assert_eq!(
+                [a.timing_ps, a.area_um2, a.power_mw].map(f64::to_bits),
+                [b.timing_ps, b.area_um2, b.power_mw].map(f64::to_bits)
+            );
+        }
+        assert!(refit_correction_on(&mut model.fork_replica(), &[], &cfg).is_err());
+    }
+
+    /// The documented error contract: a buffer holding one design that
+    /// does not parse fails the refit and leaves the model as it was.
+    #[test]
+    fn failed_refit_leaves_the_model_unchanged() {
+        let designs = tiny_designs();
+        let (mut model, _) = train_sns(&designs[..2], &tiny_config());
+        let mut labeled =
+            HardwareDesignDataset::generate(&designs[..2], &SynthOptions::default()).entries;
+        let mut broken = labeled[0].clone();
+        broken.design.name = "broken".into();
+        broken.design.verilog = "module broken (input a; endmodule".into();
+        labeled.insert(1, broken);
+        let refs: Vec<&LabeledDesign> = labeled.iter().collect();
+        let before_hash = crate::model_io::model_weight_hash(&model);
+        let before = model.predict_verilog(&designs[3].verilog, &designs[3].top).unwrap();
+        let cfg = MlpTrainConfig { epochs: 10, ..MlpTrainConfig::fast() };
+        let err = refit_correction(&mut model, &refs, &cfg).unwrap_err();
+        assert!(err.contains("broken"), "{err}");
+        assert_eq!(crate::model_io::model_weight_hash(&model), before_hash);
+        model.clear_cache();
+        let after = model.predict_verilog(&designs[3].verilog, &designs[3].top).unwrap();
+        assert_eq!(
+            [after.timing_ps, after.area_um2, after.power_mw].map(f64::to_bits),
+            [before.timing_ps, before.area_um2, before.power_mw].map(f64::to_bits)
+        );
     }
 
     #[test]

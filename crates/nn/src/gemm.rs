@@ -11,9 +11,17 @@
 //! * **Shape-aware dispatch.** For `m <= SMALL_M` output rows the packing
 //!   overhead of the blocked driver is paid on `k·n` elements while the
 //!   useful work is only `m·k·n` — at `m = 16` the blocked kernel used to
-//!   *lose* to the naive loop on wide B. Small-m products now route to
+//!   *lose* to the naive loop on wide B. Small-m products route to
 //!   [`gemm_nn_smallm`], an l-outer "jammed" kernel that streams B exactly
 //!   once and keeps a j-tile of the output in L1, with no packing at all.
+//!   In [`gemm_nn`] and [`gemm_tn`], products narrower than one `NR`
+//!   panel run the narrow kernel, eight row dot products side by side, and
+//!   shapes that tile exactly inside one `(jc, lc, ic)` block
+//!   (`m % MR == 0`, `n % NR == 0`, `k <= KC`, `m <= MC`, `n <= NC`) run
+//!   a pack-free tile sweep on AVX hosts: the AVX micro-kernel's
+//!   arithmetic, reading A (or Aᵀ) and B in place. At the Aggregation
+//!   MLPs' training shapes (64×84×32, and 64×32×1 at the output layer)
+//!   the per-call packing otherwise costs as much as the multiply.
 //! * **Prepacked B.** [`PackedB`] stores a weight matrix in exactly the
 //!   `[kc][NR]` panel layout the blocked driver would build per call, so
 //!   [`gemm_prepacked_nn`] skips `pack_b` entirely: the per-call cost at
@@ -45,7 +53,8 @@
 //! entire A row is zero (CLS-only gradient scatters, padded rows) are
 //! detected up front in one cheap scan and skipped as whole micro-tiles.
 //! A zero A row contributes only `±0.0` products whose running sum stays
-//! `+0.0`, so the skip is value-identical too.
+//! `+0.0`, so the skip is value-identical too. The pack-free tile sweep
+//! computes zero rows, as the references do.
 
 use std::cell::RefCell;
 
@@ -109,13 +118,10 @@ fn with_pack_scratch<R>(
 #[inline(always)]
 fn micro_kernel_generic(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    for l in 0..kc {
-        let b: &[f32; NR] = bp[l * NR..l * NR + NR].try_into().expect("NR panel");
-        let a: &[f32; MR] = ap[l * MR..l * MR + MR].try_into().expect("MR panel");
-        for r in 0..MR {
-            let ar = a[r];
-            for c in 0..NR {
-                acc[r][c] += ar * b[c];
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
+        for (row, &ar) in acc.iter_mut().zip(a) {
+            for (c, &bv) in row.iter_mut().zip(b) {
+                *c += ar * bv;
             }
         }
     }
@@ -174,6 +180,98 @@ fn micro_kernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
         return;
     }
     micro_kernel_generic(kc, ap, bp, acc);
+}
+
+/// Whether `[m, k] × [k, n]` tiles exactly into `MR × NR` micro-tiles
+/// inside one `(jc, lc, ic)` block of the blocked driver — the shapes the
+/// pack-free tile sweep serves.
+fn fits_one_block(m: usize, k: usize, n: usize) -> bool {
+    m.is_multiple_of(MR) && n.is_multiple_of(NR) && k <= KC && m <= MC && n <= NC
+}
+
+/// The pack-free tile sweep: `out += A · B` for one-block shapes
+/// ([`fits_one_block`]) on an AVX host, with A read in place through
+/// strides (`a(i, l) = a[i·a_rs + l·a_cs]`, so `Aᵀ` costs nothing) and B
+/// read in place as row-major `[k, n]`. Each output tile accumulates
+/// exactly like [`micro_kernel_avx`] (`vmulps` then `vaddps`, `l`
+/// ascending from the value already in `out`), so it is bit-identical to
+/// the blocked driver and the naive references. Like the references — and
+/// unlike the blocked driver — it computes zero A rows instead of
+/// skipping them. Returns whether it ran; on `false` nothing was written.
+/// The strides are `(k, 1)` for a row-major `[m, k]` A or `(1, m)` for a
+/// row-major `[k, m]` Aᵀ.
+fn try_tile_sweep(
+    (m, k, n): (usize, usize, usize),
+    a: &[f32],
+    (a_rs, a_cs): (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+) -> bool {
+    debug_assert!((a_rs, a_cs) == (k, 1) || (a_rs, a_cs) == (1, m));
+    #[cfg(target_arch = "x86_64")]
+    if fits_one_block(m, k, n)
+        && a.len() == m * k
+        && b.len() == k * n
+        && out.len() == m * n
+        && std::arch::is_x86_feature_detected!("avx")
+    {
+        // SAFETY: AVX probed above; `fits_one_block` makes every MR × NR
+        // tile whole, and the length checks bound every read of `a` (max
+        // index (m-1)·a_rs + (k-1)·a_cs < m·k for both strides), `b` and
+        // `out`.
+        unsafe { tile_sweep_avx(m, k, n, a, a_rs, a_cs, b, out) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (n, a, b, out);
+    false
+}
+
+/// # Safety
+///
+/// AVX must be available, `m % MR == 0`, `n % NR == 0`, and `a`, `b`,
+/// `out` must hold the `[m, k]` (strided), `[k, n]` and `[m, n]` operands.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_sweep_avx(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    b: &[f32],
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let (a_ptr, b_ptr, o_ptr) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    for j0 in (0..n).step_by(NR) {
+        for i0 in (0..m).step_by(MR) {
+            let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+            for (r, accs) in acc.iter_mut().enumerate() {
+                let o = o_ptr.add((i0 + r) * n + j0);
+                accs[0] = _mm256_loadu_ps(o);
+                accs[1] = _mm256_loadu_ps(o.add(8));
+            }
+            for l in 0..k {
+                let bl = b_ptr.add(l * n + j0);
+                let b0 = _mm256_loadu_ps(bl);
+                let b1 = _mm256_loadu_ps(bl.add(8));
+                let al = a_ptr.add(i0 * a_rs + l * a_cs);
+                for (r, accs) in acc.iter_mut().enumerate() {
+                    let ar = _mm256_broadcast_ss(&*al.add(r * a_rs));
+                    accs[0] = _mm256_add_ps(accs[0], _mm256_mul_ps(ar, b0));
+                    accs[1] = _mm256_add_ps(accs[1], _mm256_mul_ps(ar, b1));
+                }
+            }
+            for (r, accs) in acc.iter().enumerate() {
+                let o = o_ptr.add((i0 + r) * n + j0);
+                _mm256_storeu_ps(o, accs[0]);
+                _mm256_storeu_ps(o.add(8), accs[1]);
+            }
+        }
+    }
 }
 
 /// The shared blocked driver. `pack_a(buf, ic, mc, lc, kc)` must fill
@@ -342,15 +440,66 @@ pub fn gemm_nn_smallm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
     }
 }
 
+/// Rows whose dot products [`gemm_narrow`] runs side by side.
+const NARROW_ROWS: usize = 8;
+
+/// The pack-free narrow kernel for `n < NR` — at `n = 1` a matrix–vector
+/// product, like the Aggregation MLPs' 32→1 output layer and its weight
+/// gradient. A is read in place through strides (`a(i, l) =
+/// a[i·a_rs + l·a_cs]`, so `Aᵀ` costs nothing). Per output column,
+/// blocks of [`NARROW_ROWS`] rows accumulate side by side, each element
+/// adding `a(i,l)·b(l,j)` with `l` ascending from the value in `out`: the
+/// references' order, so the result is bit-identical to them. A 16-lane
+/// micro-tile would waste `NR - n` lanes and pay both packing passes, and
+/// the jammed kernel's lone per-row chain waits on every add; eight
+/// independent chains keep the adder busy. Zero rows are computed, as in
+/// the references.
+fn gemm_narrow(
+    (m, k, n): (usize, usize, usize),
+    a: &[f32],
+    (a_rs, a_cs): (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+) {
+    for i0 in (0..m).step_by(NARROW_ROWS) {
+        let rows = NARROW_ROWS.min(m - i0);
+        for j in 0..n {
+            let mut acc = [0.0f32; NARROW_ROWS];
+            for (r, c) in acc.iter_mut().enumerate().take(rows) {
+                *c = out[(i0 + r) * n + j];
+            }
+            for l in 0..k {
+                let bv = b[l * n + j];
+                let al = i0 * a_rs + l * a_cs;
+                for (r, c) in acc.iter_mut().enumerate().take(rows) {
+                    *c += a[al + r * a_rs] * bv;
+                }
+            }
+            for (r, &c) in acc.iter().enumerate().take(rows) {
+                out[(i0 + r) * n + j] = c;
+            }
+        }
+    }
+}
+
 /// `out = a @ b` for row-major `a: [m, k]`, `b: [k, n]`. `out` must be
 /// zeroed (or hold a partial sum over earlier `l`, per the K-order
-/// contract). Products with `m <= SMALL_M` rows dispatch to the
-/// pack-free [`gemm_nn_smallm`]; both variants are bit-identical.
+/// contract). The shape picks one of four bit-identical regimes:
+/// `m <= SMALL_M` rows run the jammed [`gemm_nn_smallm`], `n < NR`
+/// columns the narrow kernel, one-block exact-tile shapes the
+/// pack-free tile sweep on AVX hosts, and everything else the blocked
+/// driver.
 pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     if m <= SMALL_M {
         return gemm_nn_smallm(m, k, n, a, b, out);
+    }
+    if n < NR {
+        return gemm_narrow((m, k, n), a, (k, 1), b, out);
+    }
+    if try_tile_sweep((m, k, n), a, (k, 1), b, out) {
+        return;
     }
     let zr = zero_rows(a, m, k);
     gemm_driver(
@@ -382,10 +531,18 @@ pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 }
 
 /// `out = aᵀ @ b` for row-major `a: [k, m]`, `b: [k, n]` — the transpose
-/// is absorbed into the A-panel packing, never materialized.
+/// is absorbed into the A-panel packing, or into the strided reads of
+/// the narrow kernel (`n < NR`) and of the pack-free tile sweep (one-block
+/// exact-tile shapes on AVX hosts); it is never materialized.
 pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
+    if n < NR {
+        return gemm_narrow((m, k, n), a, (1, m), b, out);
+    }
+    if try_tile_sweep((m, k, n), a, (1, m), b, out) {
+        return;
+    }
     gemm_driver(
         m,
         k,
@@ -679,6 +836,34 @@ mod tests {
         }
     }
 
+    /// The dispatch edges of [`gemm_nn`](super::gemm_nn) and
+    /// [`gemm_tn`](super::gemm_tn): small-m and narrow (`n < NR`)
+    /// products, exact-tile one-block shapes (the pack-free tile sweep)
+    /// and their off-by-one neighbours on every side of `MR`, `NR`, `KC`
+    /// and `MC` (the blocked driver).
+    #[test]
+    fn pack_free_dispatch_edges_match_references_bitwise() {
+        use super::{KC, MC, MR, SMALL_M};
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut ms = Vec::new();
+        for j in [1usize, 4, 5, 16, 21, MC / MR] {
+            ms.extend([MR * j - 1, MR * j, MR * j + 1]);
+        }
+        assert_eq!(ms.last(), Some(&(MC + 1)));
+        assert!(ms.iter().filter(|&&m| m > SMALL_M).count() >= 12);
+        for &m in &ms {
+            for &k in &[1usize, 84, KC, KC + 1] {
+                for &n in &[1usize, 15, 16, 17, 32, 48] {
+                    let a = rand_mat(&mut rng, m, k);
+                    let b = rand_mat(&mut rng, k, n);
+                    assert_bits(&a.matmul(&b), &a.matmul_ref(&b), "nn-edge", m, k, n);
+                    let at = rand_mat(&mut rng, k, m);
+                    assert_bits(&at.matmul_tn(&b), &at.matmul_tn_ref(&b), "tn-edge", m, k, n);
+                }
+            }
+        }
+    }
+
     fn assert_bits(x: &Mat, y: &Mat, kind: &str, m: usize, k: usize, n: usize) {
         assert_eq!((x.rows(), x.cols()), (y.rows(), y.cols()), "{kind} {m}x{k}x{n}");
         for (i, (a, b)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
@@ -703,6 +888,16 @@ mod tests {
         assert_eq!(a.matmul(&b), a.matmul_ref(&b));
         let bt = rand_mat(&mut rng, 21, 6);
         assert_eq!(a.matmul_nt(&bt), a.matmul_nt_ref(&bt));
+        // An exact-tile shape past SMALL_M: the pack-free sweep computes
+        // the zero rows, with the same bits.
+        let mut a = rand_mat(&mut rng, 20, 8);
+        for r in [0usize, 1, 2, 3, 9, 19] {
+            a.row_mut(r).fill(0.0);
+        }
+        let b = rand_mat(&mut rng, 8, 32);
+        assert_bits(&a.matmul(&b), &a.matmul_ref(&b), "nn-zero", 20, 8, 32);
+        let at = a.transposed();
+        assert_bits(&at.matmul_tn(&b), &at.matmul_tn_ref(&b), "tn-zero", 20, 8, 32);
     }
 
     /// Prepacked GEMM is bit-identical to the per-call paths at shapes

@@ -164,7 +164,16 @@ impl Linear {
 
     /// Backpropagates `dy` (shape `[n, out_dim]`), returning `dx`.
     pub fn backward(&self, ctx: &LinearCtx, dy: &Mat, grads: &mut Grads) -> Mat {
-        // dW = xᵀ dy ; db = column sums of dy ; dx = dy Wᵀ
+        self.backward_params(ctx, dy, grads);
+        // dx = dy Wᵀ
+        dy.matmul_nt(&self.w.value)
+    }
+
+    /// The parameter half of [`backward`](Self::backward): accumulates the
+    /// same weight and bias gradients without computing `dx` — for a first
+    /// layer, whose input gradient nothing reads.
+    pub fn backward_params(&self, ctx: &LinearCtx, dy: &Mat, grads: &mut Grads) {
+        // dW = xᵀ dy ; db = column sums of dy
         grads.accumulate(self.w.id, &ctx.x.matmul_tn(dy));
         let mut db = Mat::zeros(1, self.out_dim);
         for r in 0..dy.rows() {
@@ -173,7 +182,6 @@ impl Linear {
             }
         }
         grads.accumulate(self.b.id, &db);
-        dy.matmul_nt(&self.w.value)
     }
 
     /// Visits this layer's parameters (for optimizers / serialization).

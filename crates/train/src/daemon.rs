@@ -15,6 +15,19 @@
 //! workspace). `tests/train_determinism.rs` sweeps the env knobs and
 //! compares zoo weight hashes.
 //!
+//! ## Replay entries carry their front-end
+//!
+//! Each minted design is parsed and elaborated once. That one netlist
+//! feeds the vsynth label, and its GraphIR, sampled paths, token
+//! sequences and graph statistics feed the prequential prediction
+//! ([`SnsModel::prime_path_cache`] + [`SnsModel::predict_primed`],
+//! bit-identical to [`SnsModel::predict_verilog`]). The replay buffer
+//! keeps each design as a [`RefitDesign`]: its report plus those
+//! weight-independent products. The fine-tune step reads the stored
+//! sequences of the selected designs, and a correction refit
+//! ([`refit_correction_on`]) redoes only what depends on the weights —
+//! one cache prime over the buffer, the reductions and the MLP fits.
+//!
 //! ## Technology corners
 //!
 //! Path-level physics (Circuitformer labels) stay at the cell library's
@@ -25,14 +38,15 @@
 
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use sns_circuitformer::{CircuitformerConfig, TrainConfig};
 use sns_conformance::{generate, GenConfig};
 use sns_core::aggmlp::MlpTrainConfig;
 use sns_core::dataset::{label_path_tokens, AugmentConfig, LabeledDesign};
 use sns_core::{
-    refit_correction, save_to_zoo, train_sns_on_labeled, DesignPrediction, FineTuneConfig,
-    FineTuner, SnsModel, SnsTrainConfig, ZooCheckpointMeta, ZooEntry,
+    refit_correction_on, save_to_zoo, train_sns_on_labeled, DesignPrediction, FineTuneConfig,
+    FineTuner, RefitDesign, SnsModel, SnsTrainConfig, ZooCheckpointMeta, ZooEntry,
 };
 use sns_designs::Design;
 use sns_genmodel::{MarkovArm, PathValidator};
@@ -40,7 +54,7 @@ use sns_graphir::{GraphIr, Vocab};
 use sns_netlist::parse_and_elaborate;
 use sns_rt::env_knob;
 use sns_rt::rng::StdRng;
-use sns_sampler::{PathSampler, SampleConfig};
+use sns_sampler::{CircuitPath, PathSampler, SampleConfig};
 use sns_vsynth::{
     scale_area, scale_delay, scale_power, SynthReport, TechNode, UnitCache,
     VirtualSynthesizer,
@@ -215,7 +229,8 @@ pub struct TrainDaemon {
     tuner: FineTuner,
     arm: MarkovArm,
     arm_rng: StdRng,
-    replay: Vec<LabeledDesign>,
+    /// Labeled designs with their front-end products, oldest first.
+    replay: Vec<RefitDesign>,
     synth: VirtualSynthesizer,
     vocab: Vocab,
     validator: PathValidator,
@@ -246,9 +261,13 @@ impl TrainDaemon {
         let synth = VirtualSynthesizer::new(config.bootstrap.synth.clone());
         let mut design_counter = 0u64;
         let mut labeled = Vec::with_capacity(config.bootstrap_designs);
+        let mut replay = Vec::with_capacity(config.bootstrap_designs);
         for _ in 0..config.bootstrap_designs {
             let design = mint_design(config.seed, &mut design_counter, &config.gen);
-            labeled.push(label_design(&synth, design, config.tech)?);
+            let (entry, _, _) =
+                label_design(&synth, &design, config.tech, &config.bootstrap.sample, &vocab)?;
+            labeled.push(LabeledDesign { design, report: entry.report.clone() });
+            replay.push(entry);
         }
         let refs: Vec<&LabeledDesign> = labeled.iter().collect();
         let (model, _report) = train_sns_on_labeled(&refs, &config.bootstrap);
@@ -257,7 +276,7 @@ impl TrainDaemon {
             arm_rng: StdRng::seed_from_u64(config.seed ^ 0x4D41_524B),
             model,
             tuner: FineTuner::new(config.fine_tune.clone()),
-            replay: labeled,
+            replay,
             synth,
             vocab,
             validator,
@@ -300,23 +319,28 @@ impl TrainDaemon {
     /// checkpoint fails; the loop can be resumed after a failed step.
     pub fn step(&mut self) -> Result<StepStats, String> {
         let step_idx = self.steps_done;
-        // 1. Mint and label this step's batch.
+        // 1. Mint and label this step's batch; 2. prequential
+        // disagreement: model vs oracle, before updating. One front-end
+        // per design feeds the label, the prediction and the replay entry.
+        let threads = sns_rt::pool::default_threads();
+        let batch = sns_rt::pool::default_batch();
         let mut minted = Vec::with_capacity(self.config.designs_per_step);
+        let mut errs = Vec::with_capacity(self.config.designs_per_step);
         for _ in 0..self.config.designs_per_step {
             let design = mint_design(self.config.seed, &mut self.design_counter, &self.config.gen);
-            minted.push(label_design(&self.synth, design, self.config.tech)?);
+            let (entry, graph, paths) = label_design(
+                &self.synth,
+                &design,
+                self.config.tech,
+                self.model.sample_config(),
+                &self.vocab,
+            )?;
+            self.model.prime_path_cache(&entry.seqs, threads, batch);
+            let pred = self.model.predict_primed(&graph, &paths, &entry.seqs, None, Instant::now());
+            errs.push(mean_rel_err(&pred, &entry.report));
+            minted.push(entry);
         }
         self.labeled_total += minted.len() as u64;
-
-        // 2. Prequential disagreement: model vs oracle, before updating.
-        let mut errs = Vec::with_capacity(minted.len());
-        for ld in &minted {
-            let pred = self
-                .model
-                .predict_verilog(&ld.design.verilog, &ld.design.top)
-                .map_err(|e| format!("predict `{}`: {e}", ld.design.name))?;
-            errs.push(mean_rel_err(&pred, &ld.report));
-        }
 
         // 3. Active-learning filter: spend gradients where the model is
         // most wrong.
@@ -327,25 +351,19 @@ impl TrainDaemon {
         let mut examples: Vec<(Vec<usize>, [f64; 3])> = Vec::new();
         let mut seen: HashSet<Vec<usize>> = HashSet::new();
         let mut unit_cache = UnitCache::new();
-        let sampler = PathSampler::new(self.model.sample_config().clone());
         let library = self.synth.options().library.clone();
         for &i in &selected {
-            let ld = &minted[i];
-            let nl = parse_and_elaborate(&ld.design.verilog, &ld.design.top)
-                .map_err(|e| format!("design `{}`: {e}", ld.design.name))?;
-            let graph = GraphIr::from_netlist(&nl);
-            let paths = sampler.sample(&graph);
             let mut kept = 0usize;
-            for toks in self.model.tokenize_paths(&graph, &paths) {
+            for toks in &minted[i].seqs {
                 if kept >= self.config.max_paths_per_design {
                     break;
                 }
                 if !seen.insert(toks.clone()) {
                     continue;
                 }
-                let label = label_path_tokens(&toks, &self.vocab, &library, &mut unit_cache);
-                self.arm.observe(&toks);
-                examples.push((toks, label));
+                let label = label_path_tokens(toks, &self.vocab, &library, &mut unit_cache);
+                self.arm.observe(toks);
+                examples.push((toks.clone(), label));
                 kept += 1;
             }
         }
@@ -371,19 +389,18 @@ impl TrainDaemon {
 
         // 6. One fine-tune step (no-op on an empty batch — the loop
         // never stalls).
-        let threads = sns_rt::pool::default_threads();
         let fine_tune_loss = self.tuner.step(&mut self.model, &examples, threads);
 
         // 7. Replay + periodic design-level correction refit.
-        self.replay.extend(minted.iter().cloned());
+        let designs = minted.len();
+        self.replay.extend(minted);
         self.trim_replay();
         let mut refit = false;
         if self.config.refit_every > 0
             && (step_idx + 1).is_multiple_of(self.config.refit_every)
             && !self.replay.is_empty()
         {
-            let refs: Vec<&LabeledDesign> = self.replay.iter().collect();
-            refit_correction(&mut self.model, &refs, &self.config.bootstrap.mlp_train)?;
+            refit_correction_on(&mut self.model, &self.replay, &self.config.bootstrap.mlp_train)?;
             refit = true;
         }
 
@@ -404,7 +421,7 @@ impl TrainDaemon {
         };
         Ok(StepStats {
             step: step_idx,
-            designs: minted.len(),
+            designs,
             selected: selected.len(),
             per_design_rel_err: errs,
             mean_rel_err,
@@ -483,18 +500,25 @@ fn mint_design(seed: u64, counter: &mut u64, gen: &GenConfig) -> Design {
     generate(design_seed, gen).to_design(format!("gen-{i:06}"))
 }
 
-/// Labels one design with vsynth, scaling the report from the library's
-/// native 15 nm node to the configured corner.
+/// Runs one design's front-end once: the netlist is labeled with vsynth
+/// (the report scaled from the library's native 15 nm node to the
+/// configured corner), and its GraphIR and `sample`d paths become the
+/// replay entry's products. The graph and paths are returned too, for
+/// the prequential prediction.
 fn label_design(
     synth: &VirtualSynthesizer,
-    design: Design,
+    design: &Design,
     tech: TechNode,
-) -> Result<LabeledDesign, String> {
+    sample: &SampleConfig,
+    vocab: &Vocab,
+) -> Result<(RefitDesign, GraphIr, Vec<CircuitPath>), String> {
     let nl = parse_and_elaborate(&design.verilog, &design.top)
         .map_err(|e| format!("design `{}`: {e}", design.name))?;
     let mut report = synth.synthesize(&nl);
     scale_report(&mut report, TechNode::N15, tech);
-    Ok(LabeledDesign { design, report })
+    let graph = GraphIr::from_netlist(&nl);
+    let paths = PathSampler::new(sample.clone()).sample(&graph);
+    Ok((RefitDesign::new(report, &graph, &paths, vocab), graph, paths))
 }
 
 /// Mean relative error across the three metrics, with a floor on the
