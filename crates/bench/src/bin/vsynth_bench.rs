@@ -22,7 +22,7 @@ use sns_designs::{crypto, dsp, extra, vector, Design};
 use sns_netlist::{parse_and_elaborate, Netlist};
 use sns_rt::env_knob;
 use sns_rt::json::Json;
-use sns_vsynth::{ExpansionMemo, SynthOptions, SynthReport, VirtualSynthesizer};
+use sns_vsynth::{SynthOptions, SynthReport, VirtualSynthesizer};
 
 /// Mid-to-large catalog designs: wide datapaths (memoizable expanders),
 /// register files, and enough cells to cross the parallel threshold.
@@ -129,18 +129,6 @@ fn main() {
     }
     let wall_s = t_all.elapsed().as_secs_f64();
 
-    let memo = ExpansionMemo::global().map(|m| m.stats());
-    let memo_json = match memo {
-        Some(s) => Json::obj(vec![
-            ("hits", Json::UInt(s.hits)),
-            ("misses", Json::UInt(s.misses)),
-            ("evictions", Json::UInt(s.evictions)),
-            ("templates", Json::UInt(s.templates)),
-            ("nodes", Json::UInt(s.nodes)),
-        ]),
-        None => Json::Null,
-    };
-
     let n = rows.len();
     let report = Json::obj(vec![
         ("bench", Json::Str("vsynth".into())),
@@ -153,7 +141,6 @@ fn main() {
         ("fast_designs_per_sec", Json::Num(n as f64 / fast_total.max(1e-12))),
         ("reference_designs_per_sec", Json::Num(n as f64 / ref_total.max(1e-12))),
         ("wall_s", Json::Num(wall_s)),
-        ("memo", memo_json),
         ("results", Json::Arr(rows)),
     ]);
     println!(

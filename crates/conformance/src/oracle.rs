@@ -324,7 +324,7 @@ pub fn check_vsynth_matches_reference_netlist(nl: &Netlist) -> Result<(), String
     let r_ref = vs_ref.analyze_reference(&gl_ref);
 
     // Force the parallel path even on small designs by sweeping explicit
-    // thread counts; memoization stays on (the default).
+    // thread counts; every fast run memoizes within its own call.
     for threads in [1usize, 4] {
         let vs = VirtualSynthesizer::new(SynthOptions {
             threads: Some(threads),

@@ -74,7 +74,8 @@ pub fn default_batch() -> usize {
 /// Items are claimed one at a time from a shared counter, so uneven item
 /// costs (long vs. short circuit paths) balance automatically. With
 /// `threads <= 1`, runs inline with no thread machinery at all — callers
-/// get identical results either way as long as `f` is pure.
+/// get identical results either way as long as `f` is pure. A panic in
+/// `f` resumes on the caller with its own payload, as it would inline.
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -102,7 +103,10 @@ where
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("par_map worker panicked")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
     let mut indexed: Vec<(usize, R)> =
         per_worker.drain(..).flatten().collect();
@@ -134,7 +138,7 @@ where
             items.chunks(chunk).map(|part| s.spawn(|| f(part))).collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("par_map_chunks worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     })
 }
@@ -194,6 +198,27 @@ mod tests {
         let flat: Vec<i32> = chunks.into_iter().flatten().collect();
         let serial: Vec<i32> = items.iter().map(|&x| x * 2).collect();
         assert_eq!(flat, serial);
+    }
+
+    #[test]
+    fn worker_panics_reach_the_caller_with_their_own_payload() {
+        let items: Vec<u32> = (0..16).collect();
+        let mapped = std::panic::catch_unwind(|| {
+            par_map(&items, 4, |&x| if x == 5 { panic!("item 5 is hostile") } else { x })
+        });
+        let payload = mapped.expect_err("par_map must propagate the worker panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 5 is hostile"));
+
+        let chunked = std::panic::catch_unwind(|| {
+            par_map_chunks(&items, 4, |part| {
+                if part.contains(&9) {
+                    panic!("chunk with 9 is hostile");
+                }
+                part.len()
+            })
+        });
+        let payload = chunked.expect_err("par_map_chunks must propagate the worker panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk with 9 is hostile"));
     }
 
     #[test]

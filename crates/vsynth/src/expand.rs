@@ -7,8 +7,7 @@
 //! bit vectors and get LSB-first bit vectors back.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use sns_netlist::CellKind;
 
@@ -313,15 +312,15 @@ impl<'g> Expander<'g> {
 /// so two cells with equal `(kind, attr, out_w, input widths)` expand to
 /// structurally identical subgraphs and can share one [`Template`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MemoKey {
+pub(crate) struct MemoKey {
     /// The coarse cell kind.
-    pub kind: CellKind,
+    pub(crate) kind: CellKind,
     /// The cell attribute (constant payload, slice LSB, replicate count).
-    pub attr: u64,
+    pub(crate) attr: u64,
     /// Output net width.
-    pub out_w: u32,
+    pub(crate) out_w: u32,
     /// Width of each input operand's bit vector, in input order.
-    pub in_widths: Vec<u32>,
+    pub(crate) in_widths: Vec<u32>,
 }
 
 /// A characterized gate subgraph, captured once from a canonical scratch
@@ -333,7 +332,7 @@ pub struct MemoKey {
 /// push order so a splat reproduces the exact node sequence a direct
 /// expansion would have pushed.
 #[derive(Debug, Clone)]
-pub struct Template {
+pub(crate) struct Template {
     n_ctx: u32,
     nodes: Vec<(GateKind, [NodeId; 3])>,
     outputs: Vec<NodeId>,
@@ -342,25 +341,15 @@ pub struct Template {
 impl Template {
     /// Captures the tail of `g` (everything from node `n_ctx` on) as a
     /// template with the given output bits.
-    pub fn capture(g: &GateGraph, n_ctx: u32, outputs: &[NodeId]) -> Template {
+    pub(crate) fn capture(g: &GateGraph, n_ctx: u32, outputs: &[NodeId]) -> Template {
         let nodes = (n_ctx..g.len() as NodeId).map(|id| (g.kind(id), g.fanins(id))).collect();
         Template { n_ctx, nodes, outputs: outputs.to_vec() }
-    }
-
-    /// Number of context slots the splat context must provide.
-    pub fn n_ctx(&self) -> usize {
-        self.n_ctx as usize
-    }
-
-    /// Number of internal nodes a splat appends.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Appends this template to `g`, mapping context references through
     /// `ctx` (`[const0, const1, input bits...]`) and internal references
     /// by offset. Returns the mapped output bits.
-    pub fn splat(&self, g: &mut GateGraph, ctx: &[NodeId]) -> Vec<NodeId> {
+    pub(crate) fn splat(&self, g: &mut GateGraph, ctx: &[NodeId]) -> Vec<NodeId> {
         let base = g.len() as NodeId;
         let n_ctx = self.n_ctx;
         let map = |x: NodeId| {
@@ -379,145 +368,24 @@ impl Template {
     }
 }
 
-/// Counters describing a memo's effectiveness (read by benchmarks).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MemoStats {
-    /// Splats served from a cached template.
-    pub hits: u64,
-    /// Canonical expansions that had to be characterized.
-    pub misses: u64,
-    /// Clear-on-full evictions.
-    pub evictions: u64,
-    /// Cached templates right now.
-    pub templates: u64,
-    /// Total internal nodes across cached templates right now.
-    pub nodes: u64,
-}
-
+/// The templates characterized during one elaboration call, shared by
+/// that call's parallel chunks and dropped when it returns. A call's
+/// templates can never outgrow its own design's expansion, so the map
+/// needs no bound.
 #[derive(Default)]
-struct MemoInner {
-    map: HashMap<MemoKey, Arc<Template>>,
-    total_nodes: usize,
+pub(crate) struct ExpansionMemo {
+    map: RwLock<HashMap<MemoKey, Arc<Template>>>,
 }
-
-/// A concurrent cache of characterized expansion templates, bounded by
-/// total template nodes with clear-on-full eviction (repeated shapes are
-/// heavily clustered, so a full clear refills with the working set almost
-/// immediately and needs no recency bookkeeping).
-pub struct ExpansionMemo {
-    inner: RwLock<MemoInner>,
-    cap_nodes: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl std::fmt::Debug for ExpansionMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("ExpansionMemo").field("cap_nodes", &self.cap_nodes).field("stats", &s).finish()
-    }
-}
-
-/// Default template-node budget when `SNS_SYNTH_MEMO_CAP` is unset:
-/// roughly a few hundred MB worst case, far beyond any realistic working
-/// set of distinct `(kind, widths)` shapes.
-pub const DEFAULT_MEMO_CAP_NODES: usize = 4_000_000;
 
 impl ExpansionMemo {
-    /// A memo bounded at `cap_nodes` total template nodes (0 disables
-    /// caching entirely: lookups miss and inserts are dropped).
-    pub fn with_cap(cap_nodes: usize) -> Self {
-        ExpansionMemo {
-            inner: RwLock::new(MemoInner::default()),
-            cap_nodes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+    /// Fetches a cached template.
+    pub(crate) fn lookup(&self, key: &MemoKey) -> Option<Arc<Template>> {
+        self.map.read().unwrap_or_else(PoisonError::into_inner).get(key).cloned()
     }
 
-    /// The process-wide memo, shared across synthesis runs (the soak and
-    /// the label factory synthesize thousands of designs that repeat the
-    /// same adder/multiplier/divider shapes endlessly). Capacity comes
-    /// from `SNS_SYNTH_MEMO_CAP` (total template nodes, read once);
-    /// returns `None` when the cap is 0, which disables memoization.
-    pub fn global() -> Option<&'static ExpansionMemo> {
-        static MEMO: OnceLock<ExpansionMemo> = OnceLock::new();
-        let memo = MEMO.get_or_init(|| {
-            let cap = std::env::var("SNS_SYNTH_MEMO_CAP")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(DEFAULT_MEMO_CAP_NODES);
-            ExpansionMemo::with_cap(cap)
-        });
-        if memo.cap_nodes == 0 {
-            None
-        } else {
-            Some(memo)
-        }
-    }
-
-    /// Fetches a cached template, counting a hit or miss.
-    pub fn lookup(&self, key: &MemoKey) -> Option<Arc<Template>> {
-        let hit = match self.inner.read() {
-            Ok(inner) => inner.map.get(key).cloned(),
-            Err(poisoned) => poisoned.into_inner().map.get(key).cloned(),
-        };
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Caches a freshly characterized template (no-op at cap 0; clears
-    /// the whole cache first when the node budget would overflow).
-    pub fn insert(&self, key: MemoKey, template: Arc<Template>) {
-        if self.cap_nodes == 0 {
-            return;
-        }
-        let mut inner = match self.inner.write() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let add = template.node_count();
-        if inner.total_nodes + add > self.cap_nodes && !inner.map.is_empty() {
-            inner.map.clear();
-            inner.total_nodes = 0;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        if inner.map.insert(key, template).is_none() {
-            inner.total_nodes += add;
-        }
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> MemoStats {
-        let (templates, nodes) = match self.inner.read() {
-            Ok(inner) => (inner.map.len() as u64, inner.total_nodes as u64),
-            Err(poisoned) => {
-                let inner = poisoned.into_inner();
-                (inner.map.len() as u64, inner.total_nodes as u64)
-            }
-        };
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            templates,
-            nodes,
-        }
-    }
-
-    /// Drops every cached template (counters are kept).
-    pub fn clear(&self) {
-        let mut inner = match self.inner.write() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        inner.map.clear();
-        inner.total_nodes = 0;
+    /// Caches a freshly characterized template.
+    pub(crate) fn insert(&self, key: MemoKey, template: Arc<Template>) {
+        self.map.write().unwrap_or_else(PoisonError::into_inner).insert(key, template);
     }
 }
 
@@ -738,7 +606,7 @@ mod tests {
             (s, n_ctx)
         };
         let tpl = Template::capture(&scratch, n_ctx, &tpl_outputs);
-        assert_eq!(tpl.n_ctx(), 18); // c0, c1, 16 input bits
+        assert_eq!(tpl.n_ctx, 18); // c0, c1, 16 input bits
 
         // Splat into a graph with the same preamble as `direct`.
         let mut via_tpl = GateGraph::new();
@@ -775,31 +643,14 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_after_insert_and_clears_when_full() {
-        let memo = ExpansionMemo::with_cap(12);
+    fn memo_serves_a_template_after_insert() {
+        let memo = ExpansionMemo::default();
         let (k4, t4) = tiny_template(4);
+        let (k8, _) = tiny_template(8);
         assert!(memo.lookup(&k4).is_none());
-        memo.insert(k4.clone(), t4);
-        assert!(memo.lookup(&k4).is_some());
-        let s = memo.stats();
-        assert_eq!((s.hits, s.misses, s.templates, s.nodes), (1, 1, 1, 4));
-
-        // 4 + 10 nodes exceeds the 12-node cap: clear-on-full.
-        let (k10, t10) = tiny_template(10);
-        memo.insert(k10.clone(), t10);
-        let s = memo.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!((s.templates, s.nodes), (1, 10));
-        assert!(memo.lookup(&k4).is_none());
-        assert!(memo.lookup(&k10).is_some());
-    }
-
-    #[test]
-    fn memo_cap_zero_disables_caching() {
-        let memo = ExpansionMemo::with_cap(0);
-        let (k, t) = tiny_template(4);
-        memo.insert(k.clone(), t);
-        assert!(memo.lookup(&k).is_none());
-        assert_eq!(memo.stats().templates, 0);
+        memo.insert(k4.clone(), Arc::clone(&t4));
+        let hit = memo.lookup(&k4).expect("inserted template is served");
+        assert!(Arc::ptr_eq(&hit, &t4));
+        assert!(memo.lookup(&k8).is_none(), "a different shape still misses");
     }
 }

@@ -61,7 +61,6 @@ pub mod paths;
 pub mod scaling;
 pub mod synth;
 
-pub use expand::{ExpansionMemo, MemoKey, MemoStats, Template, DEFAULT_MEMO_CAP_NODES};
 pub use gates::{GateGraph, GateKind, NodeId};
 pub use geval::GateSim;
 pub use library::{CellLibrary, GateParams};

@@ -58,9 +58,6 @@ pub struct SynthOptions {
     /// `SNS_SYNTH_THREADS` (see [`sns_rt::pool::synth_threads`]). Results
     /// are bit-identical at any value — purely a throughput knob.
     pub threads: Option<usize>,
-    /// Whether to use the process-wide expansion memo (disabled
-    /// per-process by `SNS_SYNTH_MEMO_CAP=0`). Bit-identical either way.
-    pub memo: bool,
     /// The characterized cell library.
     pub library: CellLibrary,
 }
@@ -73,7 +70,6 @@ impl Default for SynthOptions {
             default_register_activity: 0.1,
             register_activity: None,
             threads: None,
-            memo: true,
             library: CellLibrary::freepdk15(),
         }
     }
@@ -210,11 +206,13 @@ impl VirtualSynthesizer {
 
     /// Expands a netlist into its flat gate graph, partitioning across
     /// worker threads and splatting memoized templates when profitable.
+    /// The memo lives for this call only: its parallel chunks share it,
+    /// and no template carries over to the next design.
     pub fn elaborate_gates(&self, nl: &Netlist) -> GateLevel {
         let plan = plan_elaboration(nl);
-        let memo = if self.options.memo { ExpansionMemo::global() } else { None };
+        let memo = ExpansionMemo::default();
         let threads = self.options.threads.unwrap_or_else(sns_rt::pool::synth_threads);
-        elaborate_impl(nl, &plan, memo, threads)
+        elaborate_impl(nl, &plan, Some(&memo), threads)
     }
 
     /// Expands a netlist serially with no memoization — the reference

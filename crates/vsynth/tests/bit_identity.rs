@@ -3,9 +3,10 @@
 //! The fast path (parallel per-module elaboration, expansion memoization,
 //! sparse levelized STA) must be *bit-identical* to the retained
 //! single-threaded dense reference flow — same gate graph node for node,
-//! same labels bit for bit — across every `threads × sizing_iterations ×
-//! memo` combination. Any divergence means the optimization changed
-//! semantics, which would silently re-label every training set.
+//! same labels bit for bit — across every `threads × sizing_iterations`
+//! combination, and unchanged by whatever design the same synthesizer ran
+//! before. Any divergence means the optimization changed semantics, which
+//! would silently re-label every training set.
 
 use std::collections::HashMap;
 
@@ -14,7 +15,7 @@ use sns_vsynth::{GateLevel, SynthOptions, SynthReport, VirtualSynthesizer};
 
 /// Mixed-operator datapath hitting every memoizable expander (add, sub,
 /// mul, div, mod, shifts, compares, reductions) with repeated shapes so
-/// the memo actually gets hits.
+/// the per-call memo actually gets hits.
 const MIXED: &str = "module mixed (input clk, input [15:0] a, b, c, d, output reg [15:0] y,
                                    output [15:0] z);
                          reg [15:0] t0, t1, t2, t3;
@@ -90,10 +91,12 @@ fn assert_gatelevel_identical(ctx: &str, gl: &GateLevel, gl_ref: &GateLevel) {
 }
 
 /// Runs the full sweep on one source: for each sizing setting, pin the
-/// reference flow once, then check every `threads × memo` fast variant
-/// against it.
-fn sweep(name: &str, src: &str, top: &str, sizing_settings: &[u32]) {
+/// reference flow once, then check every thread count's fast flow against
+/// it — on a fresh synthesizer, and again after that synthesizer has run
+/// `prior` (a `(source, top)` pair), so no state may cross calls.
+fn sweep(name: &str, src: &str, top: &str, sizing_settings: &[u32], prior: (&str, &str)) {
     let nl = parse_and_elaborate(src, top).unwrap();
+    let prior_nl = parse_and_elaborate(prior.0, prior.1).unwrap();
     for &sizing in sizing_settings {
         let vs_ref = VirtualSynthesizer::new(SynthOptions {
             sizing_iterations: sizing,
@@ -102,39 +105,42 @@ fn sweep(name: &str, src: &str, top: &str, sizing_settings: &[u32]) {
         let gl_ref = vs_ref.elaborate_gates_reference(&nl);
         let r_ref = vs_ref.analyze_reference(&gl_ref);
         for threads in [1usize, 2, 8] {
-            for memo in [false, true] {
-                let ctx = format!("{name} threads={threads} sizing={sizing} memo={memo}");
-                let vs = VirtualSynthesizer::new(SynthOptions {
-                    sizing_iterations: sizing,
-                    threads: Some(threads),
-                    memo,
-                    ..SynthOptions::default()
-                });
-                let gl = vs.elaborate_gates(&nl);
-                assert_gatelevel_identical(&ctx, &gl, &gl_ref);
-                let r = vs.analyze(&gl);
-                assert_reports_identical(&ctx, &r, &r_ref);
-            }
+            let vs = VirtualSynthesizer::new(SynthOptions {
+                sizing_iterations: sizing,
+                threads: Some(threads),
+                ..SynthOptions::default()
+            });
+            let ctx = format!("{name} threads={threads} sizing={sizing}");
+            let gl = vs.elaborate_gates(&nl);
+            assert_gatelevel_identical(&ctx, &gl, &gl_ref);
+            let r = vs.analyze(&gl);
+            assert_reports_identical(&ctx, &r, &r_ref);
+
+            vs.synthesize(&prior_nl);
+            let ctx = format!("{ctx} after {}", prior.1);
+            let gl_after = vs.elaborate_gates(&nl);
+            assert_gatelevel_identical(&ctx, &gl_after, &gl);
+            assert_reports_identical(&ctx, &vs.analyze(&gl_after), &r);
         }
     }
 }
 
 #[test]
 fn mixed_operators_sweep_is_bit_identical() {
-    sweep("mixed", MIXED, "mixed", &[0, 2, 8]);
+    sweep("mixed", MIXED, "mixed", &[0, 2, 8], (BIG, "big"));
 }
 
 #[test]
 fn big_design_parallel_sweep_is_bit_identical() {
     // One sizing setting keeps the dense reference runs affordable; the
     // point of this design is crossing the parallel threshold.
-    sweep("big", BIG, "big", &[2]);
+    sweep("big", BIG, "big", &[2], (MIXED, "mixed"));
 }
 
 #[test]
 fn many_register_sweep_is_bit_identical() {
     let src = many_registers(48);
-    sweep("regs", &src, "regs", &[0, 4]);
+    sweep("regs", &src, "regs", &[0, 4], (MIXED, "mixed"));
 }
 
 /// Pinned-activity regression: with many register banks, a user activity

@@ -32,14 +32,16 @@ cargo test -q -p sns-netlist -p sns-graphir -p sns-sampler
 # loader behind /admin/reload and SIGHUP, the NN substrate and the
 # Aggregation MLPs (every /predict runs their kernels), the virtual
 # synthesizer (labels every training design — a panic on one odd netlist
-# kills a whole dataset build), and the self-training daemon (long-running; a
-# panic hours into a soak loses the run) must stay free of
+# kills a whole dataset build), the self-training daemon (long-running; a
+# panic hours into a soak loses the run), and the rt thread pool (every
+# parallel site above runs on it, so a worker's panic must reach the
+# caller's catch_unwind with its own payload) must stay free of
 # unwrap/expect/panic!/unreachable! outside tests — every one of these
 # is a remote crash when the input is hostile.
-echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train,nn}/src + rt net/json + core serve path, zoo loader and aggmlp)"
+echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train,nn}/src + rt net/json/pool + core serve path, zoo loader and aggmlp)"
 panic_sites=$(
   for f in crates/netlist/src/*.rs crates/graphir/src/*.rs crates/sampler/src/*.rs \
-           crates/serve/src/*.rs crates/serve/src/bin/*.rs crates/rt/src/{net,json}.rs \
+           crates/serve/src/*.rs crates/serve/src/bin/*.rs crates/rt/src/{net,json,pool}.rs \
            crates/core/src/{pipeline,predictor,session,cache,model_io,aggmlp}.rs \
            crates/nn/src/*.rs \
            crates/vsynth/src/*.rs crates/train/src/*.rs crates/train/src/bin/*.rs; do
@@ -91,6 +93,28 @@ env_sites=$(grep -rnE 'env::(set_var|remove_var)' crates src tests || true)
 if [ -n "$env_sites" ]; then
   echo "runtime environment mutation:"
   echo "$env_sites"
+  exit 1
+fi
+
+# No process-global mutable state: caches, memos and counters are values
+# owned by their caller, so one run cannot change the next one's work.
+# The allow-list is the pool's knobs (resolved once per process, in
+# `crates/rt/src/pool.rs`) and the `sns-serve` binary's signal flags.
+echo "==> no-process-global-state grep gate (crates/*/src + src/)"
+static_sites=$(
+  find crates/*/src src -name '*.rs' | sort | while read -r f; do
+    # Cut each file at its #[cfg(test)] module; test fixtures may share.
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+  done \
+    | grep -E '\bstatic\s+[A-Za-z_][A-Za-z0-9_]*\s*:\s*(std::sync::(atomic::)?)?(OnceLock|LazyLock|Mutex|RwLock|Atomic[A-Za-z0-9]*)\b' \
+    | grep -vE ':\s*//' \
+    | grep -v '^crates/rt/src/pool\.rs:' \
+    | grep -vE '^crates/serve/src/bin/sns-serve\.rs:[0-9]+: static (SHUTDOWN|RELOAD): AtomicBool ' \
+    || true
+)
+if [ -n "$static_sites" ]; then
+  echo "process-global mutable state (make it a value its caller owns):"
+  echo "$static_sites"
   exit 1
 fi
 
