@@ -170,7 +170,7 @@ fn main() {
     let ff1 = Linear::new(&mut reg, paper.dim, paper.ffn_dim, &mut rng);
     let ff1_w = PackedB::pack(ff1.weight().as_slice(), paper.dim, paper.ffn_dim);
     let ff2 = PackedLinear::pack(&Linear::new(&mut reg, paper.ffn_dim, paper.dim, &mut rng));
-    let spans: Vec<SeqSpan> = (0..t / 11).map(|i| SeqSpan::dense(i * 11, 11)).collect();
+    let spans: Vec<SeqSpan> = (0..t / 11).map(|i| SeqSpan { start: i * 11, len: 11 }).collect();
     let x = rand_mat(&mut rng, t, paper.dim);
     let h = x.matmul_prepacked(&ff1_w);
     let mut g = h.clone();

@@ -117,36 +117,24 @@ impl Block {
         (y, BlockCtx { ln1, attn, ln2, ff1, gelu, ff2 })
     }
 
-    /// Inference-only forward over a packed batch described by `spans`.
+    /// Inference-only forward over a packed batch described by `spans`,
+    /// with attention and the FFN on this block's prepacked snapshot.
     ///
     /// Every sub-layer is row-wise except attention, which is evaluated
     /// per span, so each packed sequence's rows come out bit-identical to
-    /// running [`Block::forward`] on that sequence alone. When a prepacked
-    /// snapshot is supplied, attention and the FFN run the prepacked
-    /// kernels (bit-identical to the unpacked layers).
-    fn infer(&self, x: &Mat, spans: &[SeqSpan], packed: Option<&PackedBlock>) -> Mat {
+    /// running [`Block::forward`] on that sequence alone.
+    fn infer(&self, x: &Mat, spans: &[SeqSpan], packed: &PackedBlock) -> Mat {
         let n1 = self.ln1.infer(x);
-        let a = match packed {
-            Some(p) => p.attn.infer_masked(&n1, spans),
-            None => self.attn.infer_masked(&n1, spans),
-        };
-        let x1 = x.add(&a);
+        let x1 = x.add(&packed.attn.infer_masked(&n1, spans));
         let n2 = self.ln2.infer(&x1);
         // FF1's bias and GELU run in place on the fresh GEMM output, so the
         // [T, ffn_dim] activation is touched once after the GEMM writes it.
-        let g = match packed {
-            Some(p) => p.ff1.infer_gelu(&n2),
-            None => self.ff1.infer_gelu(&n2),
-        };
-        let f = match packed {
-            Some(p) => p.ff2.infer(&g),
-            None => self.ff2.infer(&g),
-        };
-        x1.add(&f)
+        let g = packed.ff1.infer_gelu(&n2);
+        x1.add(&packed.ff2.infer(&g))
     }
 
     /// Snapshots this block's attention + FFN weights into prepacked form.
-    fn prepack(&self) -> PackedBlock {
+    fn pack(&self) -> PackedBlock {
         PackedBlock {
             attn: PackedAttention::pack(&self.attn),
             ff1: PackedLinear::pack(&self.ff1),
@@ -194,11 +182,10 @@ struct PackedBlock {
 
 /// The model's prepacked inference plan: every block's fused-QKV
 /// attention and FFN projections plus the first regression-head layer,
-/// repacked once into GEMM panel layout. Built at construction/load and
-/// after training; dropped whenever parameters are mutated
-/// ([`Circuitformer::visit_mut`]) so stale packs can never be consulted —
-/// inference falls back to the unpacked (bit-identical) layers until the
-/// owner re-packs.
+/// repacked into GEMM panel layout. Built by [`Circuitformer::new`] and
+/// rebuilt at the end of every [`Circuitformer::visit_mut`] (parameter
+/// load, optimizer step), so it always matches the weights and
+/// [`Circuitformer::predict_batch`] has no other path.
 #[derive(Debug, Clone)]
 struct PackedPlan {
     blocks: Vec<PackedBlock>,
@@ -206,6 +193,13 @@ struct PackedPlan {
 }
 
 impl PackedPlan {
+    fn pack(blocks: &[Block], head1: &Linear) -> PackedPlan {
+        PackedPlan {
+            blocks: blocks.iter().map(Block::pack).collect(),
+            head1: PackedLinear::pack(head1),
+        }
+    }
+
     fn bytes(&self) -> usize {
         self.head1.bytes()
             + self
@@ -227,7 +221,7 @@ pub struct Circuitformer {
     final_ln: LayerNorm,
     head1: Linear,
     head2: Linear,
-    packed: Option<PackedPlan>,
+    packed: PackedPlan,
 }
 
 /// Saved forward state for [`Circuitformer::backward`].
@@ -250,44 +244,18 @@ impl Circuitformer {
         // +1 vocabulary slot for the CLS token (id = config.vocab).
         let tok = Embedding::new(&mut reg, config.vocab + 1, config.dim, rng);
         let pos = Embedding::new(&mut reg, config.max_len, config.dim, rng);
-        let blocks = (0..config.layers).map(|_| Block::new(&mut reg, &config, rng)).collect();
+        let blocks: Vec<Block> =
+            (0..config.layers).map(|_| Block::new(&mut reg, &config, rng)).collect();
         let final_ln = LayerNorm::new(&mut reg, config.dim);
         let head1 = Linear::new(&mut reg, config.dim, config.dim, rng);
         let head2 = Linear::new(&mut reg, config.dim, 3, rng);
-        let mut m = Circuitformer {
-            config,
-            registry: reg,
-            tok,
-            pos,
-            blocks,
-            final_ln,
-            head1,
-            head2,
-            packed: None,
-        };
-        m.prepack();
-        m
+        let packed = PackedPlan::pack(&blocks, &head1);
+        Circuitformer { config, registry: reg, tok, pos, blocks, final_ln, head1, head2, packed }
     }
 
-    /// Rebuilds the prepacked inference plan. Called automatically by
-    /// [`new`](Self::new) and [`load`](Self::load); call it explicitly
-    /// after in-place training.
-    pub fn prepack(&mut self) {
-        self.packed = Some(PackedPlan {
-            blocks: self.blocks.iter().map(Block::prepack).collect(),
-            head1: PackedLinear::pack(&self.head1),
-        });
-    }
-
-    /// Whether a prepacked plan is live (it drops on any parameter
-    /// mutation and returns after [`prepack`](Self::prepack)).
-    pub fn is_prepacked(&self) -> bool {
-        self.packed.is_some()
-    }
-
-    /// Resident bytes of the prepacked plan (0 when no plan is live).
+    /// Resident bytes of the prepacked plan.
     pub fn prepack_bytes(&self) -> usize {
-        self.packed.as_ref().map(|p| p.bytes()).unwrap_or(0)
+        self.packed.bytes()
     }
 
     /// The model configuration.
@@ -364,9 +332,9 @@ impl Circuitformer {
 
     /// Batched inference: packs all `paths` (CLS-prefixed, truncated to
     /// `max_len - 1` like [`forward`](Self::forward)) into one `[ΣT, dim]`
-    /// matrix and runs a single masked forward pass, so the big FFN and
-    /// projection GEMMs see tall batched operands instead of one short
-    /// sequence at a time.
+    /// matrix and runs a single forward pass on the prepacked plan, so the
+    /// big FFN and projection GEMMs see tall batched operands instead of
+    /// one short sequence at a time.
     ///
     /// Attention is evaluated per sequence span (block-diagonal), and all
     /// other sub-layers are row-wise, so `predict_batch(&[a, b, ...])[i]`
@@ -386,7 +354,7 @@ impl Circuitformer {
         for &tokens in paths {
             assert!(!tokens.is_empty(), "cannot run the Circuitformer on an empty path");
             let take = tokens.len().min(self.config.max_len - 1);
-            spans.push(SeqSpan::dense(ids.len(), take + 1));
+            spans.push(SeqSpan { start: ids.len(), len: take + 1 });
             ids.push(self.cls_id());
             ids.extend_from_slice(&tokens[..take]);
             positions.extend(0..take + 1);
@@ -394,8 +362,8 @@ impl Circuitformer {
         let te = self.tok.infer(&ids);
         let pe = self.pos.infer(&positions);
         let mut x = te.add(&pe);
-        for (i, b) in self.blocks.iter().enumerate() {
-            x = b.infer(&x, &spans, self.packed.as_ref().map(|p| &p.blocks[i]));
+        for (b, p) in self.blocks.iter().zip(&self.packed.blocks) {
+            x = b.infer(&x, &spans, p);
         }
         let n = self.final_ln.infer(&x);
         // Gather every sequence's CLS row into one [B, dim] head input.
@@ -403,10 +371,7 @@ impl Circuitformer {
         for (i, span) in spans.iter().enumerate() {
             cls.row_mut(i).copy_from_slice(n.row(span.start));
         }
-        let g = match &self.packed {
-            Some(p) => p.head1.infer_gelu(&cls),
-            None => self.head1.infer_gelu(&cls),
-        };
+        let g = self.packed.head1.infer_gelu(&cls);
         let out = self.head2.infer(&g);
         (0..spans.len()).map(|i| [out.get(i, 0), out.get(i, 1), out.get(i, 2)]).collect()
     }
@@ -440,15 +405,10 @@ impl Circuitformer {
         self.head2.visit(f);
     }
 
-    /// Visits all parameters mutably.
-    ///
-    /// Any mutable visit drops the prepacked inference plan — the visitor
-    /// may rewrite weights (optimizer step, parameter load), and a stale
-    /// pack must never be consulted. Re-pack with
-    /// [`prepack`](Self::prepack) when mutation is done; until then
-    /// inference runs the unpacked (f32, bit-identical) layers.
+    /// Visits all parameters mutably, then rebuilds the prepacked
+    /// inference plan from whatever the visitor left (optimizer step,
+    /// parameter load), so the next prediction sees the new weights.
     pub fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.packed = None;
         self.tok.visit_mut(f);
         self.pos.visit_mut(f);
         for b in &mut self.blocks {
@@ -457,6 +417,10 @@ impl Circuitformer {
         self.final_ln.visit_mut(f);
         self.head1.visit_mut(f);
         self.head2.visit_mut(f);
+        // Free the stale panels before packing the new ones, so a re-pack
+        // never holds two plans at once (peak RSS during training/load).
+        self.packed.blocks.clear();
+        self.packed = PackedPlan::pack(&self.blocks, &self.head1);
     }
 
     /// Snapshots the parameters.
@@ -464,19 +428,16 @@ impl Circuitformer {
         save_params(|f| self.visit(f))
     }
 
-    /// Restores parameters from a snapshot and rebuilds the prepacked
-    /// plan.
+    /// Restores parameters from a snapshot (the prepacked plan is rebuilt
+    /// by [`visit_mut`](Self::visit_mut)).
     ///
     /// # Errors
     ///
     /// Returns an error if the snapshot does not match this architecture
-    /// (the plan is left dropped in that case — the parameters may be
-    /// partially overwritten, but the unpacked fallback stays coherent
-    /// with whatever they now hold).
+    /// (the parameters may be partially overwritten; the plan matches
+    /// whatever they now hold).
     pub fn load(&mut self, state: &ModelState) -> Result<(), String> {
-        load_params(state, |f| self.visit_mut(f))?;
-        self.prepack();
-        Ok(())
+        load_params(state, |f| self.visit_mut(f))
     }
 }
 
@@ -610,30 +571,29 @@ mod tests {
     }
 
     #[test]
-    fn prepack_lifecycle_tracks_mutation() {
+    fn packed_plan_follows_every_weight_change() {
         let mut m = model();
-        // new() leaves a live f32 plan with real resident bytes.
-        assert!(m.is_prepacked());
         assert!(m.prepack_bytes() > 0);
-        let packed_out = m.predict_batch(&[&[1usize, 2, 3][..]]);
-        // Any mutable visit drops the plan; the unpacked fallback is
-        // bit-identical.
-        m.visit_mut(&mut |_| {});
-        assert!(!m.is_prepacked());
-        assert_eq!(m.prepack_bytes(), 0);
-        let unpacked_out = m.predict_batch(&[&[1usize, 2, 3][..]]);
-        assert_eq!(packed_out, unpacked_out);
-        // Re-packing restores the plan and the outputs.
-        m.prepack();
-        assert!(m.is_prepacked());
-        assert_eq!(m.predict_batch(&[&[1usize, 2, 3][..]]), packed_out);
-        // load() re-packs automatically.
+        let path = [1usize, 2, 3];
+        let batch = |m: &Circuitformer| m.predict_batch(&[&path[..]])[0].map(f32::to_bits);
+        let raw = |m: &Circuitformer| m.predict_raw(&path).map(f32::to_bits);
+        let before = batch(&m);
+        assert_eq!(before, raw(&m));
+        // A visit that rewrites every projection (all packed weights) is
+        // visible in the very next batched prediction.
         let state = m.save();
-        m.visit_mut(&mut |_| {});
-        assert!(!m.is_prepacked());
+        m.visit_mut(&mut |p| {
+            if p.name.starts_with("linear") {
+                for v in p.value.as_mut_slice() {
+                    *v *= 1.5;
+                }
+            }
+        });
+        assert_ne!(batch(&m), before);
+        assert_eq!(batch(&m), raw(&m));
+        // So is a load.
         m.load(&state).unwrap();
-        assert!(m.is_prepacked());
-        assert_eq!(m.predict_batch(&[&[1usize, 2, 3][..]]), packed_out);
+        assert_eq!(batch(&m), before);
     }
 
     #[test]

@@ -137,7 +137,9 @@ fn batch_gradients(
     let results =
         sns_rt::pool::par_map_chunks(batch, threads, |part| worker(model, data, part));
     let mut iter = results.into_iter();
-    let (mut grads, mut loss) = iter.next().expect("at least one worker");
+    let Some((mut grads, mut loss)) = iter.next() else {
+        return worker(model, data, &[]);
+    };
     for (g, l) in iter {
         grads.merge(&g);
         loss += l;

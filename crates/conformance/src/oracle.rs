@@ -34,7 +34,7 @@
 //! shrink the offending spec (see [`crate::shrink`]) and persist it to the
 //! corpus (see [`crate::corpus`]).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -47,7 +47,6 @@ use sns_core::{
     train_sns, DesignPrediction, Inline, Input, Output, PipelineError, SessionStore, SnsModel,
     SnsTrainConfig,
 };
-use sns_graphir::GraphIr;
 use sns_netlist::{
     elaborate_incremental, parse_and_elaborate, parse_source, ModuleElabCache, Netlist, PortDir,
     Simulator,
@@ -822,15 +821,3 @@ impl IncrementalHarness {
     }
 }
 
-/// Per-register activity map for power-gating spot checks: every register
-/// at the given coefficient.
-pub fn uniform_activity(nl: &Netlist, coeff: f32) -> HashMap<String, f32> {
-    let graph = GraphIr::from_netlist(nl);
-    let mut map = HashMap::new();
-    for info in graph.vertices() {
-        if info.vertex.vtype == sns_graphir::VocabType::Dff {
-            map.insert(info.name.clone(), coeff);
-        }
-    }
-    map
-}

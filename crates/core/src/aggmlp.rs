@@ -19,13 +19,26 @@ type MlpFwdCtx = (
 
 /// The four layers of an [`AggMlp`] in prepacked inference form. The MLPs
 /// are microseconds per design, but the m=1 feature-vector GEMMs still
-/// benefit from skipping per-call weight packing.
+/// benefit from skipping per-call weight packing. Built by
+/// [`AggMlp::new`] and rebuilt at the end of [`AggMlp::visit_mut`] and
+/// [`AggMlp::fit`], so it always matches the weights.
 #[derive(Debug, Clone)]
 struct PackedMlp {
     l1: PackedLinear,
     l2: PackedLinear,
     l3: PackedLinear,
     out: PackedLinear,
+}
+
+impl PackedMlp {
+    fn pack(l1: &Linear, l2: &Linear, l3: &Linear, out: &Linear) -> PackedMlp {
+        PackedMlp {
+            l1: PackedLinear::pack(l1),
+            l2: PackedLinear::pack(l2),
+            l3: PackedLinear::pack(l3),
+            out: PackedLinear::pack(out),
+        }
+    }
 }
 
 /// One per-target Aggregation MLP (`input → 32 → 32 → 32 → 1`).
@@ -36,7 +49,7 @@ pub struct AggMlp {
     l2: Linear,
     l3: Linear,
     out: Linear,
-    packed: Option<PackedMlp>,
+    packed: PackedMlp,
 }
 
 /// Training hyperparameters for the MLP (Table 6 row 2: SGD, batch 64,
@@ -77,29 +90,19 @@ impl AggMlp {
         let l2 = Linear::new(&mut reg, 32, 32, &mut rng);
         let l3 = Linear::new(&mut reg, 32, 32, &mut rng);
         let out = Linear::new(&mut reg, 32, 1, &mut rng);
-        let mut m = AggMlp { registry: reg, l1, l2, l3, out, packed: None };
-        m.prepack();
-        m
+        let packed = PackedMlp::pack(&l1, &l2, &l3, &out);
+        AggMlp { registry: reg, l1, l2, l3, out, packed }
     }
 
-    /// Rebuilds the prepacked inference snapshot (called by
-    /// [`new`](Self::new) and at the end of [`fit`](Self::fit); dropped by
-    /// any mutable parameter visit).
-    pub fn prepack(&mut self) {
-        self.packed = Some(PackedMlp {
-            l1: PackedLinear::pack(&self.l1),
-            l2: PackedLinear::pack(&self.l2),
-            l3: PackedLinear::pack(&self.l3),
-            out: PackedLinear::pack(&self.out),
-        });
+    /// Rebuilds the prepacked snapshot from the current weights.
+    fn repack(&mut self) {
+        self.packed = PackedMlp::pack(&self.l1, &self.l2, &self.l3, &self.out);
     }
 
-    /// Resident bytes of the prepacked layer panels (0 while mid-fit).
+    /// Resident bytes of the prepacked layer panels.
     pub fn prepack_bytes(&self) -> usize {
-        self.packed
-            .as_ref()
-            .map(|p| p.l1.bytes() + p.l2.bytes() + p.l3.bytes() + p.out.bytes())
-            .unwrap_or(0)
+        let p = &self.packed;
+        p.l1.bytes() + p.l2.bytes() + p.l3.bytes() + p.out.bytes()
     }
 
     /// Input feature dimensionality.
@@ -107,25 +110,20 @@ impl AggMlp {
         self.l1.in_dim()
     }
 
-    /// Predicts a scalar for one feature vector. Runs the prepacked
-    /// layers when a snapshot is live (bit-identical to the training
-    /// forward — both are f32 and honor the GEMM K-order contract), the
-    /// unpacked ones otherwise (mid-fit).
+    /// Predicts a scalar for one feature vector on the prepacked layers
+    /// (bit-identical to the training forward — both are f32 and honor
+    /// the GEMM K-order contract).
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != input_dim()`.
     pub fn predict(&self, features: &[f32]) -> f32 {
+        let p = &self.packed;
         let x = Mat::from_rows(&[features]);
-        match &self.packed {
-            Some(p) => {
-                let a1 = Relu.infer(&p.l1.infer(&x));
-                let a2 = Relu.infer(&p.l2.infer(&a1));
-                let a3 = Relu.infer(&p.l3.infer(&a2));
-                p.out.infer(&a3).get(0, 0)
-            }
-            None => self.forward(&x).0.get(0, 0),
-        }
+        let a1 = Relu.infer(&p.l1.infer(&x));
+        let a2 = Relu.infer(&p.l2.infer(&a1));
+        let a3 = Relu.infer(&p.l3.infer(&a2));
+        p.out.infer(&a3).get(0, 0)
     }
 
     fn forward(&self, x: &Mat) -> (Mat, MlpFwdCtx) {
@@ -147,10 +145,8 @@ impl AggMlp {
     /// Panics if `data` is empty or a feature vector has the wrong width.
     pub fn fit(&mut self, data: &[(Vec<f32>, f32)], config: &MlpTrainConfig) -> Vec<f32> {
         assert!(!data.is_empty(), "no training data for the Aggregation MLP");
-        // The optimizer mutates layer parameters directly below, bypassing
-        // visit_mut's invalidation hook — drop the pack for the duration
-        // and rebuild it from the final weights on the way out.
-        self.packed = None;
+        // The optimizer steps the layers directly below, bypassing
+        // visit_mut; the pack is rebuilt from the final weights on return.
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut opt = Sgd::new(config.lr, config.momentum);
         let mut order: Vec<usize> = (0..data.len()).collect();
@@ -187,7 +183,7 @@ impl AggMlp {
             }
             curve.push((epoch_loss / data.len() as f64) as f32);
         }
-        self.prepack();
+        self.repack();
         curve
     }
 
@@ -199,16 +195,14 @@ impl AggMlp {
         self.out.visit(f);
     }
 
-    /// Visits all parameters mutably. Drops the prepacked snapshot (the
-    /// visitor may rewrite weights); re-pack with
-    /// [`prepack`](Self::prepack) when done — prediction falls back to
-    /// the unpacked, bit-identical layers until then.
+    /// Visits all parameters mutably, then rebuilds the prepacked
+    /// snapshot from whatever the visitor left (parameter load).
     pub fn visit_mut(&mut self, f: &mut dyn FnMut(&mut sns_nn::Param)) {
-        self.packed = None;
         self.l1.visit_mut(f);
         self.l2.visit_mut(f);
         self.l3.visit_mut(f);
         self.out.visit_mut(f);
+        self.repack();
     }
 }
 
@@ -241,39 +235,50 @@ mod tests {
         assert!((m.predict(&[0.5, 0.5]) - 1.0).abs() < 0.2);
     }
 
+    fn forward_bits(m: &AggMlp, features: &[f32]) -> u32 {
+        m.forward(&Mat::from_rows(&[features])).0.get(0, 0).to_bits()
+    }
+
     #[test]
-    fn packed_predict_is_bit_identical_and_tracks_mutation() {
+    fn packed_predict_is_bit_identical_and_follows_visit_mut() {
         let m = AggMlp::new(7, 9);
         assert!(m.prepack_bytes() > 0);
         let features: Vec<f32> = (0..7).map(|i| (i as f32 - 3.0) * 0.17).collect();
-        let packed_out = m.predict(&features);
+        let before = m.predict(&features).to_bits();
+        assert_eq!(before, forward_bits(&m, &features));
+        // A visit that rewrites the weights is visible in the very next
+        // prediction.
         let mut m2 = m.clone();
-        m2.visit_mut(&mut |_| {});
-        assert_eq!(m2.prepack_bytes(), 0);
-        let unpacked_out = m2.predict(&features);
-        assert_eq!(packed_out.to_bits(), unpacked_out.to_bits());
-        m2.prepack();
-        assert_eq!(m2.predict(&features).to_bits(), packed_out.to_bits());
+        m2.visit_mut(&mut |p| {
+            for v in p.value.as_mut_slice() {
+                *v = *v * 1.5 + 0.01;
+            }
+        });
+        assert_ne!(m2.predict(&features).to_bits(), before);
+        assert_eq!(m2.predict(&features).to_bits(), forward_bits(&m2, &features));
+        // So is a parameter load.
+        let state = sns_nn::save_params(|f| m.visit(f));
+        sns_nn::load_params(&state, |f| m2.visit_mut(f)).unwrap();
+        assert_eq!(m2.predict(&features).to_bits(), before);
     }
 
     #[test]
     fn fit_leaves_a_fresh_pack() {
         let mut m = AggMlp::new(2, 3);
+        let before = m.predict(&[0.1, 0.2]).to_bits();
         let data = vec![(vec![0.1f32, 0.2], 0.5f32), (vec![0.3, 0.4], 0.7)];
         let cfg = MlpTrainConfig { epochs: 3, batch_size: 2, lr: 1e-3, momentum: 0.9, seed: 1 };
         m.fit(&data, &cfg);
-        assert!(m.prepack_bytes() > 0, "fit must re-pack its final weights");
         // The pack reflects the trained weights, not the initial ones.
-        let mut unpacked = m.clone();
-        unpacked.packed = None;
-        assert_eq!(m.predict(&[0.1, 0.2]).to_bits(), unpacked.predict(&[0.1, 0.2]).to_bits());
+        let after = m.predict(&[0.1, 0.2]).to_bits();
+        assert_ne!(after, before);
+        assert_eq!(after, forward_bits(&m, &[0.1, 0.2]));
     }
 
     /// `fit` as it was before the first layer dropped its input
     /// gradient: full [`Linear::backward`] on every layer. The bit-identity
     /// oracle for [`AggMlp::fit`].
     fn fit_reference(m: &mut AggMlp, data: &[(Vec<f32>, f32)], config: &MlpTrainConfig) -> Vec<f32> {
-        m.packed = None;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut opt = Sgd::new(config.lr, config.momentum);
         let mut order: Vec<usize> = (0..data.len()).collect();
@@ -309,7 +314,7 @@ mod tests {
             }
             curve.push((epoch_loss / data.len() as f64) as f32);
         }
-        m.prepack();
+        m.repack();
         curve
     }
 

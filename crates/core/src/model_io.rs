@@ -162,7 +162,6 @@ fn model_from_json(json: &str) -> Result<SnsModel, String> {
     ];
     for (m, state) in mlps.iter_mut().zip(&saved.mlps) {
         load_params(state, |f| m.visit_mut(f))?;
-        m.prepack();
     }
     let sample = SampleConfig {
         k: saved.sample_k,

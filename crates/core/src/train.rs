@@ -163,10 +163,6 @@ pub fn train_sns_on_labeled(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut circuitformer = Circuitformer::new(config.circuitformer.clone(), &mut rng);
     let cf_history = cf_train(&mut circuitformer, &train_set, &val_set, &config.cf_train);
-    // Training mutated the parameters (dropping the construction-time
-    // pack); snapshot the final weights so every inference below and every
-    // later prediction runs the prepacked kernels.
-    circuitformer.prepack();
 
     // ---- Aggregation MLPs (§3.4) ----
     let design_labels: Vec<[f64; 3]> = entries
@@ -314,10 +310,9 @@ impl FineTuner {
             grads.clip_global_norm(self.config.clip);
         }
         use sns_nn::Optimizer as _;
+        // The visit re-packs the inference plan; the weights changed, so
+        // every cached path prediction goes too.
         self.opt.step_visit(&grads, |f| model.circuitformer.visit_mut(f));
-        // The weights changed: re-pack the inference kernels and drop
-        // every cached path prediction.
-        model.circuitformer.prepack();
         model.clear_cache();
         self.steps += 1;
         loss / normalized.len() as f32

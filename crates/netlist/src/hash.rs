@@ -104,15 +104,6 @@ pub fn fnv128_bytes(bytes: &[u8]) -> [u64; 2] {
     h.finish()
 }
 
-/// FNV-1a over a name, used by the sampler for order keys too.
-pub fn fnv64_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in s.as_bytes() {
-        h = (h ^ *byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Hashes one module definition (its own content only).
 pub fn module_hash(m: &Module) -> [u64; 2] {
     let mut h = Fnv128::new();

@@ -29,16 +29,6 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
-    /// Returns the identifier text if this token is an identifier.
-    pub fn as_ident(&self) -> Option<&str> {
-        match self {
-            TokenKind::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
 /// A token together with its source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {

@@ -5,13 +5,11 @@
 //! a time; minibatch parallelism happens one level up (threads × private
 //! [`Grads`]).
 //!
-//! The inference path ([`MultiHeadAttention::infer_masked`]) additionally
-//! supports **batched, masked** attention: several sequences packed into
-//! one `[ΣT, d]` matrix, described by [`SeqSpan`]s. Attention is
-//! block-diagonal (a query never attends across a span boundary) and a
-//! span may carry right-padding, whose key/value positions are masked out
-//! of every softmax. Both mechanisms are bit-preserving: each valid row
-//! gets exactly the arithmetic the unbatched forward would have done.
+//! The inference path ([`PackedAttention::infer_masked`]) runs several
+//! sequences packed into one `[ΣT, d]` matrix, described by [`SeqSpan`]s.
+//! Attention is block-diagonal: a query never attends across a span
+//! boundary, so each row gets exactly the arithmetic the unbatched
+//! forward would have done.
 
 use sns_rt::rng::StdRng;
 
@@ -21,23 +19,13 @@ use crate::mat::Mat;
 use crate::param::{Grads, Param, ParamRegistry};
 
 /// One packed sequence's location inside a batched `[ΣT, d]` activation
-/// matrix: rows `start .. start + padded`, of which the first `valid`
-/// are real tokens and the rest right-padding.
+/// matrix: rows `start .. start + len`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeqSpan {
     /// First row of this sequence in the packed matrix.
     pub start: usize,
-    /// Number of real (unpadded) token rows.
-    pub valid: usize,
-    /// Total rows occupied, `valid <= padded`.
-    pub padded: usize,
-}
-
-impl SeqSpan {
-    /// A span with no padding.
-    pub fn dense(start: usize, len: usize) -> Self {
-        SeqSpan { start, valid: len, padded: len }
-    }
+    /// Number of token rows.
+    pub len: usize,
 }
 
 /// Multi-head scaled-dot-product self-attention with output projection.
@@ -88,29 +76,21 @@ impl MultiHeadAttention {
         self.heads
     }
 
+    /// Extracts head `h`'s column slice.
     fn head_cols(&self, m: &Mat, h: usize) -> Mat {
-        self.head_cols_span(m, h, SeqSpan::dense(0, m.rows()))
-    }
-
-    /// Extracts head `h`'s column slice for the rows covered by `span`.
-    fn head_cols_span(&self, m: &Mat, h: usize, span: SeqSpan) -> Mat {
         let dh = self.dim / self.heads;
-        let mut out = Mat::zeros(span.padded, dh);
-        for r in 0..span.padded {
-            out.row_mut(r).copy_from_slice(&m.row(span.start + r)[h * dh..(h + 1) * dh]);
+        let mut out = Mat::zeros(m.rows(), dh);
+        for r in 0..m.rows() {
+            out.row_mut(r).copy_from_slice(&m.row(r)[h * dh..(h + 1) * dh]);
         }
         out
     }
 
+    /// Writes `src` into head `h`'s column slice.
     fn scatter_head(&self, dst: &mut Mat, src: &Mat, h: usize) {
-        self.scatter_head_span(dst, src, h, 0);
-    }
-
-    /// Writes `src` into head `h`'s column slice starting at row `start`.
-    fn scatter_head_span(&self, dst: &mut Mat, src: &Mat, h: usize, start: usize) {
         let dh = self.dim / self.heads;
         for r in 0..src.rows() {
-            dst.row_mut(start + r)[h * dh..(h + 1) * dh].copy_from_slice(src.row(r));
+            dst.row_mut(r)[h * dh..(h + 1) * dh].copy_from_slice(src.row(r));
         }
     }
 
@@ -135,54 +115,6 @@ impl MultiHeadAttention {
         }
         let (y, o_ctx) = self.wo.forward(&concat);
         (y, AttentionCtx { q_ctx, k_ctx, v_ctx, o_ctx, q, k, v, attn })
-    }
-
-    /// Batched, masked self-attention over several sequences packed into
-    /// one `[ΣT, dim]` matrix.
-    ///
-    /// The Q/K/V/O projections run once over the whole packed matrix
-    /// (per-row arithmetic, so each row matches its unbatched result
-    /// bit-for-bit). Attention itself is evaluated per span and per head:
-    /// a query row only sees key/value rows of its own span, and key
-    /// columns at positions `>= span.valid` are set to `-inf` before the
-    /// softmax, so padding contributes exactly `+0.0` to every context
-    /// sum. For spans with `valid == padded` (exact-length buckets) the
-    /// score matrix is byte-for-byte the one [`forward`](Self::forward)
-    /// computes for that sequence alone.
-    ///
-    /// Output rows belonging to padding positions are garbage and must be
-    /// discarded by the caller; padded input rows must be finite so they
-    /// cannot poison valid rows through `0.0 * inf`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if spans overlap `x` out of bounds or `valid > padded`.
-    pub fn infer_masked(&self, x: &Mat, spans: &[SeqSpan]) -> Mat {
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let dh = self.dim / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut concat = Mat::zeros(x.rows(), self.dim);
-        for &span in spans {
-            assert!(span.valid <= span.padded, "span valid exceeds padded");
-            assert!(span.start + span.padded <= x.rows(), "span out of bounds");
-            for h in 0..self.heads {
-                let qh = self.head_cols_span(&q, h, span);
-                let kh = self.head_cols_span(&k, h, span);
-                let vh = self.head_cols_span(&v, h, span);
-                let mut scores = qh.matmul_nt(&kh).scale(scale);
-                if span.valid < span.padded {
-                    for r in 0..span.padded {
-                        scores.row_mut(r)[span.valid..].fill(f32::NEG_INFINITY);
-                    }
-                }
-                let a = scores.softmax_rows();
-                let ctxh = a.matmul(&vh);
-                self.scatter_head_span(&mut concat, &ctxh, h, span.start);
-            }
-        }
-        self.wo.infer(&concat)
     }
 
     /// Backpropagates `dy`, returning `dx`.
@@ -244,9 +176,9 @@ impl MultiHeadAttention {
 }
 
 /// Query-row tile height of the streamed attention in
-/// [`PackedAttention::infer_masked`]: score tiles are `[TQ, padded]`, so
+/// [`PackedAttention::infer_masked`]: score tiles are `[TQ, len]`, so
 /// peak attention scratch is `O(TQ · T)` instead of the `O(T²)` the
-/// materialized path allocates per head.
+/// materialized training forward allocates per head.
 const TQ: usize = 64;
 
 /// An inference-only snapshot of a [`MultiHeadAttention`] with two
@@ -259,16 +191,17 @@ const TQ: usize = 64;
 ///   product is bit-identical to the three separate ones.
 /// * **Tiled softmax·V.** Instead of materializing the full `[T, T]`
 ///   score matrix per span and head, query rows stream through in blocks
-///   of [`TQ`]: each block computes its `[tq, padded]` score tile
-///   (`gemm_nt`), scales, span-masks, softmaxes and multiplies into V —
+///   of [`TQ`]: each block computes its `[tq, len]` score tile
+///   (`gemm_nt`), scales, softmaxes and multiplies into V —
 ///   then the tile is dropped. A true flash-attention running-max/sum
 ///   rescale would *change the reduction order* and break the mandated
 ///   f32 bit-identity, so the tiling is over whole query rows only: every
 ///   per-row max/exp/sum/divide happens in exactly the
 ///   [`Mat::softmax_rows`] op order, and every GEMM row is the same
 ///   ascending-k reduction regardless of tile height. The result is
-///   therefore bit-identical to [`MultiHeadAttention::infer_masked`];
-///   memory never exceeds `O(TQ · T)` per attention tile.
+///   therefore bit-identical to [`MultiHeadAttention::forward`] run on
+///   each span alone; memory never exceeds `O(TQ · T)` per attention
+///   tile.
 #[derive(Debug, Clone)]
 pub struct PackedAttention {
     qkv: PackedB,
@@ -322,35 +255,33 @@ impl PackedAttention {
         out
     }
 
-    /// Batched, masked self-attention — the packed counterpart of
-    /// [`MultiHeadAttention::infer_masked`], with the same span/masking
-    /// semantics (see there) and bit-identical output.
+    /// Batched self-attention over several sequences packed into one
+    /// `[ΣT, dim]` matrix, masked block-diagonally by `spans`.
+    ///
+    /// The fused QKV and output projections run once over the whole
+    /// packed matrix (per-row arithmetic); attention runs per span and
+    /// per head, so a query row only sees key/value rows of its own span.
+    /// Each span's rows come out bit-identical to
+    /// [`MultiHeadAttention::forward`] on that sequence alone.
     ///
     /// # Panics
     ///
-    /// Panics if spans overlap `x` out of bounds or `valid > padded`.
+    /// Panics if a span reaches past the end of `x`.
     pub fn infer_masked(&self, x: &Mat, spans: &[SeqSpan]) -> Mat {
         let qkv = x.matmul_prepacked(&self.qkv).add_row_broadcast(&self.qkv_bias);
         let dh = self.dim / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut concat = Mat::zeros(x.rows(), self.dim);
         for &span in spans {
-            assert!(span.valid <= span.padded, "span valid exceeds padded");
-            assert!(span.start + span.padded <= x.rows(), "span out of bounds");
+            assert!(span.start + span.len <= x.rows(), "span out of bounds");
             for h in 0..self.heads {
-                let kh = Self::window(&qkv, span.start, span.padded, self.dim + h * dh, dh);
-                let vh = Self::window(&qkv, span.start, span.padded, 2 * self.dim + h * dh, dh);
+                let kh = Self::window(&qkv, span.start, span.len, self.dim + h * dh, dh);
+                let vh = Self::window(&qkv, span.start, span.len, 2 * self.dim + h * dh, dh);
                 let mut qb = 0;
-                while qb < span.padded {
-                    let tq = TQ.min(span.padded - qb);
+                while qb < span.len {
+                    let tq = TQ.min(span.len - qb);
                     let qh = Self::window(&qkv, span.start + qb, tq, h * dh, dh);
-                    let mut scores = qh.matmul_nt(&kh).scale(scale);
-                    if span.valid < span.padded {
-                        for r in 0..tq {
-                            scores.row_mut(r)[span.valid..].fill(f32::NEG_INFINITY);
-                        }
-                    }
-                    let a = scores.softmax_rows();
+                    let a = qh.matmul_nt(&kh).scale(scale).softmax_rows();
                     let ctxh = a.matmul(&vh);
                     for r in 0..tq {
                         concat.row_mut(span.start + qb + r)[h * dh..(h + 1) * dh]
@@ -442,71 +373,39 @@ mod tests {
         m
     }
 
+    /// Fused QKV + tiled softmax·V over packed spans is bit-identical to
+    /// [`MultiHeadAttention::forward`] on each span alone, with spans that
+    /// are tiny, exactly one TQ tile, cross it, and reach two full tiles
+    /// plus a ragged one. At (8, 2) every a·V product is a narrow GEMM
+    /// (dh = 4); at the paper's (128, 2) a full 64-row query tile meets
+    /// dh = 64 and takes the pack-free exact-tile sweep.
     #[test]
-    fn packed_spans_match_unbatched_forward_bitwise() {
-        // Three sequences of different lengths packed into one matrix
-        // must reproduce each standalone forward exactly.
-        let (_, a) = setup(8, 2);
-        let mut rng = StdRng::seed_from_u64(11);
-        let lens = [3usize, 7, 1];
-        let total: usize = lens.iter().sum();
-        let packed = rand_mat(total, 8, &mut rng);
-        let mut spans = Vec::new();
-        let mut start = 0;
-        for &len in &lens {
-            spans.push(SeqSpan::dense(start, len));
-            start += len;
-        }
-        let batched = a.infer_masked(&packed, &spans);
-        for span in &spans {
-            let mut solo = Mat::zeros(span.valid, 8);
-            for r in 0..span.valid {
-                solo.row_mut(r).copy_from_slice(packed.row(span.start + r));
+    fn packed_attention_matches_per_span_forward_bitwise() {
+        for (dim, heads) in [(8usize, 2usize), (128, 2)] {
+            let (_, a) = setup(dim, heads);
+            let p = PackedAttention::pack(&a);
+            assert!(p.bytes() >= (3 * dim * dim + dim * dim) * 4);
+            let mut rng = StdRng::seed_from_u64(31);
+            let mut spans = Vec::new();
+            let mut start = 0;
+            for len in [1usize, 64, 65, 165] {
+                spans.push(SeqSpan { start, len });
+                start += len;
             }
-            let (want, _) = a.forward(&solo);
-            for r in 0..span.valid {
-                for c in 0..8 {
-                    assert_eq!(
-                        batched.get(span.start + r, c).to_bits(),
-                        want.get(r, c).to_bits(),
-                        "span@{} row {r} col {c}",
-                        span.start
-                    );
+            let x = rand_mat(start, dim, &mut rng);
+            let got = p.infer_masked(&x, &spans);
+            for span in &spans {
+                let (want, _) = a.forward(&x.rows_slice(span.start, span.start + span.len));
+                for r in 0..span.len {
+                    for c in 0..dim {
+                        assert_eq!(
+                            got.get(span.start + r, c).to_bits(),
+                            want.get(r, c).to_bits(),
+                            "dim {dim} span@{} row {r} col {c}",
+                            span.start
+                        );
+                    }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn padding_mask_hides_padded_positions() {
-        // A padded span must produce the same valid rows regardless of
-        // what the padding rows contain.
-        let (_, a) = setup(8, 2);
-        let mut rng = StdRng::seed_from_u64(12);
-        let valid = 4;
-        let padded = 6;
-        let x1 = rand_mat(padded, 8, &mut rng);
-        let mut x2 = x1.clone();
-        for r in valid..padded {
-            x2.row_mut(r).copy_from_slice(rand_mat(1, 8, &mut rng).row(0));
-        }
-        assert_ne!(x1.row(valid), x2.row(valid));
-        let span = [SeqSpan { start: 0, valid, padded }];
-        let y1 = a.infer_masked(&x1, &span);
-        let y2 = a.infer_masked(&x2, &span);
-        for r in 0..valid {
-            assert_eq!(y1.row(r), y2.row(r), "row {r} leaked padding");
-        }
-        // And the valid rows match the unbatched forward on the trimmed
-        // sequence exactly.
-        let mut solo = Mat::zeros(valid, 8);
-        for r in 0..valid {
-            solo.row_mut(r).copy_from_slice(x1.row(r));
-        }
-        let (want, _) = a.forward(&solo);
-        for r in 0..valid {
-            for c in 0..8 {
-                assert_eq!(y1.get(r, c).to_bits(), want.get(r, c).to_bits());
             }
         }
     }
@@ -516,41 +415,6 @@ mod tests {
     fn span_past_matrix_end_panics() {
         let (_, a) = setup(8, 2);
         let x = Mat::zeros(4, 8);
-        let _ = a.infer_masked(&x, &[SeqSpan::dense(2, 3)]);
-    }
-
-    /// Fused-QKV + tiled softmax·V is bit-identical to the unpacked
-    /// masked path across span layouts that cross the TQ tile boundary,
-    /// carry padding, or are empty.
-    #[test]
-    fn packed_attention_f32_is_bit_identical() {
-        let (_, a) = setup(8, 2);
-        let p = PackedAttention::pack(&a);
-        assert!(p.bytes() >= (3 * 8 * 8 + 8 * 8) * 4);
-        let mut rng = StdRng::seed_from_u64(31);
-        // Span lengths: tiny, exactly TQ, crossing TQ, padded, empty.
-        let spans = [
-            SeqSpan::dense(0, 1),
-            SeqSpan::dense(1, 64),
-            SeqSpan { start: 65, valid: 70, padded: 77 },
-            SeqSpan { start: 142, valid: 0, padded: 0 },
-            SeqSpan { start: 142, valid: 3, padded: 5 },
-        ];
-        let total = 147;
-        let x = rand_mat(total, 8, &mut rng);
-        let want = a.infer_masked(&x, &spans);
-        let got = p.infer_masked(&x, &spans);
-        for span in &spans {
-            for r in 0..span.valid {
-                for c in 0..8 {
-                    assert_eq!(
-                        got.get(span.start + r, c).to_bits(),
-                        want.get(span.start + r, c).to_bits(),
-                        "span@{} row {r} col {c}",
-                        span.start
-                    );
-                }
-            }
-        }
+        let _ = PackedAttention::pack(&a).infer_masked(&x, &[SeqSpan { start: 2, len: 3 }]);
     }
 }

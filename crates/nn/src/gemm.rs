@@ -50,8 +50,8 @@
 //! The old element-level `a == 0.0` skip is gone — on dense embedding
 //! activations it was a branch per multiply that blocked vectorization.
 //! What remains is a *row*-level sparse fast path: output rows whose
-//! entire A row is zero (CLS-only gradient scatters, padded rows) are
-//! detected up front in one cheap scan and skipped as whole micro-tiles.
+//! entire A row is zero (CLS-only gradient scatters) are detected up
+//! front in one cheap scan and skipped as whole micro-tiles.
 //! A zero A row contributes only `±0.0` products whose running sum stays
 //! `+0.0`, so the skip is value-identical too. The pack-free tile sweep
 //! computes zero rows, as the references do.

@@ -7,7 +7,6 @@
 use sns_rt::rng::StdRng;
 
 use crate::act::{sigmoid, tanh};
-use crate::gemm::PackedB;
 use crate::linear::Linear;
 use crate::mat::Mat;
 use crate::param::{Grads, Param, ParamRegistry};
@@ -187,108 +186,6 @@ impl Gru {
     }
 }
 
-/// An inference-only snapshot of a [`Gru`] with prepacked, fused
-/// projections:
-///
-/// * the three input projections Wz|Wr|Wh become one `[in, 3·hidden]`
-///   prepacked GEMM evaluated for **all** timesteps up front (each output
-///   row's reduction is row-independent, so batching over `T` is
-///   bit-identical to the per-step products);
-/// * the recurrent Uz|Ur pair becomes one `[hidden, 2·hidden]` prepacked
-///   GEMM per step, and Uh (which applies to `r ⊙ h`, not `h`) stays its
-///   own prepacked matrix.
-///
-/// Gate arithmetic replicates [`Gru::forward`]'s exact op order, so
-/// hidden states are bit-identical.
-#[derive(Debug, Clone)]
-pub struct PackedGru {
-    wx: PackedB,
-    bx: Vec<f32>,
-    uzr: PackedB,
-    bzr: Vec<f32>,
-    uh: PackedB,
-    bh: Vec<f32>,
-    hidden: usize,
-}
-
-impl PackedGru {
-    /// Snapshots `g`, fusing and prepacking its projections.
-    pub fn pack(g: &Gru) -> PackedGru {
-        let h = g.hidden;
-        let in_dim = g.wz.in_dim();
-        let mut wx = Mat::zeros(in_dim, 3 * h);
-        for l in 0..in_dim {
-            let row = wx.row_mut(l);
-            row[..h].copy_from_slice(g.wz.weight().row(l));
-            row[h..2 * h].copy_from_slice(g.wr.weight().row(l));
-            row[2 * h..].copy_from_slice(g.wh.weight().row(l));
-        }
-        let mut bx = Vec::with_capacity(3 * h);
-        bx.extend_from_slice(g.wz.bias());
-        bx.extend_from_slice(g.wr.bias());
-        bx.extend_from_slice(g.wh.bias());
-        let mut uzr = Mat::zeros(h, 2 * h);
-        for l in 0..h {
-            let row = uzr.row_mut(l);
-            row[..h].copy_from_slice(g.uz.weight().row(l));
-            row[h..].copy_from_slice(g.ur.weight().row(l));
-        }
-        let mut bzr = Vec::with_capacity(2 * h);
-        bzr.extend_from_slice(g.uz.bias());
-        bzr.extend_from_slice(g.ur.bias());
-        PackedGru {
-            wx: PackedB::pack(wx.as_slice(), in_dim, 3 * h),
-            bx,
-            uzr: PackedB::pack(uzr.as_slice(), h, 2 * h),
-            bzr,
-            uh: PackedB::pack(g.uh.weight().as_slice(), h, h),
-            bh: g.uh.bias().to_vec(),
-            hidden: h,
-        }
-    }
-
-    /// Hidden-state size.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Resident bytes of the packed projections.
-    pub fn bytes(&self) -> usize {
-        self.wx.bytes() + self.uzr.bytes() + self.uh.bytes()
-    }
-
-    /// Runs the GRU over `xs` of shape `[T, in_dim]` — bit-identical to
-    /// [`Gru::forward`]'s hidden-state output.
-    pub fn infer(&self, xs: &Mat) -> Mat {
-        let t_len = xs.rows();
-        let hd = self.hidden;
-        let gates_x = xs.matmul_prepacked(&self.wx).add_row_broadcast(&self.bx);
-        let mut hs = Mat::zeros(t_len, hd);
-        let mut h = Mat::zeros(1, hd);
-        for t in 0..t_len {
-            let zr = h.matmul_prepacked(&self.uzr).add_row_broadcast(&self.bzr);
-            let gx = gates_x.row(t);
-            let mut z = Mat::zeros(1, hd);
-            let mut r = Mat::zeros(1, hd);
-            for j in 0..hd {
-                z.row_mut(0)[j] = sigmoid(gx[j] + zr.row(0)[j]);
-                r.row_mut(0)[j] = sigmoid(gx[hd + j] + zr.row(0)[hd + j]);
-            }
-            let rh = r.hadamard(&h);
-            let nh = rh.matmul_prepacked(&self.uh).add_row_broadcast(&self.bh);
-            let mut n = Mat::zeros(1, hd);
-            for j in 0..hd {
-                n.row_mut(0)[j] = tanh(gx[2 * hd + j] + nh.row(0)[j]);
-            }
-            let one_minus_z = z.map(|v| 1.0 - v);
-            let new_h = one_minus_z.hadamard(&n).add(&z.hadamard(&h));
-            hs.row_mut(t).copy_from_slice(new_h.row(0));
-            h = new_h;
-        }
-        hs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,14 +258,11 @@ mod tests {
         assert!(nonzero >= 10, "only {nonzero} parameter tensors got gradient");
     }
 
-    /// Ctx-free and packed inference are bit-identical to the training
-    /// forward's hidden states, including at T = 0.
+    /// Ctx-free inference is bit-identical to the training forward's
+    /// hidden states, including at T = 0.
     #[test]
-    fn infer_and_packed_match_forward_bitwise() {
+    fn infer_matches_forward_bitwise() {
         let (_, gru) = setup(3, 5);
-        let packed = PackedGru::pack(&gru);
-        assert_eq!(packed.hidden(), 5);
-        assert!(packed.bytes() >= (3 * 15 + 5 * 10 + 25) * 4);
         let mut rng = StdRng::seed_from_u64(23);
         for &t_len in &[0usize, 1, 4, 19] {
             let mut xs = Mat::zeros(t_len, 3);
@@ -376,11 +270,10 @@ mod tests {
                 *v = rng.gen_range(-1.0f32..1.0);
             }
             let (want, _) = gru.forward(&xs);
-            for got in [gru.infer(&xs), packed.infer(&xs)] {
-                assert_eq!((got.rows(), got.cols()), (t_len, 5));
-                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "T={t_len}");
-                }
+            let got = gru.infer(&xs);
+            assert_eq!((got.rows(), got.cols()), (t_len, 5));
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "T={t_len}");
             }
         }
     }

@@ -13,7 +13,7 @@
 //!   threads (each thread owns its own `Grads`, summed afterwards).
 //! * **Matrix-centric.** Everything is a 2-D [`Mat`]. Training processes
 //!   one sequence at a time (circuit paths are short); inference can pack
-//!   many sequences into one matrix with per-span masking ([`SeqSpan`])
+//!   many sequences into one matrix as block-diagonal spans ([`SeqSpan`])
 //!   so they share the blocked GEMM kernels in [`gemm`].
 //! * **Everything SNS needs, nothing more:** linear, embedding, layer norm,
 //!   multi-head self-attention, GELU/ReLU/tanh/sigmoid, GRU (for SeqGAN),
@@ -65,7 +65,7 @@ pub use act::{Gelu, Relu, Sigmoid, Tanh};
 pub use attention::{AttentionCtx, MultiHeadAttention, PackedAttention, SeqSpan};
 pub use embedding::{Embedding, EmbeddingCtx};
 pub use gemm::PackedB;
-pub use gru::{Gru, GruCtx, PackedGru};
+pub use gru::{Gru, GruCtx};
 pub use linear::{Linear, LinearCtx, PackedLinear};
 pub use loss::{bce_with_logits_loss, mse_loss, softmax_cross_entropy};
 pub use mat::Mat;

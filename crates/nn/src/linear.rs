@@ -1,10 +1,11 @@
 //! Fully-connected layer, plus its packed inference counterpart.
 //!
 //! [`Linear`] owns trainable parameters and the backward pass.
-//! [`PackedLinear`] is a read-only snapshot taken at model load: the
-//! weight matrix repacked into GEMM panel layout ([`PackedB`]) so
-//! inference skips per-call packing entirely. `PackedLinear::infer` is
-//! bit-identical to [`Linear::infer`].
+//! [`PackedLinear`] is a read-only snapshot the owning model rebuilds
+//! whenever its weights change: the weight matrix repacked into GEMM
+//! panel layout ([`PackedB`]) so inference skips per-call packing
+//! entirely. `PackedLinear::infer` is bit-identical to [`Linear::infer`],
+//! and `PackedLinear::infer_gelu` to `Gelu.infer(&Linear::infer(x))`.
 
 use sns_rt::rng::StdRng;
 
@@ -56,7 +57,7 @@ impl PackedLinear {
     }
 
     /// `gelu(x W + b)`: the bias and GELU applied in one pass over the
-    /// fresh GEMM output, bit-identical to [`Linear::infer_gelu`].
+    /// fresh GEMM output, bit-identical to `Gelu.infer(&Linear::infer(x))`.
     ///
     /// # Panics
     ///
@@ -148,18 +149,6 @@ impl Linear {
     /// Panics if `x.cols() != in_dim`.
     pub fn infer(&self, x: &Mat) -> Mat {
         x.matmul(&self.w.value).add_row_broadcast(self.b.value.row(0))
-    }
-
-    /// `gelu(x W + b)` with the bias and GELU fused into one pass over the
-    /// GEMM output: bit-identical to `Gelu.infer(&self.infer(x))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != in_dim`.
-    pub fn infer_gelu(&self, x: &Mat) -> Mat {
-        let mut y = x.matmul(&self.w.value);
-        bias_gelu_in_place(y.as_mut_slice(), self.b.value.row(0));
-        y
     }
 
     /// Backpropagates `dy` (shape `[n, out_dim]`), returning `dx`.
@@ -290,10 +279,9 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits(), "{in_dim}x{out_dim} m={m}");
                 }
                 let want = Gelu.infer(&want);
-                for got in [l.infer_gelu(&x), p.infer_gelu(&x)] {
-                    for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "gelu {in_dim}x{out_dim} m={m}");
-                    }
+                let got = p.infer_gelu(&x);
+                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "gelu {in_dim}x{out_dim} m={m}");
                 }
             }
         }

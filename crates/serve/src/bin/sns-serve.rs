@@ -17,10 +17,10 @@
 //! latest checkpoint on **SIGHUP** or `POST /admin/reload` without
 //! dropping in-flight requests.
 //!
-//! Environment knobs: SNS_REPLICAS, SNS_WORKERS (alias
-//! SNS_SERVE_WORKERS), SNS_QUEUE_CAP, SNS_MAX_CONNS, SNS_MAX_BODY,
-//! SNS_DEADLINE_MS, SNS_CACHE_CAP, SNS_THREADS, SNS_BATCH,
-//! SNS_SESSION_CAP, SNS_ELAB_CACHE_CAP, SNS_ZOO_DIR.
+//! Environment knobs: SNS_REPLICAS, SNS_WORKERS, SNS_QUEUE_CAP,
+//! SNS_MAX_CONNS, SNS_MAX_BODY, SNS_DEADLINE_MS, SNS_CACHE_CAP,
+//! SNS_THREADS, SNS_BATCH, SNS_SESSION_CAP, SNS_ELAB_CACHE_CAP,
+//! SNS_ZOO_DIR.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -89,11 +89,10 @@
 //! panic costs one `500` (and bumps the `panics_total` metric) rather
 //! than the worker thread.
 //!
-//! Environment knobs: `SNS_REPLICAS`, `SNS_WORKERS` (alias
-//! `SNS_SERVE_WORKERS`), `SNS_QUEUE_CAP`, `SNS_MAX_CONNS`,
-//! `SNS_MAX_BODY`, `SNS_DEADLINE_MS`, `SNS_CACHE_CAP` (0 = unbounded),
-//! plus the model-level `SNS_THREADS` / `SNS_BATCH` and the elaboration
-//! budgets above.
+//! Environment knobs: `SNS_REPLICAS`, `SNS_WORKERS`, `SNS_QUEUE_CAP`,
+//! `SNS_MAX_CONNS`, `SNS_MAX_BODY`, `SNS_DEADLINE_MS`, `SNS_CACHE_CAP`
+//! (0 = unbounded), plus the model-level `SNS_THREADS` / `SNS_BATCH` and
+//! the elaboration budgets above.
 
 pub mod http;
 pub mod metrics;

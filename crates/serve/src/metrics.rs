@@ -286,7 +286,7 @@ impl Metrics {
     /// bound). The per-replica detail is exported under `"replicas"`.
     ///
     /// `prepack_bytes` is the serving model's resident prepacked weight
-    /// panels (zero means it runs unpacked — a load-failure signal).
+    /// panels.
     ///
     /// `models` carries one pre-assembled object per model the server
     /// has ever served (id, weight hash, [`ModelTally`] counters); it is

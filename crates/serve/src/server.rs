@@ -131,7 +131,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration with every `SNS_*` environment knob
-    /// applied: `SNS_WORKERS` (alias `SNS_SERVE_WORKERS`),
+    /// applied: `SNS_WORKERS`,
     /// `SNS_QUEUE_CAP`, `SNS_MAX_BODY`, `SNS_DEADLINE_MS`,
     /// `SNS_CACHE_CAP` (0 = unbounded), `SNS_THREADS`, `SNS_BATCH`,
     /// `SNS_SESSION_CAP`, `SNS_ELAB_CACHE_CAP`, `SNS_REPLICAS`,
@@ -139,7 +139,7 @@ impl ServeConfig {
     pub fn from_env() -> Self {
         let mut c = ServeConfig::default();
         let env_usize = |name| sns_rt::env_knob::<usize>(name).filter(|&n| n >= 1);
-        if let Some(n) = env_usize("SNS_WORKERS").or_else(|| env_usize("SNS_SERVE_WORKERS")) {
+        if let Some(n) = env_usize("SNS_WORKERS") {
             c.workers = n;
         }
         if let Some(n) = env_usize("SNS_QUEUE_CAP") {

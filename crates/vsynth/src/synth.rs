@@ -140,29 +140,6 @@ pub struct GateLevel {
     pub cycles_broken: u64,
 }
 
-impl GateLevel {
-    /// Area per top-level hierarchy prefix (the text before the first
-    /// `.` of each cell's name; cells without a prefix group under
-    /// `"<top>"`). Returns `(prefix, area_um2)` sorted by descending area.
-    pub fn area_breakdown(&self, lib: &CellLibrary) -> Vec<(String, f64)> {
-        let mut map: HashMap<String, f64> = HashMap::new();
-        for (name, start, end) in &self.regions {
-            let prefix = match name.split_once('.') {
-                Some((head, _)) => head.to_string(),
-                None => "<top>".to_string(),
-            };
-            let mut area = 0.0;
-            for id in *start..*end {
-                area += lib.area(self.graph.kind(id), self.graph.drive[id as usize]) as f64;
-            }
-            *map.entry(prefix).or_default() += area;
-        }
-        let mut out: Vec<(String, f64)> = map.into_iter().collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1));
-        out
-    }
-}
-
 /// The virtual synthesizer.
 ///
 /// See the crate docs for what it models and why. Construction is cheap;

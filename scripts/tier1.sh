@@ -29,21 +29,22 @@ cargo test -q -p sns-netlist -p sns-graphir -p sns-sampler
 # reactor substrate, and the JSON parser every request body goes
 # through), the part of sns-core every /predict runs (the staged
 # pipeline, the predictor, sessions and the path cache) plus the zoo
-# loader behind /admin/reload and SIGHUP, the NN substrate and the
-# Aggregation MLPs (every /predict runs their kernels), the virtual
-# synthesizer (labels every training design — a panic on one odd netlist
-# kills a whole dataset build), the self-training daemon (long-running; a
-# panic hours into a soak loses the run), and the rt thread pool (every
-# parallel site above runs on it, so a worker's panic must reach the
-# caller's catch_unwind with its own payload) must stay free of
-# unwrap/expect/panic!/unreachable! outside tests — every one of these
-# is a remote crash when the input is hostile.
-echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train,nn}/src + rt net/json/pool + core serve path, zoo loader and aggmlp)"
+# loader behind /admin/reload and SIGHUP, the NN substrate, the
+# Circuitformer and the Aggregation MLPs (every /predict runs their
+# kernels), the virtual synthesizer (labels every training design — a
+# panic on one odd netlist kills a whole dataset build), the
+# self-training daemon (long-running; a panic hours into a soak loses
+# the run), and the rt thread pool (every parallel site above runs on
+# it, so a worker's panic must reach the caller's catch_unwind with its
+# own payload) must stay free of unwrap/expect/panic!/unreachable!
+# outside tests — every one of these is a remote crash when the input
+# is hostile.
+echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train,nn,circuitformer}/src + rt net/json/pool + core serve path, zoo loader and aggmlp)"
 panic_sites=$(
   for f in crates/netlist/src/*.rs crates/graphir/src/*.rs crates/sampler/src/*.rs \
            crates/serve/src/*.rs crates/serve/src/bin/*.rs crates/rt/src/{net,json,pool}.rs \
            crates/core/src/{pipeline,predictor,session,cache,model_io,aggmlp}.rs \
-           crates/nn/src/*.rs \
+           crates/nn/src/*.rs crates/circuitformer/src/*.rs \
            crates/vsynth/src/*.rs crates/train/src/*.rs crates/train/src/bin/*.rs; do
     # Cut each file at its #[cfg(test)] module; test code may panic freely.
     awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
