@@ -33,6 +33,10 @@ fn rand_mat(rng: &mut StdRng, rows: usize, cols: usize) -> Mat {
 
 fn main() {
     sns_bench::headline("micro-kernels");
+    // The GEMM and GELU kernels run at the widest ISA level the CPU has;
+    // the artifact records it so numbers from different hosts compare.
+    let isa = sns_nn::Isa::host().name();
+    println!("  kernel ISA level: {isa}");
     let mut results = Vec::new();
 
     // GEMM kernel layer: blocked (with small-m dispatch) and prepacked-B
@@ -207,6 +211,7 @@ fn main() {
     // trajectory is tracked across PRs.
     let mut doc = results_to_json("micro_kernels", &results);
     if let Json::Obj(fields) = &mut doc {
+        fields.push(("isa".to_string(), Json::Str(isa.to_string())));
         fields.push(("gemm_speedups".to_string(), Json::Arr(speedup_rows)));
         fields.push(("batch_speedups".to_string(), Json::Arr(batch_speedups)));
     }

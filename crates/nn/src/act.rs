@@ -6,6 +6,9 @@
 //! round identically (the GEMM's K-order contract applied to
 //! activations) and predictions do not depend on the host's `tanhf`.
 
+use crate::isa::Isa;
+#[cfg(target_arch = "x86_64")]
+use crate::isa::Level;
 use crate::mat::Mat;
 
 /// Rectified linear unit.
@@ -176,20 +179,41 @@ pub fn bias_gelu_in_place(x: &mut [f32], bias: &[f32]) {
     gelu_dispatch(x, bias);
 }
 
-/// Runs [`gelu_rows`] through its AVX build when the CPU has AVX, chosen
-/// at runtime like the GEMM's `micro_kernel`.
+/// Runs [`gelu_rows`] at the host's [`Isa`] level, chosen at runtime
+/// like the GEMM micro-kernel.
 fn gelu_dispatch(x: &mut [f32], bias: &[f32]) {
+    gelu_rows_at(Isa::host(), x, bias);
+}
+
+/// [`gelu_rows`] through its build for `isa`: AVX-512F runs the f64
+/// rational on eight f64 lanes per `zmm`, AVX on four per `ymm`, the
+/// generic build on the baseline target's lanes. Every build performs the
+/// same IEEE operations per element in the same order, so the same bits.
+fn gelu_rows_at(isa: Isa, x: &mut [f32], bias: &[f32]) {
+    // SAFETY (both arms): holding `isa` proves the CPU runs its level.
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX probed above.
-        unsafe { gelu_rows_avx(x, bias) };
-        return;
+    match isa.level() {
+        Level::Avx512 => return unsafe { gelu_rows_avx512(x, bias) },
+        Level::Avx => return unsafe { gelu_rows_avx(x, bias) },
+        Level::Generic => {}
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = isa;
     gelu_rows(x, bias);
 }
 
-/// The same loop as [`gelu_rows`], compiled with AVX enabled: wider lanes,
-/// same IEEE operations in the same order, so the same bits.
+/// The same loop as [`gelu_rows`], compiled with AVX-512F enabled.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gelu_rows_avx512(x: &mut [f32], bias: &[f32]) {
+    gelu_rows(x, bias);
+}
+
+/// The same loop as [`gelu_rows`], compiled with AVX enabled.
 ///
 /// # Safety
 ///
@@ -357,6 +381,8 @@ mod tests {
         xs
     }
 
+    /// Every ISA build the host runs, called directly (dispatch alone
+    /// would test only the widest), against the scalar GELU.
     #[test]
     fn gelu_kernel_matches_scalar_bitwise() {
         let xs = kernel_inputs();
@@ -364,12 +390,11 @@ mod tests {
         let mut got = xs.clone();
         gelu_in_place(&mut got);
         assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            let mut avx = xs.clone();
-            // SAFETY: AVX probed above.
-            unsafe { gelu_rows_avx(&mut avx, &[]) };
-            assert_eq!(avx.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+        for isa in Isa::supported() {
+            let mut got = xs.clone();
+            gelu_rows_at(isa, &mut got, &[]);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{}", isa.name());
         }
     }
 
@@ -383,6 +408,12 @@ mod tests {
             .chunks_exact(bias.len())
             .flat_map(|row| row.iter().zip(&bias).map(|(v, b)| gelu(v + b).to_bits()))
             .collect();
+        for isa in Isa::supported() {
+            let mut got = xs.clone();
+            gelu_rows_at(isa, &mut got, &bias);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{}", isa.name());
+        }
         bias_gelu_in_place(&mut xs, &bias);
         assert_eq!(xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
     }

@@ -53,6 +53,7 @@ pub mod attention;
 pub mod embedding;
 pub mod gemm;
 pub mod gru;
+pub mod isa;
 pub mod linear;
 pub mod loss;
 pub mod mat;
@@ -66,6 +67,7 @@ pub use attention::{AttentionCtx, MultiHeadAttention, PackedAttention, SeqSpan};
 pub use embedding::{Embedding, EmbeddingCtx};
 pub use gemm::PackedB;
 pub use gru::{Gru, GruCtx};
+pub use isa::Isa;
 pub use linear::{Linear, LinearCtx, PackedLinear};
 pub use loss::{bce_with_logits_loss, mse_loss, softmax_cross_entropy};
 pub use mat::Mat;

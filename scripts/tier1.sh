@@ -73,6 +73,29 @@ if [ -n "$tanh_sites" ]; then
   exit 1
 fi
 
+# No fused multiply-add: the K-order contract (DESIGN.md §2c) rounds every
+# product before its add, in every GEMM lane and activation, so kernels
+# and their references agree bit for bit at every ISA level. A fused op
+# rounds once and moves the last bit. The gate rejects `mul_add`, the
+# `_mm*_f(n)m{add,sub}` intrinsics (masked forms included) and a
+# `target_feature` that enables `fma`, in non-test code of the crates
+# whose arithmetic predictions depend on.
+echo "==> no-FMA grep gate (crates/{nn,circuitformer,core}/src)"
+fma_sites=$(
+  find crates/nn/src crates/circuitformer/src crates/core/src -name '*.rs' | sort | while read -r f; do
+    # Cut each file at its #[cfg(test)] module; tests may use FMA freely.
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+  done \
+    | grep -E 'mul_add|_mm[0-9]*_[a-z0-9_]*fn?m(add|sub)|target_feature\s*\(\s*enable\s*=\s*"[^"]*\bfma\b' \
+    | grep -vE ':\s*//' \
+    || true
+)
+if [ -n "$fma_sites" ]; then
+  echo "fused multiply-add in the K-order-contract kernels (multiply, then add):"
+  echo "$fma_sites"
+  exit 1
+fi
+
 # One prediction pipeline: the stages live in sns-core
 # (`SnsModel::predict_with`); the server only supplies hooks, so it must
 # not name the stage internals it would need to grow its own copy.
