@@ -88,7 +88,7 @@ pub fn fmt_duration(d: Duration) -> String {
 }
 
 /// Times `f`: warms up for ~100 ms, picks an iteration count so each
-/// sample lasts ~2 ms, then records [`SAMPLES`] samples and reports the
+/// sample lasts ~2 ms, then records `SAMPLES` (30) samples and reports the
 /// min, median and mean per-call time. The result of every call goes
 /// through [`black_box`], so the work cannot be optimized away.
 pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> BenchResult {

@@ -1,7 +1,7 @@
 //! The regression corpus: minimized failing designs, replayed forever.
 //!
 //! Every disagreement the conformance harness finds is shrunk (see
-//! [`crate::shrink`]) and checked in under `tests/corpus/` as a small
+//! [`crate::shrink`](mod@crate::shrink)) and checked in under `tests/corpus/` as a small
 //! `.v` file with a `.json` sidecar pinning the expected behavior:
 //!
 //! ```json

@@ -533,7 +533,7 @@ impl DesignSpec {
     }
 
     /// The same design with every signal width doubled (capped at
-    /// [`MAX_WIDENED_WIDTH`]). Select bounds, case subjects, constants and
+    /// `MAX_WIDENED_WIDTH`, 24 bits). Select bounds, case subjects, constants and
     /// memory depths are untouched, so the widened spec stays well-formed;
     /// the vsynth monotonicity oracle demands its gate count never drops.
     pub fn widened(&self) -> DesignSpec {

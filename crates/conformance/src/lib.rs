@@ -21,7 +21,7 @@
 //!   across thread/batch/cache-capacity sweeps; HTTP ≡ direct prediction
 //!   through a live `sns-serve`; incremental ≡ from-scratch prediction
 //!   under K random module edits (the ECO session pipeline).
-//! * [`shrink`] — minimizes a failing design to a few lines while
+//! * [`shrink`](mod@shrink) — minimizes a failing design to a few lines while
 //!   preserving the failure.
 //! * [`corpus`] — checked-in minimized cases with blessed behavioral
 //!   sidecars, replayed by the test suite forever (`SNS_BLESS=1`

@@ -31,8 +31,8 @@
 //!    since oracle 2 pins synthesis determinism on equal netlists).
 //!
 //! All oracles return `Err(description)` on disagreement so callers can
-//! shrink the offending spec (see [`crate::shrink`]) and persist it to the
-//! corpus (see [`crate::corpus`]).
+//! shrink the offending spec (see [`crate::shrink`](mod@crate::shrink))
+//! and persist it to the corpus (see [`crate::corpus`]).
 
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
@@ -47,9 +47,10 @@ use sns_core::{
     train_sns, DesignPrediction, Inline, Input, Output, PipelineError, SessionStore, SnsModel,
     SnsTrainConfig,
 };
+use sns_netlist::ast::Design;
 use sns_netlist::{
-    elaborate_incremental, parse_and_elaborate, parse_source, ModuleElabCache, Netlist, PortDir,
-    Simulator,
+    elaborate_incremental, instantiated_modules, parse_and_elaborate, parse_source,
+    ModuleElabCache, Netlist, PortDir, Simulator,
 };
 use sns_rt::json::{parse as parse_json, Json};
 use sns_rt::StdRng;
@@ -785,13 +786,10 @@ impl IncrementalHarness {
                      returned different names or token sequences)"
                 ));
             }
-            let report = self.check_netlists(&merged, spec.top(), &nl_cache)?;
-            let mut distinct: std::collections::HashSet<&str> =
-                report.records.iter().map(|r| r.module.as_str()).collect();
-            distinct.insert(spec.top());
+            let design = self.check_netlists(&merged, spec.top(), &nl_cache)?;
             stats.edits += 1;
             stats.reelaborated_modules += outcome.reelaborated.len();
-            stats.design_modules += distinct.len();
+            stats.design_modules += instantiated_modules(&design, spec.top()).len();
             stats.reused_terminals += outcome.reused_terminals;
             stats.resampled_terminals += outcome.resampled_terminals;
             token = outcome.token;
@@ -799,25 +797,26 @@ impl IncrementalHarness {
         Ok(stats)
     }
 
-    /// Flat-vs-incremental netlist equality on one merged source.
+    /// Flat-vs-incremental netlist equality on one merged source; returns
+    /// the parsed design.
     fn check_netlists(
         &self,
         merged: &str,
         top: &str,
         cache: &ModuleElabCache,
-    ) -> Result<sns_netlist::ElabReport, String> {
+    ) -> Result<Design, String> {
         let design =
             parse_source(merged).map_err(|e| format!("merged source failed to parse: {e}"))?;
         let flat = sns_netlist::elaborate(&design, top)
             .map_err(|e| format!("flat elaboration failed: {e}"))?;
-        let (inc, report) = elaborate_incremental(&design, top, cache)
+        let inc = elaborate_incremental(&design, top, cache)
             .map_err(|e| format!("incremental elaboration failed: {e}"))?;
         if flat != inc {
             return Err(
                 "incremental netlist differs from the flat reference netlist".to_string()
             );
         }
-        Ok(report)
+        Ok(design)
     }
 }
 

@@ -3,7 +3,7 @@
 //! | [`Stage`] | flat front-end | session / ECO front-end |
 //! |---|---|---|
 //! | `Parse` | parse + elaborate | parse, merge the patch, incremental elaboration |
-//! | `Sample` | GraphIR + path sampling | stitched GraphIR + per-terminal (re-)sampling |
+//! | `Sample` | GraphIR + path sampling | GraphIR + per-terminal (re-)sampling |
 //! | `Infer` | tokenize + [`Hooks::prime`] | same |
 //! | `Aggregate` | serial reduction + MLP refinement | same |
 //!

@@ -80,8 +80,8 @@ impl SnsModel {
 
     /// Predicts many paths in one packed Circuitformer forward pass.
     ///
-    /// Per-path results are bit-identical to [`predict_path`]
-    /// (Self::predict_path) — batching only changes GEMM operand shapes,
+    /// Per-path results are bit-identical to
+    /// [`predict_path`](Self::predict_path) — batching only changes GEMM operand shapes,
     /// never any path's arithmetic — so callers may batch freely.
     pub fn predict_path_batch(&self, paths: &[&[usize]]) -> Vec<[f64; 3]> {
         self.circuitformer
@@ -209,8 +209,9 @@ impl SnsModel {
     /// Ensures the shared [`PathPredictionCache`] holds a prediction for
     /// every sequence in `token_seqs`, running the missing unique ones in
     /// length-bucketed packed forwards of at most `batch` sequences over
-    /// `threads` workers. After this, [`predict_primed`]
-    /// (Self::predict_primed) completes without further inference.
+    /// `threads` workers. After this,
+    /// [`predict_primed`](Self::predict_primed) completes without further
+    /// inference.
     ///
     /// Because batching is per-path exact, the Circuitformer is pure, and
     /// the reduction runs serially in path order, predictions are

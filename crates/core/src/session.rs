@@ -10,17 +10,21 @@
 //! * elaboration goes through the shared [`ModuleElabCache`] — only
 //!   modules whose transitive content hash changed rebuild, everything
 //!   else splices from cache ([`sns_netlist::elaborate_incremental`]),
-//! * the GraphIR is stitched from per-module subgraphs
-//!   ([`GraphIr::from_netlist_stitched`]),
+//! * the GraphIR is built from the spliced netlist exactly as for a flat
+//!   prediction ([`GraphIr::from_netlist`]),
 //! * sampling reuses the cached per-terminal paths of every terminal
-//!   whose forward region the edit did not touch
-//!   ([`sns_sampler::PathSampler::resample`]),
+//!   whose forward-region signature the edit did not change
+//!   ([`sns_sampler::PathSampler::resample`]; a new design resamples
+//!   against an empty map, so every terminal is sampled),
 //! * per-path Circuitformer predictions come from the model's
 //!   [`PathPredictionCache`](crate::PathPredictionCache).
 //!
 //! The incremental result is **bit-identical** to running the same merged
 //! source from scratch — enforced end-to-end by the `incremental`
-//! conformance oracle in `sns-conformance`.
+//! conformance oracle in `sns-conformance`. It is *not* the flat
+//! [`SnsModel::predict_verilog`] answer at `k > 1`: flat sampling draws
+//! from one RNG stream in vertex-id order, while session sampling seeds
+//! each terminal from its name, so the two sample different path sets.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -29,8 +33,8 @@ use std::time::Instant;
 use sns_graphir::GraphIr;
 use sns_netlist::ast::Design;
 use sns_netlist::{
-    design_hashes, elaborate_incremental, parse_source, ElabReport, ModuleElabCache, Netlist,
-    NetlistError,
+    design_hashes, elaborate_incremental, instantiated_modules, parse_source, ModuleElabCache,
+    Netlist, NetlistError,
 };
 use sns_sampler::{flatten_samples, PathSampler, PortablePath, ResampleOutcome, TerminalSample};
 
@@ -202,8 +206,8 @@ impl SessionStore {
         if prev.is_some() {
             self.elab.note_invalidations(changed.len() as u64);
         }
-        let (netlist, report) = elaborate_incremental(&design, top, &self.elab)?;
-        Ok(SessionFront { design, top: top.to_string(), prev, trans, changed, netlist, report })
+        let netlist = elaborate_incremental(&design, top, &self.elab)?;
+        Ok(SessionFront { design, top: top.to_string(), prev, trans, changed, netlist })
     }
 
     /// [`elaborate`](Self::elaborate) for an ECO: the `base` session's
@@ -254,7 +258,6 @@ pub(crate) struct SessionFront {
     /// Modules whose transitive hash differs from `prev`'s (all if none).
     changed: BTreeSet<String>,
     netlist: Netlist,
-    report: ElabReport,
 }
 
 impl SnsModel {
@@ -301,8 +304,8 @@ impl SnsModel {
         Ok(outcome)
     }
 
-    /// The session pipeline after elaboration (begun at `t`): stitched
-    /// GraphIR, per-terminal (re-)sampling, the shared tail, and — unless
+    /// The session pipeline after elaboration (begun at `t`): GraphIR,
+    /// per-terminal (re-)sampling, the shared tail, and — unless
     /// a hook stopped the run — registration in `store`.
     pub(crate) fn run_session<H: Hooks>(
         &self,
@@ -314,22 +317,12 @@ impl SnsModel {
     ) -> Result<SessionOutcome, H::Stop> {
         hooks.after(Stage::Parse, t.elapsed())?;
         let t = Instant::now();
-        let SessionFront { design, top, prev, trans, changed, netlist, report } = front;
-        let stitched = GraphIr::from_netlist_stitched(&netlist, &report);
-        let graph = &stitched.graph;
-        let sampler = PathSampler::new(self.sample.clone());
-        let ResampleOutcome { samples, reused, resampled } = match &prev {
-            Some(p) => sampler.resample(graph, &self.vocab, &p.samples),
-            None => {
-                let samples: Vec<Arc<TerminalSample>> = sampler
-                    .sample_by_terminal(graph, &self.vocab)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
-                let resampled = samples.len();
-                ResampleOutcome { samples, reused: 0, resampled }
-            }
-        };
+        let SessionFront { design, top, prev, trans, changed, netlist } = front;
+        let graph = &GraphIr::from_netlist(&netlist);
+        let no_samples = HashMap::new();
+        let prev_samples = prev.as_ref().map_or(&no_samples, |p| &p.samples);
+        let ResampleOutcome { samples, reused, resampled } =
+            PathSampler::new(self.sample.clone()).resample(graph, &self.vocab, prev_samples);
         let flat: Vec<&PortablePath> = flatten_samples(&samples, self.sample.max_paths);
         hooks.after(Stage::Sample, t.elapsed())?;
 
@@ -341,15 +334,10 @@ impl SnsModel {
         let prediction = self.infer_and_aggregate(hooks, t, graph, &seqs, items, start)?;
 
         // Reported modules: the changed set restricted to what this design
-        // actually elaborates (instantiated modules plus the top).
-        let mut instantiated: BTreeSet<&str> =
-            report.records.iter().map(|r| r.module.as_str()).collect();
-        instantiated.insert(&top);
-        let reelaborated: Vec<String> = changed
-            .iter()
-            .filter(|m| instantiated.contains(m.as_str()))
-            .cloned()
-            .collect();
+        // actually elaborates (the top plus every module instantiated
+        // under it).
+        let reelaborated: Vec<String> =
+            changed.intersection(&instantiated_modules(&design, &top)).cloned().collect();
 
         let token = design_token(&trans, &top);
         let samples_by_name: HashMap<String, Arc<TerminalSample>> =

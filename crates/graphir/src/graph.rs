@@ -1,8 +1,14 @@
 //! The GraphIR circuit graph and its construction from a netlist.
+//!
+//! [`GraphIr::from_netlist`] is the one builder. Flat predictions and ECO
+//! sessions both call it: a session's incrementally elaborated netlist is
+//! `==` to the flat one, so its graph is too, and the session path's
+//! reuse happens before (elaboration units) and after (per-terminal
+//! samples) this step, not in it.
 
 use std::collections::HashMap;
 
-use sns_netlist::{CellId, CellKind, ElabReport, InstanceRecord, NetId, Netlist, PortDir};
+use sns_netlist::{CellId, CellKind, NetId, Netlist, PortDir};
 
 use crate::vocab::{Vertex, Vocab, VocabType};
 
@@ -66,9 +72,7 @@ impl GraphStats {
 ///
 /// Built from a [`Netlist`] with [`GraphIr::from_netlist`]; wiring
 /// pseudo-cells are collapsed into edges and constants are dropped.
-/// Equality is structural — two construction orders that visit ports and
-/// cells identically produce `==` graphs (relied on by the incremental
-/// conformance oracle).
+/// Equality is structural: `==` netlists produce `==` graphs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphIr {
     vertices: Vec<VertexInfo>,
@@ -84,44 +88,59 @@ impl GraphIr {
     /// Table 1. Wiring cells (slice/concat/replicate/buf) are traversed
     /// transparently when building edges; constant drivers produce no edge.
     pub fn from_netlist(nl: &Netlist) -> Self {
-        let whole = [(None, 0u32, nl.cell_count() as u32)];
-        build(nl, &whole).graph
-    }
+        let mut g = GraphIr::default();
+        let mut cell_vertex: HashMap<CellId, VertexId> = HashMap::new();
+        let mut port_vertex: HashMap<NetId, VertexId> = HashMap::new();
 
-    /// Converts a flat netlist into GraphIR as stitched per-module
-    /// subgraphs, using the [`ElabReport`] from incremental elaboration to
-    /// carve the cell space into instance regions.
-    ///
-    /// Each top-level instance's cell range becomes its own subgraph part,
-    /// built independently; the gaps between ranges form the top module's
-    /// body part. Parts meet only through nets at instance boundaries (the
-    /// bound input nets and output-driven lvalues), and the stitch resolves
-    /// those shared nets into cross-part edges. The resulting graph is
-    /// `==` to [`GraphIr::from_netlist`] on the same netlist.
-    pub fn from_netlist_stitched(nl: &Netlist, report: &ElabReport) -> StitchedGraph {
-        let n = nl.cell_count() as u32;
-        let mut tops: Vec<&InstanceRecord> = report.top_level().collect();
-        tops.sort_by_key(|r| r.cell_start);
-        let mut parts: Vec<String> = Vec::with_capacity(tops.len());
-        let mut segments: Vec<(Option<usize>, u32, u32)> = Vec::new();
-        let mut at = 0u32;
-        for r in tops {
-            let (s, e) = (r.cell_start.min(n), r.cell_end.min(n));
-            if s < at || e < s {
-                continue; // overlapping/garbage record: fold into enclosing part
+        // Ports first (stable ordering), then logic cells in cell order.
+        for p in nl.ports() {
+            let w = nl.net(p.net).width;
+            let id = g
+                .push(VertexInfo { vertex: Vertex::new(VocabType::Io, w), name: p.name.clone() });
+            if p.dir == PortDir::Input {
+                port_vertex.insert(p.net, id);
+            } else {
+                port_vertex.entry(p.net).or_insert(id);
             }
-            if at < s {
-                segments.push((None, at, s));
+        }
+        for (cid, cell) in nl.cells_enumerated() {
+            let Some(vtype) = vocab_type(cell.kind) else { continue };
+            let mut w = nl.net(cell.output).width;
+            for &i in &cell.inputs {
+                w = w.max(nl.net(i).width);
             }
-            segments.push((Some(parts.len()), s, e));
-            parts.push(r.path.clone());
-            at = e;
+            let id = g.push(VertexInfo { vertex: Vertex::new(vtype, w), name: cell.name.clone() });
+            cell_vertex.insert(cid, id);
         }
-        if at < n {
-            segments.push((None, at, n));
+
+        // Resolve the real (non-wiring) sources behind every net, memoized.
+        let driver = nl.driver_map();
+        let mut memo: HashMap<NetId, Vec<VertexId>> = HashMap::new();
+        let mut sources = |net: NetId| -> Vec<VertexId> {
+            resolve_sources(nl, &driver, &cell_vertex, &port_vertex, &mut memo, net)
+        };
+
+        // Edges: into every logic cell, and into every output-port vertex.
+        for (cid, cell) in nl.cells_enumerated() {
+            let Some(&dst) = cell_vertex.get(&cid) else { continue };
+            for &input in &cell.inputs {
+                for src in sources(input) {
+                    g.add_edge(src, dst);
+                }
+            }
         }
-        let built = build(nl, &segments);
-        StitchedGraph { graph: built.graph, cell_of: built.cell_of, part_of: built.part_of, parts }
+        for p in nl.ports() {
+            if p.dir == PortDir::Output {
+                let dst = port_vertex[&p.net];
+                for src in sources(p.net) {
+                    if src != dst {
+                        g.add_edge(src, dst);
+                    }
+                }
+            }
+        }
+        g.dedup_edges();
+        g
     }
 
     fn push(&mut self, v: VertexInfo) -> VertexId {
@@ -209,121 +228,6 @@ impl GraphIr {
         }
         GraphStats { counts }
     }
-}
-
-/// A [`GraphIr`] carved into per-module subgraph parts, as produced by
-/// [`GraphIr::from_netlist_stitched`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct StitchedGraph {
-    /// The stitched graph (`==` to the flat construction).
-    pub graph: GraphIr,
-    /// Per vertex: the originating netlist cell (`None` for port vertices).
-    pub cell_of: Vec<Option<CellId>>,
-    /// Per vertex: index into [`StitchedGraph::parts`], or `None` for port
-    /// vertices and the top module's own body.
-    pub part_of: Vec<Option<usize>>,
-    /// Instance paths of the top-level subgraph parts, in cell order.
-    pub parts: Vec<String>,
-}
-
-impl StitchedGraph {
-    /// Ids of vertices whose originating cell lies in any of the given
-    /// half-open cell ranges — e.g. the ranges of re-elaborated instances
-    /// from an ECO, to seed invalidation in the sampler.
-    pub fn vertices_in_cell_ranges(&self, ranges: &[(u32, u32)]) -> Vec<VertexId> {
-        self.cell_of
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|cid| (VertexId(i as u32), cid.0)))
-            .filter(|&(_, c)| ranges.iter().any(|&(s, e)| s <= c && c < e))
-            .map(|(v, _)| v)
-            .collect()
-    }
-}
-
-struct BuiltGraph {
-    graph: GraphIr,
-    cell_of: Vec<Option<CellId>>,
-    part_of: Vec<Option<usize>>,
-}
-
-/// Shared graph builder over an ordered segmentation of the cell space.
-///
-/// `segments` must cover `0..cell_count` in ascending order; each segment
-/// carries an optional part index. Vertices are created ports-first, then
-/// segment by segment in cell order — identical to the flat construction —
-/// and edges resolve through a netlist-global memo, which is what stitches
-/// parts together across instance-boundary nets.
-fn build(nl: &Netlist, segments: &[(Option<usize>, u32, u32)]) -> BuiltGraph {
-    let mut g = GraphIr::default();
-    let mut cell_of: Vec<Option<CellId>> = Vec::new();
-    let mut part_of: Vec<Option<usize>> = Vec::new();
-    let mut cell_vertex: HashMap<CellId, VertexId> = HashMap::new();
-    let mut port_vertex: HashMap<NetId, VertexId> = HashMap::new();
-
-    // Ports first (stable ordering), then logic cells.
-    for p in nl.ports() {
-        let w = nl.net(p.net).width;
-        let id = g
-            .push(VertexInfo { vertex: Vertex::new(VocabType::Io, w), name: p.name.clone() });
-        cell_of.push(None);
-        part_of.push(None);
-        if p.dir == PortDir::Input {
-            port_vertex.insert(p.net, id);
-        } else {
-            port_vertex.entry(p.net).or_insert(id);
-        }
-    }
-    for &(part, start, end) in segments {
-        for idx in start..end {
-            let cid = CellId(idx);
-            let cell = nl.cell(cid);
-            let Some(vtype) = vocab_type(cell.kind) else { continue };
-            let mut w = nl.net(cell.output).width;
-            for &i in &cell.inputs {
-                w = w.max(nl.net(i).width);
-            }
-            let id =
-                g.push(VertexInfo { vertex: Vertex::new(vtype, w), name: cell.name.clone() });
-            cell_of.push(Some(cid));
-            part_of.push(part);
-            cell_vertex.insert(cid, id);
-        }
-    }
-
-    // Resolve the real (non-wiring) sources behind every net, memoized.
-    // The memo is netlist-global: a net bound across an instance boundary
-    // resolves to vertices in whichever part drives it.
-    let driver = nl.driver_map();
-    let mut memo: HashMap<NetId, Vec<VertexId>> = HashMap::new();
-    let mut sources = |net: NetId| -> Vec<VertexId> {
-        resolve_sources(nl, &driver, &cell_vertex, &port_vertex, &mut memo, net)
-    };
-
-    // Edges: into every logic cell, and into every output-port vertex.
-    for &(_, start, end) in segments {
-        for idx in start..end {
-            let cid = CellId(idx);
-            let Some(&dst) = cell_vertex.get(&cid) else { continue };
-            for &input in &nl.cell(cid).inputs {
-                for src in sources(input) {
-                    g.add_edge(src, dst);
-                }
-            }
-        }
-    }
-    for p in nl.ports() {
-        if p.dir == PortDir::Output {
-            let dst = port_vertex[&p.net];
-            for src in sources(p.net) {
-                if src != dst {
-                    g.add_edge(src, dst);
-                }
-            }
-        }
-    }
-    g.dedup_edges();
-    BuiltGraph { graph: g, cell_of, part_of }
 }
 
 fn vocab_type(kind: CellKind) -> Option<VocabType> {
@@ -534,68 +438,6 @@ mod tests {
         .unwrap();
         let g = GraphIr::from_netlist(&nl);
         assert!(g.vertices().any(|v| v.vertex.token_name() == "eq16"));
-    }
-
-    #[test]
-    fn stitched_equals_flat_construction() {
-        use sns_netlist::{elaborate_incremental, parse_source, ModuleElabCache};
-        let src = "
-            module leaf #(parameter W = 4) (input [W-1:0] a, input [W-1:0] b,
-                                            output [W-1:0] y);
-                assign y = (a & b) + (a ^ b);
-            endmodule
-            module mid #(parameter W = 4) (input clk, input [W-1:0] a, input [W-1:0] b,
-                                           output [W-1:0] y);
-                wire [W-1:0] t;
-                reg [W-1:0] r;
-                leaf #(.W(W)) u0 (.a(a), .b(b), .y(t));
-                always @(posedge clk) r <= t;
-                assign y = r;
-            endmodule
-            module top (input clk, input [7:0] p, input [7:0] q,
-                        output [7:0] r, output [3:0] s);
-                wire [3:0] n;
-                mid #(.W(8)) m8 (.clk(clk), .a(p), .b(q), .y(r));
-                mid #(.W(4)) m4 (.clk(clk), .a(p[3:0]), .b(n), .y(s));
-                leaf u (.a(p[3:0]), .b(q[7:4]), .y(n));
-            endmodule";
-        let design = parse_source(src).unwrap();
-        let cache = ModuleElabCache::default();
-        let (nl, report) = elaborate_incremental(&design, "top", &cache).unwrap();
-        let flat = GraphIr::from_netlist(&nl);
-        let stitched = GraphIr::from_netlist_stitched(&nl, &report);
-        assert_eq!(flat, stitched.graph);
-        // Three top-level parts, in cell order.
-        assert_eq!(stitched.parts, vec!["m8", "m4", "u"]);
-        assert_eq!(stitched.part_of.len(), stitched.graph.vertex_count());
-        assert_eq!(stitched.cell_of.len(), stitched.graph.vertex_count());
-        // Every non-port vertex maps back to its originating cell.
-        for (i, c) in stitched.cell_of.iter().enumerate() {
-            if let Some(cid) = c {
-                assert_eq!(nl.cell(*cid).name, stitched.graph.vertex(VertexId(i as u32)).name);
-            }
-        }
-        // Vertices in m8's cell range are exactly the part-0 vertices.
-        let m8 = report.records.iter().find(|r| r.path == "m8").unwrap();
-        let in_range = stitched.vertices_in_cell_ranges(&[(m8.cell_start, m8.cell_end)]);
-        for (i, part) in stitched.part_of.iter().enumerate() {
-            let vid = VertexId(i as u32);
-            assert_eq!(*part == Some(0), in_range.contains(&vid));
-        }
-    }
-
-    #[test]
-    fn stitched_with_empty_report_is_one_top_part() {
-        let nl = parse_and_elaborate(
-            "module m (input [7:0] a, output [7:0] y); assign y = ~a; endmodule",
-            "m",
-        )
-        .unwrap();
-        let stitched =
-            GraphIr::from_netlist_stitched(&nl, &sns_netlist::ElabReport::default());
-        assert_eq!(stitched.graph, GraphIr::from_netlist(&nl));
-        assert!(stitched.parts.is_empty());
-        assert!(stitched.part_of.iter().all(Option::is_none));
     }
 
     #[test]

@@ -42,5 +42,5 @@
 pub mod graph;
 pub mod vocab;
 
-pub use graph::{GraphIr, GraphStats, StitchedGraph, VertexId, VertexInfo};
+pub use graph::{GraphIr, GraphStats, VertexId, VertexInfo};
 pub use vocab::{Vertex, Vocab, VocabType};

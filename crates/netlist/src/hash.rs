@@ -24,7 +24,7 @@
 //! Recursion over expressions is safe: the parser caps AST nesting at
 //! [`crate::parser::MAX_DEPTH`], so hashing depth is bounded too.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::ast::{
     Always, Connection, Decl, Design, Dir, Expr, Item, LValue, Module, Range, Stmt,
@@ -64,10 +64,6 @@ impl Fnv128 {
         for byte in x.to_le_bytes() {
             self.byte(byte);
         }
-    }
-
-    pub(crate) fn i64(&mut self, x: i64) {
-        self.u64(x as u64);
     }
 
     pub(crate) fn usize(&mut self, x: usize) {
@@ -122,20 +118,8 @@ pub fn design_hashes(design: &Design) -> HashMap<String, ModHash> {
     // Direct instantiation edges, per module, sorted + deduped so the
     // transitive hash depends on the set of children, not on body order
     // (body order is already covered by the own hash).
-    let mut children: HashMap<&str, Vec<&str>> = HashMap::new();
-    for m in &design.modules {
-        let mut c: Vec<&str> = m
-            .items
-            .iter()
-            .filter_map(|i| match i {
-                Item::Instance(inst) => Some(inst.module.as_str()),
-                _ => None,
-            })
-            .collect();
-        c.sort_unstable();
-        c.dedup();
-        children.insert(m.name.as_str(), c);
-    }
+    let children: HashMap<&str, Vec<&str>> =
+        design.modules.iter().map(|m| (m.name.as_str(), instantiated_children(m))).collect();
 
     // Iterative DFS with a visiting set: cycles and missing definitions
     // mix a marker instead of recursing forever.
@@ -203,6 +187,41 @@ pub fn design_hashes(design: &Design) -> HashMap<String, ModHash> {
             (m.name.clone(), ModHash { own: own.get(name).copied().unwrap_or([0, 0]), trans: t })
         })
         .collect()
+}
+
+/// `top` plus every module it transitively instantiates: the modules an
+/// elaboration of `top` builds, read off the AST's instance edges.
+///
+/// Exact for every design that elaborates: the grammar has no generate
+/// blocks or conditional instances, so each instance item is elaborated
+/// exactly once per enclosing instance. Names resolve as the elaborator
+/// resolves them (the first definition wins); undefined names are
+/// skipped. Empty if `top` is not defined.
+pub fn instantiated_modules(design: &Design, top: &str) -> BTreeSet<String> {
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut work: Vec<&str> = vec![top];
+    while let Some(name) = work.pop() {
+        let Some(m) = design.module(name) else { continue };
+        if seen.insert(m.name.clone()) {
+            work.extend(instantiated_children(m));
+        }
+    }
+    seen
+}
+
+/// The module names `m` instantiates directly, sorted and deduplicated.
+fn instantiated_children(m: &Module) -> Vec<&str> {
+    let mut c: Vec<&str> = m
+        .items
+        .iter()
+        .filter_map(|i| match i {
+            Item::Instance(inst) => Some(inst.module.as_str()),
+            _ => None,
+        })
+        .collect();
+    c.sort_unstable();
+    c.dedup();
+    c
 }
 
 fn hash_module(h: &mut Fnv128, m: &Module) {
@@ -515,6 +534,33 @@ mod tests {
         let vals: std::collections::HashSet<[u64; 2]> =
             h.values().map(|m| m.trans).collect();
         assert_eq!(vals.len(), 3, "distinct modules hash distinctly: {h:?}");
+    }
+
+    #[test]
+    fn instantiated_modules_follow_instance_edges_from_top() {
+        let design = parse_source(
+            "module leaf (input x, output y); assign y = x; endmodule
+             module unused (input x, output y); leaf u (.x(x), .y(y)); endmodule
+             module mid (input x, output y); leaf u (.x(x), .y(y)); endmodule
+             module top (input x, output y, output z);
+                 mid m (.x(x), .y(y));
+                 leaf u (.x(x), .y(z));
+             endmodule",
+        )
+        .unwrap();
+        let names = |top: &str| -> Vec<String> {
+            instantiated_modules(&design, top).into_iter().collect()
+        };
+        assert_eq!(names("top"), ["leaf", "mid", "top"]);
+        assert_eq!(names("leaf"), ["leaf"]);
+        assert!(names("ghost").is_empty());
+        // Cycles terminate; undefined children are skipped.
+        let cyclic = parse_source(
+            "module a (input x, output y); b u (.x(x), .y(y)); endmodule
+             module b (input x, output y); a u (.x(x), .y(y)); ghost g (.x(x)); endmodule",
+        )
+        .unwrap();
+        assert_eq!(instantiated_modules(&cyclic, "a").into_iter().collect::<Vec<_>>(), ["a", "b"]);
     }
 
     #[test]

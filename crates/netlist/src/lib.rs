@@ -63,11 +63,8 @@ pub mod sim;
 
 pub use elaborate::{elaborate, elaborate_with_limits, ElabLimits};
 pub use error::NetlistError;
-pub use hash::{design_hashes, module_hash, ModHash};
-pub use incremental::{
-    elaborate_incremental, elaborate_incremental_with_limits, ElabReport, InstanceRecord,
-    ModuleElabCache,
-};
+pub use hash::{design_hashes, instantiated_modules, module_hash, ModHash};
+pub use incremental::{elaborate_incremental, elaborate_incremental_with_limits, ModuleElabCache};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use netlist::{Cell, CellId, CellKind, Net, NetId, Netlist, Port, PortDir};
 pub use parser::parse_source;

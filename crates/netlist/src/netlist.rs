@@ -319,17 +319,15 @@ impl Netlist {
     /// instance's hierarchical prefix) is prepended to every copied net and
     /// cell name, reproducing inline elaboration's naming byte for byte.
     ///
-    /// Returns `(net_base, cell_start)`: the id of the first copied net and
-    /// the index of the first copied cell.
+    /// Returns `net_base`, the id of the first copied net.
     pub(crate) fn splice_fragment(
         &mut self,
         frag: &Netlist,
         n_ph: usize,
         bound: &[NetId],
         prefix: &str,
-    ) -> (u32, u32) {
+    ) -> u32 {
         let net_base = self.nets.len() as u32;
-        let cell_start = self.cells.len() as u32;
         let map = |id: NetId| -> NetId {
             let k = id.0 as usize;
             if k < n_ph {
@@ -355,7 +353,7 @@ impl Netlist {
                 attr: cell.attr,
             });
         }
-        (net_base, cell_start)
+        net_base
     }
 
     /// Checks structural invariants: every net has at most one driver, cell

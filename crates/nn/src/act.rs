@@ -127,7 +127,7 @@ const TANH_CLAMP: f32 = 9.0;
 /// Hyperbolic tangent, owned by this crate.
 ///
 /// Eigen's degree-13/6 float minimax rational `x·P(x²)/Q(x²)` on `x`
-/// clamped to ±[`TANH_CLAMP`], evaluated in f64 from IEEE `+ × ÷` only
+/// clamped to ±`TANH_CLAMP` (9), evaluated in f64 from IEEE `+ × ÷` only
 /// (no `mul_add`, no libm) and rounded once to f32. The single rounding
 /// makes it odd, bounded by 1 and monotone, with max abs error 2.4e-7
 /// against the true tanh; an f32 quotient of two separately rounded

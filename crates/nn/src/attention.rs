@@ -191,7 +191,7 @@ const TQ: usize = 64;
 ///   product is bit-identical to the three separate ones.
 /// * **Tiled softmax·V.** Instead of materializing the full `[T, T]`
 ///   score matrix per span and head, query rows stream through in blocks
-///   of [`TQ`]: each block computes its `[tq, len]` score tile
+///   of `TQ` (64): each block computes its `[tq, len]` score tile
 ///   (`gemm_nt`), scales, softmaxes and multiplies into V —
 ///   then the tile is dropped. A true flash-attention running-max/sum
 ///   rescale would *change the reduction order* and break the mandated

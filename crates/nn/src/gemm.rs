@@ -1,7 +1,8 @@
 //! Cache-blocked, register-tiled GEMM kernels for the inference hot loop.
 //!
-//! Three kernels back [`Mat::matmul`], [`Mat::matmul_tn`] and
-//! [`Mat::matmul_nt`]. All share one packed-panel driver built around an
+//! Three kernels back [`Mat::matmul`](crate::mat::Mat::matmul),
+//! [`Mat::matmul_tn`](crate::mat::Mat::matmul_tn) and
+//! [`Mat::matmul_nt`](crate::mat::Mat::matmul_nt). All share one packed-panel driver built around an
 //! `MR`-row register micro-kernel (GotoBLAS/BLIS structure: pack a
 //! `KC × NC` panel of B into `[kc][NR]` micro-panels and an `MC × KC`
 //! panel of A into `[kc][MR]` micro-panels, then sweep the micro-kernel
@@ -50,8 +51,9 @@
 //! ascending `KC` chunks (partial sums are stored to the output and
 //! reloaded, which is exactly what the naive loop's memory accumulator
 //! does), so results are **bit-identical** to the retained references
-//! [`Mat::matmul_ref`], [`Mat::matmul_tn_ref`] and [`Mat::matmul_nt_ref`]
-//! at every shape and every ISA level: each SIMD lane is one output
+//! [`Mat::matmul_ref`](crate::mat::Mat::matmul_ref),
+//! [`Mat::matmul_tn_ref`](crate::mat::Mat::matmul_tn_ref) and
+//! [`Mat::matmul_nt_ref`](crate::mat::Mat::matmul_nt_ref) at every shape and every ISA level: each SIMD lane is one output
 //! element doing a multiply, then an add (never a fused multiply-add), so
 //! how many elements share an instruction changes nothing. The small-m
 //! and prepacked drivers honor the same contract (the jammed kernel is
@@ -604,7 +606,7 @@ fn zero_rows(a: &[f32], m: usize, k: usize) -> Vec<bool> {
 
 /// The pack-free small-m kernel: the naive `ikj` loop with the `l` loop
 /// hoisted outermost (unrolled ×4) and `j` tiled to an
-/// [`OUT_TILE_F32`]-budgeted width. Per j-tile, B streams through exactly
+/// `OUT_TILE_F32`-budgeted width. Per j-tile, B streams through exactly
 /// once (the blocked driver *and* the naive loop both re-read it per
 /// output row) while the `m × tile` output tile stays in L1 across the
 /// whole reduction; the 4-way unroll cuts the per-`l` C reload/store

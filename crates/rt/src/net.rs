@@ -11,7 +11,7 @@
 //!   optional timeout.
 //! * [`Waker`] — a self-pipe that other threads write one byte into to
 //!   make a blocked [`poll`] return (the classic self-pipe trick).
-//! * [`Interest`] constants ([`POLLIN`], [`POLLOUT`]) and the error
+//! * interest constants ([`POLLIN`], [`POLLOUT`]) and the error
 //!   revents ([`POLLERR`], [`POLLHUP`], [`POLLNVAL`]).
 //!
 //! Everything here is Unix-only (`#[cfg(unix)]`); the workspace targets

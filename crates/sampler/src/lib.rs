@@ -173,8 +173,9 @@ pub struct PortablePath {
     pub tokens: Vec<usize>,
 }
 
-/// A 128-bit signature of a terminal's forward sampling region; see
-/// [`PathSampler::terminal_signature`].
+/// A 128-bit signature of a terminal's forward sampling region: equal
+/// signatures imply identical per-terminal samples (see
+/// [`PathSampler::resample`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RegionSig(pub u64, pub u64);
 
@@ -359,7 +360,8 @@ impl PathSampler {
     // Per-terminal incremental sampling
     // ----------------------------------------------------------------
 
-    /// Samples one terminal into id-independent [`PortablePath`]s.
+    /// Samples one terminal into id-independent [`PortablePath`]s, tagged
+    /// with the region `signature` the caller already computed for it.
     ///
     /// Unlike [`PathSampler::sample`], the traversal here is a pure
     /// function of the terminal's *named* forward region: successors are
@@ -367,26 +369,15 @@ impl PathSampler {
     /// re-elaboration; raw [`VertexId`]s shift when other modules change
     /// size) and the RNG is seeded from `config.seed ⊕ hash(terminal
     /// name)`. Two graphs in which the terminal has an identical forward
-    /// region — equal [`terminal_signature`] — therefore yield identical
-    /// samples, which is what lets an ECO reuse cached paths for every
-    /// terminal the edit did not touch.
-    ///
-    /// [`terminal_signature`]: PathSampler::terminal_signature
-    pub fn sample_terminal(
+    /// region — equal [`RegionSig`] — therefore yield identical samples,
+    /// which is what lets an ECO reuse cached paths for every terminal the
+    /// edit did not touch.
+    fn sample_terminal(
         &self,
         graph: &GraphIr,
         vocab: &Vocab,
         start: VertexId,
-    ) -> TerminalSample {
-        self.sample_terminal_scratched(graph, vocab, start, &mut SigScratch::default())
-    }
-
-    fn sample_terminal_scratched(
-        &self,
-        graph: &GraphIr,
-        vocab: &Vocab,
-        start: VertexId,
-        scratch: &mut SigScratch,
+        signature: RegionSig,
     ) -> TerminalSample {
         let name = graph.vertex(start).name.clone();
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ fnv64(name.as_bytes()));
@@ -402,7 +393,6 @@ impl PathSampler {
                 break;
             }
         }
-        let signature = self.signature_scratched(graph, start, scratch);
         TerminalSample { name, signature, paths }
     }
 
@@ -458,20 +448,15 @@ impl PathSampler {
     /// vertices) the multiset of its successor names. Equal signatures
     /// imply bit-identical [`TerminalSample`]s under the same
     /// configuration and vocabulary.
-    pub fn terminal_signature(&self, graph: &GraphIr, start: VertexId) -> RegionSig {
-        self.signature_scratched(graph, start, &mut SigScratch::default())
-    }
-
-    /// [`terminal_signature`] with caller-owned scratch. The signature is
-    /// assembled commutatively — each region vertex contributes a chained
-    /// hash of its name, token and successor-name multiset, and the
-    /// contributions are summed — so the walk needs no sort and no
-    /// ordering guarantees, and the epoch-stamped visited map never
-    /// re-zeroes between terminals. This runs once per terminal on every
-    /// (re)sample, which makes it the fixed cost of a warm ECO pass.
     ///
-    /// [`terminal_signature`]: PathSampler::terminal_signature
-    fn signature_scratched(
+    /// The signature is assembled commutatively — each region vertex
+    /// contributes a chained hash of its name, token and successor-name
+    /// multiset, and the contributions are summed — so the walk needs no
+    /// sort and no ordering guarantees, and the epoch-stamped visited map
+    /// in `scratch` never re-zeroes between terminals. This runs once per
+    /// terminal on every (re)sample, which makes it the fixed cost of a
+    /// warm ECO pass.
+    fn signature(
         &self,
         graph: &GraphIr,
         start: VertexId,
@@ -524,22 +509,18 @@ impl PathSampler {
 
     /// Samples every terminal of the graph into per-terminal portable
     /// samples, in terminal-id order (ports first, then registers in cell
-    /// order). [`flatten_samples`] turns the result into the global path
-    /// list consumed by prediction.
-    pub fn sample_by_terminal(&self, graph: &GraphIr, vocab: &Vocab) -> Vec<TerminalSample> {
-        let mut scratch = SigScratch::default();
-        graph
-            .terminals()
-            .into_iter()
-            .map(|t| self.sample_terminal_scratched(graph, vocab, t, &mut scratch))
-            .collect()
-    }
-
-    /// Re-samples a design after an edit, reusing the previous sample of
-    /// every terminal whose forward-region signature is unchanged and
-    /// re-running the DFS only for terminals the edit touched. The result
-    /// is bit-identical to [`PathSampler::sample_by_terminal`] on the new
-    /// graph from scratch.
+    /// order), reusing the sample in `prev` of every terminal whose
+    /// forward-region signature is unchanged and running the DFS only for
+    /// the rest. With an empty `prev` this is the cold path: every terminal
+    /// is sampled. The result is bit-identical to a cold call on the same
+    /// graph; [`flatten_samples`] turns it into the global path list
+    /// consumed by prediction.
+    ///
+    /// At `k > 1` the path set differs from [`PathSampler::sample`]'s on
+    /// the same graph: `sample` draws from one RNG stream in vertex-id
+    /// order, while each terminal here seeds its own stream from its name.
+    /// Under exhaustive sampling (`k = 1`) and below the path cap the two
+    /// return the same paths, in a different order.
     pub fn resample(
         &self,
         graph: &GraphIr,
@@ -550,18 +531,15 @@ impl PathSampler {
         let mut samples = Vec::new();
         let (mut reused, mut resampled) = (0, 0);
         for t in graph.terminals() {
-            let name = &graph.vertex(t).name;
-            let sig = self.signature_scratched(graph, t, &mut scratch);
-            match prev.get(name) {
+            let sig = self.signature(graph, t, &mut scratch);
+            match prev.get(&graph.vertex(t).name) {
                 Some(old) if old.signature == sig => {
                     reused += 1;
                     samples.push(Arc::clone(old));
                 }
                 _ => {
                     resampled += 1;
-                    samples.push(Arc::new(
-                        self.sample_terminal_scratched(graph, vocab, t, &mut scratch),
-                    ));
+                    samples.push(Arc::new(self.sample_terminal(graph, vocab, t, sig)));
                 }
             }
         }
@@ -705,6 +683,18 @@ mod tests {
         GraphIr::from_netlist(&parse_and_elaborate(src, top).unwrap())
     }
 
+    /// The cold per-terminal sample: `resample` against an empty map.
+    fn cold(sampler: &PathSampler, g: &GraphIr) -> ResampleOutcome {
+        let outcome = sampler.resample(g, &Vocab::new(), &HashMap::new());
+        assert_eq!((outcome.reused, outcome.resampled), (0, outcome.samples.len()));
+        outcome
+    }
+
+    /// Per-terminal samples keyed by terminal name, as a session keeps them.
+    fn by_name(samples: Vec<Arc<TerminalSample>>) -> HashMap<String, Arc<TerminalSample>> {
+        samples.into_iter().map(|s| (s.name.clone(), s)).collect()
+    }
+
     const SHARED: &str = "module acc8 (input clk, input [7:0] a, output [7:0] y);
                               reg [7:0] r;
                               always @(posedge clk) r <= (r + a) ^ (r & a);
@@ -733,14 +723,12 @@ mod tests {
             "tb",
         );
         let sampler = PathSampler::new(SampleConfig::paper_default().with_k(2));
-        let vocab = Vocab::new();
         let find = |g: &GraphIr, name: &str| {
             g.vertices_enumerated().find(|(_, v)| v.name == name).unwrap().0
         };
-        let (ta, tb) = (find(&a, "u.r"), find(&b, "u.r"));
-        assert_ne!(ta, tb, "test needs a real id shift to be meaningful");
-        let sa = sampler.sample_terminal(&a, &vocab, ta);
-        let sb = sampler.sample_terminal(&b, &vocab, tb);
+        assert_ne!(find(&a, "u.r"), find(&b, "u.r"), "test needs a real id shift to be meaningful");
+        let sa = &by_name(cold(&sampler, &a).samples)["u.r"];
+        let sb = &by_name(cold(&sampler, &b).samples)["u.r"];
         assert_eq!(sa.signature, sb.signature);
         assert_eq!(sa, sb);
         assert!(!sa.paths.is_empty());
@@ -768,25 +756,17 @@ mod tests {
         let v1 = mk("a + 8'd1");
         let v2 = mk("(a * 8'd5) ^ 8'h3C");
         let sampler = PathSampler::new(SampleConfig::paper_default().with_k(2));
-        let vocab = Vocab::new();
-        let prev: HashMap<String, Arc<TerminalSample>> = sampler
-            .sample_by_terminal(&v1, &vocab)
-            .into_iter()
-            .map(|s| (s.name.clone(), Arc::new(s)))
-            .collect();
-        let outcome = sampler.resample(&v2, &vocab, &prev);
+        let prev = by_name(cold(&sampler, &v1).samples);
+        let outcome = sampler.resample(&v2, &Vocab::new(), &prev);
         // The register's region is untouched; the edit rewires y0's region.
         assert!(outcome.reused >= 1, "expected register terminal reuse");
         assert!(outcome.resampled >= 1, "expected edited-region resampling");
-        let scratch: Vec<Arc<TerminalSample>> =
-            sampler.sample_by_terminal(&v2, &vocab).into_iter().map(Arc::new).collect();
-        assert_eq!(outcome.samples, scratch);
+        assert_eq!(outcome.samples, cold(&sampler, &v2).samples);
     }
 
     #[test]
     fn signature_tracks_region_edits_only() {
         let sampler = PathSampler::new(SampleConfig::paper_default());
-        let vocab = Vocab::new();
         let g1 = graph_of(
             "module m (input clk, input [7:0] a, output [7:0] y);
                  reg [7:0] r;
@@ -803,29 +783,61 @@ mod tests {
              endmodule",
             "m",
         );
-        let find = |g: &GraphIr, name: &str| {
-            g.vertices_enumerated().find(|(_, v)| v.name == name).unwrap().0
-        };
+        let (s1, s2) = (by_name(cold(&sampler, &g1).samples), by_name(cold(&sampler, &g2).samples));
         // The register's region changed (add → mul) → new signature.
-        assert_ne!(
-            sampler.terminal_signature(&g1, find(&g1, "r")),
-            sampler.terminal_signature(&g2, find(&g2, "r"))
-        );
+        assert_ne!(s1["r"].signature, s2["r"].signature);
         // The clock input's region is the register terminal itself in both.
-        assert_eq!(
-            sampler.terminal_signature(&g1, find(&g1, "clk")),
-            sampler.terminal_signature(&g2, find(&g2, "clk"))
-        );
-        let s1 = sampler.sample_terminal(&g1, &vocab, find(&g1, "clk"));
-        let s2 = sampler.sample_terminal(&g2, &vocab, find(&g2, "clk"));
-        assert_eq!(s1, s2);
+        assert_eq!(s1["clk"].signature, s2["clk"].signature);
+        assert_eq!(s1["clk"], s2["clk"]);
+        // Re-sampling g2 against g1's samples reuses exactly the terminals
+        // whose signature held, by pointer.
+        let outcome = sampler.resample(&g2, &Vocab::new(), &s1);
+        for s in &outcome.samples {
+            let same = s1[&s.name].signature == s2[&s.name].signature;
+            assert_eq!(Arc::ptr_eq(s, &s1[&s.name]), same, "terminal {}", s.name);
+            assert_eq!(**s, *s2[&s.name]);
+        }
+        assert_eq!(outcome.reused + outcome.resampled, outcome.samples.len());
+        assert!(outcome.reused >= 1 && outcome.resampled >= 1);
+    }
+
+    #[test]
+    fn exhaustive_flat_and_per_terminal_sampling_agree_on_the_catalog() {
+        // At k = 1 `pick` keeps every successor and never draws from the
+        // RNG, so the two samplers differ only in visit order: below the
+        // path cap they return the same multiset of paths.
+        const CAP: usize = 20_000;
+        let sampler = PathSampler::new(SampleConfig::exhaustive().with_max_paths(CAP));
+        let (mut compared, mut hierarchical) = (0, 0);
+        for d in sns_designs::catalog() {
+            let g = graph_of(&d.verilog, &d.top);
+            let flat = sampler.sample(&g);
+            if flat.len() >= CAP {
+                continue; // truncated: the two cut at different paths
+            }
+            let name = |v: &VertexId| g.vertex(*v).name.clone();
+            let mut a: Vec<Vec<String>> =
+                flat.iter().map(|p| p.vertices().iter().map(name).collect()).collect();
+            let samples = cold(&sampler, &g).samples;
+            let mut b: Vec<Vec<String>> =
+                flatten_samples(&samples, CAP).into_iter().map(|p| p.names.clone()).collect();
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "{}: exhaustive path multisets differ", d.name);
+            compared += 1;
+            hierarchical += usize::from(d.verilog.matches("endmodule").count() > 1);
+        }
+        // 39 of the 41 catalog designs stay below the cap, 4 of them
+        // hierarchical (module instances spliced by elaboration).
+        assert!(compared >= 35, "only {compared} catalog designs compared");
+        assert!(hierarchical >= 4, "only {hierarchical} hierarchical designs compared");
     }
 
     #[test]
     fn flatten_respects_cap_and_order() {
         let g = mac_graph();
         let sampler = PathSampler::new(SampleConfig::exhaustive());
-        let samples = sampler.sample_by_terminal(&g, &Vocab::new());
+        let samples = cold(&sampler, &g).samples;
         let total: usize = samples.iter().map(|s| s.paths.len()).sum();
         assert_eq!(flatten_samples(&samples, usize::MAX).len(), total);
         assert_eq!(flatten_samples(&samples, 2).len(), 2.min(total));

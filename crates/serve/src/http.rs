@@ -11,7 +11,7 @@
 //! The framing core is *incremental*: [`parse_head`] inspects a growing
 //! byte buffer and reports "need more bytes" (`Ok(None)`) until the
 //! blank line arrives, which is what lets the event-driven reactor in
-//! [`crate::reactor`] frame requests from non-blocking reads without a
+//! `crate::reactor` frame requests from non-blocking reads without a
 //! thread parked per connection.
 
 /// Upper bound on the request line + headers, in bytes.

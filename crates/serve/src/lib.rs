@@ -37,7 +37,7 @@
 //!
 //! ## Event-driven connection core
 //!
-//! Socket I/O is readiness-based: a single [`reactor`] thread owns every
+//! Socket I/O is readiness-based: a single `reactor` thread owns every
 //! connection, framing requests incrementally over non-blocking reads
 //! (`poll(2)` via `sns_rt::net` — still zero dependencies) and writing
 //! responses as `POLLOUT` allows. Workers only ever see complete

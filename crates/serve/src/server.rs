@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Connection I/O lives entirely on the reactor thread
-//! ([`crate::reactor`]); workers only ever see complete requests, so
+//! (`crate::reactor`); workers only ever see complete requests, so
 //! inference latency and socket behaviour cannot interfere. In
 //! **shard mode** (`replicas > 1`) each replica owns a full model clone
 //! with a private path cache; the router keys on
@@ -820,6 +820,12 @@ fn parse_predict_body<'a>(
     activity: &'a mut Option<HashMap<String, f32>>,
 ) -> Result<(Input<'a>, Option<f64>), String> {
     let clock_ps = parse_clock_ps(v)?;
+    // Session and patch predictions carry no per-register activity, so a
+    // map there is rejected rather than silently dropped.
+    let no_activity = |form: &str| match v.get("activity") {
+        Ok(_) => Err(format!("{form} predictions do not take an activity map")),
+        Err(_) => Ok(()),
+    };
 
     // ECO form: {"base": token, "patch": module sources}.
     if let Ok(base) = v.get("base") {
@@ -828,6 +834,7 @@ fn parse_predict_body<'a>(
         if v.get("verilog").is_ok() {
             return Err("give either {verilog, top} or {base, patch}, not both".to_string());
         }
+        no_activity("patch")?;
         return Ok((Input::Patch { store, base, patch }, clock_ps));
     }
 
@@ -841,9 +848,7 @@ fn parse_predict_body<'a>(
         Ok(s) => s.as_bool().map_err(|e| format!("session: {e}"))?,
     };
     if session {
-        if v.get("activity").is_ok() {
-            return Err("session predictions do not take an activity map".to_string());
-        }
+        no_activity("session")?;
         return Ok((Input::Session { store, verilog, top }, clock_ps));
     }
 

@@ -161,6 +161,11 @@ cargo test -q --test serve_e2e -- --test-threads=1
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+# Rustdoc gate: a doc link to a deleted, renamed or private item fails
+# here instead of rendering as plain text.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # Fast-vs-reference synthesis identity on the blessed corpus plus a
 # quick generated sample; the full 2000-design sweep lives in
 # ./scripts/vsynth_soak.sh.

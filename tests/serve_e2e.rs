@@ -252,6 +252,20 @@ fn malformed_requests_get_structured_errors_not_hangups() {
     assert_eq!(status, 400);
     assert_eq!(body.get("kind").unwrap().as_str().unwrap(), "json");
 
+    // Activity maps: a coefficient outside [0, 1] is refused, and so is
+    // any map on a session or patch body, which takes none (the patch is
+    // refused before its base is looked up).
+    for bad in [
+        r#"{"verilog": "module m; endmodule", "top": "m", "activity": {"r": 1.5}}"#,
+        r#"{"verilog": "module m; endmodule", "top": "m", "activity": {"r": -0.25}}"#,
+        r#"{"verilog": "module m; endmodule", "top": "m", "session": true, "activity": {"r": 0.5}}"#,
+        r#"{"base": "d0", "patch": "module m; endmodule", "activity": {"r": 0.5}}"#,
+    ] {
+        let (status, body) = post_json(addr, "/predict", bad);
+        assert_eq!(status, 400, "{bad}: {}", body.print());
+        assert_eq!(body.get("kind").unwrap().as_str().unwrap(), "json", "{bad}");
+    }
+
     // Well-formed JSON, Verilog that does not elaborate.
     let (status, body) = post_json(
         addr,
