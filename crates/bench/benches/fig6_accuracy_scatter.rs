@@ -43,8 +43,7 @@ fn plot(name: &str, unit: &str, pts: &[(f64, f64)]) {
     let scale = |v: f64| ((v.ln() - llo) / (lhi - llo)).clamp(0.0, 1.0);
     let mut grid = vec![vec![' '; W]; H];
     // Diagonal.
-    for c in 0..W {
-        let r = H - 1 - (c * (H - 1)) / (W - 1);
+    for (r, c) in (0..W).map(|c| (H - 1 - (c * (H - 1)) / (W - 1), c)) {
         grid[r][c] = '.';
     }
     for &(truth, pred) in pts {

@@ -82,7 +82,8 @@ fn main() {
 
     println!("\nTable 11 (selected configurations):");
     println!("{:<20} {:>10} {:>10} {:>10}", "parameter", "HighPerf", "PowerEff", "AreaEff");
-    let rows: Vec<(&str, Box<dyn Fn(&BoomParams) -> String>)> = vec![
+    type Row = (&'static str, Box<dyn Fn(&BoomParams) -> String>);
+    let rows: Vec<Row> = vec![
         ("Branch Predictor", Box::new(|p: &BoomParams| p.predictor.tag().to_string())),
         ("Core Width", Box::new(|p| p.core_width.to_string())),
         ("Memory Ports", Box::new(|p| p.mem_ports.to_string())),

@@ -1,6 +1,6 @@
-//! `vsynth_bench` — times the fast synthesis flow (parallel elaboration,
-//! expansion memoization, sparse STA) against the dense single-threaded
-//! reference on a catalog suite, and writes `BENCH_vsynth.json` at the
+//! `vsynth_bench` — times the synthesis flow (memoized elaboration, then
+//! the analysis) against the same analysis over the unmemoized reference
+//! elaboration on a catalog suite, and writes `BENCH_vsynth.json` at the
 //! repo root.
 //!
 //! ```text
@@ -8,12 +8,11 @@
 //! SNS_VSYNTH_BENCH_REPS=5 cargo run --release -p sns-bench --bin vsynth_bench
 //! ```
 //!
-//! Per design it reports the reference seconds, the fast-flow seconds at
-//! 1 thread and at the pool's thread count, the per-stage breakdown
-//! (elaborate / STA / sizing / power), and the resulting speedups; the
-//! label bit-identity itself is enforced by the conformance oracle and
-//! the `bit_identity` test suite, but the bench double-checks gate counts
-//! so a broken build cannot publish a bogus speedup.
+//! Per design it reports the reference and flow seconds, the per-stage
+//! breakdown (elaborate / STA / sizing / power), and the resulting
+//! speedup; the label bit-identity itself is enforced by the conformance
+//! oracle and the `bit_identity` test suite, but the bench double-checks
+//! gate counts so a broken build cannot publish a bogus speedup.
 
 use std::time::Instant;
 
@@ -24,8 +23,8 @@ use sns_rt::env_knob;
 use sns_rt::json::Json;
 use sns_vsynth::{SynthOptions, SynthReport, VirtualSynthesizer};
 
-/// Mid-to-large catalog designs: wide datapaths (memoizable expanders),
-/// register files, and enough cells to cross the parallel threshold.
+/// Mid-to-large catalog designs: wide datapaths (memoizable expanders)
+/// and register files.
 fn suite() -> Vec<Design> {
     vec![
         vector::simd_alu(4, 16),
@@ -48,16 +47,15 @@ struct FlowSample {
 
 /// Times one flow end to end, best of `reps` (per-stage numbers come from
 /// the best total, so the stages sum to the reported time).
-fn time_flow(nl: &Netlist, threads: Option<usize>, reference: bool, reps: usize) -> FlowSample {
-    let opts = SynthOptions { threads, ..SynthOptions::default() };
-    let vs = VirtualSynthesizer::new(opts);
+fn time_flow(nl: &Netlist, reference: bool, reps: usize) -> FlowSample {
+    let vs = VirtualSynthesizer::new(SynthOptions::default());
     let mut best: Option<FlowSample> = None;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
         let gl =
             if reference { vs.elaborate_gates_reference(nl) } else { vs.elaborate_gates(nl) };
         let elaborate_s = t0.elapsed().as_secs_f64();
-        let (report, bd) = vs.analyze_with_breakdown(&gl, !reference);
+        let (report, bd) = vs.analyze_with_breakdown(&gl, false);
         let total_s = t0.elapsed().as_secs_f64();
         let sample = FlowSample {
             elaborate_s,
@@ -86,45 +84,38 @@ fn stage_json(s: &FlowSample) -> Json {
 
 fn main() {
     let reps = env_knob::<usize>("SNS_VSYNTH_BENCH_REPS").unwrap_or(3);
-    let threads = sns_rt::pool::synth_threads();
-    println!("vsynth bench: {} designs, best of {reps}, pool {threads} threads", suite().len());
+    println!("vsynth bench: {} designs, best of {reps}", suite().len());
 
     let mut rows = Vec::new();
     let mut ref_total = 0.0f64;
-    let mut fast_total = 0.0f64;
+    let mut flow_total = 0.0f64;
     let t_all = Instant::now();
     for d in suite() {
         let nl = parse_and_elaborate(&d.verilog, &d.top)
             .unwrap_or_else(|e| panic!("{}: {e}", d.name));
-        let reference = time_flow(&nl, Some(1), true, reps);
-        let fast1 = time_flow(&nl, Some(1), false, reps);
-        let fastn = time_flow(&nl, Some(threads), false, reps);
+        let reference = time_flow(&nl, true, reps);
+        let flow = time_flow(&nl, false, reps);
         assert_eq!(
-            reference.report.gate_count, fastn.report.gate_count,
-            "{}: fast flow gate count diverged from reference",
+            reference.report.gate_count, flow.report.gate_count,
+            "{}: flow gate count diverged from reference",
             d.name
         );
         ref_total += reference.total_s;
-        fast_total += fastn.total_s;
-        let speedup1 = reference.total_s / fast1.total_s.max(1e-12);
-        let speedup_n = reference.total_s / fastn.total_s.max(1e-12);
+        flow_total += flow.total_s;
+        let speedup = reference.total_s / flow.total_s.max(1e-12);
         println!(
-            "  {:<28} {:>8} gates   ref {:>8.2} ms   fast(1) {:>7.2} ms ({speedup1:>5.2}x)   \
-             fast({threads}) {:>7.2} ms ({speedup_n:>5.2}x)",
+            "  {:<28} {:>8} gates   ref {:>8.2} ms   flow {:>7.2} ms ({speedup:>5.2}x)",
             d.name,
             reference.report.gate_count,
             reference.total_s * 1e3,
-            fast1.total_s * 1e3,
-            fastn.total_s * 1e3,
+            flow.total_s * 1e3,
         );
         rows.push(Json::obj(vec![
             ("name", Json::Str(d.name.clone())),
             ("gate_count", Json::UInt(reference.report.gate_count)),
             ("reference", stage_json(&reference)),
-            ("fast_1t", stage_json(&fast1)),
-            ("fast_nt", stage_json(&fastn)),
-            ("speedup_1t", Json::Num(speedup1)),
-            ("speedup_nt", Json::Num(speedup_n)),
+            ("flow", stage_json(&flow)),
+            ("speedup", Json::Num(speedup)),
         ]));
     }
     let wall_s = t_all.elapsed().as_secs_f64();
@@ -133,21 +124,20 @@ fn main() {
     let report = Json::obj(vec![
         ("bench", Json::Str("vsynth".into())),
         ("designs", Json::UInt(n as u64)),
-        ("threads", Json::UInt(threads as u64)),
         ("reps", Json::UInt(reps as u64)),
         ("reference_total_s", Json::Num(ref_total)),
-        ("fast_total_s", Json::Num(fast_total)),
-        ("overall_speedup", Json::Num(ref_total / fast_total.max(1e-12))),
-        ("fast_designs_per_sec", Json::Num(n as f64 / fast_total.max(1e-12))),
+        ("flow_total_s", Json::Num(flow_total)),
+        ("overall_speedup", Json::Num(ref_total / flow_total.max(1e-12))),
+        ("flow_designs_per_sec", Json::Num(n as f64 / flow_total.max(1e-12))),
         ("reference_designs_per_sec", Json::Num(n as f64 / ref_total.max(1e-12))),
         ("wall_s", Json::Num(wall_s)),
         ("results", Json::Arr(rows)),
     ]);
     println!(
-        "overall: ref {:.2} s vs fast {:.2} s  ({:.2}x)",
+        "overall: ref {:.2} s vs flow {:.2} s  ({:.2}x)",
         ref_total,
-        fast_total,
-        ref_total / fast_total.max(1e-12)
+        flow_total,
+        ref_total / flow_total.max(1e-12)
     );
     write_root_json("BENCH_vsynth.json", &report);
 }

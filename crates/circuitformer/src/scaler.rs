@@ -132,13 +132,12 @@ mod tests {
         let s = LabelScaler::fit(&labels);
         let mut mean = [0.0f32; 3];
         for l in &labels {
-            let z = s.transform(*l);
-            for d in 0..3 {
-                mean[d] += z[d];
+            for (m, z) in mean.iter_mut().zip(s.transform(*l)) {
+                *m += z;
             }
         }
-        for d in 0..3 {
-            assert!((mean[d] / 100.0).abs() < 1e-3, "dim {d} mean {}", mean[d] / 100.0);
+        for (d, m) in mean.iter().map(|m| m / 100.0).enumerate() {
+            assert!(m.abs() < 1e-3, "dim {d} mean {m}");
         }
     }
 

@@ -31,9 +31,9 @@ const STIM_SEED_SALT: u64 = 0x5EED_5717;
 const SIM_CYCLES: usize = 6;
 /// Every how-many designs the model-level oracles run.
 const MODEL_STRIDE: usize = 20;
-/// Every how-many designs the fast-vs-reference synthesis identity oracle
-/// runs (the reference flow re-propagates the full graph every sizing
-/// iteration, so it dominates when run on every design).
+/// Every how-many designs the memo-vs-reference synthesis identity oracle
+/// runs (it elaborates and analyzes each design twice more, so it
+/// dominates when run on every design).
 const VSYNTH_REF_STRIDE: usize = 10;
 
 struct OracleStat {

@@ -1,5 +1,5 @@
 //! Vsynth identity soak: every blessed corpus case plus thousands of
-//! random designs through the fast-vs-reference bit-identity oracle.
+//! random designs through the memo-vs-reference bit-identity oracle.
 //!
 //! ```text
 //! SNS_VSYNTH_SOAK_N=2000 SNS_VSYNTH_SOAK_SEED=1 \
@@ -8,10 +8,9 @@
 //!
 //! Unlike `conformance_soak` (which runs this oracle on a stride to keep
 //! the full stack affordable), the vsynth soak runs it on **every**
-//! design: the fast flow — parallel elaboration, expansion memoization,
-//! sparse STA — must produce the same gate graph node for node and the
-//! same labels bit for bit as the single-threaded dense reference, at
-//! 1 and 4 threads. Failing generated designs are shrunk and persisted
+//! design: elaboration with the per-call expansion memo must produce the
+//! same gate graph node for node and the same labels bit for bit as the
+//! unmemoized reference elaboration. Failing generated designs are shrunk and persisted
 //! under `tests/corpus/pending/`; any failure exits non-zero.
 
 use std::time::Instant;

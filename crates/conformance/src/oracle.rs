@@ -306,10 +306,9 @@ pub fn check_vsynth_invariants(spec: &DesignSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle 2b: the fast synthesis flow (parallel elaboration, expansion
-/// memoization, sparse STA) must be bit-identical to the retained
-/// single-threaded dense reference flow — same gate graph node for node,
-/// same labels bit for bit — at every thread count.
+/// Oracle 2b: the synthesis flow with its per-call expansion memo must be
+/// bit-identical to the unmemoized reference elaboration — same gate
+/// graph node for node, same labels bit for bit.
 pub fn check_vsynth_matches_reference(spec: &DesignSpec) -> Result<(), String> {
     let nl = elaborate(spec)?;
     check_vsynth_matches_reference_netlist(&nl)
@@ -319,65 +318,55 @@ pub fn check_vsynth_matches_reference(spec: &DesignSpec) -> Result<(), String> {
 /// the vsynth soak can replay blessed corpus `.v` cases (which have no
 /// [`DesignSpec`]) through the same identity check.
 pub fn check_vsynth_matches_reference_netlist(nl: &Netlist) -> Result<(), String> {
-    let vs_ref = VirtualSynthesizer::new(SynthOptions::default());
-    let gl_ref = vs_ref.elaborate_gates_reference(nl);
-    let r_ref = vs_ref.analyze_reference(&gl_ref);
+    let vs = VirtualSynthesizer::new(SynthOptions::default());
+    let gl_ref = vs.elaborate_gates_reference(nl);
+    let r_ref = vs.analyze(&gl_ref);
 
-    // Force the parallel path even on small designs by sweeping explicit
-    // thread counts; every fast run memoizes within its own call.
-    for threads in [1usize, 4] {
-        let vs = VirtualSynthesizer::new(SynthOptions {
-            threads: Some(threads),
-            ..SynthOptions::default()
-        });
-        let gl = vs.elaborate_gates(nl);
-        if gl.graph != gl_ref.graph {
-            return Err(format!(
-                "fast elaboration diverges from reference at {threads} threads: \
-                 {} vs {} nodes, histograms {:?} vs {:?}",
-                gl.graph.len(),
-                gl_ref.graph.len(),
-                gl.graph.kind_histogram(),
-                gl_ref.graph.kind_histogram()
-            ));
+    let gl = vs.elaborate_gates(nl);
+    if gl.graph != gl_ref.graph {
+        return Err(format!(
+            "memoized elaboration diverges from reference: \
+             {} vs {} nodes, histograms {:?} vs {:?}",
+            gl.graph.len(),
+            gl_ref.graph.len(),
+            gl.graph.kind_histogram(),
+            gl_ref.graph.kind_histogram()
+        ));
+    }
+    if gl.regions != gl_ref.regions {
+        return Err("region spans diverge from reference".to_string());
+    }
+    if gl.cycles_broken != gl_ref.cycles_broken {
+        return Err(format!(
+            "cycles_broken diverges from reference: {} vs {}",
+            gl.cycles_broken, gl_ref.cycles_broken
+        ));
+    }
+    let r = vs.analyze(&gl);
+    for (name, x, y) in [
+        ("area_um2", r.area_um2, r_ref.area_um2),
+        ("timing_ps", r.timing_ps, r_ref.timing_ps),
+        ("power_mw", r.power_mw, r_ref.power_mw),
+        ("dynamic_mw", r.dynamic_mw, r_ref.dynamic_mw),
+        ("leakage_mw", r.leakage_mw, r_ref.leakage_mw),
+    ] {
+        if x.to_bits() != y.to_bits() {
+            return Err(format!("label {name} diverges from reference: {x} vs {y}"));
         }
-        if gl.regions != gl_ref.regions {
-            return Err(format!("region spans diverge from reference at {threads} threads"));
-        }
-        if gl.cycles_broken != gl_ref.cycles_broken {
-            return Err(format!(
-                "cycles_broken diverges from reference at {threads} threads: {} vs {}",
-                gl.cycles_broken, gl_ref.cycles_broken
-            ));
-        }
-        let r = vs.analyze(&gl);
-        for (name, x, y) in [
-            ("area_um2", r.area_um2, r_ref.area_um2),
-            ("timing_ps", r.timing_ps, r_ref.timing_ps),
-            ("power_mw", r.power_mw, r_ref.power_mw),
-            ("dynamic_mw", r.dynamic_mw, r_ref.dynamic_mw),
-            ("leakage_mw", r.leakage_mw, r_ref.leakage_mw),
-        ] {
-            if x.to_bits() != y.to_bits() {
-                return Err(format!(
-                    "fast label {name} diverges from reference at {threads} threads: {x} vs {y}"
-                ));
-            }
-        }
-        if (r.gate_count, r.transistor_count, r.cycles_broken)
-            != (r_ref.gate_count, r_ref.transistor_count, r_ref.cycles_broken)
-        {
-            return Err(format!(
-                "fast counts diverge from reference at {threads} threads: \
-                 gates {} vs {}, transistors {} vs {}, cycles {} vs {}",
-                r.gate_count,
-                r_ref.gate_count,
-                r.transistor_count,
-                r_ref.transistor_count,
-                r.cycles_broken,
-                r_ref.cycles_broken
-            ));
-        }
+    }
+    if (r.gate_count, r.transistor_count, r.cycles_broken)
+        != (r_ref.gate_count, r_ref.transistor_count, r_ref.cycles_broken)
+    {
+        return Err(format!(
+            "counts diverge from reference: \
+             gates {} vs {}, transistors {} vs {}, cycles {} vs {}",
+            r.gate_count,
+            r_ref.gate_count,
+            r.transistor_count,
+            r_ref.transistor_count,
+            r.cycles_broken,
+            r_ref.cycles_broken
+        ));
     }
     Ok(())
 }

@@ -43,16 +43,9 @@ impl HardwareDesignDataset {
     /// validated by construction, so this indicates a bug.
     pub fn generate(designs: &[Design], options: &SynthOptions) -> Self {
         let threads = sns_rt::pool::default_threads();
+        let synth = VirtualSynthesizer::new(options.clone());
         let entries: Vec<LabeledDesign> =
             sns_rt::pool::par_map_chunks(designs, threads, |part| {
-                // One design per worker already saturates the pool; pin the
-                // synthesizer's internal parallelism to 1 so the label
-                // factory doesn't oversubscribe (results are bit-identical
-                // at any thread count).
-                let synth = VirtualSynthesizer::new(SynthOptions {
-                    threads: Some(1),
-                    ..options.clone()
-                });
                 part.iter()
                     .map(|d| {
                         let nl = parse_and_elaborate(&d.verilog, &d.top)

@@ -11,9 +11,8 @@
 //!
 //! Thread counts default to [`default_threads`], which honours the
 //! `SNS_THREADS` environment variable. The pool knobs (`SNS_THREADS`,
-//! `SNS_SYNTH_THREADS`, `SNS_BATCH`) are read from the environment once
-//! per process, on first use; callers that need other values pass them
-//! explicitly.
+//! `SNS_BATCH`) are read from the environment once per process, on first
+//! use; callers that need other values pass them explicitly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -21,7 +20,6 @@ use std::sync::OnceLock;
 /// The pool knobs as resolved from the environment.
 struct Knobs {
     threads: usize,
-    synth_threads: usize,
     batch: usize,
 }
 
@@ -31,12 +29,10 @@ fn knobs() -> &'static Knobs {
     static KNOBS: OnceLock<Knobs> = OnceLock::new();
     KNOBS.get_or_init(|| {
         let positive = |name| crate::env_knob::<usize>(name).filter(|&n| n >= 1);
-        let threads = positive("SNS_THREADS").unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
-        });
         Knobs {
-            threads,
-            synth_threads: positive("SNS_SYNTH_THREADS").unwrap_or(threads),
+            threads: positive("SNS_THREADS").unwrap_or_else(|| {
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
+            }),
             batch: positive("SNS_BATCH").unwrap_or(32),
         }
     })
@@ -46,16 +42,6 @@ fn knobs() -> &'static Knobs {
 /// otherwise the machine's available parallelism, capped at 16.
 pub fn default_threads() -> usize {
     knobs().threads
-}
-
-/// Worker count for the virtual synthesizer's internal parallelism:
-/// `SNS_SYNTH_THREADS` if set to a positive integer, otherwise
-/// [`default_threads`]. Split out from the inference knob so a serving
-/// deployment can give synthesis (label generation, conformance soaks) a
-/// different budget than model inference. Synthesis results are
-/// bit-identical at any value — this is purely a throughput knob.
-pub fn synth_threads() -> usize {
-    knobs().synth_threads
 }
 
 /// The default inference batch size: `SNS_BATCH` if set to a positive

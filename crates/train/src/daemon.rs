@@ -4,10 +4,9 @@
 //! ## Determinism contract
 //!
 //! Same [`DaemonConfig`] + same step count ⇒ **bit-identical model**, at
-//! any `SNS_THREADS` / `SNS_BATCH` / `SNS_SYNTH_THREADS`. Every stage
-//! holds the invariant independently: the conformance generator is a
-//! pure function of its seed, vsynth is bit-identical at any thread
-//! count, model predictions are bit-identical at any thread/batch
+//! any `SNS_THREADS` / `SNS_BATCH`. Every stage holds the invariant
+//! independently: the conformance generator is a pure function of its
+//! seed, vsynth runs on one thread, model predictions are bit-identical at any thread/batch
 //! setting, [`FineTuner`] accumulates gradients in fixed-size chunks,
 //! the Markov arm consumes its own seeded RNG, and the bootstrap
 //! trainer's thread knob is pinned to 1 in the config (the batch

@@ -8,7 +8,7 @@
 //!
 //! * **Generate** — the conformance generator (`sns-conformance`) mints
 //!   unlimited valid RTL, seeded and byte-deterministic;
-//! * **Label** — the fast virtual synthesizer (`sns-vsynth`) prices
+//! * **Label** — the virtual synthesizer (`sns-vsynth`) prices
 //!   every design bit-exactly, with Stillmaker–Baas scaling to the
 //!   configured technology corner;
 //! * **Filter** — an active-learning top-q filter ([`select_top_q`])
@@ -24,8 +24,8 @@
 //!   `sns-serve` can hot-swap from it at any moment.
 //!
 //! The whole loop is deterministic end to end: same seed + same step
-//! count ⇒ bit-identical model, at any `SNS_THREADS` / `SNS_BATCH` /
-//! `SNS_SYNTH_THREADS` (see `tests/train_determinism.rs`).
+//! count ⇒ bit-identical model, at any `SNS_THREADS` / `SNS_BATCH` (see
+//! `tests/train_determinism.rs`).
 //!
 //! The `train_soak` binary runs the daemon over hundreds of designs and
 //! writes `BENCH_train.json` (labeling/step throughput, disagreement

@@ -6,8 +6,8 @@
 //! balanced reduction trees. Widths are bit-exact: callers pass LSB-first
 //! bit vectors and get LSB-first bit vectors back.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
 
 use sns_netlist::CellKind;
 
@@ -368,24 +368,28 @@ impl Template {
     }
 }
 
-/// The templates characterized during one elaboration call, shared by
-/// that call's parallel chunks and dropped when it returns. A call's
-/// templates can never outgrow its own design's expansion, so the map
-/// needs no bound.
+/// The templates characterized during one elaboration call, dropped when
+/// it returns. A call's templates can never outgrow its own design's
+/// expansion, so the map needs no bound.
 #[derive(Default)]
 pub(crate) struct ExpansionMemo {
-    map: RwLock<HashMap<MemoKey, Arc<Template>>>,
+    map: HashMap<MemoKey, Template>,
 }
 
 impl ExpansionMemo {
-    /// Fetches a cached template.
-    pub(crate) fn lookup(&self, key: &MemoKey) -> Option<Arc<Template>> {
-        self.map.read().unwrap_or_else(PoisonError::into_inner).get(key).cloned()
-    }
-
-    /// Caches a freshly characterized template.
-    pub(crate) fn insert(&self, key: MemoKey, template: Arc<Template>) {
-        self.map.write().unwrap_or_else(PoisonError::into_inner).insert(key, template);
+    /// The cached template for `key`, characterized by `build` on a miss.
+    pub(crate) fn get_or_build(
+        &mut self,
+        key: MemoKey,
+        build: impl FnOnce(&MemoKey) -> Template,
+    ) -> &Template {
+        match self.map.entry(key) {
+            Entry::Occupied(hit) => hit.into_mut(),
+            Entry::Vacant(miss) => {
+                let template = build(miss.key());
+                miss.insert(template)
+            }
+        }
     }
 }
 
@@ -629,7 +633,7 @@ mod tests {
         }
     }
 
-    fn tiny_template(w: u32) -> (MemoKey, Arc<Template>) {
+    fn tiny_template(w: u32) -> (MemoKey, Template) {
         let mut g = GateGraph::new();
         let (outs, n_ctx) = {
             let mut e = Expander::new(&mut g);
@@ -639,18 +643,26 @@ mod tests {
             (outs, n_ctx)
         };
         let key = MemoKey { kind: CellKind::Not, attr: 0, out_w: w, in_widths: vec![w] };
-        (key, Arc::new(Template::capture(&g, n_ctx, &outs)))
+        (key, Template::capture(&g, n_ctx, &outs))
     }
 
     #[test]
-    fn memo_serves_a_template_after_insert() {
-        let memo = ExpansionMemo::default();
+    fn memo_builds_each_shape_once() {
+        let mut memo = ExpansionMemo::default();
         let (k4, t4) = tiny_template(4);
-        let (k8, _) = tiny_template(8);
-        assert!(memo.lookup(&k4).is_none());
-        memo.insert(k4.clone(), Arc::clone(&t4));
-        let hit = memo.lookup(&k4).expect("inserted template is served");
-        assert!(Arc::ptr_eq(&hit, &t4));
-        assert!(memo.lookup(&k8).is_none(), "a different shape still misses");
+        let (k8, t8) = tiny_template(8);
+        let mut builds = 0;
+        let mut get = |memo: &mut ExpansionMemo, key: &MemoKey, t: &Template| {
+            memo.get_or_build(key.clone(), |_| {
+                builds += 1;
+                t.clone()
+            })
+            .nodes
+            .len()
+        };
+        assert_eq!(get(&mut memo, &k4, &t4), 4);
+        assert_eq!(get(&mut memo, &k4, &t8), 4, "a hit serves the cached template");
+        assert_eq!(get(&mut memo, &k8, &t8), 8, "a different shape still misses");
+        assert_eq!(builds, 2);
     }
 }

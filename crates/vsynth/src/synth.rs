@@ -1,26 +1,18 @@
 //! The virtual synthesizer driver: netlist → gate graph → timing / area /
 //! power report.
 //!
-//! Two flows share every numeric formula:
+//! One flow, on one thread: serial elaboration that splats memoized
+//! expansion templates ([`VirtualSynthesizer::elaborate_gates`]), then one
+//! dense analysis — full arrival, slack/upsize and tail passes per sizing
+//! iteration ([`VirtualSynthesizer::analyze`]).
 //!
-//! * the **fast flow** ([`VirtualSynthesizer::synthesize`]) partitions
-//!   elaboration across the `sns_rt` scoped pool, splats memoized
-//!   expansion templates, and re-propagates only the changed cone inside
-//!   the sizing loop (sparse STA);
-//! * the **reference flow** ([`VirtualSynthesizer::synthesize_reference`])
-//!   runs single-threaded, unmemoized, with full dense re-propagation.
-//!
-//! The fast flow is bit-identical to the reference at any
-//! `SNS_SYNTH_THREADS` — parallel chunks expand against placeholder
-//! inputs and are stitched back in serial order, memo templates replay the
-//! exact push sequence a direct expansion would have produced, and the
-//! sparse worklists recompute nodes with the same pull-style formulas the
-//! dense passes use (f32 `max` is order-independent). The conformance
-//! oracle re-checks this equivalence continuously.
+//! [`VirtualSynthesizer::synthesize_reference`] runs the same analysis
+//! over an unmemoized elaboration. Memo templates replay the exact push
+//! sequence a direct expansion would have produced, so both give the same
+//! gate graph node for node and the same labels bit for bit; the
+//! conformance oracle re-checks this continuously.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use sns_netlist::{CellId, CellKind, NetId, Netlist, PortDir};
@@ -28,15 +20,6 @@ use sns_netlist::{CellId, CellKind, NetId, Netlist, PortDir};
 use crate::expand::{Expander, ExpansionMemo, MemoKey, Template};
 use crate::gates::{GateGraph, GateKind, NodeId, NO_NODE};
 use crate::library::CellLibrary;
-
-/// Below this estimated gate count a design expands serially: the stitch
-/// bookkeeping costs more than the parallelism buys.
-const PAR_MIN_NODES: usize = 32_768;
-
-/// Target estimated gate count per parallel elaboration chunk. Chunk
-/// boundaries depend only on the netlist (never on the thread count), so
-/// the stitched graph is identical at any `SNS_SYNTH_THREADS`.
-const CHUNK_TARGET_NODES: usize = 16_384;
 
 /// Options controlling a synthesis run.
 #[derive(Debug, Clone)]
@@ -54,10 +37,6 @@ pub struct SynthOptions {
     /// Per-register activity coefficients, keyed by the register's
     /// hierarchical cell name — the paper's power-gating mode (§3.4.4).
     pub register_activity: Option<HashMap<String, f32>>,
-    /// Worker threads for parallel elaboration. `None` resolves through
-    /// `SNS_SYNTH_THREADS` (see [`sns_rt::pool::synth_threads`]). Results
-    /// are bit-identical at any value — purely a throughput knob.
-    pub threads: Option<usize>,
     /// The characterized cell library.
     pub library: CellLibrary,
 }
@@ -69,7 +48,6 @@ impl Default for SynthOptions {
             input_activity: 0.2,
             default_register_activity: 0.1,
             register_activity: None,
-            threads: None,
             library: CellLibrary::freepdk15(),
         }
     }
@@ -107,7 +85,7 @@ pub struct SynthReport {
 pub struct AnalyzeBreakdown {
     /// Initial full STA (forward arrivals + backward tails).
     pub sta_s: f64,
-    /// The sizing loop, including its (sparse or dense) re-propagation.
+    /// The sizing loop, including its re-propagation.
     pub sizing_s: f64,
     /// Area/activity/power scans.
     pub power_s: f64,
@@ -160,8 +138,8 @@ impl VirtualSynthesizer {
         &self.options
     }
 
-    /// Runs the full fast flow: (parallel, memoized) gate-level expansion,
-    /// sparse-STA sizing-driven timing closure, and power analysis.
+    /// Runs the flow: memoized gate-level expansion, sizing-driven timing
+    /// closure, and power analysis.
     pub fn synthesize(&self, nl: &Netlist) -> SynthReport {
         let start = Instant::now();
         let gl = self.elaborate_gates(nl);
@@ -170,62 +148,48 @@ impl VirtualSynthesizer {
         report
     }
 
-    /// Runs the retained single-threaded reference flow: serial unmemoized
-    /// expansion and dense re-propagation. The fast flow is gated
-    /// bit-identical against this.
+    /// Runs the flow over the unmemoized reference elaboration. Gated
+    /// bit-identical to [`VirtualSynthesizer::synthesize`].
     pub fn synthesize_reference(&self, nl: &Netlist) -> SynthReport {
         let start = Instant::now();
         let gl = self.elaborate_gates_reference(nl);
-        let mut report = self.analyze_reference(&gl);
+        let mut report = self.analyze(&gl);
         report.runtime = start.elapsed();
         report
     }
 
-    /// Expands a netlist into its flat gate graph, partitioning across
-    /// worker threads and splatting memoized templates when profitable.
-    /// The memo lives for this call only: its parallel chunks share it,
-    /// and no template carries over to the next design.
+    /// Expands a netlist into its flat gate graph, splatting memoized
+    /// templates when profitable. The memo lives for this call only: no
+    /// template carries over to the next design.
     pub fn elaborate_gates(&self, nl: &Netlist) -> GateLevel {
-        let plan = plan_elaboration(nl);
-        let memo = ExpansionMemo::default();
-        let threads = self.options.threads.unwrap_or_else(sns_rt::pool::synth_threads);
-        elaborate_impl(nl, &plan, Some(&memo), threads)
+        elaborate_impl(nl, Some(&mut ExpansionMemo::default()))
     }
 
-    /// Expands a netlist serially with no memoization — the reference
-    /// elaboration the fast path is compared against.
+    /// Expands a netlist with no memoization — the reference elaboration
+    /// [`VirtualSynthesizer::elaborate_gates`] is compared against.
     pub fn elaborate_gates_reference(&self, nl: &Netlist) -> GateLevel {
-        let plan = plan_elaboration(nl);
-        elaborate_impl(nl, &plan, None, 1)
+        elaborate_impl(nl, None)
     }
 
-    /// Timing closure + power analysis over an elaborated gate level,
-    /// using sparse (changed-cone) re-propagation inside the sizing loop.
+    /// Timing closure + power analysis over an elaborated gate level.
     pub fn analyze(&self, gl: &GateLevel) -> SynthReport {
-        let mut bd = AnalyzeBreakdown::default();
-        self.analyze_impl(gl, true, &mut bd)
+        self.analyze_impl(gl, &mut AnalyzeBreakdown::default())
     }
 
-    /// Reference analyze: identical math, full dense re-propagation every
-    /// sizing iteration.
-    pub fn analyze_reference(&self, gl: &GateLevel) -> SynthReport {
-        let mut bd = AnalyzeBreakdown::default();
-        self.analyze_impl(gl, false, &mut bd)
-    }
-
-    /// Analyze with per-stage timings, for benchmarks. `sparse` selects
-    /// the fast or reference re-propagation.
+    /// [`VirtualSynthesizer::analyze`] with per-stage timings, for
+    /// benchmarks. The `bool` is ignored; it stays so that existing
+    /// callers keep compiling.
     pub fn analyze_with_breakdown(
         &self,
         gl: &GateLevel,
-        sparse: bool,
+        _: bool,
     ) -> (SynthReport, AnalyzeBreakdown) {
         let mut bd = AnalyzeBreakdown::default();
-        let report = self.analyze_impl(gl, sparse, &mut bd);
+        let report = self.analyze_impl(gl, &mut bd);
         (report, bd)
     }
 
-    fn analyze_impl(&self, gl: &GateLevel, sparse: bool, bd: &mut AnalyzeBreakdown) -> SynthReport {
+    fn analyze_impl(&self, gl: &GateLevel, bd: &mut AnalyzeBreakdown) -> SynthReport {
         let lib = &self.options.library;
         let graph = &gl.graph;
         let n = graph.len();
@@ -246,91 +210,35 @@ impl VirtualSynthesizer {
         bd.sta_s += t0.elapsed().as_secs_f64();
 
         // Timing-driven sizing loop: upsize the low-slack gates, then
-        // re-propagate arrivals and tails. The slack of node `id` is
-        // `deadline − (arrival + tail)` where `tail` is the longest
-        // delay-sum from the node to any endpoint; both flows read the
-        // same arrays, so they touch the same gates.
-        //
-        // The fast flow picks one of two bit-identical strategies per
-        // iteration, predicted from the previous iteration's touch count
-        // (the count isn't known until after the scan, and both
-        // strategies compute the identical fixed point, so a mispredict
-        // costs time, never correctness):
-        //
-        // * **dense** — the scan, the upsizing, and the forward arrival
-        //   re-propagation fuse into one ascending pass (each node's
-        //   slack is read before its arrival is overwritten, and its
-        //   fanins' arrivals are final by the time they're read), then
-        //   one descending scatter pass rebuilds tails. The tail pass is
-        //   skipped entirely on the final iteration — nothing after the
-        //   loop reads tails.
-        // * **sparse** — a plain scan, then worklists re-propagate just
-        //   the changed cones (see `sparse_forward`/`sparse_tail`).
-        //
-        // The reference flow re-propagates densely with the unfused
-        // three-pass structure every iteration.
+        // re-propagate arrivals and tails over the whole graph. The slack
+        // of node `id` is `deadline − (arrival + tail)` where `tail` is the
+        // longest delay-sum from the node to any endpoint.
         let t1 = Instant::now();
-        let mut touched: Vec<NodeId> = Vec::new();
-        let mut prev_touched = usize::MAX;
-        let mut csr: Option<Csr> = None;
         for _ in 0..self.options.sizing_iterations {
             let deadline = (crit.period_ps - lib.setup_ps as f64) as f32;
             let margin = (crit.path_ps * 0.08) as f32;
-            touched.clear();
-            let go_sparse = sparse && prev_touched.saturating_mul(16) < n;
-            if go_sparse || !sparse {
-                for id in 0..n {
-                    let slack = deadline - (st.arrivals[id] + st.tail[id]);
-                    if slack <= margin && graph.kind(id as NodeId).is_gate() && drive[id] < 4.0 {
-                        drive[id] = (drive[id] * 1.25).min(4.0);
-                        let k = graph.kind(id as NodeId);
-                        st.delays[id] =
-                            if k.is_source() { 0.0 } else { lib.delay(k, drive[id], fanouts[id]) };
-                        touched.push(id as NodeId);
-                    }
-                }
-                if touched.is_empty() {
-                    break;
-                }
-                if go_sparse {
-                    let c = csr.get_or_insert_with(|| Csr::build(graph));
-                    st.sparse_forward(c, graph, lib.clk_to_q_ps, &touched);
-                } else {
-                    st.full_forward(graph, lib.clk_to_q_ps);
-                }
-            } else {
-                // Fused dense pass: scan + upsize + forward in one sweep.
-                for id in 0..n {
+            let mut upsized = false;
+            for id in 0..n {
+                let slack = deadline - (st.arrivals[id] + st.tail[id]);
+                if slack <= margin && graph.kind(id as NodeId).is_gate() && drive[id] < 4.0 {
+                    drive[id] = (drive[id] * 1.25).min(4.0);
                     let k = graph.kind(id as NodeId);
-                    let slack = deadline - (st.arrivals[id] + st.tail[id]);
-                    if slack <= margin && k.is_gate() && drive[id] < 4.0 {
-                        drive[id] = (drive[id] * 1.25).min(4.0);
-                        st.delays[id] =
-                            if k.is_source() { 0.0 } else { lib.delay(k, drive[id], fanouts[id]) };
-                        touched.push(id as NodeId);
-                    }
-                    st.arrivals[id] = st.arrival_of(graph, lib.clk_to_q_ps, id as NodeId);
-                }
-                if touched.is_empty() {
-                    // Nothing was upsized, so the rewritten arrivals are
-                    // bit-identical to the old ones (same delays, same
-                    // order-independent max recurrence).
-                    break;
+                    st.delays[id] =
+                        if k.is_source() { 0.0 } else { lib.delay(k, drive[id], fanouts[id]) };
+                    upsized = true;
                 }
             }
-            prev_touched = touched.len();
+            if !upsized {
+                break;
+            }
+            st.full_forward(graph, lib.clk_to_q_ps);
             let new_crit = critical(graph, gl, lib, &st.arrivals);
             let converged = new_crit.path_ps >= crit.path_ps * 0.999;
             crit = new_crit;
             if converged {
                 break;
             }
-            if go_sparse {
-                let c = csr.get_or_insert_with(|| Csr::build(graph));
-                st.sparse_tail(c, graph, &touched);
-            } else {
-                st.full_tail(graph);
-            }
+            st.full_tail(graph);
         }
         bd.sizing_s += t1.elapsed().as_secs_f64();
 
@@ -455,71 +363,22 @@ fn critical(graph: &GateGraph, gl: &GateLevel, lib: &CellLibrary, arrivals: &[f3
     Critical { path_ps: path as f64, period_ps: period as f64 }
 }
 
-/// Shared state of the dense and sparse STA passes.
+/// State of the STA passes.
 ///
 /// * `arrivals[id]` — the usual forward arrival time.
 /// * `tail[id]` — the longest delay-sum from `id` to any timing endpoint
 ///   (`0` at endpoints, `−∞` where no endpoint is reachable). Slack is
 ///   then `deadline − (arrival + tail)`: unlike a classic backward
 ///   required-time pass, `tail` does not depend on the current period, so
-///   it stays valid across sizing iterations and can be maintained by a
-///   worklist.
+///   it stays valid across sizing iterations.
 ///
-/// Both quantities are defined by order-independent pull-style recurrences
-/// over f32 `max`, so recomputing just the changed cone (sparse) yields
-/// bit-identical arrays to a full pass (dense). The consumer CSR excludes
-/// edges *into* sources: STA never propagates through a flip-flop (its D
-/// pin is an endpoint, handled by `endpoint`).
-/// Consumer CSR (node → consumers), excluding edges whose consumer is a
-/// source: STA never propagates *through* a flip-flop (its D pin is an
-/// endpoint). Only the sparse worklists need it, so it's built lazily the
-/// first time an iteration actually goes sparse.
-struct Csr {
-    co_off: Vec<u32>,
-    co: Vec<u32>,
-}
-
-impl Csr {
-    fn build(graph: &GateGraph) -> Csr {
-        let n = graph.len();
-        let mut counts = vec![0u32; n];
-        for id in 0..n as NodeId {
-            if graph.kind(id).is_source() {
-                continue;
-            }
-            for &f in &graph.fanins(id) {
-                if f != NO_NODE {
-                    counts[f as usize] += 1;
-                }
-            }
-        }
-        let mut co_off = vec![0u32; n + 1];
-        for i in 0..n {
-            co_off[i + 1] = co_off[i] + counts[i];
-        }
-        let mut co = vec![0u32; co_off[n] as usize];
-        let mut cursor: Vec<u32> = co_off[..n].to_vec();
-        for id in 0..n as NodeId {
-            if graph.kind(id).is_source() {
-                continue;
-            }
-            for &f in &graph.fanins(id) {
-                if f != NO_NODE {
-                    co[cursor[f as usize] as usize] = id;
-                    cursor[f as usize] += 1;
-                }
-            }
-        }
-        Csr { co_off, co }
-    }
-}
-
+/// STA never propagates *through* a flip-flop: its D pin is an endpoint
+/// (`endpoint`), and its Q pin a source.
 struct StaState {
     delays: Vec<f32>,
     arrivals: Vec<f32>,
     tail: Vec<f32>,
     endpoint: Vec<bool>,
-    in_heap: Vec<bool>,
 }
 
 impl StaState {
@@ -537,55 +396,33 @@ impl StaState {
         for &o in &gl.outputs {
             endpoint[o as usize] = true;
         }
-        StaState {
-            delays: vec![0.0; n],
-            arrivals: vec![0.0; n],
-            tail: vec![0.0; n],
-            endpoint,
-            in_heap: vec![false; n],
-        }
+        StaState { delays: vec![0.0; n], arrivals: vec![0.0; n], tail: vec![0.0; n], endpoint }
     }
 
-    fn arrival_of(&self, graph: &GateGraph, clk_to_q: f32, id: NodeId) -> f32 {
-        let k = graph.kind(id);
-        if k == GateKind::Dff {
-            clk_to_q
-        } else if k.is_source() {
-            0.0
-        } else {
-            let mut worst = 0.0f32;
-            for &f in &graph.fanins(id) {
-                if f != NO_NODE {
-                    worst = worst.max(self.arrivals[f as usize]);
-                }
-            }
-            worst + self.delays[id as usize]
-        }
-    }
-
-    fn tail_of(&self, csr: &Csr, id: NodeId) -> f32 {
-        let mut t = if self.endpoint[id as usize] { 0.0f32 } else { f32::NEG_INFINITY };
-        let (lo, hi) = (csr.co_off[id as usize] as usize, csr.co_off[id as usize + 1] as usize);
-        for i in lo..hi {
-            let c = csr.co[i] as usize;
-            t = t.max(self.delays[c] + self.tail[c]);
-        }
-        t
-    }
-
+    /// Ascending arrival pass: fanins precede consumers in the graph, so
+    /// every fanin's arrival is final when its consumer reads it.
     fn full_forward(&mut self, graph: &GateGraph, clk_to_q: f32) {
         for id in 0..graph.len() as NodeId {
-            let a = self.arrival_of(graph, clk_to_q, id);
-            self.arrivals[id as usize] = a;
+            let k = graph.kind(id);
+            self.arrivals[id as usize] = if k == GateKind::Dff {
+                clk_to_q
+            } else if k.is_source() {
+                0.0
+            } else {
+                let mut worst = 0.0f32;
+                for &f in &graph.fanins(id) {
+                    if f != NO_NODE {
+                        worst = worst.max(self.arrivals[f as usize]);
+                    }
+                }
+                worst + self.delays[id as usize]
+            };
         }
     }
 
-    /// Dense tail rebuild as a descending *scatter* pass: when node `id`
-    /// is visited, every consumer (higher id) has already scattered into
-    /// it, so `tail[id]` is final and can be pushed to its fanins. This
-    /// needs no CSR, and computes bit-identical values to the pull
-    /// recurrence in [`StaState::tail_of`] (f32 max over the same terms;
-    /// all finite tails are non-negative, so tie bits can't differ).
+    /// Tail rebuild as a descending *scatter* pass: when node `id` is
+    /// visited, every consumer (higher id) has already scattered into it,
+    /// so `tail[id]` is final and can be pushed to its fanins.
     fn full_tail(&mut self, graph: &GateGraph) {
         for id in 0..graph.len() {
             self.tail[id] = if self.endpoint[id] { 0.0 } else { f32::NEG_INFINITY };
@@ -604,139 +441,12 @@ impl StaState {
             }
         }
     }
-
-    /// Re-propagates arrivals from the gates whose delay changed. Nodes
-    /// are processed in increasing id order (fanins precede consumers in
-    /// the graph, and all pushes go to higher ids), so each node is
-    /// recomputed after every fanin it depends on has settled.
-    fn sparse_forward(&mut self, csr: &Csr, graph: &GateGraph, clk_to_q: f32, touched: &[NodeId]) {
-        let mut heap: BinaryHeap<Reverse<NodeId>> = BinaryHeap::with_capacity(touched.len());
-        for &t in touched {
-            if !self.in_heap[t as usize] {
-                self.in_heap[t as usize] = true;
-                heap.push(Reverse(t));
-            }
-        }
-        while let Some(Reverse(id)) = heap.pop() {
-            self.in_heap[id as usize] = false;
-            let a = self.arrival_of(graph, clk_to_q, id);
-            if a.to_bits() != self.arrivals[id as usize].to_bits() {
-                self.arrivals[id as usize] = a;
-                let (lo, hi) =
-                    (csr.co_off[id as usize] as usize, csr.co_off[id as usize + 1] as usize);
-                for i in lo..hi {
-                    let c = csr.co[i];
-                    if !self.in_heap[c as usize] {
-                        self.in_heap[c as usize] = true;
-                        heap.push(Reverse(c));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-propagates tails toward fanins from the gates whose delay
-    /// changed, in decreasing id order (mirror of `sparse_forward`).
-    fn sparse_tail(&mut self, csr: &Csr, graph: &GateGraph, touched: &[NodeId]) {
-        let mut heap: BinaryHeap<NodeId> = BinaryHeap::with_capacity(touched.len());
-        for &t in touched {
-            // A touched source (flip-flop) contributes no delay to any
-            // tail — the CSR has no edges into sources.
-            if graph.kind(t).is_source() {
-                continue;
-            }
-            for &f in &graph.fanins(t) {
-                if f != NO_NODE && !self.in_heap[f as usize] {
-                    self.in_heap[f as usize] = true;
-                    heap.push(f);
-                }
-            }
-        }
-        while let Some(id) = heap.pop() {
-            self.in_heap[id as usize] = false;
-            let t = self.tail_of(csr, id);
-            if t.to_bits() != self.tail[id as usize].to_bits() {
-                self.tail[id as usize] = t;
-                if graph.kind(id).is_source() {
-                    continue;
-                }
-                for &f in &graph.fanins(id) {
-                    if f != NO_NODE && !self.in_heap[f as usize] {
-                        self.in_heap[f as usize] = true;
-                        heap.push(f);
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------- elaboration --
 
-/// Pre-computed elaboration schedule: the cell order, which input reads
-/// must mint fresh dangling inputs (a pure function of the netlist, so
-/// serial and parallel workers agree without sharing state), per-cell gate
-/// estimates for chunking, and the broken-cycle count.
-struct ElabPlan {
-    order: Vec<CellId>,
-    /// Per position in `order`, per input slot: `true` when the net is not
-    /// yet defined at that point and a fresh input run must be minted.
-    fresh: Vec<Vec<bool>>,
-    /// Estimated expansion gate count per position in `order`.
-    cell_est: Vec<usize>,
-    est_nodes: usize,
-    cycles_broken: u64,
-}
-
-fn plan_elaboration(nl: &Netlist) -> ElabPlan {
-    let driver = nl.driver_map();
-    let order = topo_order(nl, &driver);
-    // Nets with bits available before the combinational loop starts:
-    // input ports and register Q banks (expanded in the prepass).
-    let mut defined: HashSet<NetId> = HashSet::new();
-    for p in nl.ports() {
-        if p.dir == PortDir::Input {
-            defined.insert(p.net);
-        }
-    }
-    for (_, cell) in nl.cells_enumerated() {
-        if cell.kind == CellKind::Dff {
-            defined.insert(cell.output);
-        }
-    }
-    let mut fresh = Vec::with_capacity(order.len());
-    let mut cell_est = Vec::with_capacity(order.len());
-    let mut est_nodes = 0usize;
-    let mut cycles_broken = 0u64;
-    for &cid in &order {
-        let cell = nl.cell(cid);
-        if cell.kind == CellKind::Dff {
-            fresh.push(Vec::new());
-            cell_est.push(0);
-            continue;
-        }
-        let flags: Vec<bool> = cell.inputs.iter().map(|n| !defined.contains(n)).collect();
-        for (slot, &f) in flags.iter().enumerate() {
-            // A fresh mint for a net that *has* a driver means the driver
-            // is unreachable at this point: a combinational cycle the
-            // expander breaks. Driverless nets keep the established
-            // "reads as fresh input" semantics without counting.
-            if f && driver.contains_key(&cell.inputs[slot]) {
-                cycles_broken += 1;
-            }
-        }
-        let in_ws: Vec<u32> = cell.inputs.iter().map(|&n| nl.net(n).width).collect();
-        let est = estimate_cell_nodes(cell.kind, nl.net(cell.output).width, &in_ws);
-        est_nodes += est;
-        cell_est.push(est);
-        fresh.push(flags);
-        defined.insert(cell.output);
-    }
-    ElabPlan { order, fresh, cell_est, est_nodes, cycles_broken }
-}
-
-/// Rough expansion gate count per cell — only used to balance parallel
-/// chunks and gate the parallel path, never for results.
+/// Rough expansion gate count per cell — only used to decide whether a
+/// shape is worth memoizing, never for results.
 fn estimate_cell_nodes(kind: CellKind, out_w: u32, in_ws: &[u32]) -> usize {
     let w = out_w.max(1) as usize;
     let lg = (usize::BITS - (w.max(2) - 1).leading_zeros()) as usize;
@@ -772,7 +482,7 @@ fn estimate_cell_nodes(kind: CellKind, out_w: u32, in_ws: &[u32]) -> usize {
 /// Expands one coarse cell into gates. `ins` are the resolved input bit
 /// vectors. Pure in the operand *widths*: the pushed subgraph shape never
 /// depends on which nodes the bits are, which is what makes memoized
-/// templates and partition-local expansion bit-exact.
+/// templates bit-exact.
 fn expand_cell(
     e: &mut Expander,
     kind: CellKind,
@@ -875,14 +585,14 @@ fn expand_cell(
     }
 }
 
-/// Kinds worth caching: the super-linear expanders that dominate gate
-/// count and repeat constantly across designs. Linear per-bit kinds and
-/// wiring are cheaper to expand directly than to key and splat.
 /// Estimated expansion size below which memoization costs more than it
-/// saves (key hash + shared-lock lookup + context splat vs a direct
-/// expansion of a few dozen gates).
+/// saves (key hash + lookup + context splat vs a direct expansion of a
+/// few dozen gates).
 const MEMO_MIN_EST_NODES: usize = 384;
 
+/// Kinds worth caching: the super-linear expanders that dominate gate
+/// count and repeat within a design. Linear per-bit kinds and wiring are
+/// cheaper to expand directly than to key and splat.
 fn memoizable(kind: CellKind) -> bool {
     matches!(
         kind,
@@ -924,7 +634,7 @@ fn expand_cell_memo(
     attr: u64,
     out_w: u32,
     ins: &[Vec<NodeId>],
-    memo: Option<&ExpansionMemo>,
+    memo: Option<&mut ExpansionMemo>,
 ) -> Vec<NodeId> {
     let Some(memo) = memo else {
         return expand_cell(e, kind, attr, out_w, ins);
@@ -932,21 +642,15 @@ fn expand_cell_memo(
     if !memoizable(kind) {
         return expand_cell(e, kind, attr, out_w, ins);
     }
-    // Small shapes are cheaper to expand directly than to key, lock, and
-    // splat — only cache expansions big enough to amortize the lookup.
+    // Small shapes are cheaper to expand directly than to key, look up,
+    // and splat — only cache expansions big enough to amortize the lookup.
     let in_ws: Vec<u32> = ins.iter().map(|v| v.len() as u32).collect();
     if estimate_cell_nodes(kind, out_w, &in_ws) < MEMO_MIN_EST_NODES {
         return expand_cell(e, kind, attr, out_w, ins);
     }
     let key = MemoKey { kind, attr, out_w, in_widths: in_ws };
-    let template = match memo.lookup(&key) {
-        Some(t) => t,
-        None => {
-            let t = Arc::new(build_template(kind, attr, out_w, &key.in_widths));
-            memo.insert(key, Arc::clone(&t));
-            t
-        }
-    };
+    let template =
+        memo.get_or_build(key, |k| build_template(k.kind, k.attr, k.out_w, &k.in_widths));
     let mut ctx = Vec::with_capacity(2 + ins.iter().map(|v| v.len()).sum::<usize>());
     ctx.push(e.const0());
     ctx.push(e.const1());
@@ -956,57 +660,17 @@ fn expand_cell_memo(
     template.splat(e.g, &ctx)
 }
 
-/// A run of placeholder `Input` nodes a parallel worker minted for bits it
-/// could not resolve locally. `fresh` runs become real dangling inputs at
-/// stitch time (exactly where the serial flow would mint them); non-fresh
-/// runs are dropped and remapped to the already-stitched bits of `net`.
-struct PhRun {
-    start: NodeId,
-    width: u32,
-    net: NetId,
-    fresh: bool,
-}
-
-/// One worker's expansion of a contiguous chunk of the cell order.
-struct ChunkOut {
-    graph: GateGraph,
-    ph_runs: Vec<PhRun>,
-    outs: Vec<(NetId, Vec<NodeId>)>,
-    regions: Vec<(String, NodeId, NodeId)>,
-}
-
-/// Contiguous chunk boundaries over the cell order, balanced by estimated
-/// gate count. A pure function of the netlist — never of the thread count.
-fn chunk_ranges(plan: &ElabPlan) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::new();
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for pos in 0..plan.order.len() {
-        acc += plan.cell_est[pos];
-        if acc >= CHUNK_TARGET_NODES {
-            ranges.push((start, pos + 1));
-            start = pos + 1;
-            acc = 0;
-        }
-    }
-    if start < plan.order.len() {
-        ranges.push((start, plan.order.len()));
-    }
-    ranges
-}
-
-fn elaborate_impl(
-    nl: &Netlist,
-    plan: &ElabPlan,
-    memo: Option<&ExpansionMemo>,
-    threads: usize,
-) -> GateLevel {
+/// Expands `nl` into its flat gate graph: input ports, then register
+/// banks, then every combinational cell in topological order.
+fn elaborate_impl(nl: &Netlist, mut memo: Option<&mut ExpansionMemo>) -> GateLevel {
+    let driver = nl.driver_map();
     let mut graph = GateGraph::with_capacity(nl.cell_count() * 8);
     let mut net_bits: HashMap<NetId, Vec<NodeId>> = HashMap::new();
     let mut registers: Vec<(String, Vec<NodeId>)> = Vec::new();
     let mut dff_patches: Vec<(Vec<NodeId>, NetId)> = Vec::new();
     let mut regions: Vec<(String, NodeId, NodeId)> = Vec::new();
     let mut input_ports: Vec<(String, Vec<NodeId>)> = Vec::new();
+    let mut cycles_broken = 0u64;
     let (const0, const1);
 
     {
@@ -1041,53 +705,42 @@ fn elaborate_impl(
             net_bits.insert(cell.output, q);
             regions.push((cell.name.clone(), region_start, e.g.len() as NodeId));
         }
-    }
 
-    let parallel = threads > 1 && plan.est_nodes >= PAR_MIN_NODES;
-    if parallel {
-        elaborate_parallel_body(
-            nl, plan, memo, threads, &mut graph, &mut net_bits, &mut regions, const0, const1,
-        );
-    } else {
-        let mut e = Expander::attach(&mut graph);
-        for (pos, &cid) in plan.order.iter().enumerate() {
+        for cid in topo_order(nl, &driver) {
             let cell = nl.cell(cid);
             if cell.kind == CellKind::Dff {
                 continue; // bank already materialized above
             }
             let region_start = e.g.len() as NodeId;
             let out_w = nl.net(cell.output).width;
-            let flags = &plan.fresh[pos];
             let ins: Vec<Vec<NodeId>> = cell
                 .inputs
                 .iter()
-                .enumerate()
-                .map(|(slot, &n)| {
-                    if flags.get(slot).copied().unwrap_or(false) {
-                        // Unresolvable input (combinational cycle or
-                        // undriven net): a fresh input keeps the run
-                        // robust; the plan counted it.
-                        e.inputs(nl.net(n).width)
-                    } else {
-                        net_bits
-                            .get(&n)
-                            .cloned()
-                            .unwrap_or_else(|| e.inputs(nl.net(n).width))
+                .map(|n| match net_bits.get(n) {
+                    Some(bits) => bits.clone(),
+                    None => {
+                        // Unresolvable input: a fresh dangling input keeps
+                        // the run robust. A net that *has* a driver is
+                        // unreachable here only through a combinational
+                        // cycle, which counts as broken; driverless nets
+                        // read as fresh inputs without counting.
+                        if driver.contains_key(n) {
+                            cycles_broken += 1;
+                        }
+                        e.inputs(nl.net(*n).width)
                     }
                 })
                 .collect();
-            let bits = expand_cell_memo(&mut e, cell.kind, cell.attr, out_w, &ins, memo);
+            let bits =
+                expand_cell_memo(&mut e, cell.kind, cell.attr, out_w, &ins, memo.as_deref_mut());
             net_bits.insert(cell.output, bits);
             let region_end = e.g.len() as NodeId;
             if region_end > region_start && !cell.kind.is_wiring() {
                 regions.push((cell.name.clone(), region_start, region_end));
             }
         }
-    }
 
-    // Patch register D inputs now the full combinational cone exists.
-    {
-        let e = Expander::attach(&mut graph);
+        // Patch register D inputs now the full combinational cone exists.
         for (q_bits, d_net) in dff_patches {
             let d_bits =
                 net_bits.get(&d_net).cloned().unwrap_or_else(|| vec![const0; q_bits.len()]);
@@ -1122,151 +775,7 @@ fn elaborate_impl(
         output_ports,
         const0,
         const1,
-        cycles_broken: plan.cycles_broken,
-    }
-}
-
-/// Parallel expansion of the combinational cell loop: workers expand
-/// contiguous chunks of the serial order into private graphs (minting
-/// placeholder input runs for bits defined outside the chunk), and a
-/// serial stitch replays the chunks in order, dropping placeholders for
-/// defined nets and remapping everything else. Because every worker mints
-/// nodes exactly where the serial flow would (and dropped placeholders
-/// emit nothing), the stitched graph is the serial graph, node for node.
-#[allow(clippy::too_many_arguments)]
-fn elaborate_parallel_body(
-    nl: &Netlist,
-    plan: &ElabPlan,
-    memo: Option<&ExpansionMemo>,
-    threads: usize,
-    graph: &mut GateGraph,
-    net_bits: &mut HashMap<NetId, Vec<NodeId>>,
-    regions: &mut Vec<(String, NodeId, NodeId)>,
-    const0: NodeId,
-    const1: NodeId,
-) {
-    let ranges = chunk_ranges(plan);
-    let chunks: Vec<ChunkOut> = sns_rt::pool::par_map(&ranges, threads, |&(lo, hi)| {
-        let mut lgraph = GateGraph::new();
-        let mut local: HashMap<NetId, Vec<NodeId>> = HashMap::new();
-        let mut ext: HashMap<NetId, Vec<NodeId>> = HashMap::new();
-        let mut ph_runs: Vec<PhRun> = Vec::new();
-        let mut louts: Vec<(NetId, Vec<NodeId>)> = Vec::new();
-        let mut lregions: Vec<(String, NodeId, NodeId)> = Vec::new();
-        {
-            let mut e = Expander::new(&mut lgraph);
-            for pos in lo..hi {
-                let cell = nl.cell(plan.order[pos]);
-                if cell.kind == CellKind::Dff {
-                    continue;
-                }
-                let region_start = e.g.len() as NodeId;
-                let out_w = nl.net(cell.output).width;
-                let flags = &plan.fresh[pos];
-                let ins: Vec<Vec<NodeId>> = cell
-                    .inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, &n)| {
-                        let w = nl.net(n).width;
-                        if flags.get(slot).copied().unwrap_or(false) {
-                            // Fresh dangling input — minted per
-                            // consumption, exactly like the serial flow.
-                            let start = e.g.len() as NodeId;
-                            let bits = e.inputs(w);
-                            ph_runs.push(PhRun { start, width: w, net: n, fresh: true });
-                            bits
-                        } else if let Some(b) = local.get(&n) {
-                            b.clone()
-                        } else if let Some(b) = ext.get(&n) {
-                            b.clone()
-                        } else {
-                            // Defined outside this chunk: placeholder run,
-                            // resolved (and dropped) at stitch time.
-                            let start = e.g.len() as NodeId;
-                            let bits = e.inputs(w);
-                            ph_runs.push(PhRun { start, width: w, net: n, fresh: false });
-                            ext.insert(n, bits.clone());
-                            bits
-                        }
-                    })
-                    .collect();
-                let bits = expand_cell_memo(&mut e, cell.kind, cell.attr, out_w, &ins, memo);
-                local.insert(cell.output, bits.clone());
-                louts.push((cell.output, bits));
-                let region_end = e.g.len() as NodeId;
-                if region_end > region_start && !cell.kind.is_wiring() {
-                    lregions.push((cell.name.clone(), region_start, region_end));
-                }
-            }
-        }
-        ChunkOut { graph: lgraph, ph_runs, outs: louts, regions: lregions }
-    });
-
-    // Serial stitch, chunk order = cell order. `gindex[i]` is the global
-    // length just before local node `i` was replayed, so local region
-    // spans map straight onto global spans.
-    for co in &chunks {
-        let lg = &co.graph;
-        let llen = lg.len();
-        let mut remap: Vec<NodeId> = Vec::with_capacity(llen);
-        let mut gindex: Vec<NodeId> = Vec::with_capacity(llen + 1);
-        let mut ri = 0usize;
-        for id in 0..llen as NodeId {
-            gindex.push(graph.len() as NodeId);
-            if id == 0 {
-                remap.push(const0);
-                continue;
-            }
-            if id == 1 {
-                remap.push(const1);
-                continue;
-            }
-            while ri < co.ph_runs.len() && co.ph_runs[ri].start + co.ph_runs[ri].width <= id {
-                ri += 1;
-            }
-            if ri < co.ph_runs.len() && co.ph_runs[ri].start <= id {
-                let run = &co.ph_runs[ri];
-                if run.fresh {
-                    remap.push(graph.push(GateKind::Input, [NO_NODE; 3]));
-                } else {
-                    let bit = net_bits
-                        .get(&run.net)
-                        .and_then(|b| b.get((id - run.start) as usize))
-                        .copied();
-                    remap.push(match bit {
-                        Some(b) => b,
-                        // Defensive: a placeholder for a net the stitch has
-                        // not seen would indicate a planning bug; minting a
-                        // dangling input keeps the graph well-formed and
-                        // the bit-identity gate catches it.
-                        None => graph.push(GateKind::Input, [NO_NODE; 3]),
-                    });
-                }
-            } else {
-                let f = lg.fanins(id);
-                let mf = {
-                    let m = |x: NodeId| if x == NO_NODE { NO_NODE } else { remap[x as usize] };
-                    [m(f[0]), m(f[1]), m(f[2])]
-                };
-                let nid = graph.push(lg.kind(id), mf);
-                remap.push(nid);
-            }
-        }
-        gindex.push(graph.len() as NodeId);
-        for (net, bits) in &co.outs {
-            net_bits.insert(*net, bits.iter().map(|&b| remap[b as usize]).collect());
-        }
-        for (name, s, t) in &co.regions {
-            let (gs, gt) = (gindex[*s as usize], gindex[*t as usize]);
-            // A chunk-local span can consist entirely of placeholder runs
-            // (an external-net consumer that expands to pure wiring);
-            // those nodes vanish at stitch time, and the serial flow never
-            // records empty regions.
-            if gt > gs {
-                regions.push((name.clone(), gs, gt));
-            }
-        }
+        cycles_broken,
     }
 }
 
@@ -1469,23 +978,17 @@ mod tests {
     #[test]
     fn fast_flow_matches_reference_on_mac() {
         let nl = parse_and_elaborate(MAC, "mac").unwrap();
-        let reference = VirtualSynthesizer::new(SynthOptions::default());
-        let ref_gl = reference.elaborate_gates_reference(&nl);
-        let ref_r = reference.analyze_reference(&ref_gl);
-        for threads in [1usize, 3] {
-            let fast = VirtualSynthesizer::new(SynthOptions {
-                threads: Some(threads),
-                ..Default::default()
-            });
-            let gl = fast.elaborate_gates(&nl);
-            assert_eq!(gl.graph, ref_gl.graph, "threads={threads}");
-            assert_eq!(gl.regions, ref_gl.regions, "threads={threads}");
-            let r = fast.analyze(&gl);
-            assert_eq!(r.area_um2.to_bits(), ref_r.area_um2.to_bits());
-            assert_eq!(r.timing_ps.to_bits(), ref_r.timing_ps.to_bits());
-            assert_eq!(r.power_mw.to_bits(), ref_r.power_mw.to_bits());
-            assert_eq!(r.gate_count, ref_r.gate_count);
-        }
+        let vs = VirtualSynthesizer::new(SynthOptions::default());
+        let ref_gl = vs.elaborate_gates_reference(&nl);
+        let ref_r = vs.analyze(&ref_gl);
+        let gl = vs.elaborate_gates(&nl);
+        assert_eq!(gl.graph, ref_gl.graph);
+        assert_eq!(gl.regions, ref_gl.regions);
+        let r = vs.analyze(&gl);
+        assert_eq!(r.area_um2.to_bits(), ref_r.area_um2.to_bits());
+        assert_eq!(r.timing_ps.to_bits(), ref_r.timing_ps.to_bits());
+        assert_eq!(r.power_mw.to_bits(), ref_r.power_mw.to_bits());
+        assert_eq!(r.gate_count, ref_r.gate_count);
     }
 
     #[test]

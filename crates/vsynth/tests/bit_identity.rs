@@ -1,12 +1,11 @@
-//! Bit-identity sweep for the fast synthesis flow.
+//! Bit-identity sweep for the memoized synthesis flow.
 //!
-//! The fast path (parallel per-module elaboration, expansion memoization,
-//! sparse levelized STA) must be *bit-identical* to the retained
-//! single-threaded dense reference flow — same gate graph node for node,
-//! same labels bit for bit — across every `threads × sizing_iterations`
-//! combination, and unchanged by whatever design the same synthesizer ran
-//! before. Any divergence means the optimization changed semantics, which
-//! would silently re-label every training set.
+//! Elaboration with the per-call expansion memo must be *bit-identical*
+//! to the unmemoized reference elaboration — same gate graph node for
+//! node, same labels bit for bit — at every `sizing_iterations` setting,
+//! and unchanged by whatever design the same synthesizer ran before. Any
+//! divergence means the memo changed semantics, which would silently
+//! re-label every training set.
 
 use std::collections::HashMap;
 
@@ -29,9 +28,8 @@ const MIXED: &str = "module mixed (input clk, input [15:0] a, b, c, d, output re
                          assign z = ((a == b) ? c : d) + ((a > b) ? (&a ? b : c) : (^d ? d : a));
                      endmodule";
 
-/// Big enough (four 24-bit dividers plus multipliers) that the planner's
-/// node estimate crosses the parallel-elaboration threshold, so explicit
-/// `threads > 1` genuinely exercises chunked expansion and stitching.
+/// Big (four 24-bit dividers plus multipliers): tens of thousands of
+/// gates, with repeated divider shapes the memo serves from one template.
 const BIG: &str = "module big (input clk, input [23:0] a, b, c, d, output reg [23:0] y);
                        reg [23:0] t0, t1, t2, t3;
                        always @(posedge clk) begin
@@ -91,37 +89,30 @@ fn assert_gatelevel_identical(ctx: &str, gl: &GateLevel, gl_ref: &GateLevel) {
 }
 
 /// Runs the full sweep on one source: for each sizing setting, pin the
-/// reference flow once, then check every thread count's fast flow against
-/// it — on a fresh synthesizer, and again after that synthesizer has run
+/// reference elaboration once, then check the memoized flow against it —
+/// on a fresh synthesizer, and again after that synthesizer has run
 /// `prior` (a `(source, top)` pair), so no state may cross calls.
 fn sweep(name: &str, src: &str, top: &str, sizing_settings: &[u32], prior: (&str, &str)) {
     let nl = parse_and_elaborate(src, top).unwrap();
     let prior_nl = parse_and_elaborate(prior.0, prior.1).unwrap();
     for &sizing in sizing_settings {
-        let vs_ref = VirtualSynthesizer::new(SynthOptions {
+        let vs = VirtualSynthesizer::new(SynthOptions {
             sizing_iterations: sizing,
             ..SynthOptions::default()
         });
-        let gl_ref = vs_ref.elaborate_gates_reference(&nl);
-        let r_ref = vs_ref.analyze_reference(&gl_ref);
-        for threads in [1usize, 2, 8] {
-            let vs = VirtualSynthesizer::new(SynthOptions {
-                sizing_iterations: sizing,
-                threads: Some(threads),
-                ..SynthOptions::default()
-            });
-            let ctx = format!("{name} threads={threads} sizing={sizing}");
-            let gl = vs.elaborate_gates(&nl);
-            assert_gatelevel_identical(&ctx, &gl, &gl_ref);
-            let r = vs.analyze(&gl);
-            assert_reports_identical(&ctx, &r, &r_ref);
+        let gl_ref = vs.elaborate_gates_reference(&nl);
+        let r_ref = vs.analyze(&gl_ref);
+        let ctx = format!("{name} sizing={sizing}");
+        let gl = vs.elaborate_gates(&nl);
+        assert_gatelevel_identical(&ctx, &gl, &gl_ref);
+        let r = vs.analyze(&gl);
+        assert_reports_identical(&ctx, &r, &r_ref);
 
-            vs.synthesize(&prior_nl);
-            let ctx = format!("{ctx} after {}", prior.1);
-            let gl_after = vs.elaborate_gates(&nl);
-            assert_gatelevel_identical(&ctx, &gl_after, &gl);
-            assert_reports_identical(&ctx, &vs.analyze(&gl_after), &r);
-        }
+        vs.synthesize(&prior_nl);
+        let ctx = format!("{ctx} after {}", prior.1);
+        let gl_after = vs.elaborate_gates(&nl);
+        assert_gatelevel_identical(&ctx, &gl_after, &gl);
+        assert_reports_identical(&ctx, &vs.analyze(&gl_after), &r);
     }
 }
 
@@ -131,9 +122,9 @@ fn mixed_operators_sweep_is_bit_identical() {
 }
 
 #[test]
-fn big_design_parallel_sweep_is_bit_identical() {
-    // One sizing setting keeps the dense reference runs affordable; the
-    // point of this design is crossing the parallel threshold.
+fn big_design_sweep_is_bit_identical() {
+    // One sizing setting keeps the debug-build runs affordable; the point
+    // of this design is its size and its repeated divider shapes.
     sweep("big", BIG, "big", &[2], (MIXED, "mixed"));
 }
 
@@ -145,7 +136,8 @@ fn many_register_sweep_is_bit_identical() {
 
 /// Pinned-activity regression: with many register banks, a user activity
 /// map must scale the dynamic power of exactly the pinned banks — and the
-/// fast flow must agree with the reference bit for bit when a map is set.
+/// memoized flow must agree with the reference bit for bit when a map is
+/// set.
 #[test]
 fn register_activity_map_is_bit_identical_and_effective() {
     let src = many_registers(32);

@@ -24,6 +24,12 @@ cargo test -q -p sns-rt -p sns-core -p sns-serve -p sns-train -p sns-genmodel
 echo "==> cargo test -q -p sns-netlist -p sns-graphir -p sns-sampler"
 cargo test -q -p sns-netlist -p sns-graphir -p sns-sampler
 
+# The crates no step above reaches: the virtual synthesizer's unit
+# suites and its memo-vs-reference bit-identity sweep, the Circuitformer,
+# the design catalog and the case studies.
+echo "==> cargo test -q -p sns-vsynth -p sns-circuitformer -p sns-designs -p sns-casestudies"
+cargo test -q -p sns-vsynth -p sns-circuitformer -p sns-designs -p sns-casestudies
+
 # No-new-panics gate: the untrusted pipeline (netlist/graphir/sampler),
 # the network-facing serving layer (serve front-end, its binary, the rt
 # reactor substrate, and the JSON parser every request body goes
@@ -158,15 +164,16 @@ cargo test -q -p sns-conformance -p sns-nn
 echo "==> cargo test -q --test serve_e2e -- --test-threads=1"
 cargo test -q --test serve_e2e -- --test-threads=1
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+# Every workspace member's lib, bins, tests, benches and examples.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc gate: a doc link to a deleted, renamed or private item fails
 # here instead of rendering as plain text.
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-# Fast-vs-reference synthesis identity on the blessed corpus plus a
+# Memoized-vs-reference synthesis identity on the blessed corpus plus a
 # quick generated sample; the full 2000-design sweep lives in
 # ./scripts/vsynth_soak.sh.
 echo "==> vsynth_soak (200 designs)"

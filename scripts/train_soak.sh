@@ -8,7 +8,7 @@
 #
 # The run is deterministic end to end: same seed + same step count give a
 # bit-identical model (and therefore byte-identical weight hashes) at any
-# SNS_THREADS / SNS_BATCH / SNS_SYNTH_THREADS — tests/train_determinism.rs
+# SNS_THREADS / SNS_BATCH — tests/train_determinism.rs
 # holds that gate. SNS_TRAIN_REQUIRE_TREND=1 makes the soak fail unless
 # the model-vs-vsynth relative error strictly decreases from the first to
 # the last quartile of the run (the acceptance criterion: the factory is

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Vsynth soak: the fast synthesis flow (parallel elaboration, expansion
-# memoization, sparse STA) against the single-threaded dense reference.
+# Vsynth soak: the synthesis flow (memoized elaboration) against the
+# unmemoized reference elaboration.
 #
 #   ./scripts/vsynth_soak.sh                  # 2000 designs, seed 1
 #   SNS_VSYNTH_SOAK_N=10000 ./scripts/vsynth_soak.sh
@@ -9,11 +9,11 @@
 # Two parts:
 #   1. vsynth_soak — every blessed corpus case plus N generated designs
 #      through the bit-identity oracle (graph node for node, labels bit
-#      for bit, at 1 and 4 threads). Exits non-zero on any divergence;
+#      for bit). Exits non-zero on any divergence;
 #      failing designs are shrunk into tests/corpus/pending/.
-#   2. vsynth_bench — times reference vs fast flows on the catalog suite
-#      and writes BENCH_vsynth.json at the repo root (per-stage seconds
-#      for elaborate/STA/sizing/power at 1 and pool threads).
+#   2. vsynth_bench — times the reference against the flow on the catalog
+#      suite and writes BENCH_vsynth.json at the repo root (per-stage
+#      seconds for elaborate/STA/sizing/power).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -2,7 +2,7 @@
 //!
 //! The daemon's contract (see `sns-train`): same [`DaemonConfig`] + same
 //! step count ⇒ **bit-identical model**, at any `SNS_THREADS` /
-//! `SNS_BATCH` / `SNS_SYNTH_THREADS`. This test runs the full loop —
+//! `SNS_BATCH`. This test runs the full loop —
 //! bootstrap, generate, vsynth-label, active-learning filter, Markov
 //! arm, fine-tune, refit, checkpoint — under different knob settings and
 //! compares the zoo manifests: every checkpoint's FNV-128 weight hash
@@ -45,14 +45,13 @@ const TEST_NAME: &str = "daemon_checkpoints_are_bit_identical_across_thread_and_
 /// Runs the daemon for 4 steps in a child process started with the given
 /// knobs and returns the zoo manifest as (id, weight hash, train steps)
 /// rows.
-fn run_daemon(tag: &str, threads: &str, batch: &str, synth_threads: &str) -> Vec<(String, String, u64)> {
+fn run_daemon(tag: &str, threads: &str, batch: &str) -> Vec<(String, String, u64)> {
     let exe = std::env::current_exe().expect("test binary path");
     let out = Command::new(exe)
         .args([TEST_NAME, "--exact", "--nocapture", "--test-threads=1"])
         .env(CHILD_TAG, tag)
         .env("SNS_THREADS", threads)
         .env("SNS_BATCH", batch)
-        .env("SNS_SYNTH_THREADS", synth_threads)
         .output()
         .expect("spawn child test process");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -96,18 +95,18 @@ fn daemon_checkpoints_are_bit_identical_across_thread_and_batch_knobs() {
     if let Ok(tag) = std::env::var(CHILD_TAG) {
         return child_run(&tag);
     }
-    let baseline = run_daemon("t1", "1", "2", "1");
+    let baseline = run_daemon("t1", "1", "2");
     // checkpoint_every=2 over 4 steps: periodic at steps 2 and 4; the
     // final checkpoint coincides with the step-4 one (idempotent).
     assert_eq!(baseline.len(), 2, "{baseline:?}");
     assert!(baseline.iter().any(|(_, _, steps)| *steps == 4));
 
-    let wide = run_daemon("t4", "4", "5", "3");
+    let wide = run_daemon("t4", "4", "5");
     assert_eq!(
         baseline, wide,
-        "weight hashes must not depend on SNS_THREADS/SNS_BATCH/SNS_SYNTH_THREADS"
+        "weight hashes must not depend on SNS_THREADS/SNS_BATCH"
     );
 
-    let replay = run_daemon("t1b", "1", "2", "1");
+    let replay = run_daemon("t1b", "1", "2");
     assert_eq!(baseline, replay, "same seed + same steps must replay bit-identically");
 }
