@@ -35,6 +35,7 @@
 //! and persist it to the corpus (see [`crate::corpus`]).
 
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -49,9 +50,10 @@ use sns_core::{
 };
 use sns_netlist::ast::Design;
 use sns_netlist::{
-    elaborate_incremental, instantiated_modules, parse_and_elaborate, parse_source,
+    design_hashes, elaborate_incremental, instantiated_modules, parse_and_elaborate, parse_source,
     ModuleElabCache, Netlist, PortDir, Simulator,
 };
+use sns_rt::hash::Fnv128;
 use sns_rt::json::{parse as parse_json, Json};
 use sns_rt::StdRng;
 use sns_sampler::SampleConfig;
@@ -191,19 +193,14 @@ fn compare_outputs(
     Ok(())
 }
 
-/// A compact trace signature: FNV-1a over every output after every eval
-/// and step phase. Corpus sidecars pin this hash so replays detect any
-/// behavioral drift, not just sim-vs-gates divergence.
+/// A compact trace signature: FNV-1a64 (stream `a` of [`Fnv128`]) over
+/// every output, little-endian, after every eval and step phase. Corpus
+/// sidecars pin this hash so replays detect any behavioral drift, not
+/// just sim-vs-gates divergence.
 pub fn trace_hash(nl: &Netlist, stim_seed: u64, cycles: usize) -> Result<u64, String> {
     let (inputs, outputs) = io_ports(nl);
     let mut sim = Simulator::new(nl).map_err(|e| format!("netlist sim rejected design: {e}"))?;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let absorb = |h: &mut u64, v: u128| {
-        for byte in v.to_le_bytes() {
-            *h ^= byte as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv128::new();
     let mut rng = StdRng::seed_from_u64(stim_seed);
     for _ in 0..cycles {
         for (name, w) in &inputs {
@@ -213,15 +210,15 @@ pub fn trace_hash(nl: &Netlist, stim_seed: u64, cycles: usize) -> Result<u64, St
         sim.eval().map_err(|e| e.to_string())?;
         for name in &outputs {
             let v = sim.output(name).map_err(|e| e.to_string())?;
-            absorb(&mut h, v);
+            h.write_u128(v);
         }
         sim.step().map_err(|e| e.to_string())?;
         for name in &outputs {
             let v = sim.output(name).map_err(|e| e.to_string())?;
-            absorb(&mut h, v);
+            h.write_u128(v);
         }
     }
-    Ok(h)
+    Ok(h.finish())
 }
 
 /// Synthesizes a spec with the default options (full sizing loop).
@@ -798,7 +795,7 @@ impl IncrementalHarness {
             parse_source(merged).map_err(|e| format!("merged source failed to parse: {e}"))?;
         let flat = sns_netlist::elaborate(&design, top)
             .map_err(|e| format!("flat elaboration failed: {e}"))?;
-        let inc = elaborate_incremental(&design, top, cache)
+        let inc = elaborate_incremental(&design, &design_hashes(&design), top, cache)
             .map_err(|e| format!("incremental elaboration failed: {e}"))?;
         if flat != inc {
             return Err(

@@ -13,7 +13,7 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use sns_netlist::hash::fnv128_bytes;
+use sns_rt::hash::fnv128_bytes;
 use sns_rt::json::{Json, JsonError};
 use sns_rt::rng::StdRng;
 use sns_vsynth::scaling::TechNode;
@@ -141,6 +141,9 @@ fn model_from_json(json: &str) -> Result<SnsModel, String> {
     if saved.max_len < 2 {
         return Err(format!("max_len {} leaves no room for a path token", saved.max_len));
     }
+    if saved.sample_k == 0 {
+        return Err("sample_k 0: the sampler follows ⌈d / k⌉ successors, k ≥ 1".into());
+    }
     let cfg = CircuitformerConfig {
         vocab: saved.vocab,
         dim: saved.dim,
@@ -168,7 +171,6 @@ fn model_from_json(json: &str) -> Result<SnsModel, String> {
         max_paths: saved.sample_max_paths,
         max_len: saved.sample_max_len,
         seed: saved.sample_seed,
-        dedup: true,
     };
     Ok(SnsModel {
         circuitformer,
@@ -606,8 +608,10 @@ mod tests {
         let manifest = std::fs::read_to_string(dir.join(ZOO_MANIFEST)).unwrap();
         let good_hash = hash_hex(weights.as_bytes());
         // heads 0; dim not a multiple of heads (2); a vocab other than
-        // the 79-token one; max_len too short to hold CLS plus a token.
-        for (field, value) in [("heads", 0), ("dim", 33), ("vocab", 80), ("max_len", 1)] {
+        // the 79-token one; max_len too short to hold CLS plus a token;
+        // a sampling density of 0 (`⌈d / 0⌉` at the first prediction).
+        let bad = [("heads", 0), ("dim", 33), ("vocab", 80), ("max_len", 1), ("sample_k", 0)];
+        for (field, value) in bad {
             let Json::Obj(mut fields) = sns_rt::json::parse(&weights).unwrap() else {
                 panic!("weights file is not an object");
             };

@@ -27,15 +27,17 @@
 //! each terminal from its name, so the two sample different path sets.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use sns_graphir::GraphIr;
 use sns_netlist::ast::Design;
 use sns_netlist::{
-    design_hashes, elaborate_incremental, instantiated_modules, parse_source, ModuleElabCache,
-    Netlist, NetlistError,
+    design_hashes, elaborate_incremental, instantiated_modules, parse_source, ModHash,
+    ModuleElabCache, Netlist, NetlistError,
 };
+use sns_rt::hash::Fnv128;
 use sns_sampler::{flatten_samples, PathSampler, PortablePath, ResampleOutcome, TerminalSample};
 
 use crate::pipeline::{Hooks, Inline, Stage};
@@ -81,8 +83,8 @@ pub struct DesignSession {
     token: String,
     top: String,
     design: Design,
-    /// Per-module transitive content hashes at registration time.
-    trans: HashMap<String, [u64; 2]>,
+    /// Per-module content hashes at registration time.
+    hashes: HashMap<String, ModHash>,
     /// Per-terminal cached samples, keyed by terminal name.
     /// Reference-counted so a resample reuses them by pointer.
     samples: HashMap<String, Arc<TerminalSample>>,
@@ -183,7 +185,8 @@ impl SessionStore {
         }
     }
 
-    /// The rest of a session's `Parse` stage: hashes `design`, notes which
+    /// The rest of a session's `Parse` stage: hashes `design` (once; the
+    /// incremental elaborator keys its units on the same map), notes which
     /// modules changed since `prev` and elaborates incrementally.
     pub(crate) fn elaborate(
         &self,
@@ -191,23 +194,22 @@ impl SessionStore {
         top: &str,
         prev: Option<Arc<DesignSession>>,
     ) -> Result<SessionFront, NetlistError> {
-        let trans: HashMap<String, [u64; 2]> =
-            design_hashes(&design).into_iter().map(|(n, h)| (n, h.trans)).collect();
+        let hashes = design_hashes(&design);
         // Implicit invalidation: a changed transitive hash is a different
         // cache key.
         let changed: BTreeSet<String> = match &prev {
-            Some(p) => trans
+            Some(p) => hashes
                 .iter()
-                .filter(|(name, t)| p.trans.get(*name) != Some(t))
+                .filter(|(name, h)| p.hashes.get(*name).map(|old| old.trans) != Some(h.trans))
                 .map(|(name, _)| name.clone())
                 .collect(),
-            None => trans.keys().cloned().collect(),
+            None => hashes.keys().cloned().collect(),
         };
         if prev.is_some() {
             self.elab.note_invalidations(changed.len() as u64);
         }
-        let netlist = elaborate_incremental(&design, top, &self.elab)?;
-        Ok(SessionFront { design, top: top.to_string(), prev, trans, changed, netlist })
+        let netlist = elaborate_incremental(&design, &hashes, top, &self.elab)?;
+        Ok(SessionFront { design, top: top.to_string(), prev, hashes, changed, netlist })
     }
 
     /// [`elaborate`](Self::elaborate) for an ECO: the `base` session's
@@ -254,7 +256,7 @@ pub(crate) struct SessionFront {
     top: String,
     /// The base session of an ECO.
     prev: Option<Arc<DesignSession>>,
-    trans: HashMap<String, [u64; 2]>,
+    hashes: HashMap<String, ModHash>,
     /// Modules whose transitive hash differs from `prev`'s (all if none).
     changed: BTreeSet<String>,
     netlist: Netlist,
@@ -317,7 +319,7 @@ impl SnsModel {
     ) -> Result<SessionOutcome, H::Stop> {
         hooks.after(Stage::Parse, t.elapsed())?;
         let t = Instant::now();
-        let SessionFront { design, top, prev, trans, changed, netlist } = front;
+        let SessionFront { design, top, prev, hashes, changed, netlist } = front;
         let graph = &GraphIr::from_netlist(&netlist);
         let no_samples = HashMap::new();
         let prev_samples = prev.as_ref().map_or(&no_samples, |p| &p.samples);
@@ -339,14 +341,14 @@ impl SnsModel {
         let reelaborated: Vec<String> =
             changed.intersection(&instantiated_modules(&design, &top)).cloned().collect();
 
-        let token = design_token(&trans, &top);
+        let token = design_token(&hashes, &top);
         let samples_by_name: HashMap<String, Arc<TerminalSample>> =
             samples.into_iter().map(|s| (s.name.clone(), s)).collect();
         store.insert(Arc::new(DesignSession {
             token: token.clone(),
             top,
             design,
-            trans,
+            hashes,
             samples: samples_by_name,
         }));
 
@@ -363,26 +365,16 @@ impl SnsModel {
 /// Content-addressed design token: a stable hex digest over the top name
 /// and every module's transitive content hash. Whitespace/comment-only
 /// variants of a design map to the same token.
-fn design_token(trans: &HashMap<String, [u64; 2]>, top: &str) -> String {
-    let (mut h0, mut h1) = (0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64);
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h0 = (h0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-            h1 = (h1 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B5);
-        }
-        h0 = (h0 ^ 0xFF).wrapping_mul(0x0000_0100_0000_01B3);
-        h1 = (h1 ^ 0xFF).wrapping_mul(0x0000_0100_0000_01B5);
-    };
-    mix(top.as_bytes());
-    let mut names: Vec<&String> = trans.keys().collect();
-    names.sort();
-    for name in names {
-        mix(name.as_bytes());
-        if let Some(t) = trans.get(name) {
-            mix(&t[0].to_le_bytes());
-            mix(&t[1].to_le_bytes());
-        }
+fn design_token(hashes: &HashMap<String, ModHash>, top: &str) -> String {
+    let mut h = Fnv128::new();
+    top.hash(&mut h);
+    let mut modules: Vec<(&String, &ModHash)> = hashes.iter().collect();
+    modules.sort_unstable_by_key(|(name, _)| *name);
+    for (name, m) in modules {
+        name.hash(&mut h);
+        m.trans.hash(&mut h);
     }
+    let [h0, h1] = h.finish128();
     format!("d{h0:016x}{h1:016x}")
 }
 

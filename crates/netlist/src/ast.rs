@@ -3,9 +3,11 @@
 //! The AST is deliberately close to the source: widths are unevaluated
 //! constant expressions (so `parameter`-dependent ranges survive until
 //! elaboration), and statements keep their nesting structure.
+//! Every node derives `Hash`, which is what [`crate::hash::module_hash`]
+//! hashes.
 
 /// A parsed source file: an ordered collection of module definitions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Design {
     /// The modules, in definition order.
     pub modules: Vec<Module>,
@@ -19,7 +21,7 @@ impl Design {
 }
 
 /// One `module ... endmodule` definition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Module {
     /// The module's name.
     pub name: String,
@@ -41,7 +43,7 @@ pub enum Dir {
 }
 
 /// An ANSI port declaration, e.g. `input wire [7:0] a`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct PortDecl {
     /// Port direction.
     pub dir: Dir,
@@ -55,7 +57,7 @@ pub struct PortDecl {
 }
 
 /// A `parameter NAME = expr` (or `localparam`) declaration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ParamDecl {
     /// Parameter name.
     pub name: String,
@@ -66,7 +68,7 @@ pub struct ParamDecl {
 }
 
 /// A packed range `[msb:lsb]`, both bounds constant expressions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Range {
     /// Most-significant bit index expression.
     pub msb: Expr,
@@ -75,7 +77,7 @@ pub struct Range {
 }
 
 /// A body item inside a module.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Item {
     /// `wire`/`reg` declaration, possibly a memory (`reg [7:0] m [0:255]`),
     /// possibly with an initializer expression (`wire [3:0] x = a + b`).
@@ -94,7 +96,7 @@ pub enum Item {
 }
 
 /// A net/variable declaration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Decl {
     /// `reg` (true) or `wire` (false).
     pub is_reg: bool,
@@ -106,7 +108,7 @@ pub struct Decl {
 }
 
 /// One name inside a declaration item.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct DeclName {
     /// The declared identifier.
     pub name: String,
@@ -117,7 +119,7 @@ pub struct DeclName {
 }
 
 /// An `always` block.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Always {
     /// Sensitivity: `Some(clock_name)` for `@(posedge clk ...)`, `None`
     /// for combinational `@(*)`.
@@ -127,7 +129,7 @@ pub struct Always {
 }
 
 /// A module instantiation, e.g. `adder #(.W(8)) u0 (.a(x), .y(z));`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Instance {
     /// Name of the instantiated module definition.
     pub module: String,
@@ -141,7 +143,7 @@ pub struct Instance {
 }
 
 /// A port connection on an instance.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Connection {
     /// `.port(expr)`; `expr` is `None` for an unconnected `.port()`.
     Named(String, Option<Expr>),
@@ -150,7 +152,7 @@ pub enum Connection {
 }
 
 /// A procedural statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Stmt {
     /// `begin ... end`
     Block(Vec<Stmt>),
@@ -186,7 +188,7 @@ pub enum Stmt {
 }
 
 /// An assignment target.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum LValue {
     /// A whole identifier.
     Ident(String),
@@ -267,7 +269,7 @@ pub enum UnOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Expr {
     /// Identifier reference.
     Ident(String),

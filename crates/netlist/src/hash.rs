@@ -1,11 +1,11 @@
 //! Structural content hashing for module definitions.
 //!
 //! The incremental elaboration cache (see [`crate::incremental`]) keys
-//! module bodies by *content*, not by source text: hashing walks the
-//! parsed AST, so two sources that differ only in whitespace, comments,
-//! or token spelling that the lexer normalizes away produce the same
-//! hash. Anything that changes elaboration — port lists, parameter
-//! defaults, body items, expression structure — changes the hash.
+//! module bodies by *content*, not by source text: a module's hash is the
+//! derived `Hash` of its parsed AST fed through [`Fnv128`], so sources
+//! that differ only in whitespace, comments, or token spelling the lexer
+//! normalizes away hash alike, and anything that changes elaboration is
+//! a field of some AST node and changes the hash.
 //!
 //! Two hashes are computed per module:
 //!
@@ -16,19 +16,20 @@
 //!   transitive hash therefore gives "this whole subtree is unchanged"
 //!   for free, which is what lets cached elaborations be reused safely.
 //!
-//! Hashes are 128 bits (two FNV-1a streams with distinct offset bases):
-//! wide enough that accidental collisions across a realistic design
-//! corpus are not a practical concern (the conformance suite checks a
-//! catalog + 1000 generated designs for collisions).
+//! Hashes are 128 bits: wide enough that accidental collisions across a
+//! realistic design corpus are not a practical concern (the conformance
+//! suite checks a catalog + 1000 generated designs). They are
+//! process-local cache keys, never persisted.
 //!
 //! Recursion over expressions is safe: the parser caps AST nesting at
 //! [`crate::parser::MAX_DEPTH`], so hashing depth is bounded too.
 
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
-use crate::ast::{
-    Always, Connection, Decl, Design, Dir, Expr, Item, LValue, Module, Range, Stmt,
-};
+use sns_rt::hash::Fnv128;
+
+use crate::ast::{Design, Item, Module};
 
 /// The content hashes of one module definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,72 +40,11 @@ pub struct ModHash {
     pub trans: [u64; 2],
 }
 
-/// A 128-bit FNV-1a accumulator (two independent 64-bit streams).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv128 {
-    a: u64,
-    b: u64,
-}
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Fnv128 {
-    pub(crate) fn new() -> Self {
-        // Stream A uses the standard FNV-1a offset basis; stream B a
-        // distinct constant so the two streams decorrelate.
-        Fnv128 { a: 0xcbf2_9ce4_8422_2325, b: 0x6c62_272e_07bb_0142 }
-    }
-
-    pub(crate) fn byte(&mut self, x: u8) {
-        self.a = (self.a ^ x as u64).wrapping_mul(FNV_PRIME);
-        self.b = (self.b ^ x as u64).wrapping_mul(FNV_PRIME.wrapping_add(2));
-    }
-
-    pub(crate) fn u64(&mut self, x: u64) {
-        for byte in x.to_le_bytes() {
-            self.byte(byte);
-        }
-    }
-
-    pub(crate) fn usize(&mut self, x: usize) {
-        self.u64(x as u64);
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        // Length prefix keeps ("ab","c") distinct from ("a","bc").
-        self.usize(s.len());
-        for byte in s.as_bytes() {
-            self.byte(*byte);
-        }
-    }
-
-    pub(crate) fn tag(&mut self, t: u8) {
-        self.byte(t);
-    }
-
-    pub(crate) fn finish(self) -> [u64; 2] {
-        [self.a, self.b]
-    }
-}
-
-/// FNV-128 over raw bytes: the same double-stream accumulator the module
-/// content hashes use, exposed for callers that key on opaque byte
-/// content rather than an AST — e.g. the `sns-serve` consistent-hash
-/// replica router, which keys requests on design/base-token content so
-/// identical designs always land on the same replica's caches.
-pub fn fnv128_bytes(bytes: &[u8]) -> [u64; 2] {
-    let mut h = Fnv128::new();
-    for &b in bytes {
-        h.byte(b);
-    }
-    h.finish()
-}
-
 /// Hashes one module definition (its own content only).
 pub fn module_hash(m: &Module) -> [u64; 2] {
     let mut h = Fnv128::new();
-    hash_module(&mut h, m);
-    h.finish()
+    m.hash(&mut h);
+    h.finish128()
 }
 
 /// Computes own + transitive hashes for every module in a design.
@@ -152,26 +92,16 @@ pub fn design_hashes(design: &Design) -> HashMap<String, ModHash> {
                 }
             } else {
                 let mut h = Fnv128::new();
-                h.tag(0xA0);
-                match own.get(name) {
-                    Some(o) => {
-                        h.u64(o[0]);
-                        h.u64(o[1]);
-                    }
-                    None => h.tag(0xFF),
-                }
+                own.get(name).hash(&mut h);
                 for kid in kids {
-                    h.str(kid);
+                    kid.hash(&mut h);
                     match (state.get(kid), trans.get(kid)) {
-                        (_, Some(t)) => {
-                            h.u64(t[0]);
-                            h.u64(t[1]);
-                        }
-                        (Some(State::Visiting), None) => h.tag(0xC1), // cycle marker
-                        _ => h.tag(0xFE), // missing definition marker
+                        (_, Some(t)) => t.hash(&mut h),
+                        (Some(State::Visiting), None) => h.write_u8(0xC1), // cycle marker
+                        _ => h.write_u8(0xFE), // missing definition marker
                     }
                 }
-                trans.insert(name, h.finish());
+                trans.insert(name, h.finish128());
                 state.insert(name, State::Done);
                 stack.pop();
             }
@@ -222,257 +152,6 @@ fn instantiated_children(m: &Module) -> Vec<&str> {
     c.sort_unstable();
     c.dedup();
     c
-}
-
-fn hash_module(h: &mut Fnv128, m: &Module) {
-    h.tag(1);
-    h.str(&m.name);
-    h.usize(m.ports.len());
-    for p in &m.ports {
-        h.tag(match p.dir {
-            Dir::Input => 2,
-            Dir::Output => 3,
-        });
-        h.str(&p.name);
-        hash_opt_range(h, &p.range);
-        h.tag(p.is_reg as u8);
-    }
-    h.usize(m.params.len());
-    for p in &m.params {
-        h.tag(4);
-        h.str(&p.name);
-        hash_expr(h, &p.default);
-        h.tag(p.local as u8);
-    }
-    h.usize(m.items.len());
-    for item in &m.items {
-        hash_item(h, item);
-    }
-}
-
-fn hash_opt_range(h: &mut Fnv128, r: &Option<Range>) {
-    match r {
-        None => h.tag(5),
-        Some(r) => {
-            h.tag(6);
-            hash_expr(h, &r.msb);
-            hash_expr(h, &r.lsb);
-        }
-    }
-}
-
-fn hash_item(h: &mut Fnv128, item: &Item) {
-    match item {
-        Item::Decl(d) => {
-            h.tag(10);
-            hash_decl(h, d);
-        }
-        Item::Assign { lhs, rhs } => {
-            h.tag(11);
-            hash_lvalue(h, lhs);
-            hash_expr(h, rhs);
-        }
-        Item::Always(a) => {
-            h.tag(12);
-            hash_always(h, a);
-        }
-        Item::Instance(inst) => {
-            h.tag(13);
-            h.str(&inst.module);
-            h.str(&inst.name);
-            h.usize(inst.params.len());
-            for (name, e) in &inst.params {
-                h.str(name);
-                hash_expr(h, e);
-            }
-            h.usize(inst.conns.len());
-            for conn in &inst.conns {
-                match conn {
-                    Connection::Named(port, e) => {
-                        h.tag(14);
-                        h.str(port);
-                        match e {
-                            None => h.tag(15),
-                            Some(e) => {
-                                h.tag(16);
-                                hash_expr(h, e);
-                            }
-                        }
-                    }
-                    Connection::Positional(i, e) => {
-                        h.tag(17);
-                        h.usize(*i);
-                        hash_expr(h, e);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn hash_decl(h: &mut Fnv128, d: &Decl) {
-    h.tag(d.is_reg as u8);
-    hash_opt_range(h, &d.range);
-    h.usize(d.names.len());
-    for n in &d.names {
-        h.str(&n.name);
-        hash_opt_range(h, &n.mem_range);
-        match &n.init {
-            None => h.tag(18),
-            Some(e) => {
-                h.tag(19);
-                hash_expr(h, e);
-            }
-        }
-    }
-}
-
-fn hash_always(h: &mut Fnv128, a: &Always) {
-    match &a.clock {
-        None => h.tag(20),
-        Some(c) => {
-            h.tag(21);
-            h.str(c);
-        }
-    }
-    hash_stmt(h, &a.body);
-}
-
-fn hash_stmt(h: &mut Fnv128, s: &Stmt) {
-    match s {
-        Stmt::Block(stmts) => {
-            h.tag(30);
-            h.usize(stmts.len());
-            for s in stmts {
-                hash_stmt(h, s);
-            }
-        }
-        Stmt::Assign { lhs, rhs, nonblocking } => {
-            h.tag(31);
-            hash_lvalue(h, lhs);
-            hash_expr(h, rhs);
-            h.tag(*nonblocking as u8);
-        }
-        Stmt::If { cond, then_s, else_s } => {
-            h.tag(32);
-            hash_expr(h, cond);
-            hash_stmt(h, then_s);
-            match else_s {
-                None => h.tag(33),
-                Some(e) => {
-                    h.tag(34);
-                    hash_stmt(h, e);
-                }
-            }
-        }
-        Stmt::Case { subject, arms, default } => {
-            h.tag(35);
-            hash_expr(h, subject);
-            h.usize(arms.len());
-            for (labels, body) in arms {
-                h.usize(labels.len());
-                for l in labels {
-                    hash_expr(h, l);
-                }
-                hash_stmt(h, body);
-            }
-            match default {
-                None => h.tag(36),
-                Some(d) => {
-                    h.tag(37);
-                    hash_stmt(h, d);
-                }
-            }
-        }
-        Stmt::Empty => h.tag(38),
-    }
-}
-
-fn hash_lvalue(h: &mut Fnv128, lv: &LValue) {
-    match lv {
-        LValue::Ident(n) => {
-            h.tag(40);
-            h.str(n);
-        }
-        LValue::BitSelect(n, i) => {
-            h.tag(41);
-            h.str(n);
-            hash_expr(h, i);
-        }
-        LValue::PartSelect(n, m, l) => {
-            h.tag(42);
-            h.str(n);
-            hash_expr(h, m);
-            hash_expr(h, l);
-        }
-        LValue::Concat(parts) => {
-            h.tag(43);
-            h.usize(parts.len());
-            for p in parts {
-                hash_lvalue(h, p);
-            }
-        }
-    }
-}
-
-fn hash_expr(h: &mut Fnv128, e: &Expr) {
-    match e {
-        Expr::Ident(n) => {
-            h.tag(50);
-            h.str(n);
-        }
-        Expr::Number { value, width } => {
-            h.tag(51);
-            h.u64(*value);
-            match width {
-                None => h.tag(52),
-                Some(w) => {
-                    h.tag(53);
-                    h.u64(*w as u64);
-                }
-            }
-        }
-        Expr::Unary(op, a) => {
-            h.tag(54);
-            h.tag(*op as u8);
-            hash_expr(h, a);
-        }
-        Expr::Binary(op, a, b) => {
-            h.tag(55);
-            h.tag(*op as u8);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Ternary(c, a, b) => {
-            h.tag(56);
-            hash_expr(h, c);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::BitSelect(base, i) => {
-            h.tag(57);
-            hash_expr(h, base);
-            hash_expr(h, i);
-        }
-        Expr::PartSelect(base, m, l) => {
-            h.tag(58);
-            hash_expr(h, base);
-            hash_expr(h, m);
-            hash_expr(h, l);
-        }
-        Expr::Concat(parts) => {
-            h.tag(59);
-            h.usize(parts.len());
-            for p in parts {
-                hash_expr(h, p);
-            }
-        }
-        Expr::Replicate(n, inner) => {
-            h.tag(60);
-            hash_expr(h, n);
-            hash_expr(h, inner);
-        }
-    }
 }
 
 #[cfg(test)]

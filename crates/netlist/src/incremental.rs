@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::ast::{Design, Dir, Instance, Module};
 use crate::elaborate::{ElabLimits, ModuleCtx};
 use crate::error::NetlistError;
-use crate::hash::{design_hashes, ModHash};
+use crate::hash::ModHash;
 use crate::netlist::{NetId, Netlist};
 
 /// Identity of one elaboration unit. Two instantiations share a unit —
@@ -285,15 +285,15 @@ struct BuildFrame {
 /// Threaded through `ModuleCtx` as `Option<&IncEngine>`.
 pub(crate) struct IncEngine<'d> {
     cache: &'d ModuleElabCache,
-    hashes: HashMap<String, ModHash>,
+    hashes: &'d HashMap<String, ModHash>,
     /// In-flight fragment builds (innermost last). Empty while elaborating
     /// the top module body into the real netlist.
     frames: Mutex<Vec<BuildFrame>>,
 }
 
 impl<'d> IncEngine<'d> {
-    fn new(design: &Design, cache: &'d ModuleElabCache) -> Self {
-        IncEngine { cache, hashes: design_hashes(design), frames: Mutex::new(Vec::new()) }
+    fn new(hashes: &'d HashMap<String, ModHash>, cache: &'d ModuleElabCache) -> Self {
+        IncEngine { cache, hashes, frames: Mutex::new(Vec::new()) }
     }
 
     fn lock(&self) -> MutexGuard<'_, Vec<BuildFrame>> {
@@ -536,6 +536,7 @@ fn build_unit<'a>(
 /// success/failure and on the error kind; see the module docs).
 pub fn elaborate_incremental_with_limits(
     design: &Design,
+    hashes: &HashMap<String, ModHash>,
     top: &str,
     cache: &ModuleElabCache,
     limits: ElabLimits,
@@ -543,7 +544,7 @@ pub fn elaborate_incremental_with_limits(
     let module = design
         .module(top)
         .ok_or_else(|| NetlistError::UnknownTop { name: top.to_string() })?;
-    let engine = IncEngine::new(design, cache);
+    let engine = IncEngine::new(hashes, cache);
     let mut nl = Netlist::new(top);
     let mut ctx = ModuleCtx::new(design, &mut nl, String::new(), 0, limits);
     ctx.inc = Some(&engine);
@@ -558,21 +559,27 @@ pub fn elaborate_incremental_with_limits(
 /// **bit-identical** to [`crate::elaborate::elaborate`]. Budgets come from
 /// the environment, as on the flat path.
 ///
+/// `hashes` must be [`design_hashes`](crate::hash::design_hashes) of
+/// `design`: unit cache keys are its transitive hashes, so another
+/// design's map would splice the wrong units.
+///
 /// # Errors
 ///
 /// See [`elaborate_incremental_with_limits`].
 pub fn elaborate_incremental(
     design: &Design,
+    hashes: &HashMap<String, ModHash>,
     top: &str,
     cache: &ModuleElabCache,
 ) -> Result<Netlist, NetlistError> {
-    elaborate_incremental_with_limits(design, top, cache, ElabLimits::from_env())
+    elaborate_incremental_with_limits(design, hashes, top, cache, ElabLimits::from_env())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::elaborate::{elaborate, elaborate_with_limits};
+    use crate::hash::design_hashes;
     use crate::parser::parse_source;
 
     /// Asserts cold- and warm-cache incremental elaboration both equal the
@@ -581,9 +588,9 @@ mod tests {
         let design = parse_source(src).unwrap();
         let flat = elaborate(&design, top).unwrap();
         let cache = ModuleElabCache::default();
-        let cold = elaborate_incremental(&design, top, &cache).unwrap();
+        let cold = elaborate_incremental(&design, &design_hashes(&design), top, &cache).unwrap();
         assert_eq!(flat, cold, "cold-cache incremental != flat for `{top}`");
-        let warm = elaborate_incremental(&design, top, &cache).unwrap();
+        let warm = elaborate_incremental(&design, &design_hashes(&design), top, &cache).unwrap();
         assert_eq!(flat, warm, "warm-cache incremental != flat for `{top}`");
         cache
     }
@@ -627,7 +634,7 @@ mod tests {
         assert_inc_eq(HIER, "top");
         let design = parse_source(HIER).unwrap();
         let cache = ModuleElabCache::default();
-        elaborate_incremental(&design, "top", &cache).unwrap();
+        elaborate_incremental(&design, &design_hashes(&design), "top", &cache).unwrap();
         // Cold: `m8` and `m4` bind `mid` with different parameters, so they
         // build two units, each with its own leaf (8- and 4-bit). The direct
         // `u` then reuses `m4.u0`'s 4-bit leaf unit: 4 builds, 1 reuse.
@@ -635,7 +642,7 @@ mod tests {
         assert_eq!(cache.len(), 4);
         // Warm: each of the three direct instances hits, nested ones are
         // not looked up again (they live inside their parent's unit).
-        elaborate_incremental(&design, "top", &cache).unwrap();
+        elaborate_incremental(&design, &design_hashes(&design), "top", &cache).unwrap();
         assert_eq!((cache.misses(), cache.hits()), (4, 4));
     }
 
@@ -706,10 +713,11 @@ mod tests {
         ))
         .unwrap();
         let cache = ModuleElabCache::default();
-        elaborate_incremental(&design_a, "ta", &cache).unwrap();
+        elaborate_incremental(&design_a, &design_hashes(&design_a), "ta", &cache).unwrap();
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 0);
-        let nl_b = elaborate_incremental(&design_b, "tb", &cache).unwrap();
+        let nl_b =
+            elaborate_incremental(&design_b, &design_hashes(&design_b), "tb", &cache).unwrap();
         assert_eq!(cache.misses(), 1, "identical leaf content must not rebuild");
         assert_eq!(cache.hits(), 1);
         assert_eq!(nl_b, elaborate(&design_b, "tb").unwrap());
@@ -729,15 +737,15 @@ mod tests {
         ))
         .unwrap();
         let cache = ModuleElabCache::default();
-        elaborate_incremental(&v1, "top", &cache).unwrap();
+        elaborate_incremental(&v1, &design_hashes(&v1), "top", &cache).unwrap();
         assert_eq!(cache.misses(), 2); // mid + leaf
-        let nl2 = elaborate_incremental(&v2, "top", &cache).unwrap();
+        let nl2 = elaborate_incremental(&v2, &design_hashes(&v2), "top", &cache).unwrap();
         // The leaf changed → both leaf and mid rebuild (transitive hash).
         assert_eq!(cache.misses(), 4);
         assert_eq!(nl2, elaborate(&v2, "top").unwrap());
         // Re-running v1 hits everything.
         let before = cache.misses();
-        elaborate_incremental(&v1, "top", &cache).unwrap();
+        elaborate_incremental(&v1, &design_hashes(&v1), "top", &cache).unwrap();
         assert_eq!(cache.misses(), before);
     }
 
@@ -755,7 +763,7 @@ mod tests {
                 hi = w - 1
             );
             let design = parse_source(&src).unwrap();
-            elaborate_incremental(&design, "top", &cache).unwrap();
+            elaborate_incremental(&design, &design_hashes(&design), "top", &cache).unwrap();
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.len() as u64, cache.misses() - cache.evictions());
@@ -779,11 +787,12 @@ mod tests {
         let cache = ModuleElabCache::default();
         for _ in 0..2 {
             // Cold then warm: both must reproduce the budget error.
-            let inc = elaborate_incremental_with_limits(&design, "top", &cache, tight);
+            let hashes = design_hashes(&design);
+            let inc = elaborate_incremental_with_limits(&design, &hashes, "top", &cache, tight);
             assert!(matches!(inc, Err(NetlistError::TooLarge { .. })));
         }
         // And the loose-budget elaboration is unaffected (distinct keys).
-        let loose = elaborate_incremental(&design, "top", &cache).unwrap();
+        let loose = elaborate_incremental(&design, &design_hashes(&design), "top", &cache).unwrap();
         assert_eq!(loose, elaborate(&design, "top").unwrap());
     }
 
@@ -797,7 +806,8 @@ mod tests {
         assert!(elaborate(&design, "top").is_err());
         let cache = ModuleElabCache::default();
         for _ in 0..2 {
-            assert!(elaborate_incremental(&design, "top", &cache).is_err());
+            let hashes = design_hashes(&design);
+            assert!(elaborate_incremental(&design, &hashes, "top", &cache).is_err());
         }
     }
 
@@ -810,13 +820,13 @@ mod tests {
         .unwrap();
         let cache = ModuleElabCache::unbounded();
         assert_eq!(cache.capacity(), None);
-        elaborate_incremental(&design, "top", &cache).unwrap();
+        elaborate_incremental(&design, &design_hashes(&design), "top", &cache).unwrap();
         assert_eq!(cache.len(), 1);
         // A zero bound evicts every unit as it lands; the ledger still
         // reconciles and the netlist is unaffected.
         let none = ModuleElabCache::new(0);
         assert_eq!(none.capacity(), Some(0));
-        let nl = elaborate_incremental(&design, "top", &none).unwrap();
+        let nl = elaborate_incremental(&design, &design_hashes(&design), "top", &none).unwrap();
         assert_eq!(nl, elaborate(&design, "top").unwrap());
         assert!(none.is_empty());
         assert_eq!((none.misses(), none.evictions()), (1, 1));

@@ -19,8 +19,11 @@
 //! * [`fsx`] — atomic file writes (temp + `rename(2)`), the publication
 //!   protocol for the on-disk model zoo shared by the training daemon
 //!   and serving processes.
+//! * [`hash`] — [`hash::Fnv128`], the one FNV-1a content hasher, a
+//!   [`std::hash::Hasher`].
 
 pub mod fsx;
+pub mod hash;
 pub mod json;
 pub mod net;
 pub mod pool;

@@ -35,9 +35,11 @@
 //! ```
 
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use sns_rt::hash::Fnv128;
 use sns_rt::rng::{SliceRandom, StdRng};
 
 use sns_graphir::{GraphIr, VertexId, Vocab};
@@ -64,14 +66,12 @@ pub struct SampleConfig {
     pub max_len: usize,
     /// RNG seed; sampling is fully deterministic for a given seed.
     pub seed: u64,
-    /// Whether to drop duplicate paths (same vertex sequence).
-    pub dedup: bool,
 }
 
 impl SampleConfig {
     /// The paper's training configuration: `k = 5`.
     pub fn paper_default() -> Self {
-        SampleConfig { k: 5, max_paths: 100_000, max_len: 512, seed: 0xC1BC0117, dedup: true }
+        SampleConfig { k: 5, max_paths: 100_000, max_len: 512, seed: 0xC1BC0117 }
     }
 
     /// Exhaustive sampling (`k = 1`), as in Figure 2(c).
@@ -216,15 +216,6 @@ pub fn flatten_samples<S: Borrow<TerminalSample>>(
     samples.iter().flat_map(|s| s.borrow().paths.iter()).take(max_paths).collect()
 }
 
-/// FNV-1a over a byte string (terminal-name RNG seeding).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Reusable scratch for region-signature walks. The visited map is
 /// epoch-stamped: bumping the epoch invalidates every stamp at once, so
 /// consecutive terminals share one allocation and never re-zero it.
@@ -263,6 +254,26 @@ fn ordered_successors(graph: &GraphIr, v: VertexId) -> Vec<VertexId> {
     s
 }
 
+/// The state of one Algorithm-1 walk: the path so far, the
+/// combinational-loop guard, the RNG and the paths emitted. `by_name`
+/// visits successors in vertex-name order (per-terminal sampling)
+/// instead of id order.
+struct Walk<'g, T> {
+    graph: &'g GraphIr,
+    by_name: bool,
+    stack: Vec<VertexId>,
+    on_path: Vec<bool>,
+    rng: StdRng,
+    out: Vec<T>,
+}
+
+impl<'g, T> Walk<'g, T> {
+    fn new(graph: &'g GraphIr, by_name: bool, rng: StdRng) -> Self {
+        let on_path = vec![false; graph.vertex_count()];
+        Walk { graph, by_name, stack: Vec::new(), on_path, rng, out: Vec::new() }
+    }
+}
+
 /// The DFS-based random path sampler (Algorithm 1).
 #[derive(Debug)]
 pub struct PathSampler {
@@ -286,74 +297,65 @@ impl PathSampler {
     /// deterministic for a fixed seed. Returns fewer than `max_paths` paths
     /// if the graph is exhausted first.
     pub fn sample(&self, graph: &GraphIr) -> Vec<CircuitPath> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut out: Vec<CircuitPath> = Vec::new();
-        let mut seen: HashSet<Vec<VertexId>> = HashSet::new();
-        let mut stack: Vec<VertexId> = Vec::new();
-        let mut on_path = vec![false; graph.vertex_count()];
-
+        let mut walk = Walk::new(graph, false, StdRng::seed_from_u64(self.config.seed));
+        let emit = |path: &[VertexId]| CircuitPath { vertices: path.to_vec() };
         for start in graph.terminals() {
-            if out.len() >= self.config.max_paths {
+            if walk.out.len() >= self.config.max_paths {
                 break;
             }
             // The start terminal is deliberately NOT marked on-path: a path
             // may legally return to its own register (e.g. `acc <= acc + x`
             // yields dff -> add -> dff on the same flip-flop).
-            stack.push(start);
-            let succs = self.pick(graph.successors(start), &mut rng);
-            for v in succs {
-                self.dfs(graph, v, &mut stack, &mut on_path, &mut out, &mut seen, &mut rng);
-                if out.len() >= self.config.max_paths {
-                    break;
-                }
-            }
-            stack.pop();
+            walk.stack.push(start);
+            self.expand(&mut walk, start, &emit);
+            walk.stack.pop();
         }
-        out
+        walk.out
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        &self,
-        graph: &GraphIr,
-        v: VertexId,
-        stack: &mut Vec<VertexId>,
-        on_path: &mut [bool],
-        out: &mut Vec<CircuitPath>,
-        seen: &mut HashSet<Vec<VertexId>>,
-        rng: &mut StdRng,
-    ) {
+    /// Follows the `pick`ed successors of `v`, the last vertex on the
+    /// walk's stack.
+    fn expand<T>(&self, walk: &mut Walk<'_, T>, v: VertexId, emit: &impl Fn(&[VertexId]) -> T) {
+        let succs = if walk.by_name {
+            ordered_successors(walk.graph, v)
+        } else {
+            walk.graph.successors(v).to_vec()
+        };
+        for s in self.pick(succs, &mut walk.rng) {
+            self.dfs(walk, s, emit);
+            if walk.out.len() >= self.config.max_paths {
+                break;
+            }
+        }
+    }
+
+    /// One DFS step: a terminal ends the path and `emit` records it; an
+    /// interior vertex is expanded. Successor lists are sorted and
+    /// deduplicated and `pick` returns distinct vertices, so the traversal
+    /// is a tree and never emits the same vertex sequence twice.
+    fn dfs<T>(&self, walk: &mut Walk<'_, T>, v: VertexId, emit: &impl Fn(&[VertexId]) -> T) {
         // `max_len` also bounds the recursion depth here; clamp it so a
         // caller-supplied huge limit cannot turn untrusted graph topology
         // into a stack overflow (the sampler runs inside the serving path).
         // The paper's default (512) is far below the clamp, so results are
         // unchanged for every supported configuration.
-        if out.len() >= self.config.max_paths
-            || stack.len() >= self.config.max_len.min(MAX_DFS_DEPTH)
+        if walk.out.len() >= self.config.max_paths
+            || walk.stack.len() >= self.config.max_len.min(MAX_DFS_DEPTH)
         {
             return;
         }
-        if on_path[v.0 as usize] {
+        if walk.on_path[v.0 as usize] {
             return; // combinational loop guard
         }
-        stack.push(v);
-        if graph.vertex(v).is_terminal() {
-            let path = stack.clone();
-            if !self.config.dedup || seen.insert(path.clone()) {
-                out.push(CircuitPath { vertices: path });
-            }
-            stack.pop();
-            return;
+        walk.stack.push(v);
+        if walk.graph.vertex(v).is_terminal() {
+            walk.out.push(emit(&walk.stack));
+        } else {
+            walk.on_path[v.0 as usize] = true;
+            self.expand(walk, v, emit);
+            walk.on_path[v.0 as usize] = false;
         }
-        on_path[v.0 as usize] = true;
-        for s in self.pick(graph.successors(v), rng) {
-            self.dfs(graph, s, stack, on_path, out, seen, rng);
-            if out.len() >= self.config.max_paths {
-                break;
-            }
-        }
-        on_path[v.0 as usize] = false;
-        stack.pop();
+        walk.stack.pop();
     }
 
     // ----------------------------------------------------------------
@@ -380,65 +382,17 @@ impl PathSampler {
         signature: RegionSig,
     ) -> TerminalSample {
         let name = graph.vertex(start).name.clone();
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ fnv64(name.as_bytes()));
-        let mut paths: Vec<PortablePath> = Vec::new();
-        let mut seen: HashSet<Vec<VertexId>> = HashSet::new();
-        let mut stack: Vec<VertexId> = vec![start];
-        let mut on_path = vec![false; graph.vertex_count()];
-        for v in self.pick(&ordered_successors(graph, start), &mut rng) {
-            self.dfs_portable(
-                graph, vocab, v, &mut stack, &mut on_path, &mut paths, &mut seen, &mut rng,
-            );
-            if paths.len() >= self.config.max_paths {
-                break;
-            }
-        }
-        TerminalSample { name, signature, paths }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs_portable(
-        &self,
-        graph: &GraphIr,
-        vocab: &Vocab,
-        v: VertexId,
-        stack: &mut Vec<VertexId>,
-        on_path: &mut [bool],
-        out: &mut Vec<PortablePath>,
-        seen: &mut HashSet<Vec<VertexId>>,
-        rng: &mut StdRng,
-    ) {
-        if out.len() >= self.config.max_paths
-            || stack.len() >= self.config.max_len.min(MAX_DFS_DEPTH)
-        {
-            return;
-        }
-        if on_path[v.0 as usize] {
-            return; // combinational loop guard
-        }
-        stack.push(v);
-        if graph.vertex(v).is_terminal() {
-            if !self.config.dedup || seen.insert(stack.clone()) {
-                out.push(PortablePath {
-                    names: stack.iter().map(|&x| graph.vertex(x).name.clone()).collect(),
-                    tokens: stack
-                        .iter()
-                        .filter_map(|&x| vocab.token_id(graph.vertex(x).vertex))
-                        .collect(),
-                });
-            }
-            stack.pop();
-            return;
-        }
-        on_path[v.0 as usize] = true;
-        for s in self.pick(&ordered_successors(graph, v), rng) {
-            self.dfs_portable(graph, vocab, s, stack, on_path, out, seen, rng);
-            if out.len() >= self.config.max_paths {
-                break;
-            }
-        }
-        on_path[v.0 as usize] = false;
-        stack.pop();
+        let mut name_hash = Fnv128::new();
+        name_hash.write(name.as_bytes());
+        let rng = StdRng::seed_from_u64(self.config.seed ^ name_hash.finish());
+        let mut walk = Walk::new(graph, true, rng);
+        let emit = |path: &[VertexId]| PortablePath {
+            names: path.iter().map(|&x| graph.vertex(x).name.clone()).collect(),
+            tokens: path.iter().filter_map(|&x| vocab.token_id(graph.vertex(x).vertex)).collect(),
+        };
+        walk.stack.push(start);
+        self.expand(&mut walk, start, &emit);
+        TerminalSample { name, signature, paths: walk.out }
     }
 
     /// A 128-bit structural signature of the terminal's forward region —
@@ -465,32 +419,27 @@ impl PathSampler {
         let epoch = scratch.begin(graph.vertex_count());
         scratch.visited[start.0 as usize] = epoch;
         scratch.work.push(start);
-        let (mut h0, mut h1) = (0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64);
-        let mix = |h0: &mut u64, h1: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h0 = (*h0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-                *h1 = (*h1 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B5);
-            }
-            *h0 = (*h0 ^ 0xFF).wrapping_mul(0x0000_0100_0000_01B3);
-            *h1 = (*h1 ^ 0xFF).wrapping_mul(0x0000_0100_0000_01B5);
-        };
-        mix(&mut h0, &mut h1, graph.vertex(start).name.as_bytes());
+        // Strings hash as their bytes plus a 0xFF terminator (`str::hash`);
+        // the `expanded` flag below gets the same terminator.
+        let mut head = Fnv128::new();
+        graph.vertex(start).name.hash(&mut head);
+        let [h0, h1] = head.finish128();
         let (mut a0, mut a1) = (0u64, 0u64);
         while let Some(v) = scratch.work.pop() {
             let info = graph.vertex(v);
             let expanded = v == start || !info.is_terminal();
-            let (mut c0, mut c1) = (0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64);
-            mix(&mut c0, &mut c1, info.name.as_bytes());
-            mix(&mut c0, &mut c1, info.vertex.token_name().as_bytes());
-            mix(&mut c0, &mut c1, &[expanded as u8]);
+            let mut c = Fnv128::new();
+            info.name.hash(&mut c);
+            info.vertex.token_name().hash(&mut c);
+            c.write(&[expanded as u8, 0xFF]);
             if expanded {
                 // Successor-name multiset: per-name hashes summed, so the
                 // storage order of the adjacency list is irrelevant.
                 let (mut s0, mut s1) = (0u64, 0u64);
                 for &s in graph.successors(v) {
-                    let (mut n0, mut n1) =
-                        (0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64);
-                    mix(&mut n0, &mut n1, graph.vertex(s).name.as_bytes());
+                    let mut n = Fnv128::new();
+                    graph.vertex(s).name.hash(&mut n);
+                    let [n0, n1] = n.finish128();
                     s0 = s0.wrapping_add(n0);
                     s1 = s1.wrapping_add(n1);
                     if scratch.visited[s.0 as usize] != epoch {
@@ -498,9 +447,9 @@ impl PathSampler {
                         scratch.work.push(s);
                     }
                 }
-                c0 = (c0 ^ s0).wrapping_mul(0x0000_0100_0000_01B3);
-                c1 = (c1 ^ s1).wrapping_mul(0x0000_0100_0000_01B5);
+                c.write_words([s0, s1]);
             }
+            let [c0, c1] = c.finish128();
             a0 = a0.wrapping_add(c0);
             a1 = a1.wrapping_add(c1);
         }
@@ -546,20 +495,16 @@ impl PathSampler {
         ResampleOutcome { samples, reused, resampled }
     }
 
-    /// Chooses `⌈d / k⌉` successors (at least one, when any exist).
-    fn pick(&self, succs: &[VertexId], rng: &mut StdRng) -> Vec<VertexId> {
-        if succs.is_empty() {
-            return Vec::new();
-        }
+    /// Chooses `⌈d / k⌉` of the `d` successors (at least one, when any
+    /// exist).
+    fn pick(&self, mut succs: Vec<VertexId>, rng: &mut StdRng) -> Vec<VertexId> {
         let d = succs.len();
         let n = d.div_ceil(self.config.k as usize).max(1);
-        if n >= d {
-            return succs.to_vec();
+        if n < d {
+            succs.shuffle(rng);
+            succs.truncate(n);
         }
-        let mut chosen: Vec<VertexId> = succs.to_vec();
-        chosen.shuffle(rng);
-        chosen.truncate(n);
-        chosen
+        succs
     }
 }
 
@@ -567,6 +512,7 @@ impl PathSampler {
 mod tests {
     use super::*;
     use sns_netlist::parse_and_elaborate;
+    use std::collections::HashSet;
 
     fn mac_graph() -> GraphIr {
         let nl = parse_and_elaborate(
@@ -663,14 +609,27 @@ mod tests {
     }
 
     #[test]
-    fn dedup_removes_duplicate_sequences() {
-        let g = mac_graph();
-        let mut c = SampleConfig::exhaustive();
-        c.dedup = false;
-        let with_dups = PathSampler::new(c.clone()).sample(&g);
-        c.dedup = true;
-        let without = PathSampler::new(c).sample(&g);
-        assert!(without.len() <= with_dups.len());
+    fn sampled_paths_are_pairwise_distinct_on_the_catalog() {
+        // Successor lists are deduplicated and `pick` returns distinct
+        // vertices, so each DFS is a tree: no path can be emitted twice,
+        // flat or per terminal, at any density. (The cap bounds the
+        // per-terminal sampler, which applies it to every terminal.)
+        for k in [1, 2, 5] {
+            let config = SampleConfig::exhaustive().with_k(k).with_max_paths(2_000);
+            let sampler = PathSampler::new(config);
+            for d in sns_designs::catalog() {
+                let g = graph_of(&d.verilog, &d.top);
+                let flat = sampler.sample(&g);
+                let distinct: HashSet<&[VertexId]> = flat.iter().map(|p| p.vertices()).collect();
+                assert_eq!(distinct.len(), flat.len(), "{} k={k}: flat paths repeat", d.name);
+                for t in cold(&sampler, &g).samples {
+                    let distinct: HashSet<&[String]> =
+                        t.paths.iter().map(|p| &p.names[..]).collect();
+                    let name = &t.name;
+                    assert_eq!(distinct.len(), t.paths.len(), "{} k={k}: {name} repeats", d.name);
+                }
+            }
+        }
     }
 
     #[test]

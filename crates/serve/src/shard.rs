@@ -10,7 +10,7 @@
 //! the bottom of this file quantifies exactly that gap.
 //!
 //! The routing key is *content*, not connection identity: the FNV-128
-//! hash (`sns_netlist::hash`, the same primitive behind session base
+//! hash (`sns_rt::hash`, the same primitive behind session base
 //! tokens and ECO invalidation) of the design source + top module, or of
 //! the session base token for ECO patches. Content keys make placement
 //! deterministic across server restarts and identical for byte-identical
@@ -24,7 +24,9 @@
 //! rejoins. Nothing else reshuffles, which is the property that keeps
 //! the other replicas' caches warm through a failure.
 
-use sns_netlist::hash::fnv128_bytes;
+use std::hash::Hasher;
+
+use sns_rt::hash::{fnv128_bytes, Fnv128};
 
 /// Virtual points per replica on the ring. 64 keeps the max/mean load
 /// ratio under ~1.25 for small replica counts while the ring stays tiny
@@ -42,11 +44,11 @@ fn fold(digest: [u64; 2]) -> u64 {
 /// Verilog source and the top module name (separated by a byte that
 /// cannot appear in either, so `("ab","c")` ≠ `("a","bc")`).
 pub fn design_key(verilog: &str, top: &str) -> u64 {
-    let mut bytes = Vec::with_capacity(verilog.len() + top.len() + 1);
-    bytes.extend_from_slice(verilog.as_bytes());
-    bytes.push(0xff);
-    bytes.extend_from_slice(top.as_bytes());
-    fold(fnv128_bytes(&bytes))
+    let mut h = Fnv128::new();
+    h.write(verilog.as_bytes());
+    h.write_u8(0xff);
+    h.write(top.as_bytes());
+    fold(h.finish128())
 }
 
 /// The routing key for an ECO request: hash of the session base token.

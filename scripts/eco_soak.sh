@@ -11,7 +11,8 @@
 # source — tokens, predictions, per-terminal samples — and the
 # incremental netlist must equal the flat reference. A single-module edit
 # on the catalog hierarchical Ariane-like core (branch unit only, timed
-# under the paper-architecture Circuitformer) must re-predict at least
+# under the paper-architecture Circuitformer before the soak, on one
+# inference thread, best of 15 trials per side) must re-predict at least
 # 5x faster warm than cold. Writes BENCH_incremental.json at the repo root (edits/second,
 # re-elaboration fraction, warm/cold speedup) and exits non-zero on any
 # divergence or a speedup below the floor. Failing designs are shrunk and

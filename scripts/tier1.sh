@@ -32,8 +32,9 @@ cargo test -q -p sns-vsynth -p sns-circuitformer -p sns-designs -p sns-casestudi
 
 # No-new-panics gate: the untrusted pipeline (netlist/graphir/sampler),
 # the network-facing serving layer (serve front-end, its binary, the rt
-# reactor substrate, and the JSON parser every request body goes
-# through), the part of sns-core every /predict runs (the staged
+# reactor substrate, the JSON parser every request body goes through,
+# and the content hasher every request key goes through), the part of
+# sns-core every /predict runs (the staged
 # pipeline, the predictor, sessions and the path cache) plus the zoo
 # loader behind /admin/reload and SIGHUP, the NN substrate, the
 # Circuitformer and the Aggregation MLPs (every /predict runs their
@@ -45,10 +46,10 @@ cargo test -q -p sns-vsynth -p sns-circuitformer -p sns-designs -p sns-casestudi
 # own payload) must stay free of unwrap/expect/panic!/unreachable!
 # outside tests — every one of these is a remote crash when the input
 # is hostile.
-echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train,nn,circuitformer}/src + rt net/json/pool + core serve path, zoo loader and aggmlp)"
+echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train,nn,circuitformer}/src + rt net/json/pool/hash + core serve path, zoo loader and aggmlp)"
 panic_sites=$(
   for f in crates/netlist/src/*.rs crates/graphir/src/*.rs crates/sampler/src/*.rs \
-           crates/serve/src/*.rs crates/serve/src/bin/*.rs crates/rt/src/{net,json,pool}.rs \
+           crates/serve/src/*.rs crates/serve/src/bin/*.rs crates/rt/src/{net,json,pool,hash}.rs \
            crates/core/src/{pipeline,predictor,session,cache,model_io,aggmlp}.rs \
            crates/nn/src/*.rs crates/circuitformer/src/*.rs \
            crates/vsynth/src/*.rs crates/train/src/*.rs crates/train/src/bin/*.rs; do
@@ -99,6 +100,28 @@ fma_sites=$(
 if [ -n "$fma_sites" ]; then
   echo "fused multiply-add in the K-order-contract kernels (multiply, then add):"
   echo "$fma_sites"
+  exit 1
+fi
+
+# One content hasher: module hashes, design tokens, sampler seeds and
+# signatures, zoo weight hashes, shard keys and trace hashes all go
+# through `sns_rt::hash::Fnv128` (DESIGN.md §2g), so the FNV offset basis
+# appears in non-test code only in that module. Underscores are dropped
+# before matching, so no digit grouping slips past. routebench is its
+# own package and stays outside this gate.
+echo "==> one-hasher grep gate (crates/*/{src,benches,examples} + src/ + examples/)"
+fnv_sites=$(
+  find crates/*/src crates/*/benches crates/*/examples src examples -name '*.rs' 2>/dev/null \
+    | grep -v '^crates/rt/src/hash\.rs$' | sort | while read -r f; do
+    # Cut each file at its #[cfg(test)] module; tests may pin the value.
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+  done \
+    | awk '{ s = tolower($0); gsub(/_/, "", s) } s ~ /cbf29ce484222325/' \
+    || true
+)
+if [ -n "$fnv_sites" ]; then
+  echo "FNV offset basis outside sns_rt::hash (use sns_rt::hash::Fnv128):"
+  echo "$fnv_sites"
   exit 1
 fi
 
