@@ -6,15 +6,16 @@
 //!
 //! Run with `cargo bench -p sns-bench --bench micro_kernels`.
 
-use sns_bench::timing::{bench, csv_header, results_to_json};
+use sns_bench::timing::{bench, csv_header, results_to_json, BenchResult};
 use sns_rt::json::Json;
 use sns_rt::rng::StdRng;
 
 use sns_circuitformer::{Circuitformer, CircuitformerConfig};
+use sns_conformance::generator::{generate, GenConfig};
 use sns_core::aggmlp::{AggMlp, MlpTrainConfig};
-use sns_designs::cores;
+use sns_designs::{cores, misc, mlaccel};
 use sns_graphir::{GraphIr, VocabType};
-use sns_netlist::{parse_and_elaborate, parse_source};
+use sns_netlist::{elaborate, parse_and_elaborate, parse_source, Lexer};
 use sns_nn::act::bias_gelu_in_place;
 use sns_nn::{
     LayerNorm, Linear, Mat, MultiHeadAttention, PackedAttention, PackedB, PackedLinear,
@@ -104,18 +105,44 @@ fn main() {
         }
     }
 
-    // Front end.
+    // Front end, stage by stage: `lex` alone, `parse` (lex + AST),
+    // `elaborate` on a pre-parsed `Design` and `graphir` on the netlist.
+    // The designs: rocket32, the median-sized serve_mix request (a
+    // `GenConfig::default()` design; seeds 0..200 ranked by source size)
+    // and the smallest, median and largest Fig. 7 ladder designs by
+    // source size. `json_predict_body` parses that request's `/predict`
+    // body.
+    let front_start = results.len();
     let design = cores::rocket_like(32);
-    results.push(bench("parse_rocket32", || {
-        parse_source(&design.verilog).expect("parses")
-    }));
-    results.push(bench("elaborate_rocket32", || {
-        parse_and_elaborate(&design.verilog, &design.top).expect("elaborates")
-    }));
+    front_end_rows("rocket32", &design.verilog, &design.top, &mut results);
+    let cfg = GenConfig::default();
+    let mut gen: Vec<(String, &'static str)> = (0..200)
+        .map(|seed| {
+            let spec = generate(seed, &cfg);
+            (spec.verilog(), spec.top())
+        })
+        .collect();
+    gen.sort_by_key(|(v, _)| v.len());
+    let (gen_src, gen_top) = &gen[gen.len() / 2];
+    front_end_rows("gen", gen_src, gen_top, &mut results);
+    let body = Json::obj(vec![
+        ("verilog", Json::Str(gen_src.clone())),
+        ("top", Json::Str(gen_top.to_string())),
+    ])
+    .print();
+    results.push(bench("json_predict_body", || sns_rt::json::parse(&body).expect("parses")));
+    let mut ladder = sns_designs::catalog();
+    ladder.push(mlaccel::systolic_array(12, 16));
+    ladder.push(misc::stencil2d(8, 32));
+    ladder.push(misc::stencil2d(16, 32));
+    ladder.sort_by_key(|d| d.verilog.len());
+    for d in [&ladder[0], &ladder[ladder.len() / 2], &ladder[ladder.len() - 1]] {
+        front_end_rows(&d.name, &d.verilog, &d.top, &mut results);
+    }
+    let front_end = before_after(&results[front_start..]);
 
-    // GraphIR and path sampling.
+    // Path sampling.
     let nl = parse_and_elaborate(&design.verilog, &design.top).expect("elaborates");
-    results.push(bench("graphir_rocket32", || GraphIr::from_netlist(&nl)));
     let g = GraphIr::from_netlist(&nl);
     let sampler = PathSampler::new(SampleConfig::paper_default().with_max_paths(500));
     results.push(bench("sample_paths_rocket32_k5", || sampler.sample(&g)));
@@ -214,6 +241,47 @@ fn main() {
         fields.push(("isa".to_string(), Json::Str(isa.to_string())));
         fields.push(("gemm_speedups".to_string(), Json::Arr(speedup_rows)));
         fields.push(("batch_speedups".to_string(), Json::Arr(batch_speedups)));
+        fields.push(("front_end".to_string(), Json::Arr(front_end)));
     }
     sns_bench::write_root_json("BENCH_kernels.json", &doc);
+}
+
+/// Times the four front-end stages on one design: rows `lex_{tag}`,
+/// `parse_{tag}`, `elaborate_{tag}` and `graphir_{tag}`.
+fn front_end_rows(tag: &str, src: &str, top: &str, results: &mut Vec<BenchResult>) {
+    let design = parse_source(src).expect("parses");
+    let nl = elaborate(&design, top).expect("elaborates");
+    results.push(bench(&format!("lex_{tag}"), || Lexer::new(src).lex_all().expect("lexes").len()));
+    results.push(bench(&format!("parse_{tag}"), || parse_source(src).expect("parses")));
+    results
+        .push(bench(&format!("elaborate_{tag}"), || elaborate(&design, top).expect("elaborates")));
+    results.push(bench(&format!("graphir_{tag}"), || GraphIr::from_netlist(&nl)));
+}
+
+/// The front-end rows with the figures the previous `BENCH_kernels.json`
+/// snapshot holds for the same row next to this run's: `before_*` is
+/// the snapshot this run overwrites (run the bench at the parent commit
+/// first to make it the parent's), `null` for a row it lacks.
+fn before_after(rows: &[BenchResult]) -> Vec<Json> {
+    let previous = std::fs::read_to_string(sns_bench::repo_root().join("BENCH_kernels.json"))
+        .ok()
+        .and_then(|text| sns_rt::json::parse(&text).ok());
+    let previous_rows: &[Json] =
+        previous.as_ref().and_then(|p| p.get("results").ok()?.as_arr().ok()).unwrap_or_default();
+    rows.iter()
+        .map(|r| {
+            let prev = previous_rows
+                .iter()
+                .find(|p| p.get("name").and_then(Json::as_str).is_ok_and(|n| n == r.name));
+            let before =
+                |field: &str| prev.and_then(|p| p.get(field).ok()).cloned().unwrap_or(Json::Null);
+            Json::obj(vec![
+                ("name", Json::Str(r.name.clone())),
+                ("before_median_ns", before("median_ns")),
+                ("before_mean_ns", before("mean_ns")),
+                ("median_ns", Json::UInt(r.median.as_nanos() as u64)),
+                ("mean_ns", Json::UInt(r.mean.as_nanos() as u64)),
+            ])
+        })
+        .collect()
 }

@@ -5,8 +5,15 @@
 //! `==` to the flat one, so its graph is too, and the session path's
 //! reuse happens before (elaboration units) and after (per-terminal
 //! samples) this step, not in it.
-
-use std::collections::HashMap;
+//!
+//! The builder costs time in proportion to the netlist. Net, cell and
+//! vertex ids are dense, so every map it keeps — net → driving cell,
+//! cell → vertex, port net → vertex and net → resolved sources — is a
+//! `Vec` indexed by id, and the resolved sources of all nets share one
+//! flat pool. Adjacency is stored in compressed sparse rows (CSR): one
+//! edge array per direction plus each vertex's end offset into it, so
+//! [`GraphIr::successors`] and [`GraphIr::predecessors`] are slices of
+//! one allocation, each sorted by vertex id and free of duplicates.
 
 use sns_netlist::{CellId, CellKind, NetId, Netlist, PortDir};
 
@@ -76,9 +83,17 @@ impl GraphStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphIr {
     vertices: Vec<VertexInfo>,
-    succs: Vec<Vec<VertexId>>,
-    preds: Vec<Vec<VertexId>>,
+    /// Successor lists in CSR form: vertex `v`'s list is
+    /// `succs[succ_end[v - 1]..succ_end[v]]` (from 0 for the first vertex).
+    succs: Vec<VertexId>,
+    succ_end: Vec<u32>,
+    /// Predecessor lists, in the same form.
+    preds: Vec<VertexId>,
+    pred_end: Vec<u32>,
 }
+
+/// The id-map entry for "no vertex / no cell / not yet resolved".
+const NONE: u32 = u32::MAX;
 
 impl GraphIr {
     /// Converts a flat netlist into GraphIR.
@@ -88,19 +103,21 @@ impl GraphIr {
     /// Table 1. Wiring cells (slice/concat/replicate/buf) are traversed
     /// transparently when building edges; constant drivers produce no edge.
     pub fn from_netlist(nl: &Netlist) -> Self {
-        let mut g = GraphIr::default();
-        let mut cell_vertex: HashMap<CellId, VertexId> = HashMap::new();
-        let mut port_vertex: HashMap<NetId, VertexId> = HashMap::new();
+        let n_nets = nl.net_count();
+        let mut vertices = Vec::with_capacity(nl.port_count() + nl.cell_count());
+        let mut port_vertex = vec![NONE; n_nets];
+        let mut cell_vertex = vec![NONE; nl.cell_count()];
 
         // Ports first (stable ordering), then logic cells in cell order.
+        // An input port claims its net; an output port only an unclaimed one.
         for p in nl.ports() {
             let w = nl.net(p.net).width;
-            let id = g
+            let id = vertices.len() as u32;
+            vertices
                 .push(VertexInfo { vertex: Vertex::new(VocabType::Io, w), name: p.name.clone() });
-            if p.dir == PortDir::Input {
-                port_vertex.insert(p.net, id);
-            } else {
-                port_vertex.entry(p.net).or_insert(id);
+            let slot = &mut port_vertex[p.net.0 as usize];
+            if p.dir == PortDir::Input || *slot == NONE {
+                *slot = id;
             }
         }
         for (cid, cell) in nl.cells_enumerated() {
@@ -109,58 +126,68 @@ impl GraphIr {
             for &i in &cell.inputs {
                 w = w.max(nl.net(i).width);
             }
-            let id = g.push(VertexInfo { vertex: Vertex::new(vtype, w), name: cell.name.clone() });
-            cell_vertex.insert(cid, id);
+            cell_vertex[cid.0 as usize] = vertices.len() as u32;
+            vertices.push(VertexInfo { vertex: Vertex::new(vtype, w), name: cell.name.clone() });
         }
 
-        // Resolve the real (non-wiring) sources behind every net, memoized.
-        let driver = nl.driver_map();
-        let mut memo: HashMap<NetId, Vec<VertexId>> = HashMap::new();
-        let mut sources = |net: NetId| -> Vec<VertexId> {
-            resolve_sources(nl, &driver, &cell_vertex, &port_vertex, &mut memo, net)
+        // The cell driving each net (the last one, if several do).
+        let mut driver = vec![NONE; n_nets];
+        for (cid, cell) in nl.cells_enumerated() {
+            driver[cell.output.0 as usize] = cid.0;
+        }
+        let mut sources = Sources {
+            nl,
+            driver: &driver,
+            cell_vertex: &cell_vertex,
+            port_vertex: &port_vertex,
+            span: vec![(NONE, 0); n_nets],
+            pool: Vec::new(),
+            stack: Vec::new(),
         };
 
         // Edges: into every logic cell, and into every output-port vertex.
+        let mut edges: Vec<u64> = Vec::new();
         for (cid, cell) in nl.cells_enumerated() {
-            let Some(&dst) = cell_vertex.get(&cid) else { continue };
+            let dst = cell_vertex[cid.0 as usize];
+            if dst == NONE {
+                continue;
+            }
             for &input in &cell.inputs {
-                for src in sources(input) {
-                    g.add_edge(src, dst);
+                for src in sources.of(input) {
+                    edges.push(u64::from(src.0) << 32 | u64::from(dst));
                 }
             }
         }
         for p in nl.ports() {
             if p.dir == PortDir::Output {
-                let dst = port_vertex[&p.net];
-                for src in sources(p.net) {
-                    if src != dst {
-                        g.add_edge(src, dst);
+                let dst = port_vertex[p.net.0 as usize];
+                for src in sources.of(p.net) {
+                    if src.0 != dst {
+                        edges.push(u64::from(src.0) << 32 | u64::from(dst));
                     }
                 }
             }
         }
-        g.dedup_edges();
-        g
-    }
 
-    fn push(&mut self, v: VertexInfo) -> VertexId {
-        let id = VertexId(self.vertices.len() as u32);
-        self.vertices.push(v);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
-        id
-    }
-
-    fn add_edge(&mut self, from: VertexId, to: VertexId) {
-        self.succs[from.0 as usize].push(to);
-        self.preds[to.0 as usize].push(from);
-    }
-
-    fn dedup_edges(&mut self) {
-        for v in self.succs.iter_mut().chain(self.preds.iter_mut()) {
-            v.sort_unstable();
-            v.dedup();
+        // Sorted by (src, dst) and deduplicated, the edges are the
+        // successor rows in order; a stable bucket pass by dst then gives
+        // each predecessor row sorted by src.
+        edges.sort_unstable();
+        edges.dedup();
+        let n = vertices.len();
+        let src_of = |e: u64| (e >> 32) as usize;
+        let dst_of = |e: u64| e as u32 as usize;
+        let succs = edges.iter().map(|&e| VertexId(dst_of(e) as u32)).collect();
+        let succ_end = row_ends(n, edges.iter().map(|&e| src_of(e)));
+        let pred_end = row_ends(n, edges.iter().map(|&e| dst_of(e)));
+        let mut fill: Vec<u32> = (0..n).map(|v| if v == 0 { 0 } else { pred_end[v - 1] }).collect();
+        let mut preds = vec![VertexId(0); edges.len()];
+        for &e in &edges {
+            let slot = &mut fill[dst_of(e)];
+            preds[*slot as usize] = VertexId(src_of(e) as u32);
+            *slot += 1;
         }
+        GraphIr { vertices, succs, succ_end, preds, pred_end }
     }
 
     /// Number of vertices.
@@ -170,7 +197,7 @@ impl GraphIr {
 
     /// Number of (deduplicated) directed edges.
     pub fn edge_count(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.succs.len()
     }
 
     /// The vertex info for an id.
@@ -198,7 +225,7 @@ impl GraphIr {
     ///
     /// Panics if `id` is out of range.
     pub fn successors(&self, id: VertexId) -> &[VertexId] {
-        &self.succs[id.0 as usize]
+        row(&self.succs, &self.succ_end, id)
     }
 
     /// Predecessors of a vertex.
@@ -207,7 +234,7 @@ impl GraphIr {
     ///
     /// Panics if `id` is out of range.
     pub fn predecessors(&self, id: VertexId) -> &[VertexId] {
-        &self.preds[id.0 as usize]
+        row(&self.preds, &self.pred_end, id)
     }
 
     /// Ids of all terminal vertices (io / dff) — the legal path endpoints.
@@ -256,77 +283,132 @@ fn vocab_type(kind: CellKind) -> Option<VocabType> {
     })
 }
 
-/// Finds the non-wiring vertices that (transitively) drive `net`.
-///
-/// Iterative (explicit work stack) rather than recursive: untrusted input
-/// can chain wiring cells arbitrarily deep — `assign w1 = in; assign
-/// w2 = w1; …` ten thousand times — and the front-end must not overflow
-/// the call stack on any input it accepts.
-fn resolve_sources(
-    nl: &Netlist,
-    driver: &HashMap<NetId, CellId>,
-    cell_vertex: &HashMap<CellId, VertexId>,
-    port_vertex: &HashMap<NetId, VertexId>,
-    memo: &mut HashMap<NetId, Vec<VertexId>>,
-    net: NetId,
-) -> Vec<VertexId> {
-    enum Frame {
-        /// Resolve this net (expanding a wiring cell's inputs first).
-        Enter(NetId),
-        /// All inputs of this net's wiring driver are memoized; combine them.
-        Combine(NetId),
+/// Vertex `id`'s row of a CSR edge array.
+fn row<'g>(items: &'g [VertexId], ends: &[u32], id: VertexId) -> &'g [VertexId] {
+    let v = id.0 as usize;
+    let start = if v == 0 { 0 } else { ends[v - 1] as usize };
+    &items[start..ends[v] as usize]
+}
+
+/// The CSR end offsets of `n` rows, given the row of every item in order.
+fn row_ends(n: usize, rows: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut ends = vec![0u32; n];
+    for r in rows {
+        ends[r] += 1;
     }
-    let mut stack = vec![Frame::Enter(net)];
-    while let Some(frame) = stack.pop() {
-        match frame {
-            Frame::Enter(n) => {
-                if memo.contains_key(&n) {
-                    continue;
-                }
-                match driver.get(&n) {
-                    Some(&cid) => {
-                        let cell = nl.cell(cid);
-                        if let Some(&v) = cell_vertex.get(&cid) {
-                            memo.insert(n, vec![v]);
-                        } else if cell.kind == CellKind::Const {
-                            memo.insert(n, Vec::new());
-                        } else {
-                            // Wiring cell: placeholder breaks cycles through
-                            // wiring (shouldn't occur in valid designs, but
-                            // stay defensive), then visit inputs in order
-                            // before combining.
-                            memo.insert(n, Vec::new());
-                            stack.push(Frame::Combine(n));
-                            for &i in cell.inputs.iter().rev() {
-                                stack.push(Frame::Enter(i));
-                            }
-                        }
-                    }
-                    None => {
-                        let r = match port_vertex.get(&n) {
-                            Some(&v) => vec![v],
-                            None => Vec::new(), // undriven
-                        };
-                        memo.insert(n, r);
-                    }
-                }
-            }
-            Frame::Combine(n) => {
-                let Some(&cid) = driver.get(&n) else { continue };
-                // Union of the wiring cell's inputs' sources.
-                let mut out = Vec::new();
-                for &i in &nl.cell(cid).inputs {
-                    if let Some(srcs) = memo.get(&i) {
-                        out.extend(srcs.iter().copied());
-                    }
-                }
-                out.sort_unstable();
-                out.dedup();
-                memo.insert(n, out);
-            }
+    let mut total = 0;
+    for e in &mut ends {
+        total += *e;
+        *e = total;
+    }
+    ends
+}
+
+/// The non-wiring vertices behind every net, resolved on demand and
+/// memoized: `span[net]` is the net's `(start, len)` in `pool`, with
+/// `start == NONE` while unresolved.
+struct Sources<'n> {
+    nl: &'n Netlist,
+    driver: &'n [u32],
+    cell_vertex: &'n [u32],
+    port_vertex: &'n [u32],
+    span: Vec<(u32, u32)>,
+    pool: Vec<VertexId>,
+    stack: Vec<Frame>,
+}
+
+/// A step of the explicit-stack resolution in [`Sources::of`].
+enum Frame {
+    /// Resolve this net (expanding a wiring cell's inputs first).
+    Enter(NetId),
+    /// All inputs of this net's wiring driver are memoized; combine them.
+    Combine(NetId),
+}
+
+impl Sources<'_> {
+    fn set(&mut self, net: NetId, start: usize) {
+        self.span[net.0 as usize] = (start as u32, (self.pool.len() - start) as u32);
+    }
+
+    /// The memoized sources of `net` as a pool range (empty while
+    /// unresolved).
+    fn range(&self, net: NetId) -> std::ops::Range<usize> {
+        match self.span[net.0 as usize] {
+            (NONE, _) => 0..0,
+            (start, len) => start as usize..(start + len) as usize,
         }
     }
-    memo.get(&net).cloned().unwrap_or_default()
+
+    /// Finds the non-wiring vertices that (transitively) drive `net`,
+    /// sorted and distinct for a net behind wiring.
+    ///
+    /// Iterative (explicit work stack) rather than recursive: untrusted
+    /// input can chain wiring cells arbitrarily deep — `assign w1 = in;
+    /// assign w2 = w1; …` ten thousand times — and the front-end must not
+    /// overflow the call stack on any input it accepts.
+    fn of(&mut self, net: NetId) -> impl Iterator<Item = VertexId> + '_ {
+        let nl = self.nl;
+        self.stack.push(Frame::Enter(net));
+        while let Some(frame) = self.stack.pop() {
+            match frame {
+                Frame::Enter(n) => {
+                    if self.span[n.0 as usize].0 != NONE {
+                        continue;
+                    }
+                    let start = self.pool.len();
+                    let cid = self.driver[n.0 as usize];
+                    if cid == NONE {
+                        // Undriven, or driven by a port.
+                        let v = self.port_vertex[n.0 as usize];
+                        if v != NONE {
+                            self.pool.push(VertexId(v));
+                        }
+                        self.set(n, start);
+                        continue;
+                    }
+                    let cell = nl.cell(CellId(cid));
+                    let v = self.cell_vertex[cid as usize];
+                    if v != NONE {
+                        self.pool.push(VertexId(v));
+                        self.set(n, start);
+                    } else if cell.kind == CellKind::Const {
+                        self.set(n, start);
+                    } else {
+                        // Wiring cell: an empty placeholder breaks cycles
+                        // through wiring (shouldn't occur in valid designs,
+                        // but stay defensive), then visit inputs in order
+                        // before combining.
+                        self.set(n, start);
+                        self.stack.push(Frame::Combine(n));
+                        for &i in cell.inputs.iter().rev() {
+                            self.stack.push(Frame::Enter(i));
+                        }
+                    }
+                }
+                Frame::Combine(n) => {
+                    // Union of the wiring cell's inputs' sources, sorted
+                    // and deduplicated at the end of the pool.
+                    let cell = nl.cell(CellId(self.driver[n.0 as usize]));
+                    let start = self.pool.len();
+                    for &i in &cell.inputs {
+                        let r = self.range(i);
+                        self.pool.extend_from_within(r);
+                    }
+                    self.pool[start..].sort_unstable();
+                    let mut kept = start;
+                    for k in start..self.pool.len() {
+                        if kept == start || self.pool[k] != self.pool[kept - 1] {
+                            self.pool[kept] = self.pool[k];
+                            kept += 1;
+                        }
+                    }
+                    self.pool.truncate(kept);
+                    self.set(n, start);
+                }
+            }
+        }
+        self.pool[self.range(net)].iter().copied()
+    }
 }
 
 #[cfg(test)]
@@ -438,6 +520,33 @@ mod tests {
         .unwrap();
         let g = GraphIr::from_netlist(&nl);
         assert!(g.vertices().any(|v| v.vertex.token_name() == "eq16"));
+    }
+
+    #[test]
+    fn csr_rows_are_sorted_distinct_and_mirror_each_other() {
+        // `a` reaches the adder twice directly and once through a slice,
+        // so its edge is found three times and must be stored once.
+        let nl = parse_and_elaborate(
+            "module m (input [7:0] a, input [7:0] b, output [7:0] y, output [7:0] z);
+                 assign y = a + a + {a[3:0], b[3:0]};
+                 assign z = b;
+             endmodule",
+            "m",
+        )
+        .unwrap();
+        let g = GraphIr::from_netlist(&nl);
+        let mut mirrored = 0;
+        for (id, _) in g.vertices_enumerated() {
+            for row in [g.successors(id), g.predecessors(id)] {
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "{id:?}: {row:?}");
+            }
+            for &s in g.successors(id) {
+                assert!(g.predecessors(s).contains(&id));
+                mirrored += 1;
+            }
+        }
+        assert_eq!(mirrored, g.edge_count());
+        assert_eq!(g, GraphIr::from_netlist(&nl));
     }
 
     #[test]

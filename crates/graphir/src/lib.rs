@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod vocab;
 

@@ -51,6 +51,8 @@
 //! [`NetlistError::TooLarge`] *before* allocating
 //! (`crates/netlist/tests/adversarial.rs` is the enforcing fuzz suite).
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod elaborate;
 pub mod error;

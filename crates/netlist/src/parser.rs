@@ -44,7 +44,7 @@ use crate::lexer::{Lexer, Token, TokenKind};
 /// ```
 pub fn parse_source(source: &str) -> Result<Design, NetlistError> {
     let tokens = Lexer::new(source).lex_all()?;
-    Parser::new(tokens).parse_design()
+    Parser { tokens, pos: 0, depth: 0 }.parse_design()
 }
 
 /// Maximum nesting depth for expressions, statements, and lvalues.
@@ -66,18 +66,16 @@ const KEYWORDS: &[&str] = &[
     "localparam", "or",
 ];
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Consumes the lexer's tokens by copy: an identifier borrows the source
+/// until its AST node takes an owned copy.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Current AST nesting depth; see [`MAX_DEPTH`].
     depth: u32,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0, depth: 0 }
-    }
-
+impl<'a> Parser<'a> {
     /// Charges one level of AST depth, erroring past [`MAX_DEPTH`].
     ///
     /// Callers that open a subtree (`parse_expr`, `parse_stmt`,
@@ -92,28 +90,29 @@ impl Parser {
         Ok(())
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    /// The current token; past the end, the final `Eof`.
+    fn peek(&self) -> Token<'a> {
+        let eof = Token { kind: TokenKind::Eof, loc: Loc::default() };
+        self.tokens.get(self.pos).or(self.tokens.last()).copied().unwrap_or(eof)
     }
 
     fn loc(&self) -> Loc {
         self.peek().loc
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+    /// Moves past the current token; the final `Eof` is never passed.
+    fn bump(&mut self) {
+        if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn at_punct(&self, p: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Punct(q) if *q == p)
+        matches!(self.peek().kind, TokenKind::Punct(q) if q == p)
     }
 
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Ident(s) if s == kw)
+        matches!(self.peek().kind, TokenKind::Ident(s) if s == kw)
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -157,15 +156,14 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String, NetlistError> {
-        match &self.peek().kind {
-            TokenKind::Ident(s) if !KEYWORDS.contains(&s.as_str()) => {
-                let s = s.clone();
+        match self.peek().kind {
+            TokenKind::Ident(s) if !KEYWORDS.contains(&s) => {
                 self.bump();
-                Ok(s)
+                Ok(s.to_string())
             }
             other => Err(NetlistError::parse(
                 self.loc(),
-                format!("expected identifier, found {}", describe(other)),
+                format!("expected identifier, found {}", describe(&other)),
             )),
         }
     }
@@ -521,8 +519,8 @@ impl Parser {
 
     /// Binds tighter as the level increases; standard Verilog precedence.
     fn binop(&self) -> Option<(BinOp, u8)> {
-        let TokenKind::Punct(p) = &self.peek().kind else { return None };
-        Some(match *p {
+        let TokenKind::Punct(p) = self.peek().kind else { return None };
+        Some(match p {
             "||" => (BinOp::LOr, 0),
             "&&" => (BinOp::LAnd, 1),
             "|" => (BinOp::Or, 2),
@@ -569,7 +567,7 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, NetlistError> {
-        let op = match &self.peek().kind {
+        let op = match self.peek().kind {
             TokenKind::Punct("~") => Some(UnOp::Not),
             TokenKind::Punct("-") => Some(UnOp::Neg),
             TokenKind::Punct("!") => Some(UnOp::LNot),
@@ -609,15 +607,14 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr, NetlistError> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Number { value, width } => {
                 self.bump();
                 Ok(Expr::Number { value, width })
             }
-            TokenKind::Ident(ref s) if !KEYWORDS.contains(&s.as_str()) => {
-                let s = s.clone();
+            TokenKind::Ident(s) if !KEYWORDS.contains(&s) => {
                 self.bump();
-                Ok(Expr::Ident(s))
+                Ok(Expr::Ident(s.to_string()))
             }
             TokenKind::Punct("(") => {
                 self.bump();
@@ -643,9 +640,9 @@ impl Parser {
                 self.expect_punct("}")?;
                 Ok(Expr::Concat(parts))
             }
-            ref other => Err(NetlistError::parse(
+            other => Err(NetlistError::parse(
                 self.loc(),
-                format!("expected expression, found {}", describe(other)),
+                format!("expected expression, found {}", describe(&other)),
             )),
         }
     }

@@ -18,7 +18,7 @@
 
 use sns_netlist::elaborate::ElabLimits;
 use sns_netlist::parser::MAX_DEPTH;
-use sns_netlist::{elaborate_with_limits, parse_source, NetlistError};
+use sns_netlist::{elaborate_with_limits, parse_source, Lexer, NetlistError, TokenKind};
 use sns_rt::rng::StdRng;
 
 use sns_graphir::GraphIr;
@@ -139,6 +139,44 @@ fn truncated_catalog_sources_never_panic() {
         }
     }
     assert!(done >= 2000, "expected ≥ 2000 truncation cases, got {done}");
+}
+
+/// Byte-level edges of the lexer: multi-byte characters glued to every
+/// kind of token on either side, and the literals and escaped names that
+/// end exactly at the end of input. Each must lex to `Ok` or a structured
+/// error; the lexer slices borrowed identifiers out of the source, so a
+/// slice that split a character would panic here.
+#[test]
+fn non_ascii_and_end_of_input_edges_never_panic() {
+    let words = [
+        "a", "\\esc", "\\", "8'hff", "8'", "8'h", "'", "42", "<=", ">>>", "(", "/*", "//", "$",
+        "",
+    ];
+    let wide = ["\u{e9}", "\u{2603}", "\u{1F600}", "\u{feff}", "\u{0}", "\u{7f}"];
+    let mut cases = 0usize;
+    for w in wide {
+        for a in words {
+            for b in words {
+                for src in [format!("{a}{w}{b}"), format!("{w}{a}{b}"), format!("{a}{b}{w}")] {
+                    let _ = Lexer::new(&src).lex_all();
+                    let wrapped = format!("module m (input a, output y); assign y = {src}");
+                    let _ = full_pipeline(&wrapped, "m");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases >= 4000, "{cases}");
+
+    // At the very end of input: an escaped identifier, and a sized
+    // literal cut after its `'`.
+    let tail = "module m (input a, output y); assign y = ";
+    let escaped = format!("{tail}\\esc");
+    let toks = Lexer::new(&escaped).lex_all().expect("escaped name lexes");
+    assert_eq!(toks[toks.len() - 2].kind, TokenKind::Ident("esc"));
+    assert!(matches!(parse_source(&escaped), Err(NetlistError::Parse { .. })));
+    let err = parse_source(&format!("{tail}8'")).unwrap_err();
+    assert_eq!(err.to_string(), "lex error at 1:42: truncated based literal");
 }
 
 // ---- generator 4: deep nesting and resource amplification ----

@@ -300,7 +300,7 @@ pub const MAX_DEPTH: usize = 128;
 ///
 /// Returns a [`JsonError`] naming the byte offset of the first problem.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -311,6 +311,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -424,10 +425,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A string literal. Each run of bytes up to the next quote, backslash
+    /// or control byte is copied in one piece; all three are ASCII, so
+    /// every run ends on a char boundary. Raw control characters
+    /// (U+0000–U+001F) must be escaped (RFC 8259 §7) and are rejected.
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let run = rest.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+            let end = self.pos + run.unwrap_or(rest.len());
+            out.push_str(self.text.get(self.pos..end).unwrap_or_default());
+            self.pos = end;
             match self.peek() {
                 None => return err("unterminated string"),
                 Some(b'"') => {
@@ -479,16 +489,9 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                // The run stopped at a control byte.
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let Some(c) = s.chars().next() else {
-                        return err("unterminated string");
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    return err(format!("raw control character in string at byte {}", self.pos));
                 }
             }
         }
@@ -617,6 +620,31 @@ mod tests {
         assert_eq!(parse(&v.print()).unwrap().as_str().unwrap(), s);
         // Surrogate-pair escapes parse too.
         assert_eq!(parse(r#""😀""#).unwrap().as_str().unwrap(), "😀");
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for c in (0u8..0x20).map(char::from) {
+            let text = format!("{{\"verilog\":\"a{c}b\"}}");
+            let e = parse(&text).unwrap_err();
+            assert!(e.0.contains("raw control character in string at byte 13"), "{c:?}: {e}");
+            // Escaped, the same character is legal and round-trips.
+            let v = Json::Str(format!("a{c}b"));
+            assert_eq!(parse(&v.print()).unwrap(), v, "{c:?}");
+        }
+        // DEL and non-ASCII text are not control characters.
+        assert_eq!(
+            parse("\"\u{7f}\u{e9}\u{1F600}\"").unwrap().as_str().unwrap(),
+            "\u{7f}\u{e9}\u{1F600}"
+        );
+    }
+
+    #[test]
+    fn long_strings_copy_runs_between_escapes() {
+        let s = format!("{}\"\\{}\n\u{e9}\u{1F600}", "x".repeat(1000), "y".repeat(500));
+        let v = Json::Str(s.clone());
+        assert_eq!(parse(&v.print()).unwrap().as_str().unwrap(), s);
+        assert_eq!(parse(r#""a\u0041\/b""#).unwrap().as_str().unwrap(), "aA/b");
     }
 
     #[test]

@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

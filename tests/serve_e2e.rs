@@ -238,6 +238,12 @@ fn malformed_requests_get_structured_errors_not_hangups() {
     assert_eq!(status, 400);
     assert_eq!(body.get("kind").unwrap().as_str().unwrap(), "json");
 
+    // A raw control character inside a string is not JSON (RFC 8259 §7).
+    let (status, body) =
+        post_json(addr, "/predict", "{\"verilog\": \"module m;\u{1} endmodule\", \"top\": \"m\"}");
+    assert_eq!(status, 400);
+    assert_eq!(body.get("kind").unwrap().as_str().unwrap(), "json");
+
     // Valid JSON, missing the required fields.
     let (status, body) = post_json(addr, "/predict", r#"{"verilog": "module m; endmodule"}"#);
     assert_eq!(status, 400);
