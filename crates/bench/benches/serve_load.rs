@@ -10,7 +10,10 @@
 //! path cache on its own worker. One request in every [`HEAVY_EVERY`]
 //! is a [`heavy_design`] tail anchor, and each level keeps the better
 //! of [`ATTEMPTS`] fresh-server runs (closed-loop numbers on a shared
-//! box are noisy).
+//! box are noisy). Repeats of a pool design are answered from the
+//! server's design memo; each heavy request carries its own trailing
+//! comment, so it misses the memo and still runs elaboration and
+//! sampling (its paths hit the warm path cache).
 //!
 //! `SNS_REPLICAS=N` runs every level in **sns-shard mode** (N model
 //! replicas behind the consistent-hash router); the artifact records
@@ -18,8 +21,9 @@
 //! latency/throughput rows.
 //!
 //! Artifact: `BENCH_serve.json` at the repo root (req/s, client-side
-//! p50/p99, shed counts, and per-level inference counters: primes that
-//! computed anything and the sequences they computed).
+//! p50/mean/p99, shed counts, design-memo hits, and per-level inference
+//! counters: primes that computed anything and the sequences they
+//! computed).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -32,7 +36,7 @@ use sns_circuitformer::{CircuitformerConfig, TrainConfig};
 use sns_core::dataset::AugmentConfig;
 use sns_core::{train_sns, SnsModel, SnsTrainConfig};
 use sns_designs::{cores, crypto, dsp, extra, nonlinear, sort, vector, Design};
-use sns_rt::json::Json;
+use sns_rt::json::{parse as parse_json, Json};
 use sns_sampler::SampleConfig;
 use sns_serve::{ServeConfig, Server};
 
@@ -95,9 +99,9 @@ fn design_pool() -> Vec<Design> {
     pool
 }
 
-/// The tail anchor: a design whose per-request cost (~15 ms of
-/// elaboration + path sampling, barely any batchable inference) dwarfs
-/// the light pool. Real request mixes are not all toy blocks, and a
+/// The tail anchor: a design whose per-request cost (5–7 ms of
+/// elaboration + path sampling on a 2-vCPU host, barely any batchable
+/// inference) dwarfs the light pool. Real request mixes are not all toy blocks, and a
 /// serving fleet's p99 is set by its biggest designs — splicing this in
 /// sparsely (1 in 48 requests) makes every level's p99 measure the same
 /// concurrency-invariant work plus that level's queueing, instead of
@@ -106,10 +110,11 @@ fn heavy_design() -> Design {
     nonlinear::lut(2048, 16)
 }
 
-fn predict_request(addr: SocketAddr, d: &Design) -> String {
+/// The raw `/predict` request for `verilog` with top module `top`.
+fn predict_request(addr: SocketAddr, verilog: &str, top: &str) -> String {
     let body = Json::obj(vec![
-        ("verilog", Json::Str(d.verilog.clone())),
-        ("top", Json::Str(d.top.clone())),
+        ("verilog", Json::Str(verilog.to_string())),
+        ("top", Json::Str(top.to_string())),
     ])
     .print();
     format!(
@@ -118,8 +123,9 @@ fn predict_request(addr: SocketAddr, d: &Design) -> String {
     )
 }
 
-/// One blocking request; returns the latency in microseconds.
-fn timed_request(addr: SocketAddr, raw: &str) -> u64 {
+/// One blocking request; returns the response and its latency in
+/// microseconds.
+fn timed_request(addr: SocketAddr, raw: &str) -> (String, u64) {
     let start = Instant::now();
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(raw.as_bytes()).expect("send");
@@ -130,7 +136,24 @@ fn timed_request(addr: SocketAddr, raw: &str) -> u64 {
         "bad response: {}",
         &response[..response.len().min(200)]
     );
-    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+    (response, u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX))
+}
+
+/// Requests the server answered from its design memo, read from
+/// `/metrics` (0 from a server without one).
+fn memo_hits(addr: SocketAddr) -> u64 {
+    let raw = format!("GET /metrics HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\r\n");
+    let (response, _) = timed_request(addr, &raw);
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    let metrics = parse_json(body).expect("metrics JSON");
+    metrics.get("design_memo").and_then(|m| m.get("hits")).and_then(Json::as_u64).unwrap_or(0)
+}
+
+fn mean_ms(us: &[u64]) -> f64 {
+    if us.is_empty() {
+        return 0.0;
+    }
+    us.iter().sum::<u64>() as f64 / us.len() as f64 / 1000.0
 }
 
 fn quantile(sorted_us: &[u64], q: f64) -> f64 {
@@ -163,7 +186,7 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
     let mut rows = Vec::new();
     let mut baseline_rps = 0.0f64;
     for &k in CONCURRENCY {
-        let mut best: Option<(f64, f64, Vec<u64>, [u64; 3])> = None;
+        let mut best: Option<(f64, f64, Vec<u64>, [u64; 4])> = None;
         for _attempt in 0..ATTEMPTS {
             // Same cold start for every level: a fresh server (replica
             // forks start with empty caches) and a cleared replica-0
@@ -174,12 +197,15 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
             let metrics = server.metrics();
             let requests: Vec<String> = (0..TOTAL_REQUESTS)
                 .map(|i| {
-                    let d = if i % HEAVY_EVERY == HEAVY_EVERY / 2 {
-                        heavy
+                    if i % HEAVY_EVERY == HEAVY_EVERY / 2 {
+                        // A distinct source per heavy request: a memo
+                        // miss with the same netlist and paths.
+                        let verilog = format!("{}// heavy request {i}\n", heavy.verilog);
+                        predict_request(addr, &verilog, &heavy.top)
                     } else {
-                        &pool[i % pool.len()]
-                    };
-                    predict_request(addr, d)
+                        let d = &pool[i % pool.len()];
+                        predict_request(addr, &d.verilog, &d.top)
+                    }
                 })
                 .collect();
 
@@ -190,7 +216,7 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
                     let slice: Vec<String> =
                         requests[c * per_client..(c + 1) * per_client].to_vec();
                     std::thread::spawn(move || {
-                        slice.iter().map(|r| timed_request(addr, r)).collect::<Vec<u64>>()
+                        slice.iter().map(|r| timed_request(addr, r).1).collect::<Vec<u64>>()
                     })
                 })
                 .collect();
@@ -204,22 +230,24 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
                 metrics.batch_rounds.load(Ordering::Relaxed),
                 metrics.batched_seqs.load(Ordering::Relaxed),
                 metrics.rejected_503.load(Ordering::Relaxed),
+                memo_hits(addr),
             ];
             server.join();
             if best.as_ref().is_none_or(|(r, ..)| rps > *r) {
                 best = Some((rps, wall_s, lat_us, counters));
             }
         }
-        let Some((rps, wall_s, lat_us, [rounds, seqs, shed])) = best else {
+        let Some((rps, wall_s, lat_us, [rounds, seqs, shed, hits])) = best else {
             unreachable!("ATTEMPTS >= 1");
         };
         if k == 1 {
             baseline_rps = rps;
         }
         println!(
-            "  [k={k:>2}] {rps:7.2} req/s ({:.2}x vs k=1) | p50 {:7.1} ms  p99 {:7.1} ms | {seqs} seqs in {rounds} primes | shed {shed}",
+            "  [k={k:>2}] {rps:7.2} req/s ({:.2}x vs k=1) | p50 {:7.2} ms  mean {:7.2} ms  p99 {:7.1} ms | {seqs} seqs in {rounds} primes | {hits} memo hits | shed {shed}",
             rps / baseline_rps,
             quantile(&lat_us, 0.50),
+            mean_ms(&lat_us),
             quantile(&lat_us, 0.99),
         );
         rows.push(Json::obj(vec![
@@ -230,9 +258,11 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
             ("req_per_s", Json::Num(rps)),
             ("speedup_vs_sequential", Json::Num(rps / baseline_rps)),
             ("p50_ms", Json::Num(quantile(&lat_us, 0.50))),
+            ("mean_ms", Json::Num(mean_ms(&lat_us))),
             ("p99_ms", Json::Num(quantile(&lat_us, 0.99))),
             ("batch_rounds", Json::UInt(rounds)),
             ("batched_seqs", Json::UInt(seqs)),
+            ("memo_hits", Json::UInt(hits)),
             ("shed_503", Json::UInt(shed)),
         ]));
     }

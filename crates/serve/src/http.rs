@@ -137,25 +137,48 @@ pub fn parse_head(buf: &[u8], max_body: usize) -> Result<Option<FramedHead>, Htt
         body: Vec::new(),
     };
 
-    if request
-        .header("transfer-encoding")
-        .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
-    {
+    // Every Transfer-Encoding header counts: a `chunked` behind an
+    // `identity` must not leave the body framed by Content-Length.
+    let coded = |(k, v): &(String, String)| {
+        k.eq_ignore_ascii_case("transfer-encoding") && !v.eq_ignore_ascii_case("identity")
+    };
+    if request.headers.iter().any(coded) {
         return Err(HttpError::BadRequest("chunked transfer encoding is not supported".into()));
     }
 
-    let content_length = match request.header("content-length") {
-        None => 0usize,
-        Some(v) => v
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("invalid Content-Length {v:?}")))?,
-    };
-    if content_length > max_body {
-        return Err(HttpError::PayloadTooLarge { limit: max_body });
-    }
+    let content_length = content_length(&request.headers, max_body)?;
 
     Ok(Some(FramedHead { request, head_end, content_length }))
+}
+
+/// The body length the `Content-Length` headers declare (0 when there
+/// are none). RFC 9112 §6.3: each value must be `1*DIGIT` (no sign, no
+/// list) and repeated headers must agree, else the framing is invalid.
+/// A well-formed length past `max_body` (or past `usize`) is too large.
+fn content_length(headers: &[(String, String)], max_body: usize) -> Result<usize, HttpError> {
+    let mut declared: Option<&str> = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k.eq_ignore_ascii_case("content-length")) {
+        if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(HttpError::BadRequest(format!("invalid Content-Length {v:?}")));
+        }
+        // Compare values, not spellings: `05` and `5` agree.
+        let digits = v.trim_start_matches('0');
+        match declared {
+            Some(first) if first != digits => {
+                return Err(HttpError::BadRequest(
+                    "conflicting Content-Length headers".to_string(),
+                ))
+            }
+            _ => declared = Some(digits),
+        }
+    }
+    match declared {
+        None | Some("") => Ok(0),
+        Some(digits) => match digits.parse::<usize>() {
+            Ok(n) if n <= max_body => Ok(n),
+            _ => Err(HttpError::PayloadTooLarge { limit: max_body }),
+        },
+    }
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -270,6 +293,7 @@ mod tests {
             b"GET /x HTTP/1.1\r\nbad header line\r\n\r\n",
             b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
             b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: identity\r\nTransfer-Encoding: chunked\r\n\r\n",
         ] {
             for step in [1, bytes.len()] {
                 match feed(bytes, step, 1024) {
@@ -277,6 +301,39 @@ mod tests {
                     other => panic!("{bytes:?}: expected BadRequest, got {other:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn content_length_must_be_digits_and_agree() {
+        for bad in ["+5", "-5", " 5 5", "5,5", "0x5", "5.0", "５"] {
+            let bytes = format!("POST /x HTTP/1.1\r\nContent-Length: {bad}\r\n\r\nhello");
+            match parse_head(bytes.as_bytes(), 1024) {
+                Err(HttpError::BadRequest(msg)) => assert!(msg.contains("Content-Length"), "{msg}"),
+                other => panic!("{bad:?}: expected BadRequest, got {other:?}"),
+            }
+        }
+        // A second header that disagrees with the first is refused,
+        // whichever of the two a reader would have picked.
+        for (a, b) in [("5", "6"), ("6", "5"), ("5", "")] {
+            let bytes = format!(
+                "POST /x HTTP/1.1\r\nContent-Length: {a}\r\ncontent-length: {b}\r\n\r\nhello!"
+            );
+            match parse_head(bytes.as_bytes(), 1024) {
+                Err(HttpError::BadRequest(msg)) => assert!(msg.contains("Content-Length"), "{msg}"),
+                other => panic!("{a:?}/{b:?}: expected BadRequest, got {other:?}"),
+            }
+        }
+        // Repeats that agree, leading zeros included, frame normally.
+        let bytes = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 005\r\n\r\nhello";
+        assert_eq!(feed(bytes, 1, 1024).unwrap().unwrap().body, b"hello");
+        let bytes = b"POST /x HTTP/1.1\r\nContent-Length: 00\r\n\r\n";
+        assert_eq!(parse_head(bytes, 1024).unwrap().unwrap().content_length, 0);
+        // All digits but past any limit: too large, not malformed.
+        let bytes = format!("POST /x HTTP/1.1\r\nContent-Length: {}0\r\n\r\n", usize::MAX);
+        match parse_head(bytes.as_bytes(), 1024) {
+            Err(HttpError::PayloadTooLarge { limit: 1024 }) => {}
+            other => panic!("expected PayloadTooLarge, got {other:?}"),
         }
     }
 

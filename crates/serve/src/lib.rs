@@ -25,15 +25,18 @@
 //!   answer is bit-identical to a from-scratch run (unknown/expired
 //!   base ⇒ `404`, `kind: "session"`).
 //! * **`GET /metrics`** — counters, queue/in-flight gauges, cache
-//!   hit/miss statistics, module-elab-cache and session counters,
-//!   inference (`batcher`) counters, and per-stage log2 latency
-//!   histograms, all maintained on plain atomics.
+//!   hit/miss statistics, design-memo statistics, module-elab-cache and
+//!   session counters, inference (`batcher`) counters, and per-stage
+//!   log2 latency histograms, all maintained on plain atomics.
 //! * **`GET /healthz`** — liveness.
 //!
 //! Every body kind runs sns-core's staged pipeline
 //! ([`SnsModel::predict_with`](sns_core::SnsModel::predict_with)); this
 //! crate only supplies its hooks: stage histograms, deadline and replica
-//! liveness checks, and inference on the request's own worker.
+//! liveness checks, and inference on the request's own worker. The one
+//! exception is an exact repeat of a flat body (same `verilog` and
+//! `top`, no `activity` map), which is answered from the serving model
+//! generation's byte-bounded design memo without running any stage.
 //!
 //! ## Event-driven connection core
 //!
@@ -95,6 +98,7 @@
 //! the elaboration budgets above.
 
 pub mod http;
+pub(crate) mod memo;
 pub mod metrics;
 pub(crate) mod reactor;
 pub mod server;
@@ -102,8 +106,8 @@ pub mod shard;
 
 pub use http::{HttpError, Request};
 pub use metrics::{
-    CacheStats, ElabCacheStats, Histogram, Metrics, ModelTally, ReplicaSnapshot,
-    ReplicaStats,
+    CacheStats, DesignMemoStats, ElabCacheStats, Histogram, Metrics, ModelTally,
+    ReplicaSnapshot, ReplicaStats,
 };
 pub use server::{ReloadError, ReloadOutcome, ServeConfig, Server};
 pub use shard::{design_key, token_key, HashRing, RouteChoice};

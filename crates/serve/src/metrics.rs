@@ -141,7 +141,8 @@ pub struct Metrics {
     pub stage_infer: Histogram,
     /// Reduction + MLP refinement latency.
     pub stage_aggregate: Histogram,
-    /// Whole-request latency.
+    /// Whole-request latency of successful predictions, design-memo
+    /// hits included (a hit records no other stage).
     pub stage_total: Histogram,
     /// Reactor event-loop iteration busy time (time spent handling
     /// readiness after `poll` returns — *not* the blocked wait). A fat
@@ -182,7 +183,8 @@ impl ModelTally {
 pub struct ReplicaStats {
     /// Requests the router homed on this replica.
     pub routed: AtomicU64,
-    /// Routed requests that ran the full pipeline here (any status).
+    /// Routed requests that finished here with any status, whether they
+    /// ran the pipeline or were answered from the design memo.
     pub completed: AtomicU64,
     /// Routed requests shed with 503 because the replica was marked dead
     /// mid-flight.
@@ -216,12 +218,19 @@ pub struct ReplicaSnapshot {
     pub batched_seqs: u64,
     /// This replica's private path-prediction cache.
     pub cache: CacheStats,
+    /// The design memo of this replica's current model generation.
+    pub memo: DesignMemoStats,
 }
 
 impl ReplicaStats {
     /// Snapshots the atomic counters together with externally owned state
-    /// (liveness, cache stats).
-    pub fn snapshot(&self, alive: bool, cache: CacheStats) -> ReplicaSnapshot {
+    /// (liveness, cache and memo stats).
+    pub fn snapshot(
+        &self,
+        alive: bool,
+        cache: CacheStats,
+        memo: DesignMemoStats,
+    ) -> ReplicaSnapshot {
         ReplicaSnapshot {
             alive,
             routed: self.routed.load(Ordering::Relaxed),
@@ -231,6 +240,7 @@ impl ReplicaStats {
             batch_rounds: self.batch_rounds.load(Ordering::Relaxed),
             batched_seqs: self.batched_seqs.load(Ordering::Relaxed),
             cache,
+            memo,
         }
     }
 }
@@ -248,6 +258,27 @@ pub struct CacheStats {
     /// Unique-sequence misses at fill time.
     pub misses: u64,
     /// Entries evicted by the bound.
+    pub evictions: u64,
+}
+
+/// Design-memo statistics snapshot for one model generation on one
+/// replica (the memo itself lives on the generation's model entry, so a
+/// hot-swap starts every count at zero).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DesignMemoStats {
+    /// Flat bodies currently memoized.
+    pub entries: usize,
+    /// Bytes charged for them: keys, critical paths and records.
+    pub bytes: usize,
+    /// The byte budget `bytes` never exceeds.
+    pub budget: usize,
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that ran the pipeline.
+    pub misses: u64,
+    /// Answers stored (a miss that failed stores nothing).
+    pub inserts: u64,
+    /// Entries evicted by the budget.
     pub evictions: u64,
 }
 
@@ -284,6 +315,8 @@ impl Metrics {
     /// misses / evictions, so the `entries == misses − evictions`
     /// invariant survives sharding; `capacity` is the *per-replica*
     /// bound). The per-replica detail is exported under `"replicas"`.
+    /// `design_memo` sums the replicas' current memos the same way
+    /// (`entries == inserts − evictions`; `budget_bytes` is per replica).
     ///
     /// `prepack_bytes` is the serving model's resident prepacked weight
     /// panels.
@@ -340,6 +373,9 @@ impl Metrics {
         let lookups = cache.hits + cache.misses;
         let hit_rate =
             if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 };
+        let memo = |f: fn(&DesignMemoStats) -> u64| {
+            Json::UInt(replicas.iter().map(|r| f(&r.memo)).sum())
+        };
         let elab_lookups = elab.hits + elab.misses;
         let elab_hit_rate =
             if elab_lookups == 0 { 0.0 } else { elab.hits as f64 / elab_lookups as f64 };
@@ -392,6 +428,21 @@ impl Metrics {
                     ("evictions", Json::UInt(elab.evictions)),
                     ("invalidations", Json::UInt(elab.invalidations)),
                     ("hit_rate", Json::Num(elab_hit_rate)),
+                ]),
+            ),
+            (
+                "design_memo",
+                Json::obj(vec![
+                    ("entries", memo(|m| m.entries as u64)),
+                    ("bytes", memo(|m| m.bytes as u64)),
+                    (
+                        "budget_bytes",
+                        Json::UInt(replicas.first().map_or(0, |r| r.memo.budget as u64)),
+                    ),
+                    ("hits", memo(|m| m.hits)),
+                    ("misses", memo(|m| m.misses)),
+                    ("inserts", memo(|m| m.inserts)),
+                    ("evictions", memo(|m| m.evictions)),
                 ]),
             ),
             (
@@ -476,6 +527,15 @@ mod tests {
         let snap = stats.snapshot(
             true,
             CacheStats { entries: 7, capacity: Some(100), hits: 3, misses: 1, evictions: 0 },
+            DesignMemoStats {
+                entries: 2,
+                bytes: 900,
+                budget: 4096,
+                hits: 5,
+                misses: 3,
+                inserts: 3,
+                evictions: 1,
+            },
         );
         let j = m.to_json(
             &[snap],
@@ -500,6 +560,18 @@ mod tests {
         assert_eq!(elab.get("invalidations").unwrap().as_u64().unwrap(), 4);
         assert!((elab.get("hit_rate").unwrap().as_f64().unwrap() - 6.0 / 13.0).abs() < 1e-12);
         assert_eq!(j.get("sessions").unwrap().as_u64().unwrap(), 3);
+        let memo = j.get("design_memo").unwrap();
+        for (field, want) in [
+            ("entries", 2),
+            ("bytes", 900),
+            ("budget_bytes", 4096),
+            ("hits", 5),
+            ("misses", 3),
+            ("inserts", 3),
+            ("evictions", 1),
+        ] {
+            assert_eq!(memo.get(field).unwrap().as_u64().unwrap(), want, "design_memo.{field}");
+        }
         let kernels = j.get("kernels").unwrap();
         assert_eq!(kernels.get("prepack_bytes").unwrap().as_u64().unwrap(), 4096);
         assert!(j.get("stages_us").unwrap().get("total").unwrap().get("count").is_ok());
@@ -537,6 +609,7 @@ mod tests {
                         misses: 10 + i + 3, // evictions = 3 per replica
                         evictions: 3,
                     },
+                    DesignMemoStats::default(),
                 )
             })
             .collect();

@@ -4,8 +4,11 @@
 //! ```text
 //! reactor ──► dispatch queue ──► workers ──► router (FNV-128 of content)
 //!    ▲  (full → 503 + Retry-After)  │            │
-//!    │                              │            ▼ replica k (alive?)
-//!    └── completions + waker ◄──────┘   SnsModel::predict_with(body, ReplicaHooks)
+//!    │                              │            ▼ replica k (alive?), pinned generation
+//!    └── completions + waker ◄──────┘   flat body: design memo (exact verilog + top)
+//!                                            │ hit ─────────────────► answer
+//!                                            ▼ miss, session, patch, activity
+//!                                       SnsModel::predict_with(body, ReplicaHooks)
 //!                                        parse ► sample ► infer ► aggregate
 //!                                                           │
 //!                                                  prime: cache_k
@@ -26,7 +29,10 @@
 //! pipeline under `ReplicaHooks`, which check liveness and the
 //! per-request deadline at every stage boundary — a request that has
 //! blown `SNS_DEADLINE_MS` never starts sampling or inference — and
-//! fill the replica's path cache on the request's own worker.
+//! fill the replica's path cache on the request's own worker. A flat
+//! body without an activity map first consults the pinned generation's
+//! design memo (`memo.rs`): an exact repeat is answered without
+//! running any stage, and a fresh answer is stored for the next repeat.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -37,14 +43,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sns_core::{
-    load_from_zoo, model_weight_hash, Hooks, Input, Output, PipelineError, SessionError,
-    SessionStore, SnsModel, Stage, ZooError,
+    load_from_zoo, model_weight_hash, DesignPrediction, Hooks, Input, Output, PipelineError,
+    SessionError, SessionStore, SnsModel, Stage, ZooError,
 };
 use sns_netlist::ModuleElabCache;
 use sns_rt::json::{parse as parse_json, Json};
 use sns_rt::net::Waker;
 
 use crate::http::{build_response, Request};
+use crate::memo::{memo_key, DesignMemo, DESIGN_MEMO_BYTES};
 use crate::metrics::{
     CacheStats, ElabCacheStats, Metrics, ModelTally, ReplicaSnapshot, ReplicaStats,
 };
@@ -189,17 +196,20 @@ pub(crate) struct Completion {
 }
 
 /// One generation of the model behind a replica slot: the model clone
-/// with its private path cache, and the zoo identity the server reports
-/// for every prediction it makes. Hot-swapping installs a new
-/// `Arc<ModelEntry>` in the slot; requests already holding the old `Arc`
-/// finish on the model they started with (bit-identical to a direct call
-/// on it), and the old generation is freed when the last in-flight
-/// holder drops it.
+/// with its private path cache, its design memo, and the zoo identity
+/// the server reports for every prediction it makes. Hot-swapping
+/// installs a new `Arc<ModelEntry>` in the slot; requests already
+/// holding the old `Arc` finish on the model they started with
+/// (bit-identical to a direct call on it), and the old generation is
+/// freed when the last in-flight holder drops it. The memo belongs here,
+/// not on `SnsModel`: the served model is never mutated, so a memoized
+/// answer stays exact for exactly as long as its generation serves.
 pub(crate) struct ModelEntry {
     pub model: Arc<SnsModel>,
     pub model_id: String,
     pub weight_hash: String,
     pub tally: Arc<ModelTally>,
+    pub memo: DesignMemo,
 }
 
 /// One model replica: a swappable [`ModelEntry`] slot, per-replica
@@ -516,7 +526,8 @@ pub struct ReloadOutcome {
 /// Builds one [`ModelEntry`] per replica for `model`: replica 0 serves
 /// the given `Arc` directly, the rest serve
 /// [`fork_replica`](SnsModel::fork_replica) clones with cold private
-/// caches. All entries of a generation share one [`ModelTally`].
+/// caches. Every entry starts with an empty design memo. All entries of
+/// a generation share one [`ModelTally`].
 fn build_entries(
     model: &Arc<SnsModel>,
     model_id: &str,
@@ -538,6 +549,7 @@ fn build_entries(
                 model_id: model_id.to_string(),
                 weight_hash: weight_hash.to_string(),
                 tally: Arc::clone(tally),
+                memo: DesignMemo::new(DESIGN_MEMO_BYTES),
             })
         })
         .collect()
@@ -575,8 +587,9 @@ pub(crate) fn reload_from_zoo(
     let (model, zoo_entry) = load_from_zoo(dir, id).map_err(ReloadError::Zoo)?;
     if zoo_entry.weight_hash == current.weight_hash {
         // Cache invalidation is keyed by weight hash: identical weights
-        // mean every cached path prediction is still exact, so the swap
-        // is skipped and the caches stay warm.
+        // mean every cached path prediction and memoized answer is still
+        // exact, so the swap is skipped and the caches and memos stay
+        // warm.
         return Ok(ReloadOutcome {
             swapped: false,
             model_id: current.model_id.clone(),
@@ -682,6 +695,7 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                             misses: cache.misses(),
                             evictions: cache.evictions(),
                         },
+                        entry.memo.stats(),
                     )
                 })
                 .collect();
@@ -990,11 +1004,14 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
     reply
 }
 
-/// Runs one parsed `/predict` body on replica `index`: calls the core
-/// pipeline ([`SnsModel::predict_with`]) under [`ReplicaHooks`] and maps
-/// the outcome onto a reply (a mid-flight replica loss is a clean `503`).
-/// Responses are bit-identical to the direct call on the pinned model:
-/// the hooks fill the same cache with the same pure function.
+/// Runs one parsed `/predict` body on replica `index`: answers an exact
+/// repeat of a flat body from the generation's design memo, and runs
+/// anything else through the core pipeline ([`SnsModel::predict_with`])
+/// under [`ReplicaHooks`], then maps the outcome onto a reply (a
+/// mid-flight replica loss is a clean `503`). Responses are
+/// bit-identical to the direct call on the pinned model: the hooks fill
+/// the same cache with the same pure function, and the memo returns
+/// what that function returned for the same source.
 fn predict_on_replica(
     shared: &Shared,
     index: u32,
@@ -1009,12 +1026,32 @@ fn predict_on_replica(
     if matches!(input, Input::Patch { .. }) {
         shared.metrics.eco_requests.fetch_add(1, Ordering::Relaxed);
     }
-    let result = entry.model.predict_with(input, &hooks, start);
+    // Sessions and patches register state, and an activity map changes
+    // the answer, so only plain flat bodies go through the memo. A hit
+    // runs no stage; its runtime is this request's own.
+    let key = match input {
+        Input::Flat { verilog, top, activity: None } => Some(memo_key(verilog, top)),
+        _ => None,
+    };
+    let hit = key.as_deref().and_then(|k| entry.memo.get(k));
+    let result = match &hit {
+        Some(_) if !replica.is_alive() => Err(PipelineError::Stopped(Halt::Lost)),
+        Some(pred) => {
+            Ok(Output::Flat(DesignPrediction { runtime: start.elapsed(), ..(**pred).clone() }))
+        }
+        None => entry.model.predict_with(input, &hooks, start),
+    };
     let lost = matches!(result, Err(PipelineError::Stopped(Halt::Lost)));
     (if lost { &replica.stats.shed } else { &replica.stats.completed })
         .fetch_add(1, Ordering::Relaxed);
     let fields = match result {
-        Ok(Output::Flat(pred)) => prediction_fields(&pred, clock_ps),
+        Ok(Output::Flat(pred)) => {
+            let fields = prediction_fields(&pred, clock_ps);
+            if let Some(key) = key.filter(|_| hit.is_none()) {
+                entry.memo.insert(key, pred);
+            }
+            fields
+        }
         Ok(Output::Session(outcome)) => {
             shared.metrics.session_predicts.fetch_add(1, Ordering::Relaxed);
             let mut fields = prediction_fields(&outcome.prediction, clock_ps);
@@ -1056,7 +1093,7 @@ fn predict_on_replica(
 
 /// The `DesignPrediction` fields every successful `/predict` reply shares.
 fn prediction_fields(
-    pred: &sns_core::DesignPrediction,
+    pred: &DesignPrediction,
     clock_ps: Option<f64>,
 ) -> Vec<(&'static str, Json)> {
     let mut fields = vec![

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Serve soak: the seeded multi-concurrency load sweep (k = 1/4/16/64)
 # against both a single-replica server and a 4-replica sns-shard server,
-# refreshing BENCH_serve.json with per-level req/s, client-side p50/p99,
-# inference counters (primes that computed anything, sequences computed),
-# and shed (503) counts.
+# refreshing BENCH_serve.json with per-level req/s, client-side
+# p50/mean/p99, inference counters (primes that computed anything,
+# sequences computed), design-memo hits and shed (503) counts.
 #
 #   ./scripts/serve_soak.sh
 #

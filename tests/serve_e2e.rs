@@ -209,15 +209,23 @@ fn concurrent_responses_are_bit_identical_to_direct_predictions() {
     assert_eq!(m.get("responses").unwrap().get("4xx").unwrap().as_u64().unwrap(), 0);
     assert_eq!(m.get("responses").unwrap().get("5xx").unwrap().as_u64().unwrap(), 0);
     assert_inference_ledger(&m);
-    // The per-stage histograms saw every prediction.
+    // Every prediction either ran each pipeline stage once or was an
+    // exact repeat answered by the design memo, which runs none; the
+    // whole-request histogram saw all of them.
+    let memo_hits = m.get("design_memo").unwrap().get("hits").unwrap().as_u64().unwrap();
     let stages = m.get("stages_us").unwrap();
-    for stage in ["parse", "sample", "infer", "aggregate", "total"] {
+    for stage in ["parse", "sample", "infer", "aggregate"] {
         assert_eq!(
-            stages.get(stage).unwrap().get("count").unwrap().as_u64().unwrap(),
+            stages.get(stage).unwrap().get("count").unwrap().as_u64().unwrap() + memo_hits,
             24,
-            "stage {stage} sample count"
+            "stage {stage} sample count + design-memo hits"
         );
     }
+    assert_eq!(
+        stages.get("total").unwrap().get("count").unwrap().as_u64().unwrap(),
+        24,
+        "stage total sample count"
+    );
     server.join();
 }
 
@@ -232,6 +240,18 @@ fn malformed_requests_get_structured_errors_not_hangups() {
     let (status, _, body) = http_raw(addr, b"this is not http\r\n\r\n");
     assert_eq!(status, 400);
     assert_eq!(parse_json(&body).unwrap().get("kind").unwrap().as_str().unwrap(), "http");
+
+    // A Content-Length that is not 1*DIGIT, and two that disagree, are
+    // invalid framing (RFC 9112 §6.3), refused before any body is read.
+    for raw in [
+        &b"GET /healthz HTTP/1.1\r\nhost: t\r\ncontent-length: +0\r\n\r\n"[..],
+        b"POST /predict HTTP/1.1\r\nhost: t\r\ncontent-length: 2\r\ncontent-length: 9\r\n\r\n{}",
+    ] {
+        let (status, _, body) = http_raw(addr, raw);
+        assert_eq!(status, 400, "{body}");
+        assert_eq!(parse_json(&body).unwrap().get("kind").unwrap().as_str().unwrap(), "http");
+        assert!(body.contains("Content-Length"), "{body}");
+    }
 
     // Valid HTTP, body is not JSON.
     let (status, body) = post_json(addr, "/predict", "{not json");
@@ -1229,4 +1249,233 @@ fn admin_reload_guards_cover_missing_zoo_and_unknown_models() {
     assert!(!reply.get("swapped").unwrap().as_bool().unwrap());
     server.join();
     let _ = std::fs::remove_dir_all(&zoo);
+}
+
+// -------------------------------------------------------- design memo --
+
+/// The `/metrics` `design_memo` counter `field`.
+fn memo_count(addr: SocketAddr, field: &str) -> u64 {
+    let (status, m) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    m.get("design_memo").unwrap().get(field).unwrap().as_u64().unwrap()
+}
+
+/// Asserts a `/predict` reply carries `want`'s numbers bit for bit.
+fn assert_reply_is(body: &Json, want: &sns::core::DesignPrediction, ctx: &str) {
+    for (field, want) in
+        [("timing_ps", want.timing_ps), ("area_um2", want.area_um2), ("power_mw", want.power_mw)]
+    {
+        let got = body.get(field).unwrap().as_f64().unwrap();
+        assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: {field}");
+    }
+    assert_eq!(body.get("path_count").unwrap().as_u64().unwrap(), want.path_count as u64, "{ctx}");
+    let critical: Vec<&str> = body
+        .get("critical_path")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|v| v.as_str().unwrap())
+        .collect();
+    assert_eq!(critical, want.critical_path, "{ctx}: critical path");
+}
+
+#[test]
+fn design_memo_is_scoped_to_one_model_generation() {
+    let zoo = two_model_zoo("memo");
+    let server = Server::start_named(
+        model(),
+        "gen-a",
+        ServeConfig { zoo_dir: Some(zoo.clone()), ..test_config() },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let d = &serve_designs()[1];
+    let on_a = model().predict_verilog(&d.verilog, &d.top).unwrap();
+    let on_b = alt_model().predict_verilog(&d.verilog, &d.top).unwrap();
+    assert_ne!(on_a.area_um2.to_bits(), on_b.area_um2.to_bits(), "the generations must differ");
+    let counts = || (memo_count(addr, "hits"), memo_count(addr, "misses"));
+    let predict = |generation: &str, want: &sns::core::DesignPrediction, ctx: &str| {
+        let (status, headers, body) = post_json_full(addr, "/predict", &predict_body(d));
+        assert_eq!(status, 200, "{ctx}: {}", body.print());
+        assert_eq!(header(&headers, "x-sns-model-id"), Some(generation), "{ctx}");
+        assert_reply_is(&body, want, ctx);
+    };
+    let reload = |target: &str| {
+        let body = Json::obj(vec![("model", Json::Str(target.to_string()))]).print();
+        let (status, _, reply) = post_json_full(addr, "/admin/reload", &body);
+        assert_eq!(status, 200, "{}", reply.print());
+        reply.get("swapped").unwrap().as_bool().unwrap()
+    };
+
+    // gen-a: the first request runs the pipeline, the repeat is a hit.
+    predict("gen-a", &on_a, "gen-a first");
+    assert_eq!(counts(), (0, 1));
+    predict("gen-a", &on_a, "gen-a repeat");
+    assert_eq!(counts(), (1, 1));
+
+    // A hot-swap installs a generation with an empty memo: the same
+    // design runs gen-b's pipeline and answers with gen-b's bits.
+    assert!(reload("gen-b"));
+    predict("gen-b", &on_b, "gen-b first");
+    assert_eq!(counts(), (0, 1));
+
+    // Reloading the serving weights swaps nothing, so the memo stays.
+    assert!(!reload("gen-b"));
+    predict("gen-b", &on_b, "gen-b after a no-op reload");
+    assert_eq!(counts(), (1, 1));
+    server.join();
+    let _ = std::fs::remove_dir_all(&zoo);
+}
+
+#[test]
+fn design_memo_keys_are_exact_and_its_ledger_reconciles() {
+    let model = model();
+    let server = Server::start_shared(Arc::clone(&model), test_config()).unwrap();
+    let addr = server.addr();
+    let flat = |verilog: &str, top: &str| {
+        Json::obj(vec![("verilog", Json::Str(verilog.into())), ("top", Json::Str(top.into()))])
+    };
+    let send = |body: &Json| post_json(addr, "/predict", &body.print());
+    let counts = || (memo_count(addr, "hits"), memo_count(addr, "misses"));
+    // Flat bodies without an activity map that reached the memo.
+    let mut lookups = 0;
+
+    // A hierarchy whose source elaborates under either module as top.
+    let leaf = "module leaf #(parameter W = 8) (input [W-1:0] a, input [W-1:0] b, \
+                output [W-1:0] y);\n    assign y = (a & b) + 8'd3;\nendmodule\n";
+    let top = "module top (input [7:0] a, input [7:0] b, output [7:0] y);\n    \
+               wire [7:0] t0;\n    wire [7:0] t1;\n    \
+               leaf #(.W(8)) u0 (.a(a), .b(b), .y(t0));\n    \
+               leaf #(.W(8)) u1 (.a(t0), .b(a), .y(t1));\n    \
+               assign y = t0 ^ t1;\nendmodule\n";
+    let src = format!("{leaf}{top}");
+    // The same source with one byte changed (`8'd3` → `8'd7`).
+    let edited = src.replacen("8'd3", "8'd7", 1);
+    assert_eq!(edited.len(), src.len());
+
+    // Each (source, top) pair is its own key: a first request misses, a
+    // repeat hits, and both answer with that pair's own bits.
+    for (verilog, top_name) in [(&src, "top"), (&src, "leaf"), (&edited, "top")] {
+        let direct = model.predict_verilog(verilog, top_name).unwrap();
+        let before = counts();
+        for (round, want) in [(0, (before.0, before.1 + 1)), (1, (before.0 + 1, before.1 + 1))] {
+            let (status, body) = send(&flat(verilog, top_name));
+            assert_eq!(status, 200, "{}", body.print());
+            assert_reply_is(&body, &direct, &format!("top {top_name}, round {round}"));
+            assert_eq!(counts(), want, "top {top_name}, round {round}");
+            lookups += 1;
+        }
+    }
+
+    // The clock target is not part of the key: a hit computes slack and
+    // meets_clock from this request's own clock_ps.
+    let direct = model.predict_verilog(&src, "top").unwrap();
+    for clock_ps in [1e9, direct.timing_ps / 2.0] {
+        let (hits, misses) = counts();
+        let mut body = flat(&src, "top");
+        if let Json::Obj(fields) = &mut body {
+            fields.push(("clock_ps".into(), Json::Num(clock_ps)));
+        }
+        let (status, reply) = send(&body);
+        assert_eq!(status, 200, "{}", reply.print());
+        assert_eq!(counts(), (hits + 1, misses), "clock_ps {clock_ps} is a hit");
+        lookups += 1;
+        assert_reply_is(&reply, &direct, "clocked hit");
+        let slack = reply.get("slack_ps").unwrap().as_f64().unwrap();
+        assert_eq!(slack.to_bits(), (clock_ps - direct.timing_ps).to_bits());
+        assert_eq!(
+            reply.get("meets_clock").unwrap().as_bool().unwrap(),
+            direct.timing_ps <= clock_ps
+        );
+    }
+
+    // A body with an activity map bypasses the memo both times and
+    // answers the activity-scaled prediction.
+    let activity: std::collections::HashMap<String, f32> = [("nope".to_string(), 0.25)].into();
+    let netlist = sns::netlist::parse_and_elaborate(&src, "top").unwrap();
+    let with_activity = model.predict_netlist(&netlist, Some(&activity));
+    let mut body = flat(&src, "top");
+    if let Json::Obj(fields) = &mut body {
+        fields.push(("activity".into(), Json::obj(vec![("nope", Json::Num(0.25))])));
+    }
+    let inserts = memo_count(addr, "inserts");
+    for _ in 0..2 {
+        let before = counts();
+        let (status, reply) = send(&body);
+        assert_eq!(status, 200, "{}", reply.print());
+        assert_reply_is(&reply, &with_activity, "activity body");
+        assert_eq!(counts(), before, "an activity body never reaches the memo");
+    }
+    assert_eq!(memo_count(addr, "inserts"), inserts);
+
+    // Rejected bodies reach the memo as misses and are never stored:
+    // sending one again gives the same error, not a stored answer.
+    for (verilog, want_status, want_kind) in [
+        ("module broken (input a; endmodule", 400, "verilog"),
+        ("module m (input x, output [7:0] y); assign y = {100000000{x}}; endmodule", 422, "budget"),
+    ] {
+        let top_name = if want_status == 400 { "broken" } else { "m" };
+        let mut errors = Vec::new();
+        for _ in 0..2 {
+            let (hits, misses) = counts();
+            let (status, reply) = send(&flat(verilog, top_name));
+            assert_eq!(status, want_status, "{}", reply.print());
+            assert_eq!(reply.get("kind").unwrap().as_str().unwrap(), want_kind);
+            assert_eq!(counts(), (hits, misses + 1), "{want_kind} body misses every time");
+            lookups += 1;
+            errors.push(reply.get("error").unwrap().as_str().unwrap().to_string());
+        }
+        assert_eq!(errors[0], errors[1], "the error repeats");
+        assert_eq!(memo_count(addr, "inserts"), inserts, "{want_kind} body is not stored");
+    }
+
+    // Sources near the body limit push the memo past its byte budget:
+    // it evicts oldest first and never holds more than the budget.
+    let budget = memo_count(addr, "budget_bytes");
+    let big = |i: usize| {
+        let pad = "x".repeat(900_000);
+        format!("module big{i} (input a, output y); assign y = ~a; endmodule\n// {pad}\n")
+    };
+    let per_entry = big(0).len() as u64;
+    let n = (budget / per_entry + 2) as usize;
+    for i in 0..n {
+        let (status, reply) = send(&flat(&big(i), &format!("big{i}")));
+        assert_eq!(status, 200, "{}", reply.print());
+        lookups += 1;
+    }
+    assert!(memo_count(addr, "evictions") >= 1, "{n} sources of {per_entry} B overflow {budget} B");
+    // The newest big source is still a hit; the first one, evicted, runs
+    // the pipeline again and answers with the same bits.
+    for i in [n - 1, 0] {
+        let direct = model.predict_verilog(&big(i), &format!("big{i}")).unwrap();
+        let (hits, misses) = counts();
+        let (status, reply) = send(&flat(&big(i), &format!("big{i}")));
+        assert_eq!(status, 200, "{}", reply.print());
+        assert_reply_is(&reply, &direct, &format!("big{i}"));
+        let want = if i == 0 { (hits, misses + 1) } else { (hits + 1, misses) };
+        assert_eq!(counts(), want, "big{i}: the newest hits, the oldest was evicted");
+        lookups += 1;
+    }
+
+    // The ledger reconciles from /metrics alone.
+    let (_, m) = get(addr, "/metrics");
+    let memo = m.get("design_memo").unwrap();
+    let field = |f: &str| memo.get(f).unwrap().as_u64().unwrap();
+    assert_eq!(field("entries"), field("inserts") - field("evictions"), "entries ledger");
+    assert!(field("bytes") <= field("budget_bytes"), "bytes within budget");
+    assert_eq!(field("hits") + field("misses"), lookups, "every flat body looked up once");
+    // Three keys, the first big source twice (evicted, then stored
+    // again), and every other big source once.
+    assert_eq!(field("inserts"), 3 + n as u64 + 1);
+    // Hits run no stage; every other success ran the pipeline once.
+    let count = |v: &Json, path: &[&str]| {
+        path.iter().fold(v, |v, key| v.get(key).unwrap()).as_u64().unwrap()
+    };
+    let ok = count(&m, &["predict_ok"]);
+    assert_eq!(count(&m, &["stages_us", "total", "count"]), ok);
+    assert_eq!(count(&m, &["stages_us", "aggregate", "count"]) + field("hits"), ok);
+    let replicas = m.get("replicas").unwrap().as_arr().unwrap();
+    assert_eq!(count(&replicas[0], &["routed"]), count(&replicas[0], &["completed"]));
+    server.join();
 }
