@@ -5,66 +5,45 @@
 //! across designs and across the predictions of a session, so predictions
 //! are memoized once on the model and reused across calls.
 //!
-//! The cache can be **bounded**: [`set_capacity`](PathPredictionCache::set_capacity)
-//! installs an entry-count cap with deterministic FIFO (insertion-order)
-//! eviction. Eviction only ever changes *recompute cost*, never values —
-//! the prediction function is pure, so a re-computed entry is
-//! bit-identical to the evicted one. The CLI leaves the cache unbounded;
-//! long-lived servers bound it (`SNS_CACHE_CAP`) so memory stays flat
-//! under unbounded workload diversity.
+//! The entries live in an [`sns_rt::fifo::Fifo`], which owns the bound,
+//! the eviction order and the insert-time ledger. Eviction only ever
+//! changes *recompute cost*, never values — the prediction function is
+//! pure, so a re-computed entry is bit-identical to the evicted one. The
+//! CLI leaves the cache unbounded; long-lived servers bound it
+//! (`SNS_CACHE_CAP`) so memory stays flat under unbounded workload
+//! diversity.
 //!
 //! Fill calls ([`ensure`](PathPredictionCache::ensure) /
-//! [`ensure_batched`](PathPredictionCache::ensure_batched)) maintain
-//! hit/miss counters over *unique* sequences: a unique sequence already
-//! present counts one hit, a unique sequence that must be computed counts
-//! one miss. Point lookups via [`get`](PathPredictionCache::get) are not
-//! counted (the aggregation reduction reads every path through `get`,
-//! which would drown the fill-level signal the counters exist to report).
-//!
-//! A fill that panicked mid-insert leaves at worst an entry missing from
-//! the eviction order, so the locks recover from poisoning.
+//! [`ensure_batched`](PathPredictionCache::ensure_batched)) count over
+//! *unique* sequences: one hit per unique sequence found cached, one miss
+//! per sequence the fill inserts. A computed sequence that another fill
+//! inserted first counts as a hit, so `len == misses − evictions` holds
+//! under concurrent fills until the cache is cleared or seeded with
+//! [`insert`](PathPredictionCache::insert). Point lookups via
+//! [`get`](PathPredictionCache::get) are not counted (the aggregation
+//! reduction reads every path through `get`, which would drown the
+//! fill-level signal the counters exist to report).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<Vec<usize>, [f64; 3]>,
-    /// Insertion order of the keys in `map`, oldest first; drives FIFO
-    /// eviction. Only maintained while a capacity is set (entries
-    /// inserted before the first `set_capacity` call are backfilled in
-    /// deterministic key order at that point).
-    order: VecDeque<Vec<usize>>,
-    /// Entry cap; `usize::MAX` means unbounded.
-    cap: usize,
-}
+use sns_rt::fifo::Fifo;
 
-impl Inner {
-    /// Inserts one entry, evicting FIFO past the cap; returns how many
-    /// entries were evicted.
-    fn insert(&mut self, tokens: Vec<usize>, pred: [f64; 3]) -> u64 {
-        let fresh = self.map.insert(tokens.clone(), pred).is_none();
-        if self.cap == usize::MAX {
-            return 0;
-        }
-        if fresh {
-            self.order.push_back(tokens);
-        }
-        self.evict()
-    }
-
-    /// Evicts FIFO down to the cap; returns how many entries left.
-    fn evict(&mut self) -> u64 {
-        let mut evicted = 0;
-        while self.map.len() > self.cap {
-            let Some(oldest) = self.order.pop_front() else { break };
-            if self.map.remove(&oldest).is_some() {
-                evicted += 1;
-            }
-        }
-        evicted
-    }
+/// A point-in-time view of a [`PathPredictionCache`]: the `cache` object
+/// of the serve `/metrics` export.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CacheStats {
+    /// Entries currently cached.
+    pub entries: usize,
+    /// Entry cap, if bounded.
+    pub capacity: Option<usize>,
+    /// Unique sequences fill calls found cached (or another fill
+    /// inserted first).
+    pub hits: u64,
+    /// Unique sequences fill calls inserted.
+    pub misses: u64,
+    /// Entries evicted by the bound.
+    pub evictions: u64,
 }
 
 /// Maps a path's vocabulary token sequence to its raw
@@ -75,48 +54,30 @@ impl Inner {
 /// the expensive Circuitformer calls happen outside it.
 #[derive(Debug)]
 pub struct PathPredictionCache {
-    inner: RwLock<Inner>,
+    fifo: Fifo<[usize], [f64; 3]>,
     hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    /// Fresh inserts made by [`insert`](Self::insert), which the FIFO
+    /// counts but fills did not.
+    seeded: AtomicU64,
 }
 
 impl Default for PathPredictionCache {
     fn default() -> Self {
-        PathPredictionCache {
-            inner: RwLock::new(Inner { map: HashMap::new(), order: VecDeque::new(), cap: usize::MAX }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        PathPredictionCache { fifo: Fifo::new(None), hits: AtomicU64::new(0), seeded: AtomicU64::new(0) }
     }
 }
 
 impl Clone for PathPredictionCache {
     fn clone(&self) -> Self {
-        let inner = self.read();
         PathPredictionCache {
-            inner: RwLock::new(Inner {
-                map: inner.map.clone(),
-                order: inner.order.clone(),
-                cap: inner.cap,
-            }),
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
-            evictions: AtomicU64::new(self.evictions.load(Ordering::Relaxed)),
+            fifo: self.fifo.clone(),
+            hits: AtomicU64::new(self.hits()),
+            seeded: AtomicU64::new(self.seeded.load(Ordering::Relaxed)),
         }
     }
 }
 
 impl PathPredictionCache {
-    fn read(&self) -> RwLockReadGuard<'_, Inner> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// An empty, unbounded cache.
     pub fn new() -> Self {
         Self::default()
@@ -130,37 +91,33 @@ impl PathPredictionCache {
     }
 
     /// Installs (or removes, with `None`) an entry-count bound.
-    ///
-    /// Eviction is deterministic: entries leave in insertion order
-    /// (FIFO). Shrinking below the current size evicts immediately.
+    /// Shrinking below the current size evicts the oldest-inserted
+    /// entries immediately.
     pub fn set_capacity(&self, cap: Option<usize>) {
-        let mut inner = self.write();
-        inner.cap = cap.unwrap_or(usize::MAX);
-        if inner.cap == usize::MAX {
-            inner.order.clear();
-            return;
+        self.fifo.set_budget(cap);
+    }
+
+    /// Entries, bound and counters, with the entries, bound, misses and
+    /// evictions read under one lock.
+    pub fn stats(&self) -> CacheStats {
+        let s = self.fifo.stats();
+        CacheStats {
+            entries: s.len,
+            capacity: s.budget,
+            hits: self.hits(),
+            misses: s.inserts.saturating_sub(self.seeded.load(Ordering::Relaxed)),
+            evictions: s.evictions,
         }
-        if inner.order.is_empty() && !inner.map.is_empty() {
-            // Capacity installed on an already-filled unbounded cache:
-            // synthesize a deterministic insertion order (sorted keys).
-            let mut keys: Vec<Vec<usize>> = inner.map.keys().cloned().collect();
-            keys.sort_unstable();
-            inner.order = keys.into();
-        }
-        let evicted = inner.evict();
-        drop(inner);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// The current entry-count bound, if any.
     pub fn capacity(&self) -> Option<usize> {
-        let cap = self.read().cap;
-        (cap != usize::MAX).then_some(cap)
+        self.fifo.stats().budget
     }
 
     /// Number of memoized sequences.
     pub fn len(&self) -> usize {
-        self.read().map.len()
+        self.fifo.stats().len
     }
 
     /// Whether the cache holds no entries.
@@ -168,70 +125,72 @@ impl PathPredictionCache {
         self.len() == 0
     }
 
-    /// Unique sequences found already cached by fill calls.
+    /// Unique sequences fill calls found already cached.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Unique sequences fill calls had to compute.
+    /// Unique sequences fill calls inserted.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.stats().misses
     }
 
     /// Entries evicted by the capacity bound so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.fifo.stats().evictions
     }
 
     /// Drops every entry (e.g. after mutating model weights). Counters
     /// are preserved — they describe lifetime traffic, not contents.
     pub fn clear(&self) {
-        let mut inner = self.write();
-        inner.map.clear();
-        inner.order.clear();
+        self.fifo.clear();
     }
 
     /// The memoized prediction for `tokens`, if present. Not counted in
     /// hit/miss statistics (see the module docs).
     pub fn get(&self, tokens: &[usize]) -> Option<[f64; 3]> {
-        self.read().map.get(tokens).copied()
+        self.fifo.read().get(tokens).copied()
     }
 
-    /// Memoizes one prediction, evicting the oldest entry if a capacity
-    /// bound is set and exceeded.
+    /// Seeds one prediction outside the fill ledger (neither a hit nor a
+    /// miss). A sequence already cached keeps its value.
     pub fn insert(&self, tokens: Vec<usize>, pred: [f64; 3]) {
-        let mut inner = self.write();
-        let evicted = inner.insert(tokens, pred);
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        if self.fifo.insert_if_absent(tokens, pred).is_none() {
+            self.seeded.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// The unique sequences from `seqs` not currently cached, in first-
-    /// occurrence order, updating the hit/miss counters (one hit per
-    /// unique cached sequence, one miss per returned sequence).
+    /// occurrence order, counting one hit per unique cached sequence.
+    /// The returned sequences count as misses when a fill inserts them.
     pub fn missing_unique(&self, seqs: &[Vec<usize>]) -> Vec<Vec<usize>> {
-        let missing: Vec<Vec<usize>> = {
-            let inner = self.read();
-            let mut seen: HashSet<&Vec<usize>> = HashSet::new();
-            let mut unique_hits = 0u64;
-            let mut out = Vec::new();
-            for t in seqs {
-                if !seen.insert(t) {
-                    continue;
-                }
-                if inner.map.contains_key(t) {
-                    unique_hits += 1;
-                } else {
-                    out.push(t.clone());
-                }
+        let cached = self.fifo.read();
+        let mut seen: HashSet<&[usize]> = HashSet::new();
+        let mut unique_hits = 0u64;
+        let mut out = Vec::new();
+        for t in seqs {
+            if !seen.insert(t) {
+                continue;
             }
-            self.hits.fetch_add(unique_hits, Ordering::Relaxed);
-            out
-        };
-        self.misses.fetch_add(missing.len() as u64, Ordering::Relaxed);
-        missing
+            if cached.get(t).is_some() {
+                unique_hits += 1;
+            } else {
+                out.push(t.clone());
+            }
+        }
+        drop(cached);
+        self.hits.fetch_add(unique_hits, Ordering::Relaxed);
+        out
+    }
+
+    /// Inserts one fill's `computed` predictions under one write lock, so
+    /// concurrent readers never observe a partial fill; a sequence
+    /// another fill inserted first counts as a hit. Returns the misses:
+    /// the sequences this call inserted.
+    fn publish<'a>(&self, computed: usize, preds: impl Iterator<Item = (&'a [usize], [f64; 3])>) -> usize {
+        let fresh = self.fifo.insert_all(preds);
+        self.hits.fetch_add(computed.saturating_sub(fresh) as u64, Ordering::Relaxed);
+        fresh
     }
 
     /// Ensures every sequence in `seqs` is cached, computing the missing
@@ -248,21 +207,14 @@ impl PathPredictionCache {
             return;
         }
         let preds = sns_rt::pool::par_map(&missing, threads, |t| predict(t));
-        let mut inner = self.write();
-        let mut evicted = 0;
-        for (tokens, pred) in missing.into_iter().zip(preds) {
-            evicted += inner.insert(tokens, pred);
-        }
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        self.publish(missing.len(), missing.iter().map(Vec::as_slice).zip(preds));
     }
 
     /// Like [`ensure`](Self::ensure), but hands the missing unique
     /// sequences to `predict_batch` in length-bucketed chunks of at most
     /// `batch` sequences, fanning the chunks over `threads` workers.
-    /// Returns how many sequences it computed (the misses it counted).
+    /// Returns the misses it counted: the sequences it computed, less any
+    /// a concurrent fill inserted first.
     ///
     /// Sequences are grouped by exact token length (shortest bucket
     /// first, deterministically) so every chunk's packed forward sees
@@ -301,19 +253,11 @@ impl PathPredictionCache {
             let refs: Vec<&[usize]> = chunk.iter().map(|t| t.as_slice()).collect();
             predict_batch(&refs)
         });
-        let mut inner = self.write();
-        let mut evicted = 0;
-        for (chunk, chunk_preds) in chunks.into_iter().zip(preds) {
+        for (chunk, chunk_preds) in chunks.iter().zip(&preds) {
             assert_eq!(chunk.len(), chunk_preds.len(), "predict_batch must return one prediction per sequence");
-            for (tokens, pred) in chunk.into_iter().zip(chunk_preds) {
-                evicted += inner.insert(tokens.clone(), pred);
-            }
         }
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        missing.len()
+        let computed = chunks.iter().flatten().map(|t| t.as_slice());
+        self.publish(missing.len(), computed.zip(preds.into_iter().flatten()))
     }
 }
 
@@ -437,7 +381,7 @@ mod tests {
         }
         cache.set_capacity(Some(4));
         assert_eq!(cache.len(), 4);
-        // Backfilled order is sorted keys, so the 4 largest keys remain.
+        // Entries leave in insertion order, so the 4 newest keys remain.
         for i in 6..10usize {
             assert!(cache.get(&[i]).is_some(), "[{i}] should survive");
         }
@@ -560,5 +504,29 @@ mod tests {
         reconcile("shrunk");
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 6);
+    }
+
+    #[test]
+    fn concurrent_duplicate_misses_keep_the_ledger() {
+        // Both fills probe before either inserts (the barrier sits in the
+        // predict closure), so both compute all 8 sequences. The second
+        // insert of each sequence is a hit, not a second miss.
+        let cache = PathPredictionCache::new();
+        let seqs: Vec<Vec<usize>> = (0..8).map(|i| vec![i, i + 1]).collect();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    cache.ensure_batched(&seqs, 1, 8, |chunk| {
+                        barrier.wait();
+                        chunk.iter().map(|t| [t[0] as f64, 0.0, 0.0]).collect()
+                    })
+                });
+            }
+        });
+        let (hits, misses, evictions) = (cache.hits(), cache.misses(), cache.evictions());
+        assert_eq!(cache.len(), 8);
+        assert_eq!(cache.len() as u64, misses - evictions, "hits {hits} misses {misses}");
+        assert_eq!(hits + misses, 16, "hits {hits} misses {misses}");
     }
 }

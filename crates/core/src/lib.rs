@@ -49,7 +49,7 @@ pub mod session;
 pub mod train;
 
 pub use aggmlp::AggMlp;
-pub use cache::PathPredictionCache;
+pub use cache::{CacheStats, PathPredictionCache};
 pub use dataset::{CircuitPathDataset, HardwareDesignDataset, LabeledDesign};
 pub use eval::{cross_validate, CrossValidation, ScatterPoint};
 pub use metrics::{maep, rrse};

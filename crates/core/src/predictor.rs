@@ -215,8 +215,9 @@ impl SnsModel {
     ///
     /// Because batching is per-path exact, the Circuitformer is pure, and
     /// the reduction runs serially in path order, predictions are
-    /// bit-identical at any `threads` and any `batch`. Returns how many
-    /// sequences it computed (the cache misses it counted).
+    /// bit-identical at any `threads` and any `batch`. Returns the cache
+    /// misses it counted: the sequences it computed and inserted (a
+    /// sequence a concurrent prime inserted first counts as a hit).
     pub fn prime_path_cache(&self, token_seqs: &[Vec<usize>], threads: usize, batch: usize) -> usize {
         self.cache.ensure_batched(token_seqs, threads, batch, |chunk| {
             self.predict_path_batch(chunk)

@@ -26,9 +26,9 @@
 //! from one RNG stream in vertex-id order, while session sampling seeds
 //! each terminal from its name, so the two sample different path sets.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sns_graphir::GraphIr;
@@ -37,6 +37,7 @@ use sns_netlist::{
     design_hashes, elaborate_incremental, instantiated_modules, parse_source, ModHash,
     ModuleElabCache, Netlist, NetlistError,
 };
+use sns_rt::fifo::Fifo;
 use sns_rt::hash::Fnv128;
 use sns_sampler::{flatten_samples, PathSampler, PortablePath, ResampleOutcome, TerminalSample};
 
@@ -97,19 +98,13 @@ impl DesignSession {
     }
 }
 
-struct SessionsInner {
-    map: HashMap<String, Arc<DesignSession>>,
-    order: VecDeque<String>,
-    cap: usize,
-}
-
-/// Holds live [`DesignSession`]s (bounded, FIFO eviction) plus the
-/// [`ModuleElabCache`] they share. Owned by the caller (the serving
-/// daemon keeps one per process) and passed into
+/// Holds live [`DesignSession`]s (bounded, oldest registered first out)
+/// plus the [`ModuleElabCache`] they share. Owned by the caller (the
+/// serving daemon keeps one per process) and passed into
 /// [`SnsModel::predict_session`] / [`SnsModel::predict_patch`].
 pub struct SessionStore {
     elab: Arc<ModuleElabCache>,
-    inner: RwLock<SessionsInner>,
+    sessions: Fifo<str, Arc<DesignSession>>,
 }
 
 impl std::fmt::Debug for SessionStore {
@@ -128,27 +123,13 @@ impl Default for SessionStore {
 }
 
 impl SessionStore {
-    /// Creates a store bounded to `session_cap` sessions with a fresh
-    /// elaboration-unit cache bounded to `elab_cap` units.
+    /// Creates a store bounded to `session_cap` sessions (at least one)
+    /// with a fresh elaboration-unit cache bounded to `elab_cap` units.
     pub fn new(session_cap: usize, elab_cap: usize) -> Self {
         SessionStore {
             elab: Arc::new(ModuleElabCache::new(elab_cap)),
-            inner: RwLock::new(SessionsInner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                cap: session_cap,
-            }),
+            sessions: Fifo::new(Some(session_cap.max(1))),
         }
-    }
-
-    // A writer that panicked mid-update leaves at worst a session missing
-    // from `order` (never evicted), so a poisoned lock is still usable.
-    fn read(&self) -> RwLockReadGuard<'_, SessionsInner> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, SessionsInner> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The shared per-module elaboration-unit cache.
@@ -158,31 +139,23 @@ impl SessionStore {
 
     /// The session under `token`, if still live.
     pub fn get(&self, token: &str) -> Option<Arc<DesignSession>> {
-        self.read().map.get(token).cloned()
+        self.sessions.read().get(token).cloned()
     }
 
     /// Number of live sessions.
     pub fn session_count(&self) -> usize {
-        self.read().map.len()
+        self.sessions.stats().len
     }
 
     /// Drops every session (the elaboration cache is untouched).
     pub fn clear(&self) {
-        let mut g = self.write();
-        g.map.clear();
-        g.order.clear();
+        self.sessions.clear();
     }
 
+    /// Registers `session`; re-registering a token replaces its session
+    /// in place.
     fn insert(&self, session: Arc<DesignSession>) {
-        let mut g = self.write();
-        let token = session.token.clone();
-        if g.map.insert(token.clone(), session).is_none() {
-            g.order.push_back(token);
-        }
-        while g.map.len() > g.cap.max(1) {
-            let Some(old) = g.order.pop_front() else { break };
-            g.map.remove(&old);
-        }
+        self.sessions.replace(session.token.as_str(), session.clone());
     }
 
     /// The rest of a session's `Parse` stage: hashes `design` (once; the

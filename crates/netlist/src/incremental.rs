@@ -43,9 +43,11 @@
 //! two paths agree on the error **kind** (budget vs semantic), though
 //! messages may name a different hierarchical prefix.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+use sns_rt::fifo::{Fifo, FifoStats};
 
 use crate::ast::{Design, Dir, Instance, Module};
 use crate::elaborate::{ElabLimits, ModuleCtx};
@@ -106,37 +108,24 @@ pub(crate) struct ModuleUnit {
 // The cache
 // ---------------------------------------------------------------------------
 
-struct CacheInner {
-    map: HashMap<UnitKey, Arc<ModuleUnit>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<UnitKey>,
-    cap: Option<usize>,
-}
-
 /// A bounded, thread-safe cache of elaboration units, shared across
-/// designs and requests.
+/// designs and requests, on the workspace's one [`Fifo`].
 ///
-/// Counter discipline (mirrors `sns-core`'s `PathPredictionCache`):
-/// counting happens at *insert* time — a fresh insert is a miss, a lookup
-/// hit or an insert that finds the key already present (two threads built
-/// the same unit concurrently) is a hit — so the reconciliation invariant
+/// Its ledger is the FIFO's insert-time ledger: a fresh insert is a
+/// miss, and a lookup hit or an insert that finds the key already
+/// present (two threads built the same unit concurrently) is a hit, so
 /// `len == misses − evictions` holds under concurrency.
 pub struct ModuleElabCache {
-    inner: Mutex<CacheInner>,
+    fifo: Fifo<UnitKey, Arc<ModuleUnit>>,
     hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
     invalidations: AtomicU64,
 }
 
 impl std::fmt::Debug for ModuleElabCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ModuleElabCache")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity())
+            .field("units", &self.stats())
             .field("hits", &self.hits())
-            .field("misses", &self.misses())
-            .field("evictions", &self.evictions())
             .field("invalidations", &self.invalidations())
             .finish()
     }
@@ -164,39 +153,14 @@ impl ModuleElabCache {
 
     fn with_cap(cap: Option<usize>) -> Self {
         ModuleElabCache {
-            inner: Mutex::new(CacheInner { map: HashMap::new(), order: VecDeque::new(), cap }),
+            fifo: Fifo::new(cap),
             hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        // A poisoned lock only means another thread panicked mid-access;
-        // the map itself is always structurally valid.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn evict_to_cap(g: &mut CacheInner) -> u64 {
-        let mut evicted = 0;
-        if let Some(cap) = g.cap {
-            while g.map.len() > cap {
-                match g.order.pop_front() {
-                    Some(old) => {
-                        if g.map.remove(&old).is_some() {
-                            evicted += 1;
-                        }
-                    }
-                    None => break,
-                }
-            }
-        }
-        evicted
-    }
-
     fn lookup(&self, key: &UnitKey) -> Option<Arc<ModuleUnit>> {
-        let found = self.lock().map.get(key).cloned();
+        let found = self.fifo.read().get(key).cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -206,25 +170,24 @@ impl ModuleElabCache {
     /// Inserts a freshly built unit, returning the canonical `Arc` (the
     /// existing one if another thread inserted the same key first).
     fn insert(&self, key: UnitKey, unit: Arc<ModuleUnit>) -> Arc<ModuleUnit> {
-        let mut g = self.lock();
-        if let Some(existing) = g.map.get(&key) {
-            let existing = existing.clone();
-            drop(g);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return existing;
+        match self.fifo.insert_if_absent(key, Arc::clone(&unit)) {
+            Some(existing) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                existing
+            }
+            None => unit,
         }
-        g.order.push_back(key.clone());
-        g.map.insert(key, unit.clone());
-        let evicted = Self::evict_to_cap(&mut g);
-        drop(g);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        unit
+    }
+
+    /// Units, bound, misses (`inserts`) and evictions, read under one
+    /// lock.
+    pub fn stats(&self) -> FifoStats {
+        self.fifo.stats()
     }
 
     /// Units currently cached.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.stats().len
     }
 
     /// Whether the cache is empty.
@@ -234,7 +197,7 @@ impl ModuleElabCache {
 
     /// The unit bound, if any.
     pub fn capacity(&self) -> Option<usize> {
-        self.lock().cap
+        self.stats().budget
     }
 
     /// Unit reuses (lookup hits plus concurrent duplicate builds).
@@ -244,12 +207,12 @@ impl ModuleElabCache {
 
     /// Fresh unit builds inserted.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.stats().inserts
     }
 
     /// Units evicted by the bound.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.stats().evictions
     }
 
     /// Modules reported invalidated by content-hash change (counted by

@@ -9,6 +9,8 @@
 //!   normal draws, `shuffle`).
 //! * [`json`] — a small JSON value type plus parser and printer, used for
 //!   model serialization (`sns-nn`, `sns-circuitformer`, `sns-core`).
+//! * [`fifo`] — [`fifo::Fifo`], the bounded FIFO map with an insert-time
+//!   ledger behind every cache, memo and session store in the workspace.
 //! * [`pool`] — a scoped thread pool with order-preserving `par_map`
 //!   primitives, used by training minibatches, dataset labeling, and the
 //!   parallel path-inference hot path. Thread count defaults honour the
@@ -22,6 +24,7 @@
 //! * [`hash`] — [`hash::Fnv128`], the one FNV-1a content hasher, a
 //!   [`std::hash::Hasher`].
 
+pub mod fifo;
 pub mod fsx;
 pub mod hash;
 pub mod json;

@@ -15,18 +15,16 @@
 //! bucket.
 //!
 //! The memo is bounded by bytes, not entries, because one body may carry
-//! a source of up to `max_body` bytes. Eviction is FIFO, as in the path
-//! cache. The locks recover from poisoning: every update is one insert
-//! plus its evictions, and a half-done update only leaves the byte
-//! count high, which evicts sooner.
+//! a source of up to `max_body` bytes: it is an [`sns_rt::fifo::Fifo`]
+//! charging each entry its [`entry_bytes`].
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use sns_core::DesignPrediction;
+use sns_rt::fifo::Fifo;
 
 use crate::metrics::DesignMemoStats;
-use crate::server::lock_or_recover;
 
 /// Bytes each replica's memo may hold for one model generation: room for
 /// sixteen sources at the default 1 MiB body limit, or thousands of
@@ -48,40 +46,31 @@ fn entry_bytes(key: &str, pred: &DesignPrediction) -> usize {
     key.len() + std::mem::size_of::<DesignPrediction>() + names
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<Arc<str>, Arc<DesignPrediction>>,
-    /// Keys in insertion order, oldest first; shares each key's bytes
-    /// with `map`.
-    order: VecDeque<Arc<str>>,
-    bytes: usize,
-    hits: u64,
-    misses: u64,
-    inserts: u64,
-    evictions: u64,
-}
-
-/// A byte-bounded FIFO map from [`memo_key`] to the prediction it got.
+/// A byte-bounded map from [`memo_key`] to the prediction it got.
 #[derive(Debug)]
 pub(crate) struct DesignMemo {
     budget: usize,
-    inner: Mutex<Inner>,
+    fifo: Fifo<str, Arc<DesignPrediction>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl DesignMemo {
     /// An empty memo that holds at most `budget` bytes.
     pub(crate) fn new(budget: usize) -> Self {
-        DesignMemo { budget, inner: Mutex::new(Inner::default()) }
+        DesignMemo {
+            budget,
+            fifo: Fifo::with_cost(Some(budget), |key, pred| entry_bytes(key, pred)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
     }
 
     /// The stored prediction for `key`, counting one hit or one miss.
     pub(crate) fn get(&self, key: &str) -> Option<Arc<DesignPrediction>> {
-        let mut inner = lock_or_recover(&self.inner);
-        let found = inner.map.get(key).cloned();
-        match found {
-            Some(_) => inner.hits += 1,
-            None => inner.misses += 1,
-        }
+        let found = self.fifo.read().get(key).cloned();
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
@@ -90,39 +79,22 @@ impl DesignMemo {
     /// design computed the same answer) and an entry larger than the
     /// whole budget are not stored.
     pub(crate) fn insert(&self, key: String, pred: DesignPrediction) {
-        let size = entry_bytes(&key, &pred);
-        if size > self.budget {
-            return;
-        }
-        let mut inner = lock_or_recover(&self.inner);
-        if inner.map.contains_key(key.as_str()) {
-            return;
-        }
-        let key: Arc<str> = key.into();
-        inner.map.insert(Arc::clone(&key), Arc::new(pred));
-        inner.order.push_back(key);
-        inner.bytes += size;
-        inner.inserts += 1;
-        while inner.bytes > self.budget {
-            let Some(oldest) = inner.order.pop_front() else { break };
-            if let Some(old) = inner.map.remove(&oldest) {
-                inner.bytes -= entry_bytes(&oldest, &old);
-                inner.evictions += 1;
-            }
+        if entry_bytes(&key, &pred) <= self.budget {
+            self.fifo.insert_if_absent(key, Arc::new(pred));
         }
     }
 
     /// A point-in-time view for `/metrics`.
     pub(crate) fn stats(&self) -> DesignMemoStats {
-        let inner = lock_or_recover(&self.inner);
+        let s = self.fifo.stats();
         DesignMemoStats {
-            entries: inner.map.len(),
-            bytes: inner.bytes,
+            entries: s.len,
+            bytes: s.cost,
             budget: self.budget,
-            hits: inner.hits,
-            misses: inner.misses,
-            inserts: inner.inserts,
-            evictions: inner.evictions,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            inserts: s.inserts,
+            evictions: s.evictions,
         }
     }
 }

@@ -126,11 +126,12 @@ pub struct Metrics {
     pub queue_depth: AtomicU64,
     /// Requests currently being handled by workers.
     pub in_flight: AtomicU64,
-    /// Path-cache primes that computed at least one sequence (exported
+    /// Path-cache primes that inserted at least one sequence (exported
     /// as `batcher.rounds`).
     pub batch_rounds: AtomicU64,
-    /// Sequences those primes computed (`batcher.batched_seqs`), each
-    /// one a path-cache miss the prime counted.
+    /// Sequences those primes computed and inserted
+    /// (`batcher.batched_seqs`), each one a path-cache miss the prime
+    /// counted.
     pub batched_seqs: AtomicU64,
     /// Verilog parse + elaborate latency.
     pub stage_parse: Histogram,
@@ -191,9 +192,9 @@ pub struct ReplicaStats {
     pub shed: AtomicU64,
     /// Gauge: routed requests not yet completed or shed.
     pub in_flight: AtomicU64,
-    /// Primes on this replica that computed at least one sequence.
+    /// Primes on this replica that inserted at least one sequence.
     pub batch_rounds: AtomicU64,
-    /// Sequences those primes computed.
+    /// Sequences those primes computed and inserted.
     pub batched_seqs: AtomicU64,
 }
 
@@ -245,21 +246,9 @@ impl ReplicaStats {
     }
 }
 
-/// Cache statistics snapshot merged into the export by the server (the
-/// cache itself lives on the model).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStats {
-    /// Entries currently cached.
-    pub entries: usize,
-    /// Entry cap, if bounded.
-    pub capacity: Option<usize>,
-    /// Unique-sequence hits at fill time.
-    pub hits: u64,
-    /// Unique-sequence misses at fill time.
-    pub misses: u64,
-    /// Entries evicted by the bound.
-    pub evictions: u64,
-}
+/// Path-cache statistics snapshot merged into the export by the server
+/// (the cache itself lives on the model).
+pub use sns_core::CacheStats;
 
 /// Design-memo statistics snapshot for one model generation on one
 /// replica (the memo itself lives on the generation's model entry, so a

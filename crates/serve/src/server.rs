@@ -52,9 +52,7 @@ use sns_rt::net::Waker;
 
 use crate::http::{build_response, Request};
 use crate::memo::{memo_key, DesignMemo, DESIGN_MEMO_BYTES};
-use crate::metrics::{
-    CacheStats, ElabCacheStats, Metrics, ModelTally, ReplicaSnapshot, ReplicaStats,
-};
+use crate::metrics::{ElabCacheStats, Metrics, ModelTally, ReplicaSnapshot, ReplicaStats};
 use crate::reactor::reactor_loop;
 use crate::shard::{design_key, token_key, HashRing};
 
@@ -685,27 +683,17 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                 .iter()
                 .map(|r| {
                     let entry = r.entry();
-                    let cache = entry.model.cache();
-                    r.stats.snapshot(
-                        r.is_alive(),
-                        CacheStats {
-                            entries: cache.len(),
-                            capacity: cache.capacity(),
-                            hits: cache.hits(),
-                            misses: cache.misses(),
-                            evictions: cache.evictions(),
-                        },
-                        entry.memo.stats(),
-                    )
+                    r.stats.snapshot(r.is_alive(), entry.model.cache().stats(), entry.memo.stats())
                 })
                 .collect();
             let elab = shared.sessions.elab_cache();
+            let units = elab.stats();
             let elab_stats = ElabCacheStats {
-                entries: elab.len(),
-                capacity: elab.capacity(),
+                entries: units.len,
+                capacity: units.budget,
                 hits: elab.hits(),
-                misses: elab.misses(),
-                evictions: elab.evictions(),
+                misses: units.inserts,
+                evictions: units.evictions,
                 invalidations: elab.invalidations(),
                 sessions: shared.sessions.session_count(),
             };
@@ -926,7 +914,7 @@ impl Hooks for ReplicaHooks<'_> {
     }
 
     /// Fills the pinned generation's cache on this worker. A prime that
-    /// computed anything counts as one `batcher` round of that many
+    /// inserted anything counts as one `batcher` round of that many
     /// sequences, so `batched_seqs` reconciles with the cache's misses.
     fn prime(&self, model: &SnsModel, seqs: &[Vec<usize>]) {
         let c = &self.shared.config;

@@ -136,7 +136,7 @@ impl HashRing {
 mod tests {
     use super::*;
     use sns_rt::StdRng;
-    use std::collections::{HashSet, VecDeque};
+    use sns_rt::fifo::Fifo;
 
     #[test]
     fn ring_construction_is_deterministic_across_instances() {
@@ -205,37 +205,6 @@ mod tests {
         assert!(ring.route(keys[0], |_| false).is_none());
     }
 
-    /// A bounded FIFO "cache" standing in for a replica's private
-    /// `PathPredictionCache` — enough to measure routing affinity.
-    struct SimCache {
-        cap: usize,
-        set: HashSet<u64>,
-        order: VecDeque<u64>,
-        hits: u64,
-        lookups: u64,
-    }
-
-    impl SimCache {
-        fn new(cap: usize) -> Self {
-            SimCache { cap, set: HashSet::new(), order: VecDeque::new(), hits: 0, lookups: 0 }
-        }
-
-        fn touch(&mut self, key: u64) {
-            self.lookups += 1;
-            if self.set.contains(&key) {
-                self.hits += 1;
-                return;
-            }
-            self.set.insert(key);
-            self.order.push_back(key);
-            if self.order.len() > self.cap {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.set.remove(&evicted);
-                }
-            }
-        }
-    }
-
     /// The satellite-4 experiment: under a Zipf-like request mix over
     /// more designs than one replica's cache can hold, consistent-hash
     /// routing (each design always on its home replica) must beat
@@ -268,21 +237,22 @@ mod tests {
             cdf.partition_point(|&c| c < u).min(DESIGNS - 1)
         };
 
-        let mut hashed: Vec<SimCache> = (0..REPLICAS).map(|_| SimCache::new(CACHE_CAP)).collect();
-        let mut random: Vec<SimCache> = (0..REPLICAS).map(|_| SimCache::new(CACHE_CAP)).collect();
+        // Each replica's private path cache, simulated by the same bounded
+        // FIFO; every lookup of an absent key is exactly one fresh insert.
+        let replicas = || (0..REPLICAS).map(|_| Fifo::<u64, ()>::new(Some(CACHE_CAP))).collect::<Vec<_>>();
+        let (hashed, random) = (replicas(), replicas());
         for _ in 0..REQUESTS {
             let d = draw(&mut rng);
             let key = design_keys[d];
             let home = ring.route(key, |_| true).unwrap().replica as usize;
-            hashed[home].touch(key);
+            hashed[home].insert_if_absent(key, ());
             let spray = rng.gen_range(0..REPLICAS);
-            random[spray].touch(key);
+            random[spray].insert_if_absent(key, ());
         }
 
-        let rate = |caches: &[SimCache]| {
-            let hits: u64 = caches.iter().map(|c| c.hits).sum();
-            let lookups: u64 = caches.iter().map(|c| c.lookups).sum();
-            hits as f64 / lookups as f64
+        let rate = |caches: &[Fifo<u64, ()>]| {
+            let misses: u64 = caches.iter().map(|c| c.stats().inserts).sum();
+            1.0 - misses as f64 / REQUESTS as f64
         };
         let hashed_rate = rate(&hashed);
         let random_rate = rate(&random);

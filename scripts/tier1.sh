@@ -33,7 +33,8 @@ cargo test -q -p sns-vsynth -p sns-circuitformer -p sns-designs -p sns-casestudi
 # No-new-panics gate: the untrusted pipeline (netlist/graphir/sampler),
 # the network-facing serving layer (serve front-end, its binary, the rt
 # reactor substrate, the JSON parser every request body goes through,
-# and the content hasher every request key goes through), the part of
+# the content hasher every request key goes through, and the bounded
+# FIFO behind every cache, memo and session store a /predict touches), the part of
 # sns-core every /predict runs (the staged
 # pipeline, the predictor, sessions and the path cache) plus the zoo
 # loader behind /admin/reload and SIGHUP, the NN substrate, the
@@ -46,10 +47,10 @@ cargo test -q -p sns-vsynth -p sns-circuitformer -p sns-designs -p sns-casestudi
 # own payload) must stay free of unwrap/expect/panic!/unreachable!
 # outside tests — every one of these is a remote crash when the input
 # is hostile.
-echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train,nn,circuitformer}/src + rt net/json/pool/hash + core serve path, zoo loader and aggmlp)"
+echo "==> no-new-panics grep gate (crates/{netlist,graphir,sampler,serve,vsynth,train,nn,circuitformer}/src + rt net/json/pool/hash/fifo + core serve path, zoo loader and aggmlp)"
 panic_sites=$(
   for f in crates/netlist/src/*.rs crates/graphir/src/*.rs crates/sampler/src/*.rs \
-           crates/serve/src/*.rs crates/serve/src/bin/*.rs crates/rt/src/{net,json,pool,hash}.rs \
+           crates/serve/src/*.rs crates/serve/src/bin/*.rs crates/rt/src/{net,json,pool,hash,fifo}.rs \
            crates/core/src/{pipeline,predictor,session,cache,model_io,aggmlp}.rs \
            crates/nn/src/*.rs crates/circuitformer/src/*.rs \
            crates/vsynth/src/*.rs crates/train/src/*.rs crates/train/src/bin/*.rs; do
