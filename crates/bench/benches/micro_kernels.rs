@@ -234,6 +234,20 @@ fn main() {
     let rows: Vec<String> = results.iter().map(|r| r.csv_row()).collect();
     sns_bench::write_csv("micro_kernels.csv", csv_header(), &rows);
 
+    // The GEMM rows the FFN layers and the tall prepacked products spend
+    // their time in, next to the previous snapshot's figures.
+    const GEMM_ROWS: [&str; 6] = [
+        "cf_paper_ff1_t165",
+        "cf_paper_ff2_t165",
+        "cf_paper_attn_t165",
+        "gemm_prepacked_8x128x2304",
+        "gemm_prepacked_64x128x2304",
+        "gemm_prepacked_256x128x2304",
+    ];
+    let gemm_rows: Vec<BenchResult> =
+        results.iter().filter(|r| GEMM_ROWS.contains(&r.name.as_str())).cloned().collect();
+    let gemm_before_after = before_after(&gemm_rows);
+
     // Machine-readable artifact at the repo root so the kernel-perf
     // trajectory is tracked across PRs.
     let mut doc = results_to_json("micro_kernels", &results);
@@ -242,6 +256,7 @@ fn main() {
         fields.push(("gemm_speedups".to_string(), Json::Arr(speedup_rows)));
         fields.push(("batch_speedups".to_string(), Json::Arr(batch_speedups)));
         fields.push(("front_end".to_string(), Json::Arr(front_end)));
+        fields.push(("gemm_before_after".to_string(), Json::Arr(gemm_before_after)));
     }
     sns_bench::write_root_json("BENCH_kernels.json", &doc);
 }

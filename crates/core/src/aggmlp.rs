@@ -112,7 +112,7 @@ impl AggMlp {
 
     /// Predicts a scalar for one feature vector on the prepacked layers
     /// (bit-identical to the training forward — both are f32 and honor
-    /// the GEMM K-order contract).
+    /// the GEMM FMA contract).
     ///
     /// # Panics
     ///

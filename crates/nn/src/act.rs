@@ -3,8 +3,9 @@
 //! Every tanh here — [`Tanh`], [`Gelu`] and the GRU gates — goes through
 //! the crate-owned [`tanh`], never the platform libm: it is built from
 //! IEEE `+ × ÷` and `clamp` only, so the scalar loop and every SIMD lane
-//! round identically (the GEMM's K-order contract applied to
-//! activations) and predictions do not depend on the host's `tanhf`.
+//! round identically (the GEMM's one-contract-per-lane rule applied to
+//! activations, without its fused multiply-add) and predictions do not
+//! depend on the host's `tanhf`.
 
 use crate::isa::Isa;
 #[cfg(target_arch = "x86_64")]

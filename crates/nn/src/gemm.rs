@@ -17,7 +17,8 @@
 //!   tiles). Edge columns are masked loads and stores straight on `out`.
 //! * **AVX**: the `8 × 16` tile as two `4 × 16` halves of eight `ymm`
 //!   accumulators each (a half with no real rows is skipped).
-//! * **Generic**: the same tile in portable Rust.
+//! * **Generic**: the same tile in portable Rust, each step through the
+//!   crate's correctly rounded [`fma32`].
 //!
 //! On top of that sit two serving-oriented additions:
 //!
@@ -42,20 +43,25 @@
 //!   small m is just A-packing (tiny) plus micro-kernels. Weights are
 //!   packed once at model load and reused by every inference.
 //!
-//! # The K-order contract
+//! # The FMA contract
 //!
-//! Every output element is produced by the *same additive reduction as the
-//! naive triple loop*: `out[i][j] = ((0 + a(i,0)·b(0,j)) + a(i,1)·b(1,j)) + …`
-//! with `l` strictly ascending, every intermediate rounded to `f32`. The
-//! blocking machinery only re-tiles the `i`/`j` loops and splits `l` into
-//! ascending `KC` chunks (partial sums are stored to the output and
-//! reloaded, which is exactly what the naive loop's memory accumulator
-//! does), so results are **bit-identical** to the retained references
+//! Every output element is produced by the *same chain of fused
+//! multiply-adds as the naive triple loop*: `acc = fma(a(i,l), b(l,j), acc)`
+//! for `l` strictly ascending, starting from the value in `out`, each step
+//! the exact `a·b + acc` rounded once to `f32`. The blocking machinery only
+//! re-tiles the `i`/`j` loops and splits `l` into ascending `KC` chunks
+//! (f32 partial sums are stored to the output and reloaded, which is
+//! exactly what the naive loop's memory accumulator does), so results are
+//! **bit-identical** to the retained references
 //! [`Mat::matmul_ref`](crate::mat::Mat::matmul_ref),
 //! [`Mat::matmul_tn_ref`](crate::mat::Mat::matmul_tn_ref) and
-//! [`Mat::matmul_nt_ref`](crate::mat::Mat::matmul_nt_ref) at every shape and every ISA level: each SIMD lane is one output
-//! element doing a multiply, then an add (never a fused multiply-add), so
-//! how many elements share an instruction changes nothing. The small-m
+//! [`Mat::matmul_nt_ref`](crate::mat::Mat::matmul_nt_ref) at every shape
+//! and every ISA level: each SIMD lane is one output element doing one
+//! `vfmadd` per step, and the portable level calls [`fma32`]. FMA is
+//! correctly rounded, so how many elements share an instruction, and
+//! whether the fma is hardware or [`fma32`], changes nothing. Every regime
+//! below fuses: one multiply-then-add lane would make a path's bits depend
+//! on which kernel its batch shape picked. The small-m
 //! and prepacked drivers honor the same contract (the jammed kernel is
 //! the naive loop with `l` hoisted outward and `j` tiled — each element's
 //! reduction order is unchanged; the prepacked driver runs the identical
@@ -69,12 +75,13 @@
 //! What remains is a *row*-level sparse fast path: output rows whose
 //! entire A row is zero (CLS-only gradient scatters) are detected up
 //! front in one cheap scan and skipped as whole micro-tiles.
-//! A zero A row contributes only `±0.0` products whose running sum stays
-//! `+0.0`, so the skip is value-identical too. The pack-free tile sweep
-//! computes zero rows, as the references do.
+//! A zero A row's steps are `fma(±0.0, b, acc)`, which keep a running
+//! `+0.0` at `+0.0`, so the skip is value-identical too. The pack-free
+//! tile sweep computes zero rows, as the references do.
 
 use std::cell::RefCell;
 
+use crate::fma::fma32;
 use crate::isa::Isa;
 #[cfg(target_arch = "x86_64")]
 use crate::isa::Level;
@@ -143,16 +150,31 @@ fn with_pack_scratch<R>(
     })
 }
 
+/// One step of the FMA contract: `a·b + c`, rounded once. A `HW` build
+/// must be inlined into a function compiled with the `fma` target feature
+/// (`avx512f` implies it), where `mul_add` is one `vfmadd`; without the
+/// feature `mul_add` is a libm `fmaf` call, so portable builds take
+/// [`fma32`] instead.
+#[inline(always)]
+fn fma<const HW: bool>(a: f32, b: f32, c: f32) -> f32 {
+    if HW {
+        a.mul_add(b, c)
+    } else {
+        fma32(a, b, c)
+    }
+}
+
 /// The portable register micro-kernel:
-/// `acc[r][c] += Σ_l ap[l][r] · bp[l][c]` with `l` ascending, for the
-/// first `mr` rows. `ap` is an `[kc][MR]` panel, `bp` an `[kc][NR]` panel.
+/// `acc[r][c] = fma(ap[l][r], bp[l][c], acc[r][c])` for `l` ascending,
+/// through [`fma32`], for the first `mr` rows. `ap` is an `[kc][MR]`
+/// panel, `bp` an `[kc][NR]` panel.
 #[inline(always)]
 fn micro_kernel_generic(kc: usize, mr: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
         for (row, &ar) in acc.iter_mut().zip(a).take(mr) {
             for (c, &bv) in row.iter_mut().zip(b) {
-                *c += ar * bv;
+                *c = fma32(ar, bv, *c);
             }
         }
     }
@@ -160,17 +182,17 @@ fn micro_kernel_generic(kc: usize, mr: usize, ap: &[f32], bp: &[f32], acc: &mut 
 
 /// The AVX micro-kernel: the `MR × 16` tile as two `4 × 16` halves of
 /// eight 256-bit accumulators each, one full `kc` sweep per half (a half
-/// holding none of the first `mr` rows is skipped). Deliberately `vmulps`
-/// **then** `vaddps` — never `vfmadd` — so each lane performs exactly the
-/// scalar `round(a·b)` then `round(acc + ·)` sequence and the result stays
-/// bit-identical to [`micro_kernel_generic`] and the naive references.
+/// holding none of the first `mr` rows is skipped). One `vfmadd` per lane
+/// and step, so each lane performs exactly the scalar `fma(a, b, acc)`
+/// sequence and the result stays bit-identical to
+/// [`micro_kernel_generic`] and the naive references.
 ///
 /// # Safety
 ///
-/// Caller must guarantee AVX is available and the panel-length invariants
-/// of [`micro_kernel_generic`].
+/// Caller must guarantee AVX and FMA are available and the panel-length
+/// invariants of [`micro_kernel_generic`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
+#[target_feature(enable = "avx,fma")]
 unsafe fn micro_kernel_avx(
     kc: usize,
     mr: usize,
@@ -193,8 +215,8 @@ unsafe fn micro_kernel_avx(
             let b1 = _mm256_loadu_ps(b_ptr.add(8));
             for (r, accs) in acc_v.iter_mut().enumerate() {
                 let ar = _mm256_broadcast_ss(&*a_ptr.add(r));
-                accs[0] = _mm256_add_ps(accs[0], _mm256_mul_ps(ar, b0));
-                accs[1] = _mm256_add_ps(accs[1], _mm256_mul_ps(ar, b1));
+                accs[0] = _mm256_fmadd_ps(ar, b0, accs[0]);
+                accs[1] = _mm256_fmadd_ps(ar, b1, accs[1]);
             }
             a_ptr = a_ptr.add(MR);
             b_ptr = b_ptr.add(NR);
@@ -211,7 +233,7 @@ unsafe fn micro_kernel_avx(
 fn micro_kernel(isa: Isa, kc: usize, mr: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     #[cfg(target_arch = "x86_64")]
     if isa.level() == Level::Avx {
-        // SAFETY: holding `isa` proves AVX; the panel lengths are the
+        // SAFETY: holding `isa` proves AVX and FMA; the panel lengths are the
         // generic kernel's invariants, which the callee debug-asserts.
         unsafe { micro_kernel_avx(kc, mr, ap, bp, acc) };
         return;
@@ -223,9 +245,9 @@ fn micro_kernel(isa: Isa, kc: usize, mr: usize, ap: &[f32], bp: &[f32], acc: &mu
 
 /// The AVX-512 register tile: `R` rows × `W` 16-lane columns of `zmm`
 /// accumulators, updated straight in `out`. Element `(r, c)` of the tile
-/// adds `a(r, l) · b(l, c)` for `l` in `0..kc` ascending, one `vmulps`
-/// then one `vaddps` per step — the contract's order, so the same bits as
-/// the references. The operands are strided pointers:
+/// takes `fma(a(r, l), b(l, c), acc)` for `l` in `0..kc` ascending, one
+/// `vfmadd` per step — the contract's order, so the same bits as the
+/// references. The operands are strided pointers:
 ///
 /// * `a(r, l) = a[r·a_rs + l·a_cs]` (`(1, MR)` for a packed `[kc][MR]`
 ///   panel, the matrix strides for the pack-free sweep);
@@ -267,7 +289,7 @@ unsafe fn tile_avx512<const R: usize, const W: usize>(
         for (r, accs) in acc.iter_mut().enumerate() {
             let ar = _mm512_set1_ps(*a.add(r * a_rs));
             for (v, &bw) in accs.iter_mut().zip(&bv) {
-                *v = _mm512_add_ps(*v, _mm512_mul_ps(ar, bw));
+                *v = _mm512_fmadd_ps(ar, bw, *v);
             }
         }
         a = a.add(a_cs);
@@ -301,7 +323,7 @@ fn fits_one_block(m: usize, k: usize, n: usize) -> bool {
 /// ([`fits_one_block`]) on an AVX or AVX-512 host, with A read in place
 /// through strides (`a(i, l) = a[i·a_rs + l·a_cs]`, so `Aᵀ` costs nothing)
 /// and B read in place as row-major `[k, n]`. Each output tile accumulates
-/// exactly like the micro-kernels (`vmulps` then `vaddps`, `l` ascending
+/// exactly like the micro-kernels (one `vfmadd` per step, `l` ascending
 /// from the value already in `out`), so it is bit-identical to the blocked
 /// driver and the naive references. Like the references — and unlike the
 /// blocked driver — it computes zero A rows instead of skipping them.
@@ -345,10 +367,11 @@ fn try_tile_sweep(
 ///
 /// # Safety
 ///
-/// AVX must be available, `m % MR_HALF == 0`, `n % NR == 0`, and `a`, `b`,
-/// `out` must hold the `[m, k]` (strided), `[k, n]` and `[m, n]` operands.
+/// AVX and FMA must be available, `m % MR_HALF == 0`, `n % NR == 0`, and
+/// `a`, `b`, `out` must hold the `[m, k]` (strided), `[k, n]` and `[m, n]`
+/// operands.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
+#[target_feature(enable = "avx,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_sweep_avx(
     m: usize,
@@ -377,8 +400,8 @@ unsafe fn tile_sweep_avx(
                 let al = a_ptr.add(i0 * a_rs + l * a_cs);
                 for (r, accs) in acc.iter_mut().enumerate() {
                     let ar = _mm256_broadcast_ss(&*al.add(r * a_rs));
-                    accs[0] = _mm256_add_ps(accs[0], _mm256_mul_ps(ar, b0));
-                    accs[1] = _mm256_add_ps(accs[1], _mm256_mul_ps(ar, b1));
+                    accs[0] = _mm256_fmadd_ps(ar, b0, accs[0]);
+                    accs[1] = _mm256_fmadd_ps(ar, b1, accs[1]);
                 }
             }
             for (r, accs) in acc.iter().enumerate() {
@@ -396,7 +419,7 @@ unsafe fn tile_sweep_avx(
 ///
 /// # Safety
 ///
-/// As for [`tile_sweep_avx`], with AVX-512F in place of AVX.
+/// As for [`tile_sweep_avx`], with AVX-512F in place of AVX and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -610,10 +633,10 @@ fn zero_rows(a: &[f32], m: usize, k: usize) -> Vec<bool> {
 /// once (the blocked driver *and* the naive loop both re-read it per
 /// output row) while the `m × tile` output tile stays in L1 across the
 /// whole reduction; the 4-way unroll cuts the per-`l` C reload/store
-/// traffic to a quarter. Each `out[i][j]` still accumulates
-/// `a(i,l)·b(l,j)` with `l` strictly ascending, one rounding per step —
-/// bit-identical to [`Mat::matmul_ref`]. Whole-zero A rows are skipped
-/// (`+0.0`-preserving, see the module docs).
+/// traffic to a quarter. Each `out[i][j]` still takes
+/// `fma(a(i,l), b(l,j), acc)` with `l` strictly ascending, one rounding
+/// per step — bit-identical to [`Mat::matmul_ref`]. Whole-zero A rows are
+/// skipped (`+0.0`-preserving, see the module docs).
 ///
 /// [`Mat::matmul_ref`]: crate::mat::Mat::matmul_ref
 pub fn gemm_nn_smallm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -621,8 +644,8 @@ pub fn gemm_nn_smallm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
 }
 
 /// [`gemm_nn_smallm`] at a given ISA level: its loop compiled under
-/// `avx512f` on AVX-512 hosts (16 f32 lanes per `zmm` along `j`), the
-/// portable build otherwise.
+/// `avx512f` on AVX-512 hosts (16 f32 lanes per `zmm` along `j`), under
+/// `avx,fma` on AVX hosts, and the portable [`fma32`] build otherwise.
 fn gemm_nn_smallm_at(
     isa: Isa,
     m: usize,
@@ -632,31 +655,51 @@ fn gemm_nn_smallm_at(
     b: &[f32],
     out: &mut [f32],
 ) {
+    // SAFETY (both arms): holding `isa` proves the CPU runs its level.
     #[cfg(target_arch = "x86_64")]
-    if isa.level() == Level::Avx512 {
-        // SAFETY: holding `isa` proves AVX-512F.
-        unsafe { smallm_avx512(m, k, n, a, b, out) };
-        return;
+    match isa.level() {
+        Level::Avx512 => return unsafe { smallm_avx512(m, k, n, a, b, out) },
+        Level::Avx => return unsafe { smallm_avx(m, k, n, a, b, out) },
+        Level::Generic => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
-    smallm_loop(m, k, n, a, b, out);
+    smallm_loop::<false>(m, k, n, a, b, out);
 }
 
 /// [`smallm_loop`] compiled with AVX-512F enabled.
 ///
 /// # Safety
 ///
-/// The caller must ensure the CPU supports AVX-512F.
+/// The caller must ensure the CPU supports AVX-512F and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn smallm_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    smallm_loop(m, k, n, a, b, out);
+    smallm_loop::<true>(m, k, n, a, b, out);
 }
 
-/// The loop of [`gemm_nn_smallm`], inlined into each ISA build.
+/// [`smallm_loop`] compiled with AVX and FMA enabled.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,fma")]
+unsafe fn smallm_avx(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    smallm_loop::<true>(m, k, n, a, b, out);
+}
+
+/// The loop of [`gemm_nn_smallm`], inlined into each ISA build; `HW`
+/// picks the fma step ([`fma`]).
 #[inline(always)]
-fn smallm_loop(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+fn smallm_loop<const HW: bool>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
@@ -683,17 +726,17 @@ fn smallm_loop(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
                     let b3 = &b[(l + 3) * n + jb..(l + 3) * n + je];
                     for j in 0..w {
                         let mut c = crow[j];
-                        c += a0 * b0[j];
-                        c += a1 * b1[j];
-                        c += a2 * b2[j];
-                        c += a3 * b3[j];
+                        c = fma::<HW>(a0, b0[j], c);
+                        c = fma::<HW>(a1, b1[j], c);
+                        c = fma::<HW>(a2, b2[j], c);
+                        c = fma::<HW>(a3, b3[j], c);
                         crow[j] = c;
                     }
                 } else {
                     for (u, &alu) in arow.iter().enumerate() {
                         let brow = &b[(l + u) * n + jb..(l + u) * n + je];
                         for (c, &bv) in crow.iter_mut().zip(brow) {
-                            *c += alu * bv;
+                            *c = fma::<HW>(alu, bv, *c);
                         }
                     }
                 }
@@ -712,13 +755,52 @@ const NARROW_ROWS: usize = 8;
 /// gradient. A is read in place through strides (`a(i, l) =
 /// a[i·a_rs + l·a_cs]`, so `Aᵀ` costs nothing). Per output column,
 /// blocks of [`NARROW_ROWS`] rows accumulate side by side, each element
-/// adding `a(i,l)·b(l,j)` with `l` ascending from the value in `out`: the
-/// references' order, so the result is bit-identical to them. A 16-lane
-/// micro-tile would waste `NR - n` lanes and pay both packing passes, and
-/// the jammed kernel's lone per-row chain waits on every add; eight
-/// independent chains keep the adder busy. Zero rows are computed, as in
-/// the references.
+/// taking `fma(a(i,l), b(l,j), acc)` with `l` ascending from the value in
+/// `out`: the references' order, so the result is bit-identical to them.
+/// A 16-lane micro-tile would waste `NR - n` lanes and pay both packing
+/// passes, and the jammed kernel's lone per-row chain waits on every fma;
+/// eight independent chains keep the fma unit busy. Zero rows are
+/// computed, as in the references. AVX and AVX-512 hosts run its `fma`
+/// build, others the portable [`fma32`] one.
 fn gemm_narrow(
+    isa: Isa,
+    shape: (usize, usize, usize),
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if isa.level() != Level::Generic {
+        // SAFETY: holding an AVX or AVX-512 `isa` proves FMA.
+        unsafe { narrow_fma(shape, a, a_strides, b, out) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = isa;
+    narrow_loop::<false>(shape, a, a_strides, b, out);
+}
+
+/// [`narrow_loop`] compiled with FMA enabled.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn narrow_fma(
+    shape: (usize, usize, usize),
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+) {
+    narrow_loop::<true>(shape, a, a_strides, b, out);
+}
+
+/// The loop of [`gemm_narrow`], inlined into each build.
+#[inline(always)]
+fn narrow_loop<const HW: bool>(
     (m, k, n): (usize, usize, usize),
     a: &[f32],
     (a_rs, a_cs): (usize, usize),
@@ -736,7 +818,7 @@ fn gemm_narrow(
                 let bv = b[l * n + j];
                 let al = i0 * a_rs + l * a_cs;
                 for (r, c) in acc.iter_mut().enumerate().take(rows) {
-                    *c += a[al + r * a_rs] * bv;
+                    *c = fma::<HW>(a[al + r * a_rs], bv, *c);
                 }
             }
             for (r, &c) in acc.iter().enumerate().take(rows) {
@@ -747,7 +829,7 @@ fn gemm_narrow(
 }
 
 /// `out = a @ b` for row-major `a: [m, k]`, `b: [k, n]`. `out` must be
-/// zeroed (or hold a partial sum over earlier `l`, per the K-order
+/// zeroed (or hold a partial sum over earlier `l`, per the FMA
 /// contract). The shape picks one of four bit-identical regimes:
 /// `m <= SMALL_M` rows run the jammed [`gemm_nn_smallm`], `n < NR`
 /// columns the narrow kernel, one-block exact-tile shapes the
@@ -765,7 +847,7 @@ fn gemm_nn_at(isa: Isa, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out:
         return gemm_nn_smallm_at(isa, m, k, n, a, b, out);
     }
     if n < NR {
-        return gemm_narrow((m, k, n), a, (k, 1), b, out);
+        return gemm_narrow(isa, (m, k, n), a, (k, 1), b, out);
     }
     if try_tile_sweep(isa, (m, k, n), a, (k, 1), b, out) {
         return;
@@ -821,7 +903,7 @@ fn gemm_tn_at(isa: Isa, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out:
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     if n < NR {
-        return gemm_narrow((m, k, n), a, (1, m), b, out);
+        return gemm_narrow(isa, (m, k, n), a, (1, m), b, out);
     }
     if try_tile_sweep(isa, (m, k, n), a, (1, m), b, out) {
         return;
@@ -973,7 +1055,7 @@ fn gemm_prepacked_nn_at(isa: Isa, m: usize, a: &[f32], pb: &PackedB, out: &mut [
     }
     let zr = zero_rows(a, m, k);
     if m < STRIP_M {
-        return gemm_prepacked_smallm(m, a, pb, out, &zr);
+        return gemm_prepacked_smallm(isa, m, a, pb, out, &zr);
     }
     let ap_len = MC.min(m).div_ceil(MR) * MR * KC.min(k);
     with_pack_scratch(ap_len, 0, |ap, _| {
@@ -1007,13 +1089,45 @@ fn gemm_prepacked_nn_at(isa: Isa, m: usize, a: &[f32], pb: &PackedB, out: &mut [
 /// each output row carries a `[f32; NR]` register tile straight down every
 /// `[kc][NR]` panel strip — one fully sequential pass over the packed
 /// stream per row, no A packing at all. The `(jc, lc)` block order and
-/// ascending-`l` per-step rounding match the blocked driver exactly, so
-/// results stay bit-identical to [`gemm_nn`] and the naive reference.
-/// It is portable code at every ISA level: every cached `/predict` runs
-/// the Aggregation MLPs' `m = 1` products through it, and an `avx512f`
-/// build of this loop cost the serve mix's median request more than it
-/// saved (DESIGN.md §2c).
-fn gemm_prepacked_smallm(m: usize, a: &[f32], pb: &PackedB, out: &mut [f32], zr: &[bool]) {
+/// ascending-`l` fma steps match the blocked driver exactly, so results
+/// stay bit-identical to [`gemm_nn`] and the naive reference. AVX and
+/// AVX-512 hosts both run its `fma` build, others the portable [`fma32`]
+/// one: every cached `/predict` runs the Aggregation MLPs' `m = 1`
+/// products through it, and an `avx512f` build of this loop cost the serve
+/// mix's median request more than it saved (DESIGN.md §2c).
+fn gemm_prepacked_smallm(
+    isa: Isa,
+    m: usize,
+    a: &[f32],
+    pb: &PackedB,
+    out: &mut [f32],
+    zr: &[bool],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if isa.level() != Level::Generic {
+        // SAFETY: holding an AVX or AVX-512 `isa` proves FMA.
+        unsafe { strip_fma(m, a, pb, out, zr) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = isa;
+    strip_loop::<false>(m, a, pb, out, zr);
+}
+
+/// [`strip_loop`] compiled with FMA enabled.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn strip_fma(m: usize, a: &[f32], pb: &PackedB, out: &mut [f32], zr: &[bool]) {
+    strip_loop::<true>(m, a, pb, out, zr);
+}
+
+/// The loop of [`gemm_prepacked_smallm`], inlined into each build.
+#[inline(always)]
+fn strip_loop<const HW: bool>(m: usize, a: &[f32], pb: &PackedB, out: &mut [f32], zr: &[bool]) {
     let (k, n) = (pb.k, pb.n);
     let mut off = 0;
     let mut jc = 0;
@@ -1038,7 +1152,7 @@ fn gemm_prepacked_smallm(m: usize, a: &[f32], pb: &PackedB, out: &mut [f32], zr:
                     for (l, &av) in arow.iter().enumerate() {
                         let brow = &strip[l * NR..(l + 1) * NR];
                         for (c, &bv) in acc.iter_mut().zip(brow) {
-                            *c += av * bv;
+                            *c = fma::<HW>(av, bv, *c);
                         }
                     }
                     out[o..o + w].copy_from_slice(&acc[..w]);
@@ -1101,12 +1215,25 @@ mod tests {
 
     /// Every ISA level this host runs, each checked directly: on an
     /// AVX-512 host runtime dispatch alone would leave the AVX and
-    /// generic builds untested. A level the host lacks is skipped.
+    /// generic builds untested. A level the host lacks is skipped, and
+    /// both x86 levels need FMA (their kernels issue `vfmadd`): an AVX
+    /// host without it runs the generic level.
     #[test]
     fn every_supported_isa_level_is_tested_up_to_the_host() {
         let levels = Isa::supported();
         assert_eq!(levels.first().map(|i| i.name()), Some("generic"));
         assert_eq!(levels.last(), Some(&Isa::host()));
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            let names: Vec<&str> = levels.iter().map(|i| i.name()).collect();
+            let fma = has!("fma");
+            assert_eq!(names.contains(&"avx"), has!("avx") && fma, "{names:?}");
+            assert_eq!(names.contains(&"avx512f"), has!("avx512f") && fma, "{names:?}");
+            if !fma {
+                assert_eq!(names, ["generic"]);
+            }
+        }
     }
 
     /// Blocked kernels are bit-identical to the naive references across

@@ -1,12 +1,14 @@
 //! The instruction-set level the GEMM and GELU kernels run at.
 //!
 //! Each hot kernel has a portable build and, on x86-64, builds compiled
-//! under `#[target_feature]` for AVX and AVX-512F. [`Isa::host`] picks the
-//! widest level the CPU reports through `is_x86_feature_detected!` (std
-//! caches the probe, so a call is one atomic load); there is no knob. Every
-//! level performs the same IEEE operations per element in the same order
-//! (the K-order contract in [`crate::gemm`]), so the level changes speed,
-//! never bits.
+//! under `#[target_feature]` for AVX with FMA and for AVX-512F. [`Isa::host`]
+//! picks the widest level the CPU reports through `is_x86_feature_detected!`
+//! (std caches the probe, so a call is one atomic load); there is no knob.
+//! Both x86 levels require FMA: their GEMM builds issue `vfmadd`, and an
+//! AVX host without FMA runs the portable level. Every level performs the
+//! same IEEE operations per element in the same order (the FMA contract in
+//! [`crate::gemm`]; the portable level's fma is [`crate::fma32`], correctly
+//! rounded like the hardware's), so the level changes speed, never bits.
 
 /// A kernel ISA level this CPU can run.
 ///
@@ -23,18 +25,18 @@ pub struct Isa(Level);
 pub(crate) enum Level {
     /// Portable Rust, auto-vectorized for the baseline target.
     Generic,
-    /// 256-bit `ymm` builds (`avx`).
+    /// 256-bit `ymm` builds (`avx` with `fma`).
     Avx,
-    /// 512-bit `zmm` builds (`avx512f`).
+    /// 512-bit `zmm` builds (`avx512f`; its `fma`-feature builds too).
     Avx512,
 }
 
 impl Isa {
-    /// The widest level this CPU supports: AVX-512F, then AVX, then the
-    /// portable build.
+    /// The widest level this CPU supports: AVX-512F with FMA, then AVX
+    /// with FMA, then the portable build.
     pub fn host() -> Isa {
         #[cfg(target_arch = "x86_64")]
-        {
+        if std::arch::is_x86_feature_detected!("fma") {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return Isa(Level::Avx512);
             }

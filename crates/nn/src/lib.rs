@@ -51,6 +51,7 @@
 pub mod act;
 pub mod attention;
 pub mod embedding;
+pub mod fma;
 pub mod gemm;
 pub mod gru;
 pub mod isa;
@@ -65,6 +66,7 @@ pub mod serialize;
 pub use act::{Gelu, Relu, Sigmoid, Tanh};
 pub use attention::{AttentionCtx, MultiHeadAttention, PackedAttention, SeqSpan};
 pub use embedding::{Embedding, EmbeddingCtx};
+pub use fma::fma32;
 pub use gemm::PackedB;
 pub use gru::{Gru, GruCtx};
 pub use isa::Isa;

@@ -16,7 +16,7 @@ use crate::param::{Grads, Param, ParamRegistry};
 
 /// An inference-only snapshot of a [`Linear`]: weights prepacked once,
 /// bias copied. The output of [`infer`](Self::infer) is bit-identical to
-/// [`Linear::infer`] (both kernels honor the GEMM K-order contract).
+/// [`Linear::infer`] (both kernels honor the GEMM FMA contract).
 #[derive(Debug, Clone)]
 pub struct PackedLinear {
     w: PackedB,

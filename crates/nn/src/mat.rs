@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::fma::fma32;
+
 /// A row-major matrix of `f32`.
 ///
 /// # Example
@@ -125,7 +127,7 @@ impl Mat {
     /// `self @ other` via the blocked GEMM kernel ([`crate::gemm`]).
     ///
     /// Bit-identical to [`matmul_ref`](Self::matmul_ref): the kernel keeps
-    /// the K-reduction order of the naive loop and only re-tiles the
+    /// the naive loop's chain of fused multiply-adds and only re-tiles the
     /// output loops for cache and register reuse.
     ///
     /// # Panics
@@ -185,9 +187,10 @@ impl Mat {
 
     /// Reference `self @ other`: the naive ikj triple loop. This is the
     /// semantic contract the blocked kernel must match bit-for-bit — each
-    /// `out[i][j]` accumulates `a(i,l)·b(l,j)` with `l` strictly
-    /// ascending, every intermediate rounded to `f32`. Kept for
-    /// equivalence tests and as the micro-benchmark baseline.
+    /// `out[i][j]` takes `acc = fma(a(i,l), b(l,j), acc)` from `0.0` with
+    /// `l` strictly ascending, each step rounded once to `f32` (through the
+    /// portable [`fma32`]). Kept for equivalence tests and as
+    /// the micro-benchmark baseline.
     ///
     /// # Panics
     ///
@@ -202,7 +205,7 @@ impl Mat {
             for (l, &a) in arow.iter().enumerate() {
                 let brow = &other.data[l * n..(l + 1) * n];
                 for j in 0..n {
-                    crow[j] += a * brow[j];
+                    crow[j] = fma32(a, brow[j], crow[j]);
                 }
             }
         }
@@ -224,7 +227,7 @@ impl Mat {
             for (i, &a) in arow.iter().enumerate() {
                 let crow = &mut out.data[i * n..(i + 1) * n];
                 for j in 0..n {
-                    crow[j] += a * brow[j];
+                    crow[j] = fma32(a, brow[j], crow[j]);
                 }
             }
         }
@@ -246,7 +249,7 @@ impl Mat {
                 let brow = &other.data[j * k..(j + 1) * k];
                 let mut acc = 0.0;
                 for l in 0..k {
-                    acc += arow[l] * brow[l];
+                    acc = fma32(arow[l], brow[l], acc);
                 }
                 out.data[i * n + j] = acc;
             }
@@ -434,6 +437,22 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Mat::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         assert_eq!(a.matmul(&b), Mat::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
+    }
+
+    /// Each reference step is one fused multiply-add: `l = 0` leaves
+    /// `-(1 + 2⁻¹¹)`, then `x·x + acc` with `x = 1 + 2⁻¹²` is exactly
+    /// `2⁻²⁴`. Rounding `x·x` first would tie to `1 + 2⁻¹¹` and give 0.
+    #[test]
+    fn references_fuse_each_step() {
+        let x = 1.0 + 1.0 / 4096.0;
+        let c = -(1.0 + 1.0 / 2048.0);
+        let want = 1.0 / 16_777_216.0;
+        let a = Mat::from_rows(&[&[1.0, x]]);
+        let b = Mat::from_rows(&[&[c], &[x]]);
+        assert_eq!(a.matmul_ref(&b).get(0, 0), want);
+        assert_eq!(a.matmul_nt_ref(&b.transposed()).get(0, 0), want);
+        assert_eq!(a.transposed().matmul_tn_ref(&b).get(0, 0), want);
+        assert_eq!(a.matmul(&b).get(0, 0), want);
     }
 
     #[test]

@@ -81,16 +81,23 @@ if [ -n "$tanh_sites" ]; then
   exit 1
 fi
 
-# No fused multiply-add: the K-order contract (DESIGN.md §2c) rounds every
-# product before its add, in every GEMM lane and activation, so kernels
-# and their references agree bit for bit at every ISA level. A fused op
-# rounds once and moves the last bit. The gate rejects `mul_add`, the
+# FMA only in the GEMM kernels: the FMA contract (DESIGN.md §2c) makes
+# every GEMM lane one fused multiply-add per step, `l` ascending, in every
+# regime and at every ISA level (the portable level through the
+# crate-owned `sns_nn::fma32`), so kernels and references agree bit for
+# bit. Everything else keeps multiply, round, add, round: tanh, GELU,
+# LayerNorm and softmax stay unfused. So `mul_add`, the
 # `_mm*_f(n)m{add,sub}` intrinsics (masked forms included) and a
-# `target_feature` that enables `fma`, in non-test code of the crates
-# whose arithmetic predictions depend on.
-echo "==> no-FMA grep gate (crates/{nn,circuitformer,core}/src)"
+# `target_feature` that enables `fma` are rejected in the non-test code of
+# the crates whose arithmetic predictions depend on, except in
+# `crates/nn/src/gemm.rs` and the `fma32` module (`crates/nn/src/fma.rs`).
+# A leftover multiply-then-add lane in the kernels would make a path's
+# bits depend on which regime its batch shape picked, so `_mm*_mul_ps`
+# (masked forms included) is rejected in the non-test code of `gemm.rs`.
+echo "==> FMA-placement grep gate (crates/{nn,circuitformer,core}/src; fused only in gemm.rs and fma.rs)"
 fma_sites=$(
-  find crates/nn/src crates/circuitformer/src crates/core/src -name '*.rs' | sort | while read -r f; do
+  find crates/nn/src crates/circuitformer/src crates/core/src -name '*.rs' \
+    | grep -vE '^crates/nn/src/(gemm|fma)\.rs$' | sort | while read -r f; do
     # Cut each file at its #[cfg(test)] module; tests may use FMA freely.
     awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
   done \
@@ -99,8 +106,19 @@ fma_sites=$(
     || true
 )
 if [ -n "$fma_sites" ]; then
-  echo "fused multiply-add in the K-order-contract kernels (multiply, then add):"
+  echo "fused multiply-add outside the GEMM kernels (multiply, then add):"
   echo "$fma_sites"
+  exit 1
+fi
+mul_sites=$(
+  awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/nn/src/gemm.rs \
+    | grep -E '_mm[0-9]*_[a-z0-9_]*mul_ps' \
+    | grep -vE ':\s*//' \
+    || true
+)
+if [ -n "$mul_sites" ]; then
+  echo "multiply-then-add lane in the GEMM kernels (use one fused multiply-add per step):"
+  echo "$mul_sites"
   exit 1
 fi
 
