@@ -41,39 +41,20 @@ fn main() {
     let mut results = Vec::new();
 
     // GEMM kernel layer: blocked (with small-m dispatch) and prepacked-B
-    // vs. the retained naive reference on the shapes the Circuitformer
-    // actually hits — [m,128] activations against the 128×128 Q/K/V/O
-    // projections and the 128×512 (fast) / 128×2304 (paper) FFN
-    // expansion. m ≤ 16 is the serving regime (small micro-batches, ECO
-    // recomputes) where per-call B-packing used to dominate; the larger
-    // m keep the training-shape trajectory visible.
+    // on the shapes the Circuitformer actually hits — [m,128] activations
+    // against the 128×128 Q/K/V/O projections and the 128×512 (fast) /
+    // 128×2304 (paper) FFN expansion. m ≤ 16 is the serving regime (small
+    // micro-batches, ECO recomputes) where per-call B-packing used to
+    // dominate; the larger m keep the training-shape trajectory visible.
     let mut gemm_rng = StdRng::seed_from_u64(2);
-    let mut speedup_rows = Vec::new();
     for &t in &[1usize, 4, 8, 16, 64, 256, 512] {
         for &n in &[128usize, 512, 2304] {
             let a = rand_mat(&mut gemm_rng, t, 128);
             let b = rand_mat(&mut gemm_rng, 128, n);
             let pb = PackedB::pack(b.as_slice(), 128, n);
-            let blocked = bench(&format!("gemm_blocked_{t}x128x{n}"), || a.matmul(&b));
-            let prepacked =
-                bench(&format!("gemm_prepacked_{t}x128x{n}"), || a.matmul_prepacked(&pb));
-            let naive = bench(&format!("gemm_naive_{t}x128x{n}"), || a.matmul_ref(&b));
-            let speedup = naive.min.as_nanos() as f64 / blocked.min.as_nanos() as f64;
-            let prepacked_speedup = naive.min.as_nanos() as f64 / prepacked.min.as_nanos() as f64;
-            println!(
-                "    -> {t}x128x{n}: blocked {speedup:.2}x, prepacked {prepacked_speedup:.2}x \
-                 the naive kernel"
-            );
-            speedup_rows.push(Json::obj(vec![
-                ("m", Json::UInt(t as u64)),
-                ("k", Json::UInt(128)),
-                ("n", Json::UInt(n as u64)),
-                ("speedup", Json::Num(speedup)),
-                ("prepacked_speedup", Json::Num(prepacked_speedup)),
-            ]));
-            results.push(blocked);
-            results.push(prepacked);
-            results.push(naive);
+            results.push(bench(&format!("gemm_blocked_{t}x128x{n}"), || a.matmul(&b)));
+            results
+                .push(bench(&format!("gemm_prepacked_{t}x128x{n}"), || a.matmul_prepacked(&pb)));
         }
     }
 
@@ -253,7 +234,6 @@ fn main() {
     let mut doc = results_to_json("micro_kernels", &results);
     if let Json::Obj(fields) = &mut doc {
         fields.push(("isa".to_string(), Json::Str(isa.to_string())));
-        fields.push(("gemm_speedups".to_string(), Json::Arr(speedup_rows)));
         fields.push(("batch_speedups".to_string(), Json::Arr(batch_speedups)));
         fields.push(("front_end".to_string(), Json::Arr(front_end)));
         fields.push(("gemm_before_after".to_string(), Json::Arr(gemm_before_after)));

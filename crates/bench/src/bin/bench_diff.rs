@@ -1,6 +1,6 @@
 //! `bench_diff` — compares two `BENCH_*.json` snapshots and prints the
-//! per-benchmark timing deltas and (when present) the `gemm_speedups`
-//! movement, so a PR's kernel-perf trajectory is visible at review time.
+//! per-benchmark timing deltas, so a PR's kernel-perf trajectory is
+//! visible at review time.
 //!
 //! ```text
 //! bench_diff <old.json> <new.json>
@@ -37,52 +37,9 @@ fn result_map(doc: &Json) -> BTreeMap<String, u64> {
     map
 }
 
-/// `gemm_speedups` as a "mxkxn" → (speedup, prepacked_speedup) map.
-/// Older snapshots predate the prepacked column; its entry is `None`.
-fn speedup_map(doc: &Json) -> BTreeMap<String, (f64, Option<f64>)> {
-    let mut map = BTreeMap::new();
-    if let Ok(rows) = doc.get("gemm_speedups").and_then(|r| r.as_arr()) {
-        for row in rows {
-            let dims = ["m", "k", "n"].map(|d| row.get(d).and_then(|v| v.as_u64()));
-            let (Ok(m), Ok(k), Ok(n)) = (&dims[0], &dims[1], &dims[2]) else { continue };
-            let Ok(speedup) = row.get("speedup").and_then(|v| v.as_f64()) else { continue };
-            let prepacked = row.get("prepacked_speedup").and_then(|v| v.as_f64()).ok();
-            map.insert(format!("{m}x{k}x{n}"), (speedup, prepacked));
-        }
-    }
-    map
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "    -".to_string(), |s| format!("{s:5.2}"))
-}
-
 fn run(old_path: &str, new_path: &str) -> Result<(), String> {
     let old = load(old_path)?;
     let new = load(new_path)?;
-
-    let old_speedups = speedup_map(&old);
-    let new_speedups = speedup_map(&new);
-    if !old_speedups.is_empty() || !new_speedups.is_empty() {
-        println!("gemm_speedups (vs naive; old -> new):");
-        println!("  {:<14} {:>11}  {:>17}", "shape", "blocked", "prepacked");
-        for (shape, (ns, np)) in &new_speedups {
-            let (os, op) = old_speedups
-                .get(shape)
-                .map_or((None, None), |&(s, p)| (Some(s), p));
-            println!(
-                "  {:<14} {} -> {:5.2}  {} -> {}",
-                shape,
-                fmt_opt(os),
-                ns,
-                fmt_opt(op),
-                fmt_opt(*np),
-            );
-        }
-        for shape in old_speedups.keys().filter(|s| !new_speedups.contains_key(*s)) {
-            println!("  {shape:<14} dropped from the new snapshot");
-        }
-    }
 
     let old_results = result_map(&old);
     let new_results = result_map(&new);

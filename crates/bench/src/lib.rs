@@ -97,11 +97,11 @@ pub fn labeled_catalog() -> HardwareDesignDataset {
 }
 
 /// Returns the standard shared model: trained on a 50 % base-respecting
-/// split of the catalog, cached at `target/paper/model.json` so the DSE
+/// split of the catalog, cached at `target/paper/model.bin` so the DSE
 /// and runtime benches don't retrain.
 pub fn standard_model() -> (SnsModel, HardwareDesignDataset) {
     let dataset = labeled_catalog();
-    let cache = out_dir().join(if paper_scale() { "model_paper.json" } else { "model.json" });
+    let cache = out_dir().join(if paper_scale() { "model_paper.bin" } else { "model.bin" });
     if let Ok(model) = load_model(&cache) {
         println!("  [model] loaded cached {}", cache.display());
         return (model, dataset);

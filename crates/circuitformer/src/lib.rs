@@ -40,8 +40,8 @@ pub use train::{train, EpochStats, TrainConfig, TrainHistory};
 use sns_rt::rng::StdRng;
 
 use sns_nn::{
-    save_params, load_params, Embedding, Gelu, Grads, LayerNorm, Linear, Mat, ModelState,
-    PackedAttention, PackedLinear, Param, ParamRegistry, SeqSpan,
+    Embedding, Gelu, Grads, LayerNorm, Linear, Mat, PackedAttention, PackedLinear, Param,
+    ParamRegistry, SeqSpan,
 };
 
 /// Hyperparameters of the Circuitformer.
@@ -71,6 +71,37 @@ impl CircuitformerConfig {
     /// heads and width — only the FFN inner size shrinks.
     pub fn fast() -> Self {
         CircuitformerConfig { ffn_dim: 512, ..CircuitformerConfig::paper() }
+    }
+
+    /// The scalar parameter count a [`Circuitformer`] of this shape holds,
+    /// or `None` if it overflows `usize`. Computed from the shape alone, so
+    /// a loader can check an untrusted header against the bytes it has
+    /// before building anything that size.
+    pub fn parameter_count(&self) -> Option<usize> {
+        let d = self.dim;
+        let linear = |i: usize, o: usize| i.checked_mul(o)?.checked_add(o);
+        let norm = d.checked_mul(2)?;
+        let block = [
+            norm,
+            linear(d, d)?.checked_mul(4)?,
+            norm,
+            linear(d, self.ffn_dim)?,
+            linear(self.ffn_dim, d)?,
+        ];
+        let blocks = block
+            .into_iter()
+            .try_fold(0usize, usize::checked_add)?
+            .checked_mul(self.layers)?;
+        [
+            self.vocab.checked_add(1)?.checked_mul(d)?,
+            self.max_len.checked_mul(d)?,
+            blocks,
+            norm,
+            linear(d, d)?,
+            linear(d, 3)?,
+        ]
+        .into_iter()
+        .try_fold(0usize, usize::checked_add)
     }
 }
 
@@ -422,23 +453,6 @@ impl Circuitformer {
         self.packed.blocks.clear();
         self.packed = PackedPlan::pack(&self.blocks, &self.head1);
     }
-
-    /// Snapshots the parameters.
-    pub fn save(&self) -> ModelState {
-        save_params(|f| self.visit(f))
-    }
-
-    /// Restores parameters from a snapshot (the prepacked plan is rebuilt
-    /// by [`visit_mut`](Self::visit_mut)).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the snapshot does not match this architecture
-    /// (the parameters may be partially overwritten; the plan matches
-    /// whatever they now hold).
-    pub fn load(&mut self, state: &ModelState) -> Result<(), String> {
-        load_params(state, |f| self.visit_mut(f))
-    }
 }
 
 #[cfg(test)]
@@ -510,14 +524,44 @@ mod tests {
         assert!(zero_tensors.is_empty(), "no gradient reached: {zero_tensors:?}");
     }
 
+    fn params_bytes(m: &Circuitformer) -> Vec<u8> {
+        let mut out = Vec::new();
+        sns_nn::write_params(&mut out, |f| m.visit(f));
+        out
+    }
+
+    fn load_bytes(m: &mut Circuitformer, bytes: &[u8]) -> Result<(), String> {
+        let mut r = sns_nn::ByteReader::new(bytes);
+        sns_nn::read_params(&mut r, |f| m.visit_mut(f))?;
+        r.finish()
+    }
+
+    #[test]
+    fn parameter_count_from_the_shape_matches_the_built_model() {
+        let tiny = CircuitformerConfig {
+            dim: 32,
+            ffn_dim: 64,
+            max_len: 64,
+            layers: 3,
+            ..CircuitformerConfig::fast()
+        };
+        for cfg in [CircuitformerConfig::paper(), CircuitformerConfig::fast(), tiny] {
+            let mut rng = StdRng::seed_from_u64(0);
+            let built = Circuitformer::new(cfg.clone(), &mut rng).parameter_count();
+            assert_eq!(cfg.parameter_count(), Some(built), "{cfg:?}");
+        }
+        let huge = CircuitformerConfig { layers: usize::MAX, ..CircuitformerConfig::fast() };
+        assert_eq!(huge.parameter_count(), None);
+    }
+
     #[test]
     fn save_load_round_trip_preserves_predictions() {
         let m = model();
-        let state = m.save();
+        let bytes = params_bytes(&m);
         let mut rng = StdRng::seed_from_u64(999);
         let mut m2 = Circuitformer::new(CircuitformerConfig::fast(), &mut rng);
         assert_ne!(m.predict_raw(&[1, 2, 3]), m2.predict_raw(&[1, 2, 3]));
-        m2.load(&state).unwrap();
+        load_bytes(&mut m2, &bytes).unwrap();
         assert_eq!(m.predict_raw(&[1, 2, 3]), m2.predict_raw(&[1, 2, 3]));
     }
 
@@ -529,7 +573,7 @@ mod tests {
             CircuitformerConfig { ffn_dim: 256, ..CircuitformerConfig::fast() },
             &mut rng,
         );
-        assert!(other.load(&m.save()).is_err());
+        assert!(load_bytes(&mut other, &params_bytes(&m)).is_err());
     }
 
     #[test]
@@ -581,7 +625,7 @@ mod tests {
         assert_eq!(before, raw(&m));
         // A visit that rewrites every projection (all packed weights) is
         // visible in the very next batched prediction.
-        let state = m.save();
+        let bytes = params_bytes(&m);
         m.visit_mut(&mut |p| {
             if p.name.starts_with("linear") {
                 for v in p.value.as_mut_slice() {
@@ -592,7 +636,7 @@ mod tests {
         assert_ne!(batch(&m), before);
         assert_eq!(batch(&m), raw(&m));
         // So is a load.
-        m.load(&state).unwrap();
+        load_bytes(&mut m, &bytes).unwrap();
         assert_eq!(batch(&m), before);
     }
 

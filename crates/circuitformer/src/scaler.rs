@@ -4,8 +4,6 @@
 //! (and designs — Figure 6's axes are log-scale), so the Circuitformer and
 //! the Aggregation MLP are trained in standardized log space.
 
-use sns_rt::json::{Json, JsonError};
-
 /// A per-dimension `ln → standardize` transform over the three targets
 /// (timing, area, power).
 ///
@@ -99,25 +97,14 @@ impl LabelScaler {
         ((z * self.std[dim] + self.mean[dim]) as f64).exp() - EPS
     }
 
-    /// The JSON form (`{"mean":[...],"std":[...]}` — the same shape the
-    /// serde derive used to emit, so old model files still load).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("mean", Json::from_f32_slice(&self.mean)),
-            ("std", Json::from_f32_slice(&self.std)),
-        ])
+    /// The fitted `(mean, std)` per dimension, in log space.
+    pub fn parts(&self) -> ([f32; 3], [f32; 3]) {
+        (self.mean, self.std)
     }
 
-    /// Reconstructs a scaler from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first missing or malformed field.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(LabelScaler {
-            mean: v.get("mean")?.as_f32_array::<3>()?,
-            std: v.get("std")?.as_f32_array::<3>()?,
-        })
+    /// A scaler from its [`parts`](Self::parts).
+    pub fn from_parts(mean: [f32; 3], std: [f32; 3]) -> Self {
+        LabelScaler { mean, std }
     }
 }
 
@@ -161,13 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
+    fn parts_round_trip() {
         let s = LabelScaler::fit(&[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]);
-        let json = s.to_json().print();
-        let back = LabelScaler::from_json(&sns_rt::json::parse(&json).unwrap()).unwrap();
-        assert_eq!(s, back);
-        // The serde-era field layout is preserved.
-        assert!(json.starts_with(r#"{"mean":["#), "{json}");
+        let (mean, std) = s.parts();
+        assert_eq!(LabelScaler::from_parts(mean, std), s);
     }
 
     #[test]

@@ -257,8 +257,11 @@ mod tests {
         assert_ne!(m2.predict(&features).to_bits(), before);
         assert_eq!(m2.predict(&features).to_bits(), forward_bits(&m2, &features));
         // So is a parameter load.
-        let state = sns_nn::save_params(|f| m.visit(f));
-        sns_nn::load_params(&state, |f| m2.visit_mut(f)).unwrap();
+        let mut bytes = Vec::new();
+        sns_nn::write_params(&mut bytes, |f| m.visit(f));
+        let mut r = sns_nn::ByteReader::new(&bytes);
+        sns_nn::read_params(&mut r, |f| m2.visit_mut(f)).unwrap();
+        r.finish().unwrap();
         assert_eq!(m2.predict(&features).to_bits(), before);
     }
 

@@ -1,13 +1,28 @@
-//! Saving and loading trained SNS models (JSON via `sns_rt::json`),
-//! plus the **versioned model zoo**: a directory of checkpoints with a
-//! manifest carrying model id, technology corner, train-step provenance
-//! and an FNV-128 weight hash. The zoo is the hand-off point between the
-//! `sns-train` label-factory daemon (writer) and `sns-serve` hot-swap
-//! (reader) — all writes go through `sns_rt::fsx::write_atomic`, so a
-//! reader never observes a torn manifest or weights file, and every load
-//! re-hashes the weight bytes against the manifest so a stale or
-//! corrupted checkpoint surfaces as a structured [`ZooError`] instead of
-//! ever being served.
+//! Saving and loading trained SNS models, plus the **versioned model
+//! zoo**: a directory of weights files with a JSON manifest carrying model
+//! id, technology corner, train-step provenance and an FNV-128 weight
+//! hash. The zoo is the hand-off point between the `sns-train`
+//! label-factory daemon (writer) and `sns-serve` hot-swap (reader) — all
+//! writes go through `sns_rt::fsx::write_atomic`, so a reader never
+//! observes a torn manifest or weights file, and every load re-hashes the
+//! weight bytes against the manifest so a stale or corrupted checkpoint
+//! surfaces as a structured [`ZooError`] instead of ever being served.
+//!
+//! A model is one little-endian byte encoding, private to this module:
+//!
+//! 1. the 8-byte magic `SNSWGT01`;
+//! 2. the header: `vocab`, `dim`, `heads`, `layers`, `ffn_dim`,
+//!    `max_len` (`u64` each), the sampler's `k` (`u32`), `max_paths`,
+//!    `max_len` and `seed` (`u64` each);
+//! 3. the path, design and correction [`LabelScaler`]s, each as its three
+//!    means then its three standard deviations (`f32`);
+//! 4. every parameter in visit order, Circuitformer first, then the three
+//!    Aggregation MLPs, each as `rows`, `cols` (`u32`) and `rows·cols`
+//!    `f32` ([`sns_nn::serialize`]).
+//!
+//! The same bytes are what [`save_model`] and [`save_to_zoo`] write, what
+//! [`load_model`] and [`load_from_zoo`] read, and what
+//! [`model_weight_hash`] hashes.
 
 use std::fmt;
 use std::fs;
@@ -20,163 +35,116 @@ use sns_vsynth::scaling::TechNode;
 
 use sns_circuitformer::{Circuitformer, CircuitformerConfig, LabelScaler};
 use sns_graphir::Vocab;
-use sns_nn::{load_params, save_params, ModelState};
+use sns_nn::{read_params, write_params, ByteReader};
 use sns_sampler::SampleConfig;
 
 use crate::aggmlp::AggMlp;
 use crate::cache::PathPredictionCache;
 use crate::predictor::SnsModel;
 
-/// The serialized form of a trained model. The JSON field layout matches
-/// what the serde derive used to write, so pre-migration model files
-/// still load.
-#[derive(Debug, Clone)]
-pub struct SavedModel {
-    vocab: usize,
-    dim: usize,
-    heads: usize,
-    layers: usize,
-    ffn_dim: usize,
-    max_len: usize,
-    sample_k: u32,
-    sample_max_paths: usize,
-    sample_max_len: usize,
-    sample_seed: u64,
-    circuitformer: ModelState,
-    path_scaler: LabelScaler,
-    design_scaler: LabelScaler,
-    corr_scaler: LabelScaler,
-    mlps: Vec<ModelState>,
-}
+/// The first eight bytes of every weights file.
+const MAGIC: [u8; 8] = *b"SNSWGT01";
 
-impl SavedModel {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("vocab", Json::Int(self.vocab as i64)),
-            ("dim", Json::Int(self.dim as i64)),
-            ("heads", Json::Int(self.heads as i64)),
-            ("layers", Json::Int(self.layers as i64)),
-            ("ffn_dim", Json::Int(self.ffn_dim as i64)),
-            ("max_len", Json::Int(self.max_len as i64)),
-            ("sample_k", Json::Int(self.sample_k as i64)),
-            ("sample_max_paths", Json::Int(self.sample_max_paths as i64)),
-            ("sample_max_len", Json::Int(self.sample_max_len as i64)),
-            ("sample_seed", Json::UInt(self.sample_seed)),
-            ("circuitformer", self.circuitformer.to_json()),
-            ("path_scaler", self.path_scaler.to_json()),
-            ("design_scaler", self.design_scaler.to_json()),
-            ("corr_scaler", self.corr_scaler.to_json()),
-            ("mlps", Json::Arr(self.mlps.iter().map(|m| m.to_json()).collect())),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(SavedModel {
-            vocab: v.get("vocab")?.as_usize()?,
-            dim: v.get("dim")?.as_usize()?,
-            heads: v.get("heads")?.as_usize()?,
-            layers: v.get("layers")?.as_usize()?,
-            ffn_dim: v.get("ffn_dim")?.as_usize()?,
-            max_len: v.get("max_len")?.as_usize()?,
-            sample_k: u32::try_from(v.get("sample_k")?.as_u64()?)
-                .map_err(|_| JsonError("sample_k overflows u32".into()))?,
-            sample_max_paths: v.get("sample_max_paths")?.as_usize()?,
-            sample_max_len: v.get("sample_max_len")?.as_usize()?,
-            sample_seed: v.get("sample_seed")?.as_u64()?,
-            circuitformer: ModelState::from_json(v.get("circuitformer")?)?,
-            path_scaler: LabelScaler::from_json(v.get("path_scaler")?)?,
-            design_scaler: LabelScaler::from_json(v.get("design_scaler")?)?,
-            corr_scaler: LabelScaler::from_json(v.get("corr_scaler")?)?,
-            mlps: v
-                .get("mlps")?
-                .as_arr()?
-                .iter()
-                .map(ModelState::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
-    }
-}
-
-/// Renders `model` into the canonical serialized JSON string — the exact
-/// bytes [`save_model`] writes and [`model_weight_hash`] hashes.
-fn model_json(model: &SnsModel) -> String {
-    let cfg = model.circuitformer().config().clone();
+/// Encodes `model` into its weights bytes (module docs).
+fn model_bytes(model: &SnsModel) -> Vec<u8> {
+    let cfg = model.circuitformer().config();
     let sample = model.sample_config();
-    let saved = SavedModel {
-        vocab: cfg.vocab,
-        dim: cfg.dim,
-        heads: cfg.heads,
-        layers: cfg.layers,
-        ffn_dim: cfg.ffn_dim,
-        max_len: cfg.max_len,
-        sample_k: sample.k,
-        sample_max_paths: sample.max_paths,
-        sample_max_len: sample.max_len,
-        sample_seed: sample.seed,
-        circuitformer: model.circuitformer.save(),
-        path_scaler: model.path_scaler.clone(),
-        design_scaler: model.design_scaler.clone(),
-        corr_scaler: model.corr_scaler.clone(),
-        mlps: model.mlps.iter().map(|m| save_params(|f| m.visit(f))).collect(),
-    };
-    saved.to_json().print()
+    // The Circuitformer's data plus room for the header, the shapes and
+    // the three small MLPs, so the buffer is allocated once.
+    let mut out = Vec::with_capacity(4 * cfg.parameter_count().unwrap_or(0) + (1 << 16));
+    out.extend_from_slice(&MAGIC);
+    for v in [cfg.vocab, cfg.dim, cfg.heads, cfg.layers, cfg.ffn_dim, cfg.max_len] {
+        out.extend_from_slice(&(v as u64).to_le_bytes());
+    }
+    out.extend_from_slice(&sample.k.to_le_bytes());
+    for v in [sample.max_paths as u64, sample.max_len as u64, sample.seed] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    for scaler in [&model.path_scaler, &model.design_scaler, &model.corr_scaler] {
+        let (mean, std) = scaler.parts();
+        for v in mean.iter().chain(&std) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    write_params(&mut out, |f| model.circuitformer.visit(f));
+    for m in &model.mlps {
+        write_params(&mut out, |f| m.visit(f));
+    }
+    out
 }
 
-/// Rebuilds a runnable [`SnsModel`] from its parsed serialized form.
-/// A header the Circuitformer cannot be built or run with is an `Err`,
-/// never a panic at construction or on the first request.
-fn model_from_json(json: &str) -> Result<SnsModel, String> {
-    let parsed = sns_rt::json::parse(json).map_err(|e| e.to_string())?;
-    let saved = SavedModel::from_json(&parsed).map_err(|e| e.to_string())?;
-    let vocab = Vocab::new();
-    if saved.vocab != vocab.len() {
-        return Err(format!("vocab {} != the {}-token vocabulary", saved.vocab, vocab.len()));
+fn read_usize(r: &mut ByteReader<'_>) -> Result<usize, String> {
+    let v = r.u64()?;
+    usize::try_from(v).map_err(|_| format!("header value {v} overflows usize"))
+}
+
+fn read_scaler(r: &mut ByteReader<'_>) -> Result<LabelScaler, String> {
+    let mut v = [0.0f32; 6];
+    for x in &mut v {
+        *x = r.f32()?;
     }
-    if saved.heads == 0 || saved.dim == 0 || saved.dim % saved.heads != 0 {
-        return Err(format!(
-            "dim {} is not a positive multiple of heads {}",
-            saved.dim, saved.heads
-        ));
-    }
-    if saved.max_len < 2 {
-        return Err(format!("max_len {} leaves no room for a path token", saved.max_len));
-    }
-    if saved.sample_k == 0 {
-        return Err("sample_k 0: the sampler follows ⌈d / k⌉ successors, k ≥ 1".into());
+    Ok(LabelScaler::from_parts([v[0], v[1], v[2]], [v[3], v[4], v[5]]))
+}
+
+/// Decodes weights bytes into a runnable [`SnsModel`]. A header the
+/// Circuitformer cannot be built or run with, or one that claims more
+/// parameters than the bytes hold, is an `Err` before anything that size
+/// is allocated — never a panic at construction or on the first request.
+fn model_from_bytes(bytes: &[u8]) -> Result<SnsModel, String> {
+    let mut r = ByteReader::new(bytes);
+    if r.take(MAGIC.len()).ok() != Some(&MAGIC[..]) {
+        return Err("not an SNS weights file (bad magic)".into());
     }
     let cfg = CircuitformerConfig {
-        vocab: saved.vocab,
-        dim: saved.dim,
-        heads: saved.heads,
-        layers: saved.layers,
-        ffn_dim: saved.ffn_dim,
-        max_len: saved.max_len,
+        vocab: read_usize(&mut r)?,
+        dim: read_usize(&mut r)?,
+        heads: read_usize(&mut r)?,
+        layers: read_usize(&mut r)?,
+        ffn_dim: read_usize(&mut r)?,
+        max_len: read_usize(&mut r)?,
     };
+    let sample = SampleConfig {
+        k: r.u32()?,
+        max_paths: read_usize(&mut r)?,
+        max_len: read_usize(&mut r)?,
+        seed: r.u64()?,
+    };
+    let path_scaler = read_scaler(&mut r)?;
+    let design_scaler = read_scaler(&mut r)?;
+    let corr_scaler = read_scaler(&mut r)?;
+    let vocab = Vocab::new();
+    if cfg.vocab != vocab.len() {
+        return Err(format!("vocab {} != the {}-token vocabulary", cfg.vocab, vocab.len()));
+    }
+    if cfg.heads == 0 || cfg.dim == 0 || !cfg.dim.is_multiple_of(cfg.heads) {
+        return Err(format!("dim {} is not a positive multiple of heads {}", cfg.dim, cfg.heads));
+    }
+    if cfg.max_len < 2 {
+        return Err(format!("max_len {} leaves no room for a path token", cfg.max_len));
+    }
+    if sample.k == 0 {
+        return Err("sample_k 0: the sampler follows ⌈d / k⌉ successors, k ≥ 1".into());
+    }
+    if cfg.parameter_count().is_none_or(|n| n > r.remaining() / 4) {
+        return Err(format!("{cfg:?} needs more than the {} bytes left", r.remaining()));
+    }
     let mut rng = StdRng::seed_from_u64(0);
     let mut circuitformer = Circuitformer::new(cfg, &mut rng);
-    circuitformer.load(&saved.circuitformer)?;
-    if saved.mlps.len() != 3 {
-        return Err(format!("expected 3 MLP states, found {}", saved.mlps.len()));
-    }
+    read_params(&mut r, |f| circuitformer.visit_mut(f))?;
     let mut mlps = [
         AggMlp::new(5 + vocab.len(), 0),
         AggMlp::new(5 + vocab.len(), 0),
         AggMlp::new(5 + vocab.len(), 0),
     ];
-    for (m, state) in mlps.iter_mut().zip(&saved.mlps) {
-        load_params(state, |f| m.visit_mut(f))?;
+    for m in &mut mlps {
+        read_params(&mut r, |f| m.visit_mut(f))?;
     }
-    let sample = SampleConfig {
-        k: saved.sample_k,
-        max_paths: saved.sample_max_paths,
-        max_len: saved.sample_max_len,
-        seed: saved.sample_seed,
-    };
+    r.finish()?;
     Ok(SnsModel {
         circuitformer,
-        path_scaler: saved.path_scaler,
-        design_scaler: saved.design_scaler,
-        corr_scaler: saved.corr_scaler,
+        path_scaler,
+        design_scaler,
+        corr_scaler,
         mlps,
         sample,
         vocab,
@@ -184,35 +152,35 @@ fn model_from_json(json: &str) -> Result<SnsModel, String> {
     })
 }
 
-/// Serializes a trained model to JSON at `path` (atomically: temp file +
-/// rename, so a concurrent reader sees old or new bytes, never a mix).
+/// Writes a trained model's weights bytes to `path` (atomically: temp
+/// file + rename, so a concurrent reader sees old or new bytes, never a
+/// mix).
 ///
 /// # Errors
 ///
-/// Returns an I/O or serialization error message.
+/// Returns an I/O error message.
 pub fn save_model(model: &SnsModel, path: impl AsRef<Path>) -> Result<(), String> {
-    let json = model_json(model);
-    sns_rt::fsx::write_atomic(path.as_ref(), json.as_bytes()).map_err(|e| e.to_string())
+    sns_rt::fsx::write_atomic(path.as_ref(), &model_bytes(model)).map_err(|e| e.to_string())
 }
 
-/// Loads a model serialized by [`save_model`].
+/// Loads a model written by [`save_model`].
 ///
 /// # Errors
 ///
-/// Returns an I/O, parse, or shape-mismatch error message.
+/// Returns an I/O, format, or shape-mismatch error message.
 pub fn load_model(path: impl AsRef<Path>) -> Result<SnsModel, String> {
-    let json = fs::read_to_string(path).map_err(|e| e.to_string())?;
-    model_from_json(&json)
+    let bytes = fs::read(path).map_err(|e| e.to_string())?;
+    model_from_bytes(&bytes)
 }
 
 /// FNV-128 hash of a model's weights, as 32 lowercase hex digits.
 ///
-/// Hashes the exact serialized bytes [`save_model`] writes, so the hash
-/// of an in-memory model equals the hash of its checkpoint file — the
+/// Hashes the exact bytes [`save_model`] writes, so the hash of an
+/// in-memory model equals the hash of its checkpoint file — the
 /// invariant the zoo's integrity check and sns-serve's cache keying rely
 /// on.
 pub fn model_weight_hash(model: &SnsModel) -> String {
-    hash_hex(model_json(model).as_bytes())
+    hash_hex(&model_bytes(model))
 }
 
 fn hash_hex(bytes: &[u8]) -> String {
@@ -401,18 +369,18 @@ pub fn save_to_zoo(
     if manifest.find(&meta.id).is_some() {
         return Err(ZooError::Manifest(format!("duplicate model id {}", meta.id)));
     }
-    let json = model_json(model);
+    let bytes = model_bytes(model);
     let entry = ZooEntry {
         id: meta.id.clone(),
-        file: format!("{}.json", meta.id),
-        weight_hash: hash_hex(json.as_bytes()),
+        file: format!("{}.bin", meta.id),
+        weight_hash: hash_hex(&bytes),
         tech_nm: meta.tech.nanometres(),
         train_steps: meta.train_steps,
         labeled_designs: meta.labeled_designs,
         seed: meta.seed,
     };
     let weights_path = dir.join(&entry.file);
-    sns_rt::fsx::write_atomic(&weights_path, json.as_bytes())
+    sns_rt::fsx::write_atomic(&weights_path, &bytes)
         .map_err(|e| ZooError::Io(format!("{}: {e}", weights_path.display())))?;
     manifest.entries.push(entry.clone());
     let manifest_path = dir.join(ZOO_MANIFEST);
@@ -439,14 +407,14 @@ pub fn load_from_zoo(dir: &Path, id: Option<&str>) -> Result<(SnsModel, ZooEntry
     }
     .clone();
     let weights_path: PathBuf = dir.join(&entry.file);
-    let json = match fs::read_to_string(&weights_path) {
-        Ok(j) => j,
+    let bytes = match fs::read(&weights_path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Err(ZooError::MissingWeights(format!("{}", weights_path.display())));
         }
         Err(e) => return Err(ZooError::Io(format!("{}: {e}", weights_path.display()))),
     };
-    let actual = hash_hex(json.as_bytes());
+    let actual = hash_hex(&bytes);
     if actual != entry.weight_hash {
         return Err(ZooError::BadWeights(format!(
             "{}: hash {actual} != manifest {}",
@@ -454,7 +422,7 @@ pub fn load_from_zoo(dir: &Path, id: Option<&str>) -> Result<(SnsModel, ZooEntry
             entry.weight_hash
         )));
     }
-    let model = model_from_json(&json)
+    let model = model_from_bytes(&bytes)
         .map_err(|e| ZooError::BadWeights(format!("{}: {e}", weights_path.display())))?;
     Ok((model, entry))
 }
@@ -483,9 +451,13 @@ mod tests {
         let (model, _) = train_sns(&designs, &cfg);
         let before = model.predict_verilog(&designs[0].verilog, &designs[0].top).unwrap();
 
-        let dir = std::env::temp_dir().join("sns_model_test.json");
+        let dir = std::env::temp_dir().join(format!("sns_model_test_{}.bin", std::process::id()));
         save_model(&model, &dir).unwrap();
+        // The weight hash is the FNV-128 of exactly the bytes on disk.
+        let written = std::fs::read(&dir).unwrap();
+        assert_eq!(model_weight_hash(&model), hash_hex(&written));
         let loaded = load_model(&dir).unwrap();
+        assert_eq!(model_weight_hash(&loaded), model_weight_hash(&model));
         let after = loaded.predict_verilog(&designs[0].verilog, &designs[0].top).unwrap();
         assert_eq!(before.timing_ps, after.timing_ps);
         assert_eq!(before.area_um2, after.area_um2);
@@ -495,21 +467,26 @@ mod tests {
 
     #[test]
     fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("sns_model_garbage.json");
+        let name = format!("sns_model_garbage_{}.bin", std::process::id());
+        let dir = std::env::temp_dir().join(name);
         std::fs::write(&dir, "{not json").unwrap();
         assert!(load_model(&dir).is_err());
         let _ = std::fs::remove_file(dir);
     }
 
     fn tiny_model() -> SnsModel {
-        let designs = vec![vector::simd_alu(2, 8), nonlinear::piecewise(4, 8)];
-        let mut cfg = SnsTrainConfig::fast();
-        cfg.circuitformer = CircuitformerConfig {
+        model_of_shape(CircuitformerConfig {
             dim: 32,
             ffn_dim: 64,
             max_len: 64,
             ..CircuitformerConfig::fast()
-        };
+        })
+    }
+
+    fn model_of_shape(circuitformer: CircuitformerConfig) -> SnsModel {
+        let designs = vec![vector::simd_alu(2, 8), nonlinear::piecewise(4, 8)];
+        let mut cfg = SnsTrainConfig::fast();
+        cfg.circuitformer = circuitformer;
         cfg.cf_train = TrainConfig { epochs: 2, batch_size: 32, threads: 1, ..TrainConfig::fast() };
         cfg.mlp_train =
             crate::aggmlp::MlpTrainConfig { epochs: 20, ..crate::aggmlp::MlpTrainConfig::fast() };
@@ -566,6 +543,7 @@ mod tests {
         let (m1, e1) = load_from_zoo(&dir, Some("m1")).unwrap();
         assert_eq!(e1.id, "m1");
         assert_eq!(m1.sample_config().seed, 2);
+        assert_eq!(model_weight_hash(&m1), e1.weight_hash);
         let (latest, el) = load_from_zoo(&dir, None).unwrap();
         assert_eq!(el.id, "m2");
         assert_eq!(latest.sample_config().seed, 3);
@@ -574,11 +552,11 @@ mod tests {
         assert!(matches!(load_from_zoo(&dir, Some("nope")), Err(ZooError::UnknownModel(_))));
 
         // Missing weights: delete m0's file.
-        std::fs::remove_file(dir.join("m0.json")).unwrap();
+        std::fs::remove_file(dir.join("m0.bin")).unwrap();
         assert!(matches!(load_from_zoo(&dir, Some("m0")), Err(ZooError::MissingWeights(_))));
 
         // Corrupted weights: truncate m1's file → hash mismatch.
-        std::fs::write(dir.join("m1.json"), "{}").unwrap();
+        std::fs::write(dir.join("m1.bin"), "{}").unwrap();
         assert!(matches!(load_from_zoo(&dir, Some("m1")), Err(ZooError::BadWeights(_))));
 
         // Corrupted manifest.
@@ -592,42 +570,205 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A zoo holding one tiny checkpoint, `m0`, whose weights a test
+    /// replaces. Each [`load`](Self::load) rewrites the manifest hash to
+    /// match the new bytes, so the integrity check passes and only the
+    /// decoder stands between the bytes and a panic.
+    struct Tampered {
+        dir: std::path::PathBuf,
+        model: SnsModel,
+        weights: Vec<u8>,
+        manifest: String,
+        hash: String,
+    }
+
+    impl Tampered {
+        fn new(tag: &str, model: SnsModel) -> Self {
+            let dir = zoo_dir(tag);
+            let meta = ZooCheckpointMeta {
+                id: "m0".into(),
+                tech: TechNode::N15,
+                train_steps: 0,
+                labeled_designs: 0,
+                seed: 7,
+            };
+            let hash = save_to_zoo(&model, &dir, &meta).unwrap().weight_hash;
+            let weights = std::fs::read(dir.join("m0.bin")).unwrap();
+            let manifest = std::fs::read_to_string(dir.join(ZOO_MANIFEST)).unwrap();
+            Tampered { dir, model, weights, manifest, hash }
+        }
+
+        fn load(&self, bytes: &[u8]) -> Result<(SnsModel, ZooEntry), ZooError> {
+            std::fs::write(self.dir.join("m0.bin"), bytes).unwrap();
+            let rehashed = self.manifest.replace(&self.hash, &hash_hex(bytes));
+            std::fs::write(self.dir.join(ZOO_MANIFEST), rehashed).unwrap();
+            load_from_zoo(&self.dir, Some("m0"))
+        }
+    }
+
+    impl Drop for Tampered {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    /// Byte offsets of the header fields in a weights file.
+    const VOCAB_AT: usize = 8;
+    const DIM_AT: usize = 16;
+    const HEADS_AT: usize = 24;
+    const LAYERS_AT: usize = 32;
+    const MAX_LEN_AT: usize = 48;
+    const SAMPLE_K_AT: usize = 56;
+    /// Where the first tensor's shape starts: magic, six `u64`s, a `u32`,
+    /// three `u64`s, then three scalers of six `f32`s.
+    const TENSORS_AT: usize = 8 + 6 * 8 + 4 + 3 * 8 + 3 * 6 * 4;
+
     #[test]
     fn zoo_rejects_hash_consistent_weights_with_a_bad_header() {
-        let dir = zoo_dir("header");
-        let meta = ZooCheckpointMeta {
-            id: "m0".into(),
-            tech: TechNode::N15,
-            train_steps: 0,
-            labeled_designs: 0,
-            seed: 7,
-        };
-        save_to_zoo(&tiny_model(), &dir, &meta).unwrap();
-        assert!(load_from_zoo(&dir, Some("m0")).is_ok(), "the unedited checkpoint loads");
-        let weights = std::fs::read_to_string(dir.join("m0.json")).unwrap();
-        let manifest = std::fs::read_to_string(dir.join(ZOO_MANIFEST)).unwrap();
-        let good_hash = hash_hex(weights.as_bytes());
+        let zoo = Tampered::new("header", tiny_model());
+        assert!(zoo.load(&zoo.weights).is_ok(), "the unedited checkpoint loads");
         // heads 0; dim not a multiple of heads (2); a vocab other than
         // the 79-token one; max_len too short to hold CLS plus a token;
         // a sampling density of 0 (`⌈d / 0⌉` at the first prediction).
-        let bad = [("heads", 0), ("dim", 33), ("vocab", 80), ("max_len", 1), ("sample_k", 0)];
-        for (field, value) in bad {
-            let Json::Obj(mut fields) = sns_rt::json::parse(&weights).unwrap() else {
-                panic!("weights file is not an object");
-            };
-            fields.iter_mut().find(|(k, _)| k == field).unwrap().1 = Json::Int(value);
-            let edited = Json::Obj(fields).print();
-            // Rewrite the manifest hash so the integrity check passes and
-            // only the header check stands between the file and a panic.
-            std::fs::write(dir.join("m0.json"), &edited).unwrap();
-            let rehashed = manifest.replace(&good_hash, &hash_hex(edited.as_bytes()));
-            std::fs::write(dir.join(ZOO_MANIFEST), rehashed).unwrap();
+        let bad = [
+            ("heads", HEADS_AT, 0u64),
+            ("dim", DIM_AT, 33),
+            ("vocab", VOCAB_AT, 80),
+            ("max_len", MAX_LEN_AT, 1),
+        ];
+        for (field, at, value) in bad {
+            let mut edited = zoo.weights.clone();
+            edited[at..at + 8].copy_from_slice(&value.to_le_bytes());
             assert!(
-                matches!(load_from_zoo(&dir, Some("m0")), Err(ZooError::BadWeights(_))),
+                matches!(zoo.load(&edited), Err(ZooError::BadWeights(_))),
                 "{field} = {value} must be rejected as bad weights"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let mut edited = zoo.weights.clone();
+        edited[SAMPLE_K_AT..SAMPLE_K_AT + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert!(
+            matches!(zoo.load(&edited), Err(ZooError::BadWeights(_))),
+            "sample_k = 0 must be rejected as bad weights"
+        );
+    }
+
+    /// The serde-era JSON layout of `model`, which this loader dropped.
+    fn legacy_json(model: &SnsModel) -> String {
+        fn state(visit: impl FnOnce(&mut dyn FnMut(&sns_nn::Param))) -> Json {
+            let mut tensors = Vec::new();
+            visit(&mut |p| {
+                tensors.push(Json::Arr(vec![
+                    Json::Str(p.name.clone()),
+                    Json::Int(p.value.rows() as i64),
+                    Json::Int(p.value.cols() as i64),
+                    Json::Arr(p.value.as_slice().iter().map(|&v| Json::Num(v as f64)).collect()),
+                ]))
+            });
+            Json::obj(vec![("tensors", Json::Arr(tensors))])
+        }
+        let scaler = |s: &LabelScaler| {
+            let (mean, std) = s.parts();
+            let arr = |v: [f32; 3]| Json::Arr(v.iter().map(|&x| Json::Num(x as f64)).collect());
+            Json::obj(vec![("mean", arr(mean)), ("std", arr(std))])
+        };
+        let cfg = model.circuitformer().config();
+        let sample = model.sample_config();
+        Json::obj(vec![
+            ("vocab", Json::Int(cfg.vocab as i64)),
+            ("dim", Json::Int(cfg.dim as i64)),
+            ("heads", Json::Int(cfg.heads as i64)),
+            ("layers", Json::Int(cfg.layers as i64)),
+            ("ffn_dim", Json::Int(cfg.ffn_dim as i64)),
+            ("max_len", Json::Int(cfg.max_len as i64)),
+            ("sample_k", Json::Int(sample.k as i64)),
+            ("sample_max_paths", Json::Int(sample.max_paths as i64)),
+            ("sample_max_len", Json::Int(sample.max_len as i64)),
+            ("sample_seed", Json::UInt(sample.seed)),
+            ("circuitformer", state(|f| model.circuitformer().visit(f))),
+            ("path_scaler", scaler(&model.path_scaler)),
+            ("design_scaler", scaler(&model.design_scaler)),
+            ("corr_scaler", scaler(&model.corr_scaler)),
+            (
+                "mlps",
+                Json::Arr(model.mlps.iter().map(|m| state(|f| m.visit(f))).collect()),
+            ),
+        ])
+        .print()
+    }
+
+    #[test]
+    fn decoder_is_total_over_truncation_mutation_and_legacy_files() {
+        // The smallest shape that still has two heads and two layers, so
+        // a few thousand loads stay quick.
+        let shape =
+            CircuitformerConfig { dim: 8, ffn_dim: 8, max_len: 16, ..CircuitformerConfig::fast() };
+        let zoo = Tampered::new("total", model_of_shape(shape));
+        let good = &zoo.weights;
+        let verilog = "module t(input [3:0] a, b, output [3:0] y); assign y = a + b; endmodule";
+        assert!(zoo.model.predict_verilog(verilog, "t").is_ok());
+        let bad = |r: Result<(SnsModel, ZooEntry), ZooError>, what: &str| match r {
+            Err(ZooError::BadWeights(_)) => {}
+            Err(e) => panic!("{what}: {e}"),
+            Ok(_) => panic!("{what}: loaded"),
+        };
+
+        // A stride of prefixes: none is a whole model.
+        for len in (0..good.len()).step_by(good.len() / 200) {
+            bad(zoo.load(&good[..len]), &format!("prefix of {len} bytes"));
+        }
+        // One trailing byte.
+        let mut long = good.clone();
+        long.push(0);
+        bad(zoo.load(&long), "one trailing byte");
+
+        // Seeded single-byte mutations: a third anywhere, a third in the
+        // header and scalers, a third in a tensor shape. Each loads (a
+        // changed value) or is refused; a model that loads also predicts.
+        let mut shapes = Vec::new();
+        let mut at = TENSORS_AT;
+        while at < good.len() {
+            shapes.extend(at..at + 8);
+            let dim = |o: usize| u32::from_le_bytes(good[o..o + 4].try_into().unwrap()) as usize;
+            at += 8 + 4 * dim(at) * dim(at + 4);
+        }
+        assert_eq!(at, good.len(), "tensor walk ends at the end of the file");
+        assert_eq!(shapes.len(), 8 * (40 + 3 * 8), "Circuitformer and MLP tensors");
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut loaded = 0;
+        for i in 0..3000 {
+            let at = match i % 3 {
+                0 => rng.gen_range(0..good.len()),
+                1 => rng.gen_range(0..TENSORS_AT),
+                _ => shapes[rng.gen_range(0..shapes.len())],
+            };
+            let mut edited = good.clone();
+            edited[at] ^= rng.gen_range(1u8..255);
+            match zoo.load(&edited) {
+                Err(ZooError::BadWeights(_)) => {}
+                Err(e) => panic!("byte {at}: {e}"),
+                Ok((m, _)) => {
+                    loaded += 1;
+                    if at < TENSORS_AT {
+                        let _ = m.predict_verilog(verilog, "t");
+                    }
+                }
+            }
+        }
+        assert!(loaded > 0, "value mutations still load");
+
+        // A header whose Circuitformer would not fit in the bytes left is
+        // refused before it is built, and so is a tensor claiming more
+        // data than remains.
+        let mut edited = good.clone();
+        edited[LAYERS_AT..LAYERS_AT + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        bad(zoo.load(&edited), "a 2^40-layer header");
+        let mut edited = good.clone();
+        edited[TENSORS_AT..TENSORS_AT + 8].copy_from_slice(&[0xff; 8]);
+        bad(zoo.load(&edited), "a 2^32 x 2^32 tensor");
+
+        // A hash-consistent file in the serde-era JSON layout.
+        bad(zoo.load(legacy_json(&zoo.model).as_bytes()), "legacy JSON weights");
+        assert!(zoo.load(good).is_ok(), "the unedited checkpoint still loads");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * **Everything SNS needs, nothing more:** linear, embedding, layer norm,
 //!   multi-head self-attention, GELU/ReLU/tanh/sigmoid, GRU (for SeqGAN),
 //!   MSE / BCE / cross-entropy losses, SGD with momentum and Adam, and
-//!   JSON parameter serialization (via `sns-rt`).
+//!   little-endian byte serialization of parameters ([`serialize`]).
 //!
 //! # Example: fitting a tiny regression
 //!
@@ -76,4 +76,4 @@ pub use mat::Mat;
 pub use norm::{LayerNorm, LayerNormCtx};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::{Grads, Param, ParamId, ParamRegistry};
-pub use serialize::{load_params, save_params, ModelState};
+pub use serialize::{read_params, write_params, ByteReader};

@@ -1,119 +1,56 @@
-//! Parameter serialization.
+//! Parameter serialization: the little-endian byte form of a model's
+//! parameters, streamed straight out of `visit` and into `visit_mut`.
 //!
-//! Models expose `visit`/`visit_mut`; serialization snapshots every
-//! parameter by name. The on-disk format is JSON via [`sns_rt::json`],
-//! shape-compatible with what the earlier serde-based code wrote
-//! (`{"tensors":[[name,rows,cols,[data...]],...]}`), so existing model
-//! files still load.
+//! Each parameter is written as `rows` and `cols` (`u32` LE) followed by
+//! `rows·cols` `f32` LE, in visit order. No names are stored: a reader
+//! matches parameters by order and shape, and writes each tensor into the
+//! buffer the model already owns, so loading allocates nothing per tensor.
 
-use sns_rt::json::{Json, JsonError};
-
-use crate::mat::Mat;
 use crate::param::Param;
 
-/// A serializable snapshot of model parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelState {
-    /// `(name, rows, cols, data)` per parameter, in visit order.
-    pub tensors: Vec<(String, usize, usize, Vec<f32>)>,
-}
-
-impl ModelState {
-    /// The JSON form (tuples become arrays, as serde did).
-    pub fn to_json(&self) -> Json {
-        let tensors = self
-            .tensors
-            .iter()
-            .map(|(name, rows, cols, data)| {
-                Json::Arr(vec![
-                    Json::Str(name.clone()),
-                    Json::Int(*rows as i64),
-                    Json::Int(*cols as i64),
-                    Json::from_f32_slice(data),
-                ])
-            })
-            .collect();
-        Json::obj(vec![("tensors", Json::Arr(tensors))])
-    }
-
-    /// Reconstructs a state from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural mismatch.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut tensors = Vec::new();
-        for entry in v.get("tensors")?.as_arr()? {
-            let fields = entry.as_arr()?;
-            if fields.len() != 4 {
-                return Err(JsonError(format!(
-                    "tensor entry has {} fields, expected 4",
-                    fields.len()
-                )));
-            }
-            let rows = fields[1].as_usize()?;
-            let cols = fields[2].as_usize()?;
-            let data = fields[3].as_f32_vec()?;
-            if data.len() != rows * cols {
-                return Err(JsonError(format!(
-                    "tensor `{}` claims {rows}x{cols} but carries {} values",
-                    fields[0].as_str().unwrap_or("?"),
-                    data.len()
-                )));
-            }
-            tensors.push((fields[0].as_str()?.to_string(), rows, cols, data));
-        }
-        Ok(ModelState { tensors })
-    }
-
-    /// Serializes to a JSON string.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().print()
-    }
-
-    /// Parses a JSON string produced by [`ModelState::to_json_string`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse or structure error message.
-    pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&sns_rt::json::parse(text)?)
-    }
-}
-
-/// Captures all parameters yielded by `visit` into a [`ModelState`].
+/// Appends every parameter yielded by `visit` to `out`.
 ///
 /// # Example
 ///
 /// ```rust
-/// use sns_nn::{save_params, load_params, Linear, ParamRegistry};
+/// use sns_nn::{read_params, write_params, ByteReader, Linear, ParamRegistry};
 ///
 /// let mut rng = sns_rt::rng::StdRng::seed_from_u64(0);
 /// let mut reg = ParamRegistry::new();
-/// let mut layer = Linear::new(&mut reg, 4, 2, &mut rng);
-/// let state = save_params(|f| layer.visit(f));
+/// let layer = Linear::new(&mut reg, 4, 2, &mut rng);
+/// let mut bytes = Vec::new();
+/// write_params(&mut bytes, |f| layer.visit(f));
 /// let mut layer2 = Linear::new(&mut reg, 4, 2, &mut rng);
-/// load_params(&state, |f| layer2.visit_mut(f)).unwrap();
-/// let s2 = save_params(|f| layer2.visit(f));
-/// assert_eq!(state, s2);
+/// let mut r = ByteReader::new(&bytes);
+/// read_params(&mut r, |f| layer2.visit_mut(f)).unwrap();
+/// r.finish().unwrap();
+/// let mut again = Vec::new();
+/// write_params(&mut again, |f| layer2.visit(f));
+/// assert_eq!(bytes, again);
 /// ```
-pub fn save_params(mut visit: impl FnMut(&mut dyn FnMut(&Param))) -> ModelState {
-    let mut tensors = Vec::new();
+pub fn write_params(out: &mut Vec<u8>, visit: impl FnOnce(&mut dyn FnMut(&Param))) {
     visit(&mut |p: &Param| {
-        tensors.push((p.name.clone(), p.value.rows(), p.value.cols(), p.value.as_slice().to_vec()));
+        // A dimension past u32 cannot exist in memory next to its data;
+        // were it to, the truncated shape fails the reader's shape check.
+        out.extend_from_slice(&(p.value.rows() as u32).to_le_bytes());
+        out.extend_from_slice(&(p.value.cols() as u32).to_le_bytes());
+        for v in p.value.as_slice() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
     });
-    ModelState { tensors }
 }
 
-/// Restores parameters in visit order from a [`ModelState`].
+/// Restores parameters in visit order from `r`, checking each tensor's
+/// shape against the parameter it lands in before reading its data.
 ///
 /// # Errors
 ///
-/// Returns a description of the first mismatch (count or shape) — partial
-/// restores are applied up to that point.
-pub fn load_params(
-    state: &ModelState,
-    mut visit: impl FnMut(&mut dyn FnMut(&mut Param)),
+/// Returns a description of the first mismatch (shape or truncation);
+/// parameters before it have been overwritten. Bytes left after the last
+/// parameter are the caller's to check ([`ByteReader::finish`]).
+pub fn read_params(
+    r: &mut ByteReader<'_>,
+    visit: impl FnOnce(&mut dyn FnMut(&mut Param)),
 ) -> Result<(), String> {
     let mut idx = 0usize;
     let mut error: Option<String> = None;
@@ -121,31 +58,123 @@ pub fn load_params(
         if error.is_some() {
             return;
         }
-        let Some((name, rows, cols, data)) = state.tensors.get(idx) else {
-            error = Some(format!("state has only {} tensors", state.tensors.len()));
+        if r.remaining() == 0 {
+            error = Some(format!("the stream holds only {idx} tensors"));
             return;
+        }
+        let shape = match (r.u32(), r.u32()) {
+            (Ok(rows), Ok(cols)) => (rows as usize, cols as usize),
+            (Err(e), _) | (_, Err(e)) => {
+                error = Some(e);
+                return;
+            }
         };
-        if (*rows, *cols) != (p.value.rows(), p.value.cols()) {
+        if shape != (p.value.rows(), p.value.cols()) {
             error = Some(format!(
-                "tensor `{name}` shape {}x{} does not match parameter `{}` {}x{}",
-                rows,
-                cols,
+                "tensor {idx} shape {}x{} does not match parameter `{}` {}x{}",
+                shape.0,
+                shape.1,
                 p.name,
                 p.value.rows(),
                 p.value.cols()
             ));
             return;
         }
-        p.value = Mat::from_vec(*rows, *cols, data.clone());
-        idx += 1;
+        let data = p.value.as_mut_slice();
+        match r.take(data.len().saturating_mul(4)) {
+            Ok(bytes) => {
+                for (v, b) in data.iter_mut().zip(bytes.chunks_exact(4)) {
+                    *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+                }
+                idx += 1;
+            }
+            Err(e) => error = Some(e),
+        }
     });
-    if let Some(e) = error {
-        return Err(e);
+    error.map_or(Ok(()), Err)
+}
+
+/// A cursor over little-endian bytes whose reads fail, never panic, past
+/// the end.
+#[derive(Debug, Clone)]
+pub struct ByteReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        ByteReader { bytes, pos: 0 }
     }
-    if idx != state.tensors.len() {
-        return Err(format!("model consumed {idx} of {} tensors", state.tensors.len()));
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
     }
-    Ok(())
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.remaining() {
+            return Err(format!(
+                "truncated: {n} bytes wanted at offset {}, {} left",
+                self.pos,
+                self.remaining()
+            ));
+        }
+        let out = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// The next `u32`.
+    ///
+    /// # Errors
+    ///
+    /// Fewer than 4 bytes remain.
+    pub fn u32(&mut self) -> Result<u32, String> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// The next `u64`.
+    ///
+    /// # Errors
+    ///
+    /// Fewer than 8 bytes remain.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next `f32`.
+    ///
+    /// # Errors
+    ///
+    /// Fewer than 4 bytes remain.
+    pub fn f32(&mut self) -> Result<f32, String> {
+        self.array().map(f32::from_le_bytes)
+    }
+
+    /// Ends the read.
+    ///
+    /// # Errors
+    ///
+    /// Bytes remain after the last field.
+    pub fn finish(self) -> Result<(), String> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(format!("{n} trailing bytes after offset {}", self.pos)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -155,33 +184,52 @@ mod tests {
     use crate::param::ParamRegistry;
     use sns_rt::rng::StdRng;
 
+    fn bytes_of(l: &Linear) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_params(&mut out, |f| l.visit(f));
+        out
+    }
+
     #[test]
-    fn round_trip_through_json() {
+    fn round_trip_through_bytes() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut reg = ParamRegistry::new();
         let l = Linear::new(&mut reg, 3, 3, &mut rng);
-        let state = save_params(|f| l.visit(f));
-        let json = state.to_json_string();
-        let back = ModelState::from_json_str(&json).unwrap();
-        assert_eq!(state, back);
+        let mut back = Linear::new(&mut reg, 3, 3, &mut rng);
+        let bytes = bytes_of(&l);
+        // w 3x3 and b 1x3, each behind an 8-byte shape.
+        assert_eq!(bytes.len(), 8 + 9 * 4 + 8 + 3 * 4);
+        let mut r = ByteReader::new(&bytes);
+        read_params(&mut r, |f| back.visit_mut(f)).unwrap();
+        r.finish().unwrap();
+        assert_eq!(bytes_of(&back), bytes);
     }
 
     #[test]
-    fn json_shape_matches_the_serde_era_format() {
-        let state = ModelState {
-            tensors: vec![("t".to_string(), 1, 2, vec![0.5, -1.5])],
-        };
-        assert_eq!(state.to_json_string(), r#"{"tensors":[["t",1,2,[0.5,-1.5]]]}"#);
-        // And a literal file written by the old serde code parses.
-        let legacy = r#"{"tensors":[["t",1,2,[0.5,-1.5]]]}"#;
-        assert_eq!(ModelState::from_json_str(legacy).unwrap(), state);
-    }
-
-    #[test]
-    fn corrupt_json_is_an_error() {
-        assert!(ModelState::from_json_str("{not json").is_err());
-        assert!(ModelState::from_json_str(r#"{"tensors":[["t",2,2,[1.0]]]}"#).is_err());
-        assert!(ModelState::from_json_str(r#"{"wrong":[]}"#).is_err());
+    fn corrupt_bytes_are_an_error() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut reg = ParamRegistry::new();
+        let mut l = Linear::new(&mut reg, 2, 2, &mut rng);
+        let bytes = bytes_of(&l);
+        // Cut inside the first shape, inside the first tensor's data, and
+        // inside the second tensor's data.
+        for cut in [3, 8 + 5, bytes.len() - 1] {
+            let mut r = ByteReader::new(&bytes[..cut]);
+            let err = read_params(&mut r, |f| l.visit_mut(f)).unwrap_err();
+            assert!(err.contains("truncated"), "cut {cut}: {err}");
+        }
+        // A 2x2 shape that claims more data than the stream holds is
+        // refused by shape, before its data is read.
+        let mut huge = bytes.clone();
+        huge[..8].copy_from_slice(&[0xff; 8]);
+        let err = read_params(&mut ByteReader::new(&huge), |f| l.visit_mut(f)).unwrap_err();
+        assert!(err.contains("4294967295x4294967295"), "{err}");
+        // A trailing byte is the caller's to refuse.
+        let mut long = bytes.clone();
+        long.push(0);
+        let mut r = ByteReader::new(&long);
+        read_params(&mut r, |f| l.visit_mut(f)).unwrap();
+        assert!(r.finish().unwrap_err().contains("1 trailing"));
     }
 
     #[test]
@@ -190,8 +238,8 @@ mod tests {
         let mut reg = ParamRegistry::new();
         let small = Linear::new(&mut reg, 2, 2, &mut rng);
         let mut big = Linear::new(&mut reg, 4, 4, &mut rng);
-        let state = save_params(|f| small.visit(f));
-        let err = load_params(&state, |f| big.visit_mut(f)).unwrap_err();
+        let bytes = bytes_of(&small);
+        let err = read_params(&mut ByteReader::new(&bytes), |f| big.visit_mut(f)).unwrap_err();
         assert!(err.contains("shape"), "{err}");
     }
 
@@ -204,8 +252,8 @@ mod tests {
             Linear::new(&mut reg, 2, 2, &mut rng),
             Linear::new(&mut reg, 2, 2, &mut rng),
         );
-        let state = save_params(|f| l.visit(f));
-        let err = load_params(&state, |f| {
+        let bytes = bytes_of(&l);
+        let err = read_params(&mut ByteReader::new(&bytes), |f| {
             two.0.visit_mut(f);
             two.1.visit_mut(f);
         })

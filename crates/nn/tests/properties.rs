@@ -7,7 +7,7 @@
 //! checked while keeping the build hermetic.
 
 use sns_nn::{
-    load_params, save_params, Adam, Embedding, Grads, Gru, LayerNorm, Linear, Mat, ModelState,
+    read_params, write_params, Adam, ByteReader, Embedding, Grads, Gru, LayerNorm, Linear, Mat,
     MultiHeadAttention, Optimizer, Param, ParamRegistry, Sgd,
 };
 use sns_rt::rng::StdRng;
@@ -145,7 +145,7 @@ fn param_bits(visit: impl FnMut(&mut dyn FnMut(&Param))) -> Vec<u32> {
     bits
 }
 
-/// save → JSON text → load into a differently-initialized twin is
+/// write → bytes → read into a differently-initialized twin is
 /// bit-identical, for every layer type in the crate.
 #[test]
 fn serialization_round_trips_bit_identically_for_every_layer() {
@@ -228,14 +228,15 @@ fn serialization_round_trips_bit_identically_for_every_layer() {
         let mut rb = StdRng::seed_from_u64(601);
         let (mut src_visit, mut dst_visit_mut, dst_visit) = build(&mut ra, &mut rb);
         let src_bits = param_bits(&mut src_visit);
-        // Through the on-disk text form, not just the in-memory state.
-        let state = save_params(&mut src_visit);
-        let text = state.to_json_string();
-        let back = ModelState::from_json_str(&text).unwrap();
-        load_params(&back, &mut dst_visit_mut).unwrap();
+        // Through the on-disk byte form.
+        let mut bytes = Vec::new();
+        write_params(&mut bytes, &mut src_visit);
+        let mut r = ByteReader::new(&bytes);
+        read_params(&mut r, &mut dst_visit_mut).unwrap();
+        r.finish().unwrap();
         let dst_bits = param_bits(dst_visit);
         assert!(!src_bits.is_empty(), "{name}: layer has no parameters");
-        assert_eq!(src_bits, dst_bits, "{name}: save -> JSON -> load is not bit-identical");
+        assert_eq!(src_bits, dst_bits, "{name}: write -> bytes -> read is not bit-identical");
     }
 }
 

@@ -1,11 +1,11 @@
 //! A small JSON value type with a parser and printer.
 //!
-//! This replaces `serde`/`serde_json` for the workspace's model
-//! serialization. The printer emits the same shapes serde's derive would
-//! (objects with field order preserved, tuples as arrays), so files
-//! written before the migration still load. Numbers round-trip exactly:
-//! integers are kept as `i64`/`u64`, floats print with Rust's
-//! shortest-round-trip formatting.
+//! This replaces `serde`/`serde_json` for the workspace's JSON: HTTP
+//! request and response bodies, the model zoo's manifest, bench reports
+//! and golden snapshots. Model weights are not JSON; they are bytes
+//! (`sns_core::model_io`). Objects keep their field order when printed.
+//! Numbers round-trip exactly: integers are kept as `i64`/`u64`, floats
+//! print with Rust's shortest-round-trip formatting.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -53,11 +53,6 @@ impl Json {
     /// An object builder preserving field order.
     pub fn obj(fields: Vec<(&str, Json)>) -> Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// An array of f32s (stored exactly, as f64 is a superset of f32).
-    pub fn from_f32_slice(values: &[f32]) -> Json {
-        Json::Arr(values.iter().map(|&v| Json::Num(v as f64)).collect())
     }
 
     // ---- accessors ----
@@ -116,24 +111,6 @@ impl Json {
             Json::Arr(v) => Ok(v),
             other => err(format!("expected array, found {}", other.kind())),
         }
-    }
-
-    /// A fixed-length `[f32; N]` from an array of numbers.
-    pub fn as_f32_array<const N: usize>(&self) -> Result<[f32; N], JsonError> {
-        let arr = self.as_arr()?;
-        if arr.len() != N {
-            return err(format!("expected array of {N} numbers, found {}", arr.len()));
-        }
-        let mut out = [0.0f32; N];
-        for (o, v) in out.iter_mut().zip(arr) {
-            *o = v.as_f32()?;
-        }
-        Ok(out)
-    }
-
-    /// A `Vec<f32>` from an array of numbers.
-    pub fn as_f32_vec(&self) -> Result<Vec<f32>, JsonError> {
-        self.as_arr()?.iter().map(|v| v.as_f32()).collect()
     }
 
     /// Looks up an object field.
@@ -610,7 +587,7 @@ mod tests {
         let first = tensors[0].as_arr().unwrap();
         assert_eq!(first[0].as_str().unwrap(), "linear3x2.w");
         assert_eq!(first[1].as_usize().unwrap(), 3);
-        assert_eq!(first[3].as_f32_vec().unwrap().len(), 6);
+        assert_eq!(first[3].as_arr().unwrap().len(), 6);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! predictions over HTTP until SIGTERM/ctrl-C, then drain and exit.
 //!
 //! ```text
-//! sns-serve --model model.json [--addr 127.0.0.1:7878] [--replicas N] [--zoo DIR]
+//! sns-serve --model model.bin [--addr 127.0.0.1:7878] [--replicas N] [--zoo DIR]
 //! sns-serve --zoo zoo/         [--addr 127.0.0.1:7878] [--replicas N]   # latest checkpoint
 //! sns-serve --train 8          [--addr 127.0.0.1:7878] [--replicas N]   # demo model
 //! ```
@@ -73,7 +73,7 @@ fn arg(args: &[String], name: &str) -> Option<String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  sns-serve --model <model.json> [--addr <ip:port>] [--replicas <n>] [--zoo <dir>]
+  sns-serve --model <model.bin> [--addr <ip:port>] [--replicas <n>] [--zoo <dir>]
   sns-serve --zoo <dir>          [--addr <ip:port>] [--replicas <n>]
   sns-serve --train <n-designs>  [--addr <ip:port>] [--replicas <n>]
 

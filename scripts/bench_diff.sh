@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Compares two kernel-bench snapshots (default: the committed
 # BENCH_kernels.json at HEAD vs. the working tree) and prints the
-# per-shape gemm speedup movement plus per-benchmark timing deltas.
+# per-benchmark timing deltas.
 #
 #   ./scripts/bench_diff.sh                 # HEAD vs. working tree
 #   ./scripts/bench_diff.sh old.json new.json

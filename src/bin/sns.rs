@@ -2,8 +2,8 @@
 //! shell.
 //!
 //! ```text
-//! sns train --out model.json [--designs N] [--paper]
-//! sns predict --model model.json --verilog design.v --top mymod [--activity act.csv]
+//! sns train --out model.bin [--designs N] [--paper]
+//! sns predict --model model.bin --verilog design.v --top mymod [--activity act.csv]
 //! sns synth --verilog design.v --top mymod
 //! sns catalog
 //! ```
@@ -19,8 +19,8 @@ use sns::vsynth::{SynthOptions, VirtualSynthesizer};
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  sns train --out <model.json> [--designs <n>] [--paper]
-  sns predict --model <model.json> --verilog <file.v> --top <module> [--activity <act.csv>]
+  sns train --out <model.bin> [--designs <n>] [--paper]
+  sns predict --model <model.bin> --verilog <file.v> --top <module> [--activity <act.csv>]
   sns synth --verilog <file.v> --top <module> [--effort <iterations>]
   sns catalog"
     );

@@ -86,7 +86,7 @@ fn prediction_is_deterministic() {
 fn persisted_model_survives_the_round_trip() {
     let train = vec![vector::simd_alu(2, 8), dsp::fir(4, 8), nonlinear::piecewise(4, 8)];
     let (model, _) = train_sns(&train, &tiny_config());
-    let path = std::env::temp_dir().join("sns_integration_model.json");
+    let path = std::env::temp_dir().join("sns_integration_model.bin");
     save_model(&model, &path).unwrap();
     let loaded = load_model(&path).unwrap();
     let d = nonlinear::lut(16, 8);

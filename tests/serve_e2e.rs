@@ -12,7 +12,10 @@ use std::time::{Duration, Instant};
 
 use sns::circuitformer::{CircuitformerConfig, TrainConfig};
 use sns::core::dataset::AugmentConfig;
-use sns::core::{save_to_zoo, train_sns, SessionStore, SnsModel, SnsTrainConfig, ZooCheckpointMeta};
+use sns::core::{
+    load_from_zoo, save_to_zoo, train_sns, SessionStore, SnsModel, SnsTrainConfig,
+    ZooCheckpointMeta,
+};
 use sns::designs::{dsp, nonlinear, sort, vector, Design};
 use sns::rt::json::{parse as parse_json, Json};
 use sns::sampler::SampleConfig;
@@ -1247,6 +1250,36 @@ fn admin_reload_guards_cover_missing_zoo_and_unknown_models() {
         post_json_full(addr, "/admin/reload", r#"{"model": "gen-a"}"#);
     assert_eq!(status, 200, "{}", reply.print());
     assert!(!reply.get("swapped").unwrap().as_bool().unwrap());
+    server.join();
+    let _ = std::fs::remove_dir_all(&zoo);
+}
+
+/// A server booted on a zoo checkpoint reports the manifest's weight
+/// hash: the hash `Server::start_named` computes from the in-memory model
+/// equals the hash of the bytes on disk, so reloading the same id is a
+/// no-op.
+#[test]
+fn served_weight_hash_equals_the_zoo_manifest_hash() {
+    let zoo = two_model_zoo("hash");
+    let (loaded, entry) = load_from_zoo(&zoo, Some("gen-b")).expect("zoo checkpoint loads");
+    let server = Server::start_named(
+        Arc::new(loaded),
+        &entry.id,
+        ServeConfig { zoo_dir: Some(zoo.clone()), ..test_config() },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let (status, headers, reply) =
+        post_json_full(addr, "/predict", &predict_body(&serve_designs()[0]));
+    assert_eq!(status, 200, "{}", reply.print());
+    assert_eq!(header(&headers, "x-sns-weight-hash"), Some(entry.weight_hash.as_str()));
+
+    let (status, headers, reply) =
+        post_json_full(addr, "/admin/reload", r#"{"model": "gen-b"}"#);
+    assert_eq!(status, 200, "{}", reply.print());
+    assert!(!reply.get("swapped").unwrap().as_bool().unwrap(), "{}", reply.print());
+    assert_eq!(reply.get("weight_hash").unwrap().as_str().unwrap(), entry.weight_hash);
+    assert_eq!(header(&headers, "x-sns-weight-hash"), Some(entry.weight_hash.as_str()));
     server.join();
     let _ = std::fs::remove_dir_all(&zoo);
 }
