@@ -27,8 +27,9 @@ fn dc_effort() -> SynthOptions {
 fn main() {
     headline("Figure 7: SNS runtime vs synthesizer runtime");
     // SNS's side of every row depends on the kernels' ISA level.
-    let isa = sns_nn::Isa::host().name();
-    println!("  kernel ISA level: {isa}");
+    let host = sns_nn::Isa::host();
+    let isa = format!("{}+{}", host.name(), host.int_name());
+    println!("  kernel ISA levels: {isa}");
     let (model, dataset) = standard_model();
 
     // The paper highlights: a small lookup table, an in-order core, and a
@@ -214,7 +215,7 @@ fn main() {
         "BENCH_runtime.json",
         &Json::obj(vec![
             ("suite", Json::Str("fig7_runtime".to_string())),
-            ("isa", Json::Str(isa.to_string())),
+            ("isa", Json::Str(isa.clone())),
             ("designs", Json::Int(designs.len() as i64)),
             ("median_speedup_vs_synth", Json::Num(median)),
             ("avg_speedup_vs_synth", Json::Num(avg)),

@@ -17,9 +17,10 @@ use sns_designs::{cores, misc, mlaccel};
 use sns_graphir::{GraphIr, VocabType};
 use sns_netlist::{elaborate, parse_and_elaborate, parse_source, Lexer};
 use sns_nn::act::bias_gelu_in_place;
+use sns_nn::qgemm::{bias_gelu_requant, bias_gelu_requant_sums, dequant_bias, gemm_u8s8};
 use sns_nn::{
-    LayerNorm, Linear, Mat, MultiHeadAttention, PackedAttention, PackedB, PackedLinear,
-    ParamRegistry, SeqSpan,
+    LayerNorm, Linear, Mat, MultiHeadAttention, PackedAttention, PackedB, PackedLinear, PackedS8,
+    ParamRegistry, QuantRows, SeqSpan,
 };
 use sns_sampler::{PathSampler, SampleConfig};
 use sns_vsynth::{unit_physical, CellLibrary, SynthOptions, VirtualSynthesizer};
@@ -34,10 +35,12 @@ fn rand_mat(rng: &mut StdRng, rows: usize, cols: usize) -> Mat {
 
 fn main() {
     sns_bench::headline("micro-kernels");
-    // The GEMM and GELU kernels run at the widest ISA level the CPU has;
-    // the artifact records it so numbers from different hosts compare.
-    let isa = sns_nn::Isa::host().name();
-    println!("  kernel ISA level: {isa}");
+    // The GEMM and GELU kernels run at the widest ISA levels the CPU has
+    // (f32 and integer); the artifact records both so numbers from
+    // different hosts compare.
+    let host = sns_nn::Isa::host();
+    let isa = format!("{}+{}", host.name(), host.int_name());
+    println!("  kernel ISA levels: {isa}");
     let mut results = Vec::new();
 
     // GEMM kernel layer: blocked (with small-m dispatch) and prepacked-B
@@ -56,6 +59,16 @@ fn main() {
             results
                 .push(bench(&format!("gemm_prepacked_{t}x128x{n}"), || a.matmul_prepacked(&pb)));
         }
+    }
+    // The integer kernels on prepacked s8 weights (raw i32 sums of
+    // already quantized rows) at the serving and batched row counts.
+    for &t in &[1usize, 4, 16, 64] {
+        let xq = QuantRows::quantize(&rand_mat(&mut gemm_rng, t, 128));
+        let w = PackedS8::quantize(rand_mat(&mut gemm_rng, 128, 2304).as_slice(), 128, 2304);
+        let mut sums = vec![0i32; t * 2304];
+        results.push(bench(&format!("gemm_u8s8_prepacked_{t}x128x2304"), || {
+            gemm_u8s8(&xq, &w, &mut sums)
+        }));
     }
 
     // The label factory's correction refit: one Aggregation-MLP fit at
@@ -141,10 +154,11 @@ fn main() {
     results.push(bench("circuitformer_single_path", || model.predict_batch(&[long.as_slice()])));
 
     // Batched inference: 32 paths through one packed forward vs. 32
-    // sequential predict_raw calls (identical outputs, bigger GEMMs). Short
-    // paths are the representative case — sampled circuit paths are mostly
-    // a handful of tokens, where per-call overhead dominates; at length 64
-    // the GEMMs are already tall enough that packing is roughly a wash.
+    // one-path predict_batch calls (the same inference path and the same
+    // bits per path, bigger GEMMs). Short paths are the representative
+    // case — sampled circuit paths are mostly a handful of tokens, where
+    // per-call overhead dominates; at length 64 the GEMMs are already
+    // tall enough that packing is roughly a wash.
     let mut batch_speedups = Vec::new();
     for &len in &[8usize, 64] {
         let batch_paths: Vec<Vec<usize>> =
@@ -152,15 +166,15 @@ fn main() {
         let batch_refs: Vec<&[usize]> = batch_paths.iter().map(|p| p.as_slice()).collect();
         let batched =
             bench(&format!("circuitformer_batch32_len{len}"), || model.predict_batch(&batch_refs));
-        let sequential = bench(&format!("circuitformer_seq32_len{len}"), || {
-            batch_refs.iter().map(|p| model.predict_raw(p)).collect::<Vec<_>>()
+        let sequential = bench(&format!("circuitformer_solo32_len{len}"), || {
+            batch_refs.iter().map(|p| model.predict_batch(&[p])).collect::<Vec<_>>()
         });
         let speedup = sequential.min.as_nanos() as f64 / batched.min.as_nanos() as f64;
-        println!("    -> len-{len}: batch-32 packed forward is {speedup:.2}x sequential predict_raw");
+        println!("    -> len-{len}: batch-32 packed forward is {speedup:.2}x 32 one-path batches");
         batch_speedups.push(Json::obj(vec![
             ("len", Json::UInt(len as u64)),
             ("batch", Json::UInt(32)),
-            ("speedup_vs_sequential", Json::Num(speedup)),
+            ("speedup_vs_one_path_batches", Json::Num(speedup)),
         ]));
         results.push(batched);
         results.push(sequential);
@@ -168,11 +182,16 @@ fn main() {
 
     // One encoder block's layers at paper shape (FFN 2304) on T = 165
     // rows (the ladder's mean packed batch), split into 15 spans of 11
-    // tokens for attention. These
-    // rows split Circuitformer compute the way `Block::infer` runs it:
-    // `ff1` is FF1's GEMM alone, `gelu` the fused bias+GELU epilogue on
-    // its output (including a copy of that output, standing in for the
-    // GEMM's write), `ff2` the second GEMM plus its bias.
+    // tokens for attention. The f32 rows are the FFN as it ran before the
+    // integer path: `ff1` is FF1's GEMM alone, `gelu` the fused bias+GELU
+    // epilogue on its output (including a copy of that output, standing
+    // in for the GEMM's write), `ff2` the second GEMM plus its bias. The
+    // `u8s8` rows split the FFN the way `Block::infer` runs it now:
+    // `ff1_u8s8` is FF1's integer GEMM alone (raw i32 sums), `ff1_epilogue`
+    // the fused dequantize + bias + GELU + requantize on those sums,
+    // `ff2_u8s8` the second integer GEMM plus its dequantize and bias, and
+    // `ffn_u8s8` the whole FFN from `ln2`'s f32 output (quantize, FF1 with
+    // its epilogue, FF2).
     let paper = CircuitformerConfig::paper();
     let t = 165;
     let mut reg = ParamRegistry::new();
@@ -181,7 +200,8 @@ fn main() {
     let attn = PackedAttention::pack(&mha);
     let ff1 = Linear::new(&mut reg, paper.dim, paper.ffn_dim, &mut rng);
     let ff1_w = PackedB::pack(ff1.weight().as_slice(), paper.dim, paper.ffn_dim);
-    let ff2 = PackedLinear::pack(&Linear::new(&mut reg, paper.ffn_dim, paper.dim, &mut rng));
+    let ff2_layer = Linear::new(&mut reg, paper.ffn_dim, paper.dim, &mut rng);
+    let ff2 = PackedLinear::pack(&ff2_layer);
     let spans: Vec<SeqSpan> = (0..t / 11).map(|i| SeqSpan { start: i * 11, len: 11 }).collect();
     let x = rand_mat(&mut rng, t, paper.dim);
     let h = x.matmul_prepacked(&ff1_w);
@@ -205,6 +225,29 @@ fn main() {
         ffn_gflop / layer_rows[4].min.as_secs_f64()
     );
     results.extend(layer_rows);
+    let w1 = PackedS8::quantize(ff1.weight().as_slice(), paper.dim, paper.ffn_dim);
+    let w2 = PackedS8::quantize(ff2_layer.weight().as_slice(), paper.ffn_dim, paper.dim);
+    let xq = QuantRows::quantize(&x);
+    let mut sums = vec![0i32; t * paper.ffn_dim];
+    gemm_u8s8(&xq, &w1, &mut sums);
+    let gq = bias_gelu_requant(&xq, &w1, ff1.bias());
+    let int_rows = [
+        bench("cf_paper_ff1_u8s8_t165", || gemm_u8s8(&xq, &w1, &mut sums)),
+        bench("cf_paper_ff1_epilogue_u8s8_t165", || {
+            bias_gelu_requant_sums(&sums, &xq, &w1, ff1.bias())
+        }),
+        bench("cf_paper_ff2_u8s8_t165", || dequant_bias(&gq, &w2, ff2_layer.bias())),
+        bench("cf_paper_ffn_u8s8_t165", || {
+            let h = bias_gelu_requant(&QuantRows::quantize(&x), &w1, ff1.bias());
+            dequant_bias(&h, &w2, ff2_layer.bias())
+        }),
+    ];
+    println!(
+        "    -> paper shape T={t}: integer ff1 {:.1} GOP/s, ff2 {:.1} GOP/s",
+        ffn_gflop / int_rows[0].min.as_secs_f64(),
+        ffn_gflop / int_rows[2].min.as_secs_f64()
+    );
+    results.extend(int_rows);
 
     // Virtual synthesizer.
     let lib = CellLibrary::freepdk15();
@@ -217,9 +260,12 @@ fn main() {
 
     // The GEMM rows the FFN layers and the tall prepacked products spend
     // their time in, next to the previous snapshot's figures.
-    const GEMM_ROWS: [&str; 6] = [
+    const GEMM_ROWS: [&str; 9] = [
         "cf_paper_ff1_t165",
         "cf_paper_ff2_t165",
+        "cf_paper_ff1_u8s8_t165",
+        "cf_paper_ff1_epilogue_u8s8_t165",
+        "cf_paper_ff2_u8s8_t165",
         "cf_paper_attn_t165",
         "gemm_prepacked_8x128x2304",
         "gemm_prepacked_64x128x2304",
@@ -233,7 +279,7 @@ fn main() {
     // trajectory is tracked across PRs.
     let mut doc = results_to_json("micro_kernels", &results);
     if let Json::Obj(fields) = &mut doc {
-        fields.push(("isa".to_string(), Json::Str(isa.to_string())));
+        fields.push(("isa".to_string(), Json::Str(isa)));
         fields.push(("batch_speedups".to_string(), Json::Arr(batch_speedups)));
         fields.push(("front_end".to_string(), Json::Arr(front_end)));
         fields.push(("gemm_before_after".to_string(), Json::Arr(gemm_before_after)));

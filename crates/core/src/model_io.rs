@@ -30,7 +30,6 @@ use std::path::{Path, PathBuf};
 
 use sns_rt::hash::fnv128_bytes;
 use sns_rt::json::{Json, JsonError};
-use sns_rt::rng::StdRng;
 use sns_vsynth::scaling::TechNode;
 
 use sns_circuitformer::{Circuitformer, CircuitformerConfig, LabelScaler};
@@ -116,21 +115,14 @@ fn model_from_bytes(bytes: &[u8]) -> Result<SnsModel, String> {
     if cfg.vocab != vocab.len() {
         return Err(format!("vocab {} != the {}-token vocabulary", cfg.vocab, vocab.len()));
     }
-    if cfg.heads == 0 || cfg.dim == 0 || !cfg.dim.is_multiple_of(cfg.heads) {
-        return Err(format!("dim {} is not a positive multiple of heads {}", cfg.dim, cfg.heads));
-    }
-    if cfg.max_len < 2 {
-        return Err(format!("max_len {} leaves no room for a path token", cfg.max_len));
-    }
+    cfg.check()?;
     if sample.k == 0 {
         return Err("sample_k 0: the sampler follows ⌈d / k⌉ successors, k ≥ 1".into());
     }
     if cfg.parameter_count().is_none_or(|n| n > r.remaining() / 4) {
         return Err(format!("{cfg:?} needs more than the {} bytes left", r.remaining()));
     }
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut circuitformer = Circuitformer::new(cfg, &mut rng);
-    read_params(&mut r, |f| circuitformer.visit_mut(f))?;
+    let circuitformer = Circuitformer::read(cfg, &mut r)?;
     let mut mlps = [
         AggMlp::new(5 + vocab.len(), 0),
         AggMlp::new(5 + vocab.len(), 0),
@@ -430,6 +422,7 @@ pub fn load_from_zoo(dir: &Path, id: Option<&str>) -> Result<(SnsModel, ZooEntry
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sns_rt::rng::StdRng;
     use crate::dataset::AugmentConfig;
     use crate::train::{train_sns, SnsTrainConfig};
     use sns_circuitformer::TrainConfig;

@@ -151,7 +151,7 @@ pub fn tanh(x: f32) -> f32 {
 
 /// Scalar GELU (tanh approximation).
 #[inline(always)]
-fn gelu(x: f32) -> f32 {
+pub(crate) fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + tanh(GELU_C * (x + 0.044715 * x * x * x)))
 }
 

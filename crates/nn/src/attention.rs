@@ -60,15 +60,27 @@ impl MultiHeadAttention {
     ///
     /// Panics if `dim % heads != 0`.
     pub fn new(reg: &mut ParamRegistry, dim: usize, heads: usize, rng: &mut StdRng) -> Self {
+        Self::with(reg, dim, heads, |reg| Linear::new(reg, dim, dim, rng))
+    }
+
+    /// Creates an attention block with all-zero projections, for a model
+    /// whose weights are about to be loaded: no random draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim % heads != 0`.
+    pub fn zeros(reg: &mut ParamRegistry, dim: usize, heads: usize) -> Self {
+        Self::with(reg, dim, heads, |reg| Linear::zeros(reg, dim, dim))
+    }
+
+    fn with(
+        reg: &mut ParamRegistry,
+        dim: usize,
+        heads: usize,
+        mut proj: impl FnMut(&mut ParamRegistry) -> Linear,
+    ) -> Self {
         assert_eq!(dim % heads, 0, "dim must divide evenly into heads");
-        MultiHeadAttention {
-            wq: Linear::new(reg, dim, dim, rng),
-            wk: Linear::new(reg, dim, dim, rng),
-            wv: Linear::new(reg, dim, dim, rng),
-            wo: Linear::new(reg, dim, dim, rng),
-            heads,
-            dim,
-        }
+        MultiHeadAttention { wq: proj(reg), wk: proj(reg), wv: proj(reg), wo: proj(reg), heads, dim }
     }
 
     /// Number of heads.

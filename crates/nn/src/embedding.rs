@@ -25,11 +25,17 @@ pub struct EmbeddingCtx {
 impl Embedding {
     /// Creates a table of `vocab` rows of dimension `dim`, N(0, 0.02).
     pub fn new(reg: &mut ParamRegistry, vocab: usize, dim: usize, rng: &mut StdRng) -> Self {
-        let mut t = Mat::zeros(vocab, dim);
-        for v in t.as_mut_slice() {
+        let mut e = Embedding::zeros(reg, vocab, dim);
+        for v in e.table.value.as_mut_slice() {
             *v = rng.normal_f32(0.02);
         }
-        Embedding { table: reg.alloc(format!("embedding{vocab}x{dim}"), t), dim }
+        e
+    }
+
+    /// Creates an all-zero table, for a model whose weights are about to
+    /// be loaded: no random draws.
+    pub fn zeros(reg: &mut ParamRegistry, vocab: usize, dim: usize) -> Self {
+        Embedding { table: reg.alloc(format!("embedding{vocab}x{dim}"), Mat::zeros(vocab, dim)), dim }
     }
 
     /// Embedding dimensionality.

@@ -15,6 +15,12 @@
 //!   one sequence at a time (circuit paths are short); inference can pack
 //!   many sequences into one matrix as block-diagonal spans ([`SeqSpan`])
 //!   so they share the blocked GEMM kernels in [`gemm`].
+//! * **Integer feed-forward inference.** [`QuantLinear`] runs a linear
+//!   layer on u8 × s8 GEMMs with exact i32 sums ([`qgemm`]): weights
+//!   quantized per column at pack time, activations per row at run time,
+//!   so a row's outputs do not depend on its batch and every ISA level
+//!   gives the same bits. Everything else stays f32 under the GEMM FMA
+//!   contract.
 //! * **Everything SNS needs, nothing more:** linear, embedding, layer norm,
 //!   multi-head self-attention, GELU/ReLU/tanh/sigmoid, GRU (for SeqGAN),
 //!   MSE / BCE / cross-entropy losses, SGD with momentum and Adam, and
@@ -61,6 +67,7 @@ pub mod mat;
 pub mod norm;
 pub mod optim;
 pub mod param;
+pub mod qgemm;
 pub mod serialize;
 
 pub use act::{Gelu, Relu, Sigmoid, Tanh};
@@ -70,10 +77,11 @@ pub use fma::fma32;
 pub use gemm::PackedB;
 pub use gru::{Gru, GruCtx};
 pub use isa::Isa;
-pub use linear::{Linear, LinearCtx, PackedLinear};
+pub use linear::{Linear, LinearCtx, PackedLinear, QuantLinear};
 pub use loss::{bce_with_logits_loss, mse_loss, softmax_cross_entropy};
 pub use mat::Mat;
 pub use norm::{LayerNorm, LayerNormCtx};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::{Grads, Param, ParamId, ParamRegistry};
+pub use qgemm::{PackedS8, QuantRows};
 pub use serialize::{read_params, write_params, ByteReader};

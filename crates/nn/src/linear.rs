@@ -1,11 +1,19 @@
-//! Fully-connected layer, plus its packed inference counterpart.
+//! Fully-connected layer, plus its two packed inference counterparts.
 //!
-//! [`Linear`] owns trainable parameters and the backward pass.
-//! [`PackedLinear`] is a read-only snapshot the owning model rebuilds
-//! whenever its weights change: the weight matrix repacked into GEMM
-//! panel layout ([`PackedB`]) so inference skips per-call packing
-//! entirely. `PackedLinear::infer` is bit-identical to [`Linear::infer`],
-//! and `PackedLinear::infer_gelu` to `Gelu.infer(&Linear::infer(x))`.
+//! [`Linear`] owns trainable parameters and the backward pass. The packed
+//! forms are read-only snapshots the owning model rebuilds whenever its
+//! weights change:
+//!
+//! * [`PackedLinear`] repacks the f32 weight matrix into GEMM panel layout
+//!   ([`PackedB`]) so inference skips per-call packing entirely.
+//!   `PackedLinear::infer` is bit-identical to [`Linear::infer`], and
+//!   `PackedLinear::infer_gelu` to `Gelu.infer(&Linear::infer(x))`.
+//! * [`QuantLinear`] quantizes the weights to s8 per column
+//!   ([`PackedS8`]) for the integer kernels of [`crate::qgemm`]. Its
+//!   outputs approximate [`Linear::infer`] (each within the rounding
+//!   bound of its row's and column's quantization steps), not bit for bit;
+//!   they depend only on the row itself, so they are the same bits in any
+//!   batch and at every ISA level.
 
 use sns_rt::rng::StdRng;
 
@@ -13,6 +21,7 @@ use crate::act::bias_gelu_in_place;
 use crate::gemm::PackedB;
 use crate::mat::Mat;
 use crate::param::{Grads, Param, ParamRegistry};
+use crate::qgemm::{self, PackedS8, QuantRows};
 
 /// An inference-only snapshot of a [`Linear`]: weights prepacked once,
 /// bias copied. The output of [`infer`](Self::infer) is bit-identical to
@@ -75,6 +84,57 @@ impl PackedLinear {
     }
 }
 
+/// An inference-only snapshot of a [`Linear`] for the integer kernels:
+/// weights quantized to s8 with one scale per output column, bias copied.
+/// Inputs are quantized to u8 per row ([`QuantRows`]), so a row's outputs
+/// do not depend on the other rows it is batched with.
+#[derive(Debug, Clone)]
+pub struct QuantLinear {
+    w: PackedS8,
+    b: Vec<f32>,
+}
+
+impl QuantLinear {
+    /// Quantizes `l`'s weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l.in_dim()` exceeds [`qgemm::MAX_K`].
+    pub fn pack(l: &Linear) -> QuantLinear {
+        let w = &l.w.value;
+        QuantLinear {
+            w: PackedS8::quantize(w.as_slice(), w.rows(), w.cols()),
+            b: l.b.value.row(0).to_vec(),
+        }
+    }
+
+    /// `x W + b` for rows quantized by [`QuantRows::quantize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xq.k()` is not the layer's input width.
+    pub fn infer_quantized(&self, xq: &QuantRows) -> Mat {
+        qgemm::dequant_bias(xq, &self.w, &self.b)
+    }
+
+    /// `gelu(x W + b)` requantized per row, ready to feed the next
+    /// [`QuantLinear`]: the dequantize, bias, GELU and requantize run as
+    /// one pass per row ([`qgemm::bias_gelu_requant`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xq.k()` is not the layer's input width.
+    pub fn infer_gelu_quantized(&self, xq: &QuantRows) -> QuantRows {
+        qgemm::bias_gelu_requant(xq, &self.w, &self.b)
+    }
+
+    /// Resident bytes of the quantized weights, column sums and scales
+    /// (bias excluded, as for [`PackedLinear::bytes`]).
+    pub fn bytes(&self) -> usize {
+        self.w.bytes()
+    }
+}
+
 /// A dense affine layer `y = x W + b` with Xavier-uniform initialization.
 ///
 /// `forward` is `&self` and returns a [`LinearCtx`]; `backward` consumes the
@@ -97,13 +157,19 @@ pub struct LinearCtx {
 impl Linear {
     /// Creates a layer with Xavier-uniform weights and zero bias.
     pub fn new(reg: &mut ParamRegistry, in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
+        let mut l = Linear::zeros(reg, in_dim, out_dim);
         let bound = (6.0 / (in_dim + out_dim) as f32).sqrt();
-        let mut w = Mat::zeros(in_dim, out_dim);
-        for v in w.as_mut_slice() {
+        for v in l.w.value.as_mut_slice() {
             *v = rng.gen_range(-bound..bound);
         }
+        l
+    }
+
+    /// Creates a layer with zero weights and bias, for a model whose
+    /// weights are about to be loaded: no random draws.
+    pub fn zeros(reg: &mut ParamRegistry, in_dim: usize, out_dim: usize) -> Self {
         Linear {
-            w: reg.alloc(format!("linear{}x{}.w", in_dim, out_dim), w),
+            w: reg.alloc(format!("linear{}x{}.w", in_dim, out_dim), Mat::zeros(in_dim, out_dim)),
             b: reg.alloc(format!("linear{}x{}.b", in_dim, out_dim), Mat::zeros(1, out_dim)),
             in_dim,
             out_dim,

@@ -122,6 +122,29 @@ if [ -n "$mul_sites" ]; then
   exit 1
 fi
 
+# Exact integer sums: the integer FFN kernels (`crates/nn/src/qgemm.rs`,
+# DESIGN.md §2c) are bit-identical across ISA levels only because every
+# u8·s8 product and every partial sum is exact in i32. `vpmaddubsw`
+# saturates its i16 pair sums (2·255·127 = 64770 > 32767), and the
+# `dpbusds`/`dpwssds` forms saturate their i32 sums, so
+# `_mm*_maddubs_epi16`, `_mm*_dpbusds_*` and `_mm*_dpwssds_*` (masked
+# forms included) are rejected in the non-test code of `sns-nn`.
+echo "==> saturating-integer-dot grep gate (crates/nn/src)"
+sat_sites=$(
+  find crates/nn/src -name '*.rs' | sort | while read -r f; do
+    # Cut each file at its #[cfg(test)] module.
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+  done \
+    | grep -E '_mm[0-9]*_[a-z0-9_]*(maddubs_epi16|dpbusds_|dpwssds_)' \
+    | grep -vE ':\s*//' \
+    || true
+)
+if [ -n "$sat_sites" ]; then
+  echo "saturating integer dot product in the NN substrate (sums must be exact):"
+  echo "$sat_sites"
+  exit 1
+fi
+
 # One content hasher: module hashes, design tokens, sampler seeds and
 # signatures, zoo weight hashes, shard keys and trace hashes all go
 # through `sns_rt::hash::Fnv128` (DESIGN.md §2g), so the FNV offset basis
