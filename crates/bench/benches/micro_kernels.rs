@@ -16,10 +16,10 @@ use sns_core::aggmlp::{AggMlp, MlpTrainConfig};
 use sns_designs::{cores, misc, mlaccel};
 use sns_graphir::{GraphIr, VocabType};
 use sns_netlist::{elaborate, parse_and_elaborate, parse_source, Lexer};
-use sns_nn::act::bias_gelu_in_place;
+use sns_nn::act::gelu_in_place;
 use sns_nn::qgemm::{bias_gelu_requant, bias_gelu_requant_sums, dequant_bias, gemm_u8s8};
 use sns_nn::{
-    LayerNorm, Linear, Mat, MultiHeadAttention, PackedAttention, PackedB, PackedLinear, PackedS8,
+    Gelu, LayerNorm, Linear, Mat, MultiHeadAttention, PackedAttention, PackedB, PackedS8,
     ParamRegistry, QuantRows, SeqSpan,
 };
 use sns_sampler::{PathSampler, SampleConfig};
@@ -88,6 +88,9 @@ fn main() {
     let mlp = AggMlp::new(84, 1);
     let mlp_cfg = MlpTrainConfig { epochs: 200, ..MlpTrainConfig::fast() };
     results.push(bench("aggmlp_fit_64x84_e200", || mlp.clone().fit(&mlp_data, &mlp_cfg)));
+    // One design's refinement: a single 84-feature vector through the
+    // four layers, as every prediction runs each of the three MLPs.
+    results.push(bench("aggmlp_predict_84_m1", || mlp.predict(&mlp_data[0].0)));
     for (m, k, n) in [(64usize, 84usize, 32usize), (64, 32, 1), (32, 32, 64)] {
         let a = rand_mat(&mut gemm_rng, m, k);
         let b = rand_mat(&mut gemm_rng, k, n);
@@ -183,15 +186,15 @@ fn main() {
     // One encoder block's layers at paper shape (FFN 2304) on T = 165
     // rows (the ladder's mean packed batch), split into 15 spans of 11
     // tokens for attention. The f32 rows are the FFN as it ran before the
-    // integer path: `ff1` is FF1's GEMM alone, `gelu` the fused bias+GELU
-    // epilogue on its output (including a copy of that output, standing
-    // in for the GEMM's write), `ff2` the second GEMM plus its bias. The
-    // `u8s8` rows split the FFN the way `Block::infer` runs it now:
-    // `ff1_u8s8` is FF1's integer GEMM alone (raw i32 sums), `ff1_epilogue`
-    // the fused dequantize + bias + GELU + requantize on those sums,
-    // `ff2_u8s8` the second integer GEMM plus its dequantize and bias, and
-    // `ffn_u8s8` the whole FFN from `ln2`'s f32 output (quantize, FF1 with
-    // its epilogue, FF2).
+    // integer path, on prepacked weights: `ff1` is FF1's GEMM alone,
+    // `bias_then_gelu` its bias and GELU as two passes over a copy of its
+    // output (the copy stands in for the GEMM's write), `ff2` the second
+    // GEMM plus its bias. The `u8s8` rows split the FFN the way
+    // `Block::infer` runs it now: `ff1_u8s8` is FF1's integer GEMM alone
+    // (raw i32 sums), `ff1_epilogue` the fused dequantize + bias + GELU +
+    // requantize on those sums, `ff2_u8s8` the second integer GEMM plus
+    // its dequantize and bias, and `ffn_u8s8` the whole FFN from `ln2`'s
+    // f32 output (quantize, FF1 with its epilogue, FF2).
     let paper = CircuitformerConfig::paper();
     let t = 165;
     let mut reg = ParamRegistry::new();
@@ -201,23 +204,24 @@ fn main() {
     let ff1 = Linear::new(&mut reg, paper.dim, paper.ffn_dim, &mut rng);
     let ff1_w = PackedB::pack(ff1.weight().as_slice(), paper.dim, paper.ffn_dim);
     let ff2_layer = Linear::new(&mut reg, paper.ffn_dim, paper.dim, &mut rng);
-    let ff2 = PackedLinear::pack(&ff2_layer);
+    let ff2_w = PackedB::pack(ff2_layer.weight().as_slice(), paper.ffn_dim, paper.dim);
     let spans: Vec<SeqSpan> = (0..t / 11).map(|i| SeqSpan { start: i * 11, len: 11 }).collect();
     let x = rand_mat(&mut rng, t, paper.dim);
     let h = x.matmul_prepacked(&ff1_w);
-    let mut g = h.clone();
-    bias_gelu_in_place(g.as_mut_slice(), ff1.bias());
-    let mut epilogue = h.clone();
+    let g = Gelu.infer(&h.clone().add_row_broadcast(ff1.bias()));
     let ffn_gflop = 2.0 * (t * paper.dim * paper.ffn_dim) as f64 * 1e-9;
     let layer_rows = [
         bench("cf_paper_ln_t165", || ln.infer(&x)),
         bench("cf_paper_attn_t165", || attn.infer_masked(&x, &spans)),
         bench("cf_paper_ff1_t165", || x.matmul_prepacked(&ff1_w)),
-        bench("cf_paper_gelu_t165", || {
-            epilogue.as_mut_slice().copy_from_slice(h.as_slice());
-            bias_gelu_in_place(epilogue.as_mut_slice(), ff1.bias());
+        bench("cf_paper_bias_then_gelu_t165", || {
+            let mut y = h.clone().add_row_broadcast(ff1.bias());
+            gelu_in_place(y.as_mut_slice());
+            y
         }),
-        bench("cf_paper_ff2_t165", || ff2.infer(&g)),
+        bench("cf_paper_ff2_t165", || {
+            g.matmul_prepacked(&ff2_w).add_row_broadcast(ff2_layer.bias())
+        }),
     ];
     println!(
         "    -> paper shape T={t}: ff1 {:.1} GFLOP/s, ff2 {:.1} GFLOP/s",
@@ -225,6 +229,16 @@ fn main() {
         ffn_gflop / layer_rows[4].min.as_secs_f64()
     );
     results.extend(layer_rows);
+    // The regression head at paper width on B CLS rows: `head1`, GELU,
+    // `head2`, as `predict_batch` runs it.
+    let head1 = Linear::new(&mut reg, paper.dim, paper.dim, &mut rng);
+    let head2 = Linear::new(&mut reg, paper.dim, 3, &mut rng);
+    for b in [1usize, 4, 16, 32] {
+        let cls = rand_mat(&mut rng, b, paper.dim);
+        results.push(bench(&format!("cf_paper_head_b{b}"), || {
+            head2.infer(&Gelu.infer(&head1.infer(&cls)))
+        }));
+    }
     let w1 = PackedS8::quantize(ff1.weight().as_slice(), paper.dim, paper.ffn_dim);
     let w2 = PackedS8::quantize(ff2_layer.weight().as_slice(), paper.ffn_dim, paper.dim);
     let xq = QuantRows::quantize(&x);

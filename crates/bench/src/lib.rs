@@ -15,7 +15,7 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use sns_circuitformer::{CircuitformerConfig, TrainConfig};
 use sns_core::aggmlp::MlpTrainConfig;
@@ -23,6 +23,7 @@ use sns_core::dataset::{AugmentConfig, HardwareDesignDataset};
 use sns_core::{load_model, save_model, train_sns_on_labeled, SnsModel, SnsTrainConfig};
 use sns_designs::catalog;
 use sns_genmodel::SeqGanConfig;
+use sns_rt::json::Json;
 use sns_sampler::SampleConfig;
 use sns_vsynth::SynthOptions;
 
@@ -47,11 +48,45 @@ pub fn repo_root() -> PathBuf {
 
 /// Writes a machine-readable JSON artifact at the **repo root** (e.g.
 /// `BENCH_kernels.json`), so the perf trajectory is tracked across PRs
-/// alongside the code, and reports its path.
-pub fn write_root_json(name: &str, doc: &sns_rt::json::Json) {
+/// alongside the code, and reports its path. An object artifact is
+/// stamped with the `commit` it was measured on (read from `.git`,
+/// `unknown` without one) and the host's `nproc`, so a figure can be
+/// traced to its tree and machine.
+pub fn write_root_json(name: &str, doc: &Json) {
+    let mut doc = doc.clone();
+    if let Json::Obj(fields) = &mut doc {
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        fields.push(("commit".to_string(), Json::Str(git_commit(&repo_root()))));
+        fields.push(("nproc".to_string(), Json::UInt(nproc as u64)));
+    }
     let path = repo_root().join(name);
     fs::write(&path, doc.print() + "\n").expect("write bench json");
     println!("  [artifact] {}", path.display());
+}
+
+/// The commit checked out in the repository at `root`: `.git/HEAD`, with
+/// a symbolic ref resolved through its loose ref file or `packed-refs`.
+/// `unknown` when there is no readable `.git` directory or the ref is
+/// not found (uncommitted changes are not marked).
+fn git_commit(root: &Path) -> String {
+    let git = root.join(".git");
+    let read = |file: &str| fs::read_to_string(git.join(file)).ok();
+    let Some(head) = read("HEAD") else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(name) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    read(name)
+        .map(|sha| sha.trim().to_string())
+        .or_else(|| {
+            read("packed-refs")?.lines().find_map(|line| {
+                let (sha, r) = line.split_once(' ')?;
+                (r == name).then(|| sha.to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Writes a CSV artifact and reports its path.
@@ -133,4 +168,56 @@ pub fn headline(title: &str) {
     println!("  {title}");
     println!("  scale: {}", if paper_scale() { "PAPER (SNS_PAPER=1)" } else { "fast (set SNS_PAPER=1 for Table 6 schedules)" });
     println!("================================================================");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::git_commit;
+    use std::fs;
+    use std::path::PathBuf;
+
+    /// A fresh scratch directory for one case.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sns_bench_git_{tag}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(dir.join(".git/refs/heads")).unwrap();
+        dir
+    }
+
+    #[test]
+    fn commit_reader_resolves_loose_and_packed_refs() {
+        let sha = "0123456789abcdef0123456789abcdef01234567";
+        let loose = scratch("loose");
+        fs::write(loose.join(".git/HEAD"), "ref: refs/heads/main\n").unwrap();
+        fs::write(loose.join(".git/refs/heads/main"), format!("{sha}\n")).unwrap();
+        assert_eq!(git_commit(&loose), sha);
+
+        let packed = scratch("packed");
+        fs::write(packed.join(".git/HEAD"), "ref: refs/heads/main\n").unwrap();
+        let refs = format!(
+            "# pack-refs with: peeled fully-peeled sorted\n\
+             ffffffffffffffffffffffffffffffffffffffff refs/heads/other\n\
+             {sha} refs/heads/main\n"
+        );
+        fs::write(packed.join(".git/packed-refs"), refs).unwrap();
+        assert_eq!(git_commit(&packed), sha);
+
+        // A detached HEAD holds the commit itself; a ref found nowhere is
+        // unknown.
+        fs::write(packed.join(".git/HEAD"), format!("{sha}\n")).unwrap();
+        assert_eq!(git_commit(&packed), sha);
+        fs::write(packed.join(".git/HEAD"), "ref: refs/heads/gone\n").unwrap();
+        assert_eq!(git_commit(&packed), "unknown");
+        for dir in [loose, packed] {
+            fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn commit_reader_without_a_git_directory_is_unknown() {
+        let dir = scratch("missing");
+        fs::remove_dir_all(dir.join(".git")).unwrap();
+        assert_eq!(git_commit(&dir), "unknown");
+        fs::remove_dir_all(dir).unwrap();
+    }
 }

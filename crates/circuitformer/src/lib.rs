@@ -52,7 +52,7 @@ use sns_rt::rng::StdRng;
 
 use sns_nn::{
     ByteReader, Embedding, Gelu, Grads, LayerNorm, Linear, Mat, MultiHeadAttention,
-    PackedAttention, PackedLinear, Param, ParamRegistry, QuantLinear, QuantRows, SeqSpan,
+    PackedAttention, Param, ParamRegistry, QuantLinear, QuantRows, SeqSpan,
 };
 
 /// Hyperparameters of the Circuitformer.
@@ -270,38 +270,6 @@ struct PackedBlock {
     ff2: QuantLinear,
 }
 
-/// The model's inference plan: every block's fused-QKV attention
-/// repacked into f32 GEMM panel layout and its FFN projections quantized
-/// to s8 per column, plus the first regression-head layer (f32). Built by
-/// [`Circuitformer::new`] and rebuilt at the end of every
-/// [`Circuitformer::visit_mut`] (parameter load, optimizer step), so it
-/// always matches the weights and [`Circuitformer::predict_batch`] has no
-/// other path. The integer FFN is its only FFN: there is no f32 one to
-/// fall back to.
-#[derive(Debug, Clone)]
-struct PackedPlan {
-    blocks: Vec<PackedBlock>,
-    head1: PackedLinear,
-}
-
-impl PackedPlan {
-    fn pack(blocks: &[Block], head1: &Linear) -> PackedPlan {
-        PackedPlan {
-            blocks: blocks.iter().map(Block::pack).collect(),
-            head1: PackedLinear::pack(head1),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        self.head1.bytes()
-            + self
-                .blocks
-                .iter()
-                .map(|b| b.attn.bytes() + b.ff1.bytes() + b.ff2.bytes())
-                .sum::<usize>()
-    }
-}
-
 /// The Circuitformer model.
 #[derive(Debug, Clone)]
 pub struct Circuitformer {
@@ -313,7 +281,14 @@ pub struct Circuitformer {
     final_ln: LayerNorm,
     head1: Linear,
     head2: Linear,
-    packed: PackedPlan,
+    /// The inference plan, one [`PackedBlock`] per block. Built by
+    /// [`Circuitformer::new`] and rebuilt at the end of every
+    /// [`Circuitformer::visit_mut`] (parameter load, optimizer step), so
+    /// it always matches the weights and [`Circuitformer::predict_batch`]
+    /// has no other path. The integer FFN is its only FFN: there is no f32
+    /// one to fall back to. The regression head is a few `[B, dim]` rows
+    /// and runs on its [`Linear`] layers directly.
+    packed: Vec<PackedBlock>,
 }
 
 /// Saved forward state for [`Circuitformer::backward`].
@@ -337,7 +312,7 @@ impl Circuitformer {
     /// Panics if `config` fails [`CircuitformerConfig::check`].
     pub fn new(config: CircuitformerConfig, rng: &mut StdRng) -> Self {
         let mut m = Circuitformer::build(config, Some(rng));
-        m.packed = PackedPlan::pack(&m.blocks, &m.head1);
+        m.packed = m.blocks.iter().map(Block::pack).collect();
         m
     }
 
@@ -382,13 +357,23 @@ impl Circuitformer {
             Some(rng) => (Linear::new(&mut reg, d, d, rng), Linear::new(&mut reg, d, 3, rng)),
             None => (Linear::zeros(&mut reg, d, d), Linear::zeros(&mut reg, d, 3)),
         };
-        let packed = PackedPlan { blocks: Vec::new(), head1: PackedLinear::pack(&head1) };
-        Circuitformer { config, registry: reg, tok, pos, blocks, final_ln, head1, head2, packed }
+        Circuitformer {
+            config,
+            registry: reg,
+            tok,
+            pos,
+            blocks,
+            final_ln,
+            head1,
+            head2,
+            packed: Vec::new(),
+        }
     }
 
-    /// Resident bytes of the prepacked plan.
+    /// Resident bytes of the inference plan: attention's prepacked f32
+    /// panels plus the FFN's quantized weights, column sums and scales.
     pub fn prepack_bytes(&self) -> usize {
-        self.packed.bytes()
+        self.packed.iter().map(|b| b.attn.bytes() + b.ff1.bytes() + b.ff2.bytes()).sum()
     }
 
     /// The model configuration.
@@ -498,7 +483,7 @@ impl Circuitformer {
         let te = self.tok.infer(&ids);
         let pe = self.pos.infer(&positions);
         let mut x = te.add(&pe);
-        for (b, p) in self.blocks.iter().zip(&self.packed.blocks) {
+        for (b, p) in self.blocks.iter().zip(&self.packed) {
             x = b.infer(&x, &spans, p);
         }
         let n = self.final_ln.infer(&x);
@@ -507,7 +492,7 @@ impl Circuitformer {
         for (i, span) in spans.iter().enumerate() {
             cls.row_mut(i).copy_from_slice(n.row(span.start));
         }
-        let g = self.packed.head1.infer_gelu(&cls);
+        let g = Gelu.infer(&self.head1.infer(&cls));
         let out = self.head2.infer(&g);
         (0..spans.len()).map(|i| [out.get(i, 0), out.get(i, 1), out.get(i, 2)]).collect()
     }
@@ -555,8 +540,8 @@ impl Circuitformer {
         self.head2.visit_mut(f);
         // Free the stale panels before packing the new ones, so a re-pack
         // never holds two plans at once (peak RSS during training/load).
-        self.packed.blocks.clear();
-        self.packed = PackedPlan::pack(&self.blocks, &self.head1);
+        self.packed.clear();
+        self.packed = self.blocks.iter().map(Block::pack).collect();
     }
 }
 

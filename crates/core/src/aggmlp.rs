@@ -4,7 +4,7 @@
 
 use sns_rt::rng::{SliceRandom, StdRng};
 
-use sns_nn::{Grads, Linear, Mat, Optimizer, PackedLinear, Relu, Sgd};
+use sns_nn::{Grads, Linear, Mat, Optimizer, Relu, Sgd};
 
 /// Saved forward state for one backward pass through the four layers.
 type MlpFwdCtx = (
@@ -17,30 +17,6 @@ type MlpFwdCtx = (
     sns_nn::LinearCtx,
 );
 
-/// The four layers of an [`AggMlp`] in prepacked inference form. The MLPs
-/// are microseconds per design, but the m=1 feature-vector GEMMs still
-/// benefit from skipping per-call weight packing. Built by
-/// [`AggMlp::new`] and rebuilt at the end of [`AggMlp::visit_mut`] and
-/// [`AggMlp::fit`], so it always matches the weights.
-#[derive(Debug, Clone)]
-struct PackedMlp {
-    l1: PackedLinear,
-    l2: PackedLinear,
-    l3: PackedLinear,
-    out: PackedLinear,
-}
-
-impl PackedMlp {
-    fn pack(l1: &Linear, l2: &Linear, l3: &Linear, out: &Linear) -> PackedMlp {
-        PackedMlp {
-            l1: PackedLinear::pack(l1),
-            l2: PackedLinear::pack(l2),
-            l3: PackedLinear::pack(l3),
-            out: PackedLinear::pack(out),
-        }
-    }
-}
-
 /// One per-target Aggregation MLP (`input → 32 → 32 → 32 → 1`).
 #[derive(Debug, Clone)]
 pub struct AggMlp {
@@ -49,7 +25,6 @@ pub struct AggMlp {
     l2: Linear,
     l3: Linear,
     out: Linear,
-    packed: PackedMlp,
 }
 
 /// Training hyperparameters for the MLP (Table 6 row 2: SGD, batch 64,
@@ -90,19 +65,7 @@ impl AggMlp {
         let l2 = Linear::new(&mut reg, 32, 32, &mut rng);
         let l3 = Linear::new(&mut reg, 32, 32, &mut rng);
         let out = Linear::new(&mut reg, 32, 1, &mut rng);
-        let packed = PackedMlp::pack(&l1, &l2, &l3, &out);
-        AggMlp { registry: reg, l1, l2, l3, out, packed }
-    }
-
-    /// Rebuilds the prepacked snapshot from the current weights.
-    fn repack(&mut self) {
-        self.packed = PackedMlp::pack(&self.l1, &self.l2, &self.l3, &self.out);
-    }
-
-    /// Resident bytes of the prepacked layer panels.
-    pub fn prepack_bytes(&self) -> usize {
-        let p = &self.packed;
-        p.l1.bytes() + p.l2.bytes() + p.l3.bytes() + p.out.bytes()
+        AggMlp { registry: reg, l1, l2, l3, out }
     }
 
     /// Input feature dimensionality.
@@ -110,20 +73,18 @@ impl AggMlp {
         self.l1.in_dim()
     }
 
-    /// Predicts a scalar for one feature vector on the prepacked layers
-    /// (bit-identical to the training forward — both are f32 and honor
-    /// the GEMM FMA contract).
+    /// Predicts a scalar for one feature vector: the training forward's
+    /// f32 arithmetic without its saved contexts, so bit-identical to it.
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != input_dim()`.
     pub fn predict(&self, features: &[f32]) -> f32 {
-        let p = &self.packed;
         let x = Mat::from_rows(&[features]);
-        let a1 = Relu.infer(&p.l1.infer(&x));
-        let a2 = Relu.infer(&p.l2.infer(&a1));
-        let a3 = Relu.infer(&p.l3.infer(&a2));
-        p.out.infer(&a3).get(0, 0)
+        let a1 = Relu.infer(&self.l1.infer(&x));
+        let a2 = Relu.infer(&self.l2.infer(&a1));
+        let a3 = Relu.infer(&self.l3.infer(&a2));
+        self.out.infer(&a3).get(0, 0)
     }
 
     fn forward(&self, x: &Mat) -> (Mat, MlpFwdCtx) {
@@ -145,8 +106,6 @@ impl AggMlp {
     /// Panics if `data` is empty or a feature vector has the wrong width.
     pub fn fit(&mut self, data: &[(Vec<f32>, f32)], config: &MlpTrainConfig) -> Vec<f32> {
         assert!(!data.is_empty(), "no training data for the Aggregation MLP");
-        // The optimizer steps the layers directly below, bypassing
-        // visit_mut; the pack is rebuilt from the final weights on return.
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut opt = Sgd::new(config.lr, config.momentum);
         let mut order: Vec<usize> = (0..data.len()).collect();
@@ -183,7 +142,6 @@ impl AggMlp {
             }
             curve.push((epoch_loss / data.len() as f64) as f32);
         }
-        self.repack();
         curve
     }
 
@@ -195,14 +153,12 @@ impl AggMlp {
         self.out.visit(f);
     }
 
-    /// Visits all parameters mutably, then rebuilds the prepacked
-    /// snapshot from whatever the visitor left (parameter load).
+    /// Visits all parameters mutably (parameter load).
     pub fn visit_mut(&mut self, f: &mut dyn FnMut(&mut sns_nn::Param)) {
         self.l1.visit_mut(f);
         self.l2.visit_mut(f);
         self.l3.visit_mut(f);
         self.out.visit_mut(f);
-        self.repack();
     }
 }
 
@@ -240,42 +196,23 @@ mod tests {
     }
 
     #[test]
-    fn packed_predict_is_bit_identical_and_follows_visit_mut() {
-        let m = AggMlp::new(7, 9);
-        assert!(m.prepack_bytes() > 0);
+    fn predict_is_bit_identical_to_the_training_forward() {
+        let mut m = AggMlp::new(7, 9);
         let features: Vec<f32> = (0..7).map(|i| (i as f32 - 3.0) * 0.17).collect();
         let before = m.predict(&features).to_bits();
         assert_eq!(before, forward_bits(&m, &features));
-        // A visit that rewrites the weights is visible in the very next
-        // prediction.
-        let mut m2 = m.clone();
-        m2.visit_mut(&mut |p| {
+        // After a visit that rewrites the weights, and after a fit.
+        m.visit_mut(&mut |p| {
             for v in p.value.as_mut_slice() {
                 *v = *v * 1.5 + 0.01;
             }
         });
-        assert_ne!(m2.predict(&features).to_bits(), before);
-        assert_eq!(m2.predict(&features).to_bits(), forward_bits(&m2, &features));
-        // So is a parameter load.
-        let mut bytes = Vec::new();
-        sns_nn::write_params(&mut bytes, |f| m.visit(f));
-        let mut r = sns_nn::ByteReader::new(&bytes);
-        sns_nn::read_params(&mut r, |f| m2.visit_mut(f)).unwrap();
-        r.finish().unwrap();
-        assert_eq!(m2.predict(&features).to_bits(), before);
-    }
-
-    #[test]
-    fn fit_leaves_a_fresh_pack() {
-        let mut m = AggMlp::new(2, 3);
-        let before = m.predict(&[0.1, 0.2]).to_bits();
-        let data = vec![(vec![0.1f32, 0.2], 0.5f32), (vec![0.3, 0.4], 0.7)];
+        assert_ne!(m.predict(&features).to_bits(), before);
+        assert_eq!(m.predict(&features).to_bits(), forward_bits(&m, &features));
+        let data = vec![(features.clone(), 0.5f32), (vec![0.3; 7], 0.7)];
         let cfg = MlpTrainConfig { epochs: 3, batch_size: 2, lr: 1e-3, momentum: 0.9, seed: 1 };
         m.fit(&data, &cfg);
-        // The pack reflects the trained weights, not the initial ones.
-        let after = m.predict(&[0.1, 0.2]).to_bits();
-        assert_ne!(after, before);
-        assert_eq!(after, forward_bits(&m, &[0.1, 0.2]));
+        assert_eq!(m.predict(&features).to_bits(), forward_bits(&m, &features));
     }
 
     /// `fit` as it was before the first layer dropped its input
@@ -317,7 +254,6 @@ mod tests {
             }
             curve.push((epoch_loss / data.len() as f64) as f32);
         }
-        m.repack();
         curve
     }
 

@@ -253,13 +253,13 @@ impl SnsModel {
         self.cache.clear();
     }
 
-    /// Resident bytes of all prepacked weight panels in this model: the
-    /// Circuitformer plan plus the aggregation MLPs' packed projections.
-    /// Surfaced through `/metrics` so operators can see what the
-    /// pack-once representation costs.
+    /// Resident bytes of the Circuitformer's inference plan: attention's
+    /// prepacked f32 panels plus the FFN's quantized weights (the
+    /// regression head and the Aggregation MLPs run on their trained
+    /// layers and hold no packed copy). Surfaced through `/metrics` so
+    /// operators can see what the pack-once representation costs.
     pub fn prepack_bytes(&self) -> usize {
         self.circuitformer.prepack_bytes()
-            + self.mlps.iter().map(|m| m.prepack_bytes()).sum::<usize>()
     }
 
     /// Builds the Aggregation-MLP feature vector for target `dim`: the

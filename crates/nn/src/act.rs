@@ -162,45 +162,28 @@ fn gelu_deriv(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
-/// `x[i] = gelu(x[i])`, bit-identical to mapping the scalar GELU.
+/// `x[i] = gelu(x[i])`, bit-identical to mapping the scalar GELU. Runs
+/// the loop's build for the host's [`Isa`] level, chosen at runtime like
+/// the GEMM micro-kernel.
 pub fn gelu_in_place(x: &mut [f32]) {
-    gelu_dispatch(x, &[]);
-}
-
-/// `x[r, c] = gelu(x[r, c] + bias[c])` over the rows of `x`, each
-/// `bias.len()` wide: a linear layer's bias and GELU in one pass over its
-/// fresh GEMM output, bit-identical to adding the bias and then mapping
-/// the scalar GELU.
-///
-/// # Panics
-///
-/// Panics if `bias` is empty or does not divide `x` into whole rows.
-pub fn bias_gelu_in_place(x: &mut [f32], bias: &[f32]) {
-    assert!(!bias.is_empty() && x.len().is_multiple_of(bias.len()), "bias width");
-    gelu_dispatch(x, bias);
-}
-
-/// Runs [`gelu_rows`] at the host's [`Isa`] level, chosen at runtime
-/// like the GEMM micro-kernel.
-fn gelu_dispatch(x: &mut [f32], bias: &[f32]) {
-    gelu_rows_at(Isa::host(), x, bias);
+    gelu_rows_at(Isa::host(), x);
 }
 
 /// [`gelu_rows`] through its build for `isa`: AVX-512F runs the f64
 /// rational on eight f64 lanes per `zmm`, AVX on four per `ymm`, the
 /// generic build on the baseline target's lanes. Every build performs the
 /// same IEEE operations per element in the same order, so the same bits.
-fn gelu_rows_at(isa: Isa, x: &mut [f32], bias: &[f32]) {
+fn gelu_rows_at(isa: Isa, x: &mut [f32]) {
     // SAFETY (both arms): holding `isa` proves the CPU runs its level.
     #[cfg(target_arch = "x86_64")]
     match isa.level() {
-        Level::Avx512 => return unsafe { gelu_rows_avx512(x, bias) },
-        Level::Avx => return unsafe { gelu_rows_avx(x, bias) },
+        Level::Avx512 => return unsafe { gelu_rows_avx512(x) },
+        Level::Avx => return unsafe { gelu_rows_avx(x) },
         Level::Generic => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
-    gelu_rows(x, bias);
+    gelu_rows(x);
 }
 
 /// The same loop as [`gelu_rows`], compiled with AVX-512F enabled.
@@ -210,8 +193,8 @@ fn gelu_rows_at(isa: Isa, x: &mut [f32], bias: &[f32]) {
 /// The caller must ensure the CPU supports AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn gelu_rows_avx512(x: &mut [f32], bias: &[f32]) {
-    gelu_rows(x, bias);
+unsafe fn gelu_rows_avx512(x: &mut [f32]) {
+    gelu_rows(x);
 }
 
 /// The same loop as [`gelu_rows`], compiled with AVX enabled.
@@ -221,23 +204,15 @@ unsafe fn gelu_rows_avx512(x: &mut [f32], bias: &[f32]) {
 /// The caller must ensure the CPU supports AVX.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn gelu_rows_avx(x: &mut [f32], bias: &[f32]) {
-    gelu_rows(x, bias);
+unsafe fn gelu_rows_avx(x: &mut [f32]) {
+    gelu_rows(x);
 }
 
-/// GELU over `x`, adding `bias` row-wise first unless it is empty.
+/// GELU over `x`.
 #[inline(always)]
-fn gelu_rows(x: &mut [f32], bias: &[f32]) {
-    if bias.is_empty() {
-        for v in x {
-            *v = gelu(*v);
-        }
-        return;
-    }
-    for row in x.chunks_exact_mut(bias.len()) {
-        for (v, b) in row.iter_mut().zip(bias) {
-            *v = gelu(*v + b);
-        }
+fn gelu_rows(x: &mut [f32]) {
+    for v in x {
+        *v = gelu(*v);
     }
 }
 
@@ -393,30 +368,10 @@ mod tests {
         assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
         for isa in Isa::supported() {
             let mut got = xs.clone();
-            gelu_rows_at(isa, &mut got, &[]);
+            gelu_rows_at(isa, &mut got);
             let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "{}", isa.name());
         }
-    }
-
-    #[test]
-    fn bias_gelu_matches_add_then_gelu_bitwise() {
-        let xs = kernel_inputs();
-        let bias = [0.5, -0.25, 0.0, -0.0, 3.0, -7.0];
-        let mut xs = xs[..xs.len() / bias.len() * bias.len()].to_vec();
-        xs.rotate_left(1);
-        let want: Vec<u32> = xs
-            .chunks_exact(bias.len())
-            .flat_map(|row| row.iter().zip(&bias).map(|(v, b)| gelu(v + b).to_bits()))
-            .collect();
-        for isa in Isa::supported() {
-            let mut got = xs.clone();
-            gelu_rows_at(isa, &mut got, &bias);
-            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want, "{}", isa.name());
-        }
-        bias_gelu_in_place(&mut xs, &bias);
-        assert_eq!(xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
     }
 
     #[test]

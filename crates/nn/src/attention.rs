@@ -14,7 +14,7 @@
 use sns_rt::rng::StdRng;
 
 use crate::gemm::PackedB;
-use crate::linear::{Linear, LinearCtx, PackedLinear};
+use crate::linear::{Linear, LinearCtx};
 use crate::mat::Mat;
 use crate::param::{Grads, Param, ParamRegistry};
 
@@ -200,7 +200,8 @@ const TQ: usize = 64;
 ///   `[dim, 3·dim]` matrix and prepacked once, so the three input
 ///   projections become a single prepacked GEMM per call. Each output
 ///   element of a GEMM depends only on its own B column, so the fused
-///   product is bit-identical to the three separate ones.
+///   product is bit-identical to the three separate ones. The output
+///   projection Wo is prepacked the same way, its bias kept beside it.
 /// * **Tiled softmax·V.** Instead of materializing the full `[T, T]`
 ///   score matrix per span and head, query rows stream through in blocks
 ///   of `TQ` (64): each block computes its `[tq, len]` score tile
@@ -218,7 +219,8 @@ const TQ: usize = 64;
 pub struct PackedAttention {
     qkv: PackedB,
     qkv_bias: Vec<f32>,
-    wo: PackedLinear,
+    wo: PackedB,
+    wo_bias: Vec<f32>,
     heads: usize,
     dim: usize,
 }
@@ -241,7 +243,8 @@ impl PackedAttention {
         PackedAttention {
             qkv: PackedB::pack(fused.as_slice(), dim, 3 * dim),
             qkv_bias,
-            wo: PackedLinear::pack(&mha.wo),
+            wo: PackedB::pack(mha.wo.weight().as_slice(), dim, dim),
+            wo_bias: mha.wo.bias().to_vec(),
             heads: mha.heads,
             dim,
         }
@@ -303,7 +306,7 @@ impl PackedAttention {
                 }
             }
         }
-        self.wo.infer(&concat)
+        concat.matmul_prepacked(&self.wo).add_row_broadcast(&self.wo_bias)
     }
 }
 

@@ -25,8 +25,8 @@
 //! * **Shape-aware dispatch.** For `m <= SMALL_M` output rows the packing
 //!   overhead of the blocked driver is paid on `k·n` elements while the
 //!   useful work is only `m·k·n` — at `m = 16` the blocked kernel used to
-//!   *lose* to the naive loop on wide B. Small-m products route to
-//!   [`gemm_nn_smallm`], an l-outer "jammed" kernel that streams B exactly
+//!   *lose* to the naive loop on wide B. Small-m products route to an
+//!   l-outer "jammed" kernel that streams B exactly
 //!   once and keeps a j-tile of the output in L1, with no packing at all.
 //!   In [`gemm_nn`] and [`gemm_tn`], products narrower than one `NR`
 //!   panel run the narrow kernel, eight row dot products side by side, and
@@ -39,9 +39,10 @@
 //!   multiply.
 //! * **Prepacked B.** [`PackedB`] stores a weight matrix in exactly the
 //!   `[kc][NR]` panel layout the blocked driver would build per call, so
-//!   [`gemm_prepacked_nn`] skips `pack_b` entirely: the per-call cost at
-//!   small m is just A-packing (tiny) plus micro-kernels. Weights are
-//!   packed once at model load and reused by every inference.
+//!   [`gemm_prepacked_nn`] skips `pack_b` entirely and runs the blocked
+//!   driver's micro-tiles at every `m`. Attention's fused QKV and output
+//!   projections are packed once at model load and reused by every
+//!   inference; every other weight product runs [`gemm_nn`].
 //!
 //! # The FMA contract
 //!
@@ -88,11 +89,11 @@ use crate::isa::Level;
 
 /// Micro-kernel rows (register tile height): eight rows of one or two
 /// `zmm` accumulators on AVX-512 hosts.
-pub const MR: usize = 8;
+const MR: usize = 8;
 /// Packed panel width: 16 f32 = one AVX-512 vector or two AVX vectors.
 /// The AVX-512 micro-kernel reads two adjacent panels as one 32-wide tile,
 /// so the panel layout is the same at every ISA level.
-pub const NR: usize = 16;
+const NR: usize = 16;
 /// Half a micro-tile's rows: the AVX micro-kernel's tile height, the
 /// AVX-512 kernels' short tile for row remainders, and the row step of the
 /// pack-free tile sweep.
@@ -108,7 +109,7 @@ const MC: usize = 128;
 /// Below this the per-call `pack_b` traffic (`k·n` elements) dominates
 /// the `m·k·n` useful work and the blocked driver stops paying for
 /// itself (BENCH_kernels.json: 0.93x at 16×128×2304 before dispatch).
-pub const SMALL_M: usize = 16;
+const SMALL_M: usize = 16;
 /// Minimum output j-tile width of the jammed kernel.
 const SMALL_J: usize = 256;
 /// Output-tile budget of the jammed kernel, in f32 (16 KiB): the j-tile
@@ -116,9 +117,6 @@ const SMALL_J: usize = 256;
 /// sequentially (the prefetch-friendly naive pattern) while m = 16 keeps
 /// the original 256-column tile.
 const OUT_TILE_F32: usize = 4096;
-/// Rows below which [`gemm_prepacked_nn`] walks panel strips row by row
-/// instead of running micro-tiles.
-const STRIP_M: usize = 4;
 
 thread_local! {
     /// Per-thread packing scratch reused across calls: the blocked driver
@@ -636,25 +634,13 @@ fn zero_rows(a: &[f32], m: usize, k: usize) -> Vec<bool> {
 /// traffic to a quarter. Each `out[i][j]` still takes
 /// `fma(a(i,l), b(l,j), acc)` with `l` strictly ascending, one rounding
 /// per step — bit-identical to [`Mat::matmul_ref`]. Whole-zero A rows are
-/// skipped (`+0.0`-preserving, see the module docs).
+/// skipped (`+0.0`-preserving, see the module docs). Its loop is compiled
+/// under `avx512f` on AVX-512 hosts (16 f32 lanes per `zmm` along `j`),
+/// under `avx,fma` on AVX hosts, and as the portable [`fma32`] build
+/// otherwise.
 ///
 /// [`Mat::matmul_ref`]: crate::mat::Mat::matmul_ref
-pub fn gemm_nn_smallm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_nn_smallm_at(Isa::host(), m, k, n, a, b, out);
-}
-
-/// [`gemm_nn_smallm`] at a given ISA level: its loop compiled under
-/// `avx512f` on AVX-512 hosts (16 f32 lanes per `zmm` along `j`), under
-/// `avx,fma` on AVX hosts, and the portable [`fma32`] build otherwise.
-fn gemm_nn_smallm_at(
-    isa: Isa,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
+fn gemm_nn_smallm(isa: Isa, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     // SAFETY (both arms): holding `isa` proves the CPU runs its level.
     #[cfg(target_arch = "x86_64")]
     match isa.level() {
@@ -831,7 +817,7 @@ fn narrow_loop<const HW: bool>(
 /// `out = a @ b` for row-major `a: [m, k]`, `b: [k, n]`. `out` must be
 /// zeroed (or hold a partial sum over earlier `l`, per the FMA
 /// contract). The shape picks one of four bit-identical regimes:
-/// `m <= SMALL_M` rows run the jammed [`gemm_nn_smallm`], `n < NR`
+/// `m <= SMALL_M` rows run the jammed small-m kernel, `n < NR`
 /// columns the narrow kernel, one-block exact-tile shapes the
 /// pack-free tile sweep on AVX and AVX-512 hosts, and everything else the
 /// blocked driver.
@@ -844,7 +830,7 @@ fn gemm_nn_at(isa: Isa, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out:
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     if m <= SMALL_M {
-        return gemm_nn_smallm_at(isa, m, k, n, a, b, out);
+        return gemm_nn_smallm(isa, m, k, n, a, b, out);
     }
     if n < NR {
         return gemm_narrow(isa, (m, k, n), a, (k, 1), b, out);
@@ -1054,9 +1040,6 @@ fn gemm_prepacked_nn_at(isa: Isa, m: usize, a: &[f32], pb: &PackedB, out: &mut [
         return;
     }
     let zr = zero_rows(a, m, k);
-    if m < STRIP_M {
-        return gemm_prepacked_smallm(isa, m, a, pb, out, &zr);
-    }
     let ap_len = MC.min(m).div_ceil(MR) * MR * KC.min(k);
     with_pack_scratch(ap_len, 0, |ap, _| {
         let mut off = 0;
@@ -1084,92 +1067,11 @@ fn gemm_prepacked_nn_at(isa: Isa, m: usize, a: &[f32], pb: &PackedB, out: &mut [
     });
 }
 
-/// Strip-walking small-m path over a prepacked B. For `m < STRIP_M` a
-/// micro-tile spends most of its flops on all-zero A rows, so instead
-/// each output row carries a `[f32; NR]` register tile straight down every
-/// `[kc][NR]` panel strip — one fully sequential pass over the packed
-/// stream per row, no A packing at all. The `(jc, lc)` block order and
-/// ascending-`l` fma steps match the blocked driver exactly, so results
-/// stay bit-identical to [`gemm_nn`] and the naive reference. AVX and
-/// AVX-512 hosts both run its `fma` build, others the portable [`fma32`]
-/// one: every cached `/predict` runs the Aggregation MLPs' `m = 1`
-/// products through it, and an `avx512f` build of this loop cost the serve
-/// mix's median request more than it saved (DESIGN.md §2c).
-fn gemm_prepacked_smallm(
-    isa: Isa,
-    m: usize,
-    a: &[f32],
-    pb: &PackedB,
-    out: &mut [f32],
-    zr: &[bool],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if isa.level() != Level::Generic {
-        // SAFETY: holding an AVX or AVX-512 `isa` proves FMA.
-        unsafe { strip_fma(m, a, pb, out, zr) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = isa;
-    strip_loop::<false>(m, a, pb, out, zr);
-}
-
-/// [`strip_loop`] compiled with FMA enabled.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-unsafe fn strip_fma(m: usize, a: &[f32], pb: &PackedB, out: &mut [f32], zr: &[bool]) {
-    strip_loop::<true>(m, a, pb, out, zr);
-}
-
-/// The loop of [`gemm_prepacked_smallm`], inlined into each build.
-#[inline(always)]
-fn strip_loop<const HW: bool>(m: usize, a: &[f32], pb: &PackedB, out: &mut [f32], zr: &[bool]) {
-    let (k, n) = (pb.k, pb.n);
-    let mut off = 0;
-    let mut jc = 0;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let n_panels = nc.div_ceil(NR);
-        let mut lc = 0;
-        while lc < k {
-            let kc = KC.min(k - lc);
-            for pj in 0..n_panels {
-                let j0 = jc + pj * NR;
-                let w = NR.min(n - j0);
-                let strip = &pb.data[off + pj * kc * NR..off + (pj + 1) * kc * NR];
-                for i in 0..m {
-                    if zr[i] {
-                        continue;
-                    }
-                    let arow = &a[i * k + lc..i * k + lc + kc];
-                    let o = i * n + j0;
-                    let mut acc = [0.0f32; NR];
-                    acc[..w].copy_from_slice(&out[o..o + w]);
-                    for (l, &av) in arow.iter().enumerate() {
-                        let brow = &strip[l * NR..(l + 1) * NR];
-                        for (c, &bv) in acc.iter_mut().zip(brow) {
-                            *c = fma::<HW>(av, bv, *c);
-                        }
-                    }
-                    out[o..o + w].copy_from_slice(&acc[..w]);
-                }
-            }
-            off += n_panels * kc * NR;
-            lc += kc;
-        }
-        jc += nc;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::{
         gemm_nn_at, gemm_nt_at, gemm_prepacked_nn_at, gemm_tn_at, Isa, PackedB, KC, MC, MR,
-        MR_HALF, NC, NR, SMALL_M, STRIP_M,
+        MR_HALF, NC, NR, SMALL_M,
     };
     use crate::mat::Mat;
     use sns_rt::rng::StdRng;
@@ -1364,14 +1266,15 @@ mod tests {
     }
 
     /// Prepacked GEMM is bit-identical to the per-call paths at shapes
-    /// spanning the strip/micro-tile edge (`STRIP_M`), micro-tile edges,
-    /// multiple KC chunks and multiple NC blocks (k = 300 > KC, n = 600 >
-    /// NC, and n = NC + NR leaves a one-panel last block).
+    /// spanning one to four rows (a tile mostly of padding rows),
+    /// micro-tile edges, multiple KC chunks and multiple NC blocks
+    /// (k = 300 > KC, n = 600 > NC, and n = NC + NR leaves a one-panel
+    /// last block).
     #[test]
     fn prepacked_matches_references_bitwise() {
         for isa in Isa::supported() {
             let mut rng = StdRng::seed_from_u64(99);
-            for &m in &[1usize, STRIP_M - 1, STRIP_M, 5, MR, 16, 33, 130] {
+            for &m in &[1usize, 2, 3, 4, 5, MR, 16, 33, 130] {
                 for &(k, n) in
                     &[(5usize, 17usize), (128, 512), (300, 600), (64, 2304), (7, NC + NR)]
                 {

@@ -77,7 +77,7 @@ pub use fma::fma32;
 pub use gemm::PackedB;
 pub use gru::{Gru, GruCtx};
 pub use isa::Isa;
-pub use linear::{Linear, LinearCtx, PackedLinear, QuantLinear};
+pub use linear::{Linear, LinearCtx, QuantLinear};
 pub use loss::{bce_with_logits_loss, mse_loss, softmax_cross_entropy};
 pub use mat::Mat;
 pub use norm::{LayerNorm, LayerNormCtx};

@@ -1,88 +1,20 @@
-//! Fully-connected layer, plus its two packed inference counterparts.
+//! Fully-connected layer, plus its integer inference counterpart.
 //!
-//! [`Linear`] owns trainable parameters and the backward pass. The packed
-//! forms are read-only snapshots the owning model rebuilds whenever its
-//! weights change:
-//!
-//! * [`PackedLinear`] repacks the f32 weight matrix into GEMM panel layout
-//!   ([`PackedB`]) so inference skips per-call packing entirely.
-//!   `PackedLinear::infer` is bit-identical to [`Linear::infer`], and
-//!   `PackedLinear::infer_gelu` to `Gelu.infer(&Linear::infer(x))`.
-//! * [`QuantLinear`] quantizes the weights to s8 per column
-//!   ([`PackedS8`]) for the integer kernels of [`crate::qgemm`]. Its
-//!   outputs approximate [`Linear::infer`] (each within the rounding
-//!   bound of its row's and column's quantization steps), not bit for bit;
-//!   they depend only on the row itself, so they are the same bits in any
-//!   batch and at every ISA level.
+//! [`Linear`] owns trainable parameters and the backward pass; its
+//! [`infer`](Linear::infer) is the f32 inference every head and
+//! Aggregation MLP layer runs. [`QuantLinear`] is a read-only snapshot
+//! the owning model rebuilds whenever its weights change: it quantizes
+//! the weights to s8 per column ([`PackedS8`]) for the integer kernels of
+//! [`crate::qgemm`]. Its outputs approximate [`Linear::infer`] (each
+//! within the rounding bound of its row's and column's quantization
+//! steps), not bit for bit; they depend only on the row itself, so they
+//! are the same bits in any batch and at every ISA level.
 
 use sns_rt::rng::StdRng;
 
-use crate::act::bias_gelu_in_place;
-use crate::gemm::PackedB;
 use crate::mat::Mat;
 use crate::param::{Grads, Param, ParamRegistry};
 use crate::qgemm::{self, PackedS8, QuantRows};
-
-/// An inference-only snapshot of a [`Linear`]: weights prepacked once,
-/// bias copied. The output of [`infer`](Self::infer) is bit-identical to
-/// [`Linear::infer`] (both kernels honor the GEMM FMA contract).
-#[derive(Debug, Clone)]
-pub struct PackedLinear {
-    w: PackedB,
-    b: Vec<f32>,
-    in_dim: usize,
-    out_dim: usize,
-}
-
-impl PackedLinear {
-    /// Snapshots `l`.
-    pub fn pack(l: &Linear) -> PackedLinear {
-        let w = &l.w.value;
-        PackedLinear {
-            w: PackedB::pack(w.as_slice(), w.rows(), w.cols()),
-            b: l.b.value.row(0).to_vec(),
-            in_dim: l.in_dim,
-            out_dim: l.out_dim,
-        }
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Applies the layer to `x` of shape `[n, in_dim]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != in_dim`.
-    pub fn infer(&self, x: &Mat) -> Mat {
-        x.matmul_prepacked(&self.w).add_row_broadcast(&self.b)
-    }
-
-    /// `gelu(x W + b)`: the bias and GELU applied in one pass over the
-    /// fresh GEMM output, bit-identical to `Gelu.infer(&Linear::infer(x))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != in_dim`.
-    pub fn infer_gelu(&self, x: &Mat) -> Mat {
-        let mut y = x.matmul_prepacked(&self.w);
-        bias_gelu_in_place(y.as_mut_slice(), &self.b);
-        y
-    }
-
-    /// Resident bytes of the packed weights (bias excluded — it is not
-    /// duplicated panel storage).
-    pub fn bytes(&self) -> usize {
-        self.w.bytes()
-    }
-}
 
 /// An inference-only snapshot of a [`Linear`] for the integer kernels:
 /// weights quantized to s8 with one scale per output column, bias copied.
@@ -129,7 +61,7 @@ impl QuantLinear {
     }
 
     /// Resident bytes of the quantized weights, column sums and scales
-    /// (bias excluded, as for [`PackedLinear::bytes`]).
+    /// (bias excluded — it is not duplicated panel storage).
     pub fn bytes(&self) -> usize {
         self.w.bytes()
     }
@@ -255,7 +187,6 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::act::Gelu;
 
     fn setup() -> (ParamRegistry, Linear) {
         let mut rng = StdRng::seed_from_u64(42);
@@ -322,34 +253,5 @@ mod tests {
         }
         // dx shape sanity.
         assert_eq!((dx.rows(), dx.cols()), (2, 3));
-    }
-
-    /// PackedLinear is bit-identical to Linear::infer across
-    /// batch sizes spanning the small-m dispatch edge and odd widths.
-    #[test]
-    fn packed_linear_f32_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(21);
-        for &(in_dim, out_dim) in &[(3usize, 2usize), (17, 33), (128, 2304)] {
-            let mut reg = ParamRegistry::new();
-            let l = Linear::new(&mut reg, in_dim, out_dim, &mut rng);
-            let p = PackedLinear::pack(&l);
-            assert_eq!((p.in_dim(), p.out_dim()), (in_dim, out_dim));
-            for &m in &[1usize, 2, 3, 16, 17] {
-                let mut x = Mat::zeros(m, in_dim);
-                for v in x.as_mut_slice() {
-                    *v = rng.gen_range(-1.0f32..1.0);
-                }
-                let want = l.infer(&x);
-                let got = p.infer(&x);
-                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{in_dim}x{out_dim} m={m}");
-                }
-                let want = Gelu.infer(&want);
-                let got = p.infer_gelu(&x);
-                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "gelu {in_dim}x{out_dim} m={m}");
-                }
-            }
-        }
     }
 }

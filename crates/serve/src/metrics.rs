@@ -307,8 +307,9 @@ impl Metrics {
     /// `design_memo` sums the replicas' current memos the same way
     /// (`entries == inserts − evictions`; `budget_bytes` is per replica).
     ///
-    /// `prepack_bytes` is the serving model's resident prepacked weight
-    /// panels.
+    /// `prepack_bytes` is the serving model's resident inference plan
+    /// ([`SnsModel::prepack_bytes`](sns_core::SnsModel::prepack_bytes)):
+    /// attention's prepacked panels and the FFN's quantized weights.
     ///
     /// `models` carries one pre-assembled object per model the server
     /// has ever served (id, weight hash, [`ModelTally`] counters); it is

@@ -219,9 +219,10 @@ fi
 # random module edits, incremental ≡ from-scratch bit-for-bit) with its
 # content-hash identity/sensitivity/collision suite, plus bit-exact replay
 # of every checked-in corpus regression and the nn serialization/optimizer
-# property suite the oracles lean on.
-echo "==> cargo test -q -p sns-conformance -p sns-nn"
-cargo test -q -p sns-conformance -p sns-nn
+# property suite the oracles lean on; plus the bench harness's own unit
+# suites (timing statistics and the artifact commit reader).
+echo "==> cargo test -q -p sns-conformance -p sns-nn -p sns-bench"
+cargo test -q -p sns-conformance -p sns-nn -p sns-bench
 
 # The serve end-to-end suite boots real servers with worker/queue limits
 # tuned per test; keep it single-threaded so the limits stay meaningful
