@@ -163,7 +163,7 @@ fn main() {
         );
         scale_rows.push(format!("{threads},{ms},{}", baseline_ms / ms));
     }
-    write_csv("fig7_thread_scaling.csv", "threads,path_aggregates_ms,speedup", &scale_rows);
+    write_csv("fig7_thread_scaling.csv", "threads,predict_ms,speedup", &scale_rows);
 
     // ---- Batch scaling of the packed Circuitformer forward ----
     // `SNS_BATCH` controls how many same-length sequences share one packed
@@ -192,12 +192,12 @@ fn main() {
         batch_rows.push(format!("{batch},{ms},{paths_per_s},{}", batch1_ms / ms));
         batch_json.push(Json::obj(vec![
             ("batch", Json::Int(batch as i64)),
-            ("path_aggregates_ms", Json::Num(ms)),
+            ("predict_ms", Json::Num(ms)),
             ("unique_paths_per_s", Json::Num(paths_per_s)),
             ("speedup_vs_batch1", Json::Num(batch1_ms / ms)),
         ]));
     }
-    write_csv("fig7_batch_scaling.csv", "batch,path_aggregates_ms,paths_per_s,speedup", &batch_rows);
+    write_csv("fig7_batch_scaling.csv", "batch,predict_ms,paths_per_s,speedup", &batch_rows);
 
     let design_json: Vec<Json> = sized
         .iter()

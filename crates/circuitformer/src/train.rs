@@ -1,5 +1,7 @@
 //! Circuitformer training (Table 6 row 1: Adam, batch 128, lr 0.001,
-//! 256 epochs), with data-parallel minibatches on `sns_rt::pool`.
+//! 256 epochs). One routine, [`train_step`], takes every clipped Adam
+//! step on the Circuitformer: the batch trainer's minibatches here and
+//! the label factory's online fine-tune steps (`sns_core::FineTuner`).
 
 use sns_rt::rng::{SliceRandom, StdRng};
 
@@ -85,9 +87,11 @@ pub fn evaluate(model: &Circuitformer, data: &[Example]) -> f32 {
 
 /// Trains `model` in place, returning per-epoch train/validation losses.
 ///
-/// Minibatches are split across `config.threads` workers; each worker
-/// accumulates into a private gradient buffer and the buffers are merged
-/// before the Adam step, so results are independent of the thread count.
+/// Each minibatch is one [`train_step`] with `config.threads` (clamped to
+/// the batch size) contiguous chunks of ⌈batch / threads⌉ examples. The
+/// chunk boundaries set the gradient's summation order, so the weights are
+/// bit-identical from run to run at a given thread count, and differ only
+/// by rounding between thread counts.
 pub fn train(
     model: &mut Circuitformer,
     train_set: &[Example],
@@ -98,6 +102,7 @@ pub fn train(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut opt = Adam::new(config.lr);
     let mut order: Vec<usize> = (0..train_set.len()).collect();
+    let threads = config.threads.max(1);
     let mut history = TrainHistory::default();
 
     for _epoch in 0..config.epochs {
@@ -105,13 +110,9 @@ pub fn train(
         let mut epoch_loss = 0.0f64;
         let mut seen = 0usize;
         for batch in order.chunks(config.batch_size) {
-            let (grads, loss_sum) = batch_gradients(model, train_set, batch, config.threads);
-            let mut grads = grads;
-            grads.scale(1.0 / batch.len() as f32);
-            if config.clip > 0.0 {
-                grads.clip_global_norm(config.clip);
-            }
-            opt.step_visit(&grads, |f| model.visit_mut(f));
+            let batch: Vec<&Example> = batch.iter().map(|&i| &train_set[i]).collect();
+            let chunk = batch.len().div_ceil(threads.min(batch.len()));
+            let loss_sum = train_step(model, &mut opt, &batch, chunk, threads, config.clip);
             epoch_loss += loss_sum as f64;
             seen += batch.len();
         }
@@ -123,43 +124,63 @@ pub fn train(
     history
 }
 
-/// Computes summed gradients and loss for one minibatch, in parallel.
-fn batch_gradients(
-    model: &Circuitformer,
-    data: &[Example],
-    batch: &[usize],
+/// One clipped Adam step on `examples`, returning their summed MSE.
+///
+/// The examples are cut into contiguous chunks of `chunk` (the last one
+/// ragged), and each chunk's gradient and loss are summed serially on one
+/// of up to `threads` workers. The partial sums are merged in chunk order,
+/// scaled by 1/n and clipped to global norm `clip` (0 disables) before
+/// the step. Given the weights, the optimizer state, the examples and
+/// `chunk`, the step is bit-identical at any `threads`. An empty
+/// `examples` takes no step and returns 0.0.
+pub fn train_step(
+    model: &mut Circuitformer,
+    opt: &mut Adam,
+    examples: &[&Example],
+    chunk: usize,
     threads: usize,
-) -> (Grads, f32) {
-    let threads = threads.max(1).min(batch.len().max(1));
-    if threads == 1 {
-        return worker(model, data, batch);
-    }
-    let results =
-        sns_rt::pool::par_map_chunks(batch, threads, |part| worker(model, data, part));
-    let mut iter = results.into_iter();
-    let Some((mut grads, mut loss)) = iter.next() else {
-        return worker(model, data, &[]);
+    clip: f32,
+) -> f32 {
+    let Some((mut grads, loss_sum)) = summed_gradient(model, examples, chunk, threads) else {
+        return 0.0;
     };
+    grads.scale(1.0 / examples.len() as f32);
+    if clip > 0.0 {
+        grads.clip_global_norm(clip);
+    }
+    opt.step_visit(&grads, |f| model.visit_mut(f));
+    loss_sum
+}
+
+/// The summed gradient and loss of `examples` in chunks of `chunk`, merged
+/// in chunk order; `None` when there are no examples.
+fn summed_gradient(
+    model: &Circuitformer,
+    examples: &[&Example],
+    chunk: usize,
+    threads: usize,
+) -> Option<(Grads, f32)> {
+    let chunks: Vec<&[&Example]> = examples.chunks(chunk.max(1)).collect();
+    let partials = sns_rt::pool::par_map(&chunks, threads, |part| {
+        let mut grads = Grads::new(model.registry());
+        let mut loss_sum = 0.0f32;
+        for (tokens, target) in part.iter() {
+            let (out, ctx) = model.forward(tokens);
+            let pred = Mat::from_rows(&[&out]);
+            let tgt = Mat::from_rows(&[&target[..]]);
+            let (l, dl) = sns_nn::mse_loss(&pred, &tgt);
+            loss_sum += l;
+            model.backward(&ctx, [dl.get(0, 0), dl.get(0, 1), dl.get(0, 2)], &mut grads);
+        }
+        (grads, loss_sum)
+    });
+    let mut iter = partials.into_iter();
+    let (mut grads, mut loss) = iter.next()?;
     for (g, l) in iter {
         grads.merge(&g);
         loss += l;
     }
-    (grads, loss)
-}
-
-fn worker(model: &Circuitformer, data: &[Example], part: &[usize]) -> (Grads, f32) {
-    let mut grads = Grads::new(model.registry());
-    let mut loss_sum = 0.0f32;
-    for &i in part {
-        let (tokens, target) = &data[i];
-        let (out, ctx) = model.forward(tokens);
-        let pred = Mat::from_rows(&[&out]);
-        let tgt = Mat::from_rows(&[&target[..]]);
-        let (l, dl) = sns_nn::mse_loss(&pred, &tgt);
-        loss_sum += l;
-        model.backward(&ctx, [dl.get(0, 0), dl.get(0, 1), dl.get(0, 2)], &mut grads);
-    }
-    (grads, loss_sum)
+    Some((grads, loss))
 }
 
 #[cfg(test)]
@@ -210,24 +231,41 @@ mod tests {
         assert!(last.val_loss < first.val_loss, "{first:?} -> {last:?}");
     }
 
+    /// Threads move no gradient bit at a fixed chunk length; another
+    /// chunk length only reorders the sum, so it moves bits by rounding.
     #[test]
-    fn thread_count_does_not_change_the_gradient() {
+    fn gradient_is_thread_invariant_and_chunking_moves_it_only_by_rounding() {
         let m = tiny_model();
         let data = synthetic_data(16, 5);
-        let idx: Vec<usize> = (0..16).collect();
-        let (g1, l1) = batch_gradients(&m, &data, &idx, 1);
-        let (g4, l4) = batch_gradients(&m, &data, &idx, 4);
-        assert!((l1 - l4).abs() < 1e-4);
-        // Compare a few buffers.
-        let mut max_diff = 0.0f32;
-        m.visit(&mut |p| {
-            let a = g1.get(p.id);
-            let b = g4.get(p.id);
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                max_diff = max_diff.max((x - y).abs());
-            }
-        });
-        assert!(max_diff < 1e-4, "thread-dependent gradients, diff {max_diff}");
+        let refs: Vec<&Example> = data.iter().collect();
+        let flat = |g: &Grads| {
+            let mut v = Vec::new();
+            m.visit(&mut |p| v.extend_from_slice(g.get(p.id).as_slice()));
+            v
+        };
+        let (g_one, l_one) = summed_gradient(&m, &refs, 16, 1).unwrap();
+        let (g4_t1, l4_t1) = summed_gradient(&m, &refs, 4, 1).unwrap();
+        let (g4_t4, l4_t4) = summed_gradient(&m, &refs, 4, 4).unwrap();
+        assert_eq!(l4_t1.to_bits(), l4_t4.to_bits());
+        let (one, t1, t4) = (flat(&g_one), flat(&g4_t1), flat(&g4_t4));
+        assert!(t1.iter().zip(&t4).all(|(a, b)| a.to_bits() == b.to_bits()), "threads moved a bit");
+        assert!((l_one - l4_t1).abs() < 1e-4);
+        let max_diff = one.iter().zip(&t1).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
+        assert!(max_diff < 1e-4, "chunking moved the gradient by {max_diff}");
+    }
+
+    #[test]
+    fn empty_step_is_a_no_op() {
+        let mut m = tiny_model();
+        let weights = |m: &Circuitformer| {
+            let mut bytes = Vec::new();
+            sns_nn::write_params(&mut bytes, |f| m.visit(f));
+            bytes
+        };
+        let before = weights(&m);
+        let mut opt = Adam::new(1e-3);
+        assert_eq!(train_step(&mut m, &mut opt, &[], 8, 4, 1.0), 0.0);
+        assert_eq!(weights(&m), before);
     }
 
     #[test]

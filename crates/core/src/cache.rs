@@ -13,10 +13,9 @@
 //! (`SNS_CACHE_CAP`) so memory stays flat under unbounded workload
 //! diversity.
 //!
-//! Fill calls ([`ensure`](PathPredictionCache::ensure) /
-//! [`ensure_batched`](PathPredictionCache::ensure_batched)) count over
-//! *unique* sequences: one hit per unique sequence found cached, one miss
-//! per sequence the fill inserts. A computed sequence that another fill
+//! Fills ([`ensure_batched`](PathPredictionCache::ensure_batched)) count
+//! over *unique* sequences: one hit per unique sequence found cached, one
+//! miss per sequence the fill inserts. A computed sequence that another fill
 //! inserted first counts as a hit, so `len == misses − evictions` holds
 //! under concurrent fills until the cache is cleared or seeded with
 //! [`insert`](PathPredictionCache::insert). Point lookups via
@@ -193,26 +192,11 @@ impl PathPredictionCache {
         fresh
     }
 
-    /// Ensures every sequence in `seqs` is cached, computing the missing
-    /// *unique* ones with `predict` fanned out over `threads` workers.
-    ///
-    /// `predict` must be pure; results are inserted in one batch, so
-    /// concurrent readers never observe a partially computed sequence.
-    pub fn ensure<F>(&self, seqs: &[Vec<usize>], threads: usize, predict: F)
-    where
-        F: Fn(&[usize]) -> [f64; 3] + Sync,
-    {
-        let missing = self.missing_unique(seqs);
-        if missing.is_empty() {
-            return;
-        }
-        let preds = sns_rt::pool::par_map(&missing, threads, |t| predict(t));
-        self.publish(missing.len(), missing.iter().map(Vec::as_slice).zip(preds));
-    }
-
-    /// Like [`ensure`](Self::ensure), but hands the missing unique
-    /// sequences to `predict_batch` in length-bucketed chunks of at most
-    /// `batch` sequences, fanning the chunks over `threads` workers.
+    /// Ensures every sequence in `seqs` is cached: hands the missing
+    /// unique sequences to `predict_batch` in length-bucketed chunks of at
+    /// most `batch` sequences, fanning the chunks over `threads` workers,
+    /// and inserts the results in one batch, so concurrent readers never
+    /// observe a partial fill.
     /// Returns the misses it counted: the sequences it computed, less any
     /// a concurrent fill inserted first.
     ///
@@ -220,8 +204,7 @@ impl PathPredictionCache {
     /// first, deterministically) so every chunk's packed forward sees
     /// uniform sequence shapes. `predict_batch` must be pure and return
     /// one prediction per input, each independent of its batch-mates —
-    /// then the cache contents are identical to the per-sequence
-    /// [`ensure`](Self::ensure) path at any `threads` or `batch`.
+    /// then the cache contents are identical at any `threads` or `batch`.
     ///
     /// # Panics
     ///
@@ -264,7 +247,19 @@ impl PathPredictionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Fills `cache` through [`PathPredictionCache::ensure_batched`] with
+    /// the per-sequence `predict`, in chunks of up to 4.
+    fn fill(
+        cache: &PathPredictionCache,
+        seqs: &[Vec<usize>],
+        threads: usize,
+        predict: impl Fn(&[usize]) -> [f64; 3] + Sync,
+    ) {
+        cache.ensure_batched(seqs, threads, 4, |chunk| chunk.iter().map(|t| predict(t)).collect());
+    }
 
     #[test]
     fn get_after_insert() {
@@ -277,13 +272,13 @@ mod tests {
     }
 
     #[test]
-    fn ensure_computes_each_unique_sequence_once() {
+    fn ensure_batched_computes_each_unique_sequence_once() {
         let cache = PathPredictionCache::new();
         cache.insert(vec![9], [9.0, 9.0, 9.0]);
         let calls = AtomicUsize::new(0);
         let seqs = vec![vec![1], vec![2], vec![1], vec![9], vec![2], vec![1]];
         for threads in [1, 4] {
-            cache.ensure(&seqs, threads, |t| {
+            fill(&cache, &seqs, threads, |t| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 [t[0] as f64, 0.0, 0.0]
             });
@@ -298,10 +293,10 @@ mod tests {
     fn hit_and_miss_counters_track_unique_fill_traffic() {
         let cache = PathPredictionCache::new();
         let seqs = vec![vec![1], vec![2], vec![1]];
-        cache.ensure(&seqs, 1, |t| [t[0] as f64, 0.0, 0.0]);
+        fill(&cache, &seqs, 1, |t| [t[0] as f64, 0.0, 0.0]);
         // First fill: two unique sequences, both missing.
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        cache.ensure(&seqs, 1, |_| unreachable!("everything is cached"));
+        fill(&cache, &seqs, 1, |_| unreachable!("everything is cached"));
         // Second fill: both unique sequences hit.
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
         // Point lookups are not counted.
@@ -338,12 +333,12 @@ mod tests {
     }
 
     #[test]
-    fn ensure_batched_matches_ensure_at_any_batch_size() {
+    fn ensure_batched_matches_direct_predictions_at_any_batch_size() {
         let seqs: Vec<Vec<usize>> =
             (0..20).map(|i| (0..(i % 5 + 1)).map(|j| i + j).collect()).collect();
         let predict = |t: &[usize]| [t.iter().sum::<usize>() as f64, t.len() as f64, 1.0];
-        let reference = PathPredictionCache::new();
-        reference.ensure(&seqs, 1, predict);
+        let reference: HashMap<&[usize], [f64; 3]> =
+            seqs.iter().map(|s| (s.as_slice(), predict(s))).collect();
         for batch in [1, 4, 32] {
             for threads in [1, 4] {
                 let cache = PathPredictionCache::new();
@@ -352,7 +347,8 @@ mod tests {
                 });
                 assert_eq!(cache.len(), reference.len(), "batch={batch} threads={threads}");
                 for s in &seqs {
-                    assert_eq!(cache.get(s), reference.get(s), "batch={batch} threads={threads}");
+                    let want = reference.get(s.as_slice()).copied();
+                    assert_eq!(cache.get(s), want, "batch={batch} threads={threads}");
                 }
             }
         }
@@ -402,7 +398,7 @@ mod tests {
             [s, s * 0.5, s * 0.25]
         };
         let unbounded = PathPredictionCache::new();
-        unbounded.ensure(&seqs, 1, predict);
+        fill(&unbounded, &seqs, 1, predict);
         let reference: Vec<[f64; 3]> = seqs.iter().map(|s| unbounded.get(s).unwrap()).collect();
 
         for cap in [1, 3, 7] {
@@ -462,7 +458,7 @@ mod tests {
     #[test]
     fn counters_reconcile_under_capacity_pressure() {
         // The /metrics identity: as long as the cache is only filled
-        // through counted paths (ensure) and never cleared, every live
+        // through counted paths (ensure_batched) and never cleared, every live
         // entry is exactly a miss that has not been evicted.
         let cache = PathPredictionCache::new();
         cache.set_capacity(Some(4));
@@ -481,22 +477,22 @@ mod tests {
         let predict = |t: &[usize]| [t[0] as f64, 0.0, 0.0];
         // Fill to capacity: 4 misses, nothing evicted yet.
         let first: Vec<Vec<usize>> = (0..4).map(|i| vec![i]).collect();
-        cache.ensure(&first, 2, predict);
+        fill(&cache, &first, 2, predict);
         reconcile("full");
         assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (0, 4, 0));
         // Overflow with three fresh sequences: FIFO evicts the oldest.
         let overflow: Vec<Vec<usize>> = (4..7).map(|i| vec![i]).collect();
-        cache.ensure(&overflow, 2, predict);
+        fill(&cache, &overflow, 2, predict);
         reconcile("overflow");
         assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (0, 7, 3));
         assert_eq!(cache.get(&[0]), None, "oldest entries leave first");
         assert_eq!(cache.get(&[6]), Some([6.0, 0.0, 0.0]));
         // Re-ensuring survivors hits without disturbing the identity.
-        cache.ensure(&overflow, 1, |_| unreachable!("survivors are cached"));
+        fill(&cache, &overflow, 1, |_| unreachable!("survivors are cached"));
         reconcile("re-ensure");
         assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (3, 7, 3));
         // Re-ensuring an evicted sequence is a fresh miss + eviction.
-        cache.ensure(&first[..1], 1, predict);
+        fill(&cache, &first[..1], 1, predict);
         reconcile("evicted returns");
         assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (3, 8, 4));
         // Shrinking capacity evicts immediately and stays reconciled.

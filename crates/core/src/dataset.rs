@@ -44,19 +44,11 @@ impl HardwareDesignDataset {
     pub fn generate(designs: &[Design], options: &SynthOptions) -> Self {
         let threads = sns_rt::pool::default_threads();
         let synth = VirtualSynthesizer::new(options.clone());
-        let entries: Vec<LabeledDesign> =
-            sns_rt::pool::par_map_chunks(designs, threads, |part| {
-                part.iter()
-                    .map(|d| {
-                        let nl = parse_and_elaborate(&d.verilog, &d.top)
-                            .unwrap_or_else(|e| panic!("design `{}`: {e}", d.name));
-                        LabeledDesign { design: d.clone(), report: synth.synthesize(&nl) }
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+        let entries = sns_rt::pool::par_map(designs, threads, |d| {
+            let nl = parse_and_elaborate(&d.verilog, &d.top)
+                .unwrap_or_else(|e| panic!("design `{}`: {e}", d.name));
+            LabeledDesign { design: d.clone(), report: synth.synthesize(&nl) }
+        });
         HardwareDesignDataset { entries }
     }
 

@@ -10,7 +10,7 @@ use sns_sampler::{CircuitPath, SampleConfig};
 
 use crate::aggmlp::AggMlp;
 use crate::cache::PathPredictionCache;
-use crate::pipeline::{Hooks, Inline};
+use crate::pipeline::Inline;
 
 /// Default activity assumed for paths starting at I/O ports when the user
 /// supplies per-register activity coefficients (§3.4.4).
@@ -113,20 +113,6 @@ impl SnsModel {
     ) -> DesignPrediction {
         let Ok(prediction) = self.run_flat(netlist, activity, &Inline::default(), Instant::now());
         prediction
-    }
-
-    /// The path-level reductions of §3.4 (max timing, summed area,
-    /// activity-scaled summed power), before MLP refinement. Returns the
-    /// raw aggregates and the critical path's vertex names.
-    pub fn path_aggregates(
-        &self,
-        graph: &GraphIr,
-        paths: &[CircuitPath],
-        activity: Option<&HashMap<String, f32>>,
-    ) -> ([f64; 3], Vec<String>) {
-        let seqs = self.tokenize_paths(graph, paths);
-        Inline::default().prime(self, &seqs);
-        self.reduce(&seqs, path_items(graph, paths, activity))
     }
 
     /// The serial reduction every prediction ends with, over the paths'

@@ -14,6 +14,7 @@ use std::collections::HashSet;
 
 use sns_rt::rng::StdRng;
 
+use sns_circuitformer::train::{train_step, Example};
 use sns_circuitformer::{
     train as cf_train, Circuitformer, CircuitformerConfig, LabelScaler, TrainConfig, TrainHistory,
 };
@@ -214,22 +215,19 @@ pub struct FineTuneConfig {
     pub lr: f32,
     /// Global gradient-norm clip (0 disables).
     pub clip: f32,
-    /// Fixed gradient-accumulation chunk size. Examples are split into
-    /// chunks of exactly this many (last chunk ragged), each chunk's
-    /// gradients accumulated serially, and chunks merged in index order —
-    /// so the summed gradient is a pure function of the example sequence,
-    /// **independent of the worker thread count**. (The batch trainer's
-    /// chunking depends on `threads`, which is fine at its 1e-4 tolerance
-    /// but not for the daemon's bit-identical determinism contract.)
-    pub grad_chunk: usize,
 }
 
 impl FineTuneConfig {
     /// The label-factory daemon's default schedule.
     pub fn daemon() -> Self {
-        FineTuneConfig { lr: 3e-4, clip: 1.0, grad_chunk: 8 }
+        FineTuneConfig { lr: 3e-4, clip: 1.0 }
     }
 }
+
+/// The fine-tuner's gradient chunk: a fixed length, unlike the batch
+/// trainer's ⌈batch / threads⌉, so the summation order and with it every
+/// weight bit is independent of the worker thread count.
+const FINE_TUNE_CHUNK: usize = 8;
 
 /// Online fine-tuner for a trained [`SnsModel`]'s Circuitformer.
 ///
@@ -266,7 +264,8 @@ impl FineTuner {
     /// empty batch is a no-op returning 0.0 — the daemon's loop never
     /// stalls on an all-filtered batch.
     ///
-    /// Bit-identical at any `threads` ≥ 1 (see [`FineTuneConfig::grad_chunk`]).
+    /// The step is [`train_step`] in fixed chunks of 8 examples, so it is
+    /// bit-identical at any `threads` ≥ 1.
     pub fn step(
         &mut self,
         model: &mut SnsModel,
@@ -276,43 +275,15 @@ impl FineTuner {
         if examples.is_empty() {
             return 0.0;
         }
-        let normalized: Vec<(Vec<usize>, [f32; 3])> = examples
+        let normalized: Vec<Example> = examples
             .iter()
             .map(|(tokens, label)| (tokens.clone(), model.path_scaler.transform(*label)))
             .collect();
-        let chunk = self.config.grad_chunk.max(1);
-        let chunks: Vec<&[(Vec<usize>, [f32; 3])]> = normalized.chunks(chunk).collect();
-        let cf = &model.circuitformer;
-        let partials = sns_rt::pool::par_map(&chunks, threads.max(1), |part| {
-            let mut grads = sns_nn::Grads::new(cf.registry());
-            let mut loss_sum = 0.0f32;
-            for (tokens, target) in part.iter() {
-                let (out, ctx) = cf.forward(tokens);
-                let pred = sns_nn::Mat::from_rows(&[&out]);
-                let tgt = sns_nn::Mat::from_rows(&[&target[..]]);
-                let (l, dl) = sns_nn::mse_loss(&pred, &tgt);
-                loss_sum += l;
-                cf.backward(&ctx, [dl.get(0, 0), dl.get(0, 1), dl.get(0, 2)], &mut grads);
-            }
-            (grads, loss_sum)
-        });
-        let mut iter = partials.into_iter();
-        let (mut grads, mut loss) = match iter.next() {
-            Some(first) => first,
-            None => return 0.0,
-        };
-        for (g, l) in iter {
-            grads.merge(&g);
-            loss += l;
-        }
-        grads.scale(1.0 / normalized.len() as f32);
-        if self.config.clip > 0.0 {
-            grads.clip_global_norm(self.config.clip);
-        }
-        use sns_nn::Optimizer as _;
-        // The visit re-packs the inference plan; the weights changed, so
-        // every cached path prediction goes too.
-        self.opt.step_visit(&grads, |f| model.circuitformer.visit_mut(f));
+        let refs: Vec<&Example> = normalized.iter().collect();
+        let cf = &mut model.circuitformer;
+        let loss = train_step(cf, &mut self.opt, &refs, FINE_TUNE_CHUNK, threads, self.config.clip);
+        // The step's visit re-packs the inference plan; the weights
+        // changed, so every cached path prediction goes too.
         model.clear_cache();
         self.steps += 1;
         loss / normalized.len() as f32
@@ -660,8 +631,12 @@ mod tests {
         }
         let graph = sns_graphir::GraphIr::from_netlist(&nl);
         let paths = sns_sampler::PathSampler::new(model.sample_config().clone()).sample(&graph);
-        let (base, _) = model.path_aggregates(&graph, &paths, None);
-        let (gated, _) = model.path_aggregates(&graph, &paths, Some(&act));
+        let seqs = model.tokenize_paths(&graph, &paths);
+        Inline::default().prime(&model, &seqs);
+        let aggregates = |activity| {
+            model.reduce(&seqs, crate::predictor::path_items(&graph, &paths, activity)).0
+        };
+        let (base, gated) = (aggregates(None), aggregates(Some(&act)));
         // §3.4.4: power scales with the coefficients; timing/area do not.
         assert!(gated[2] < base[2] * 0.6, "gated {} !<< base {}", gated[2], base[2]);
         assert_eq!(gated[0], base[0]);

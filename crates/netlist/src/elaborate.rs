@@ -66,13 +66,8 @@ impl ElabLimits {
     /// `SNS_MAX_REPLICATION`, falling back to the defaults when a
     /// variable is unset, unparsable, or zero.
     pub fn from_env() -> Self {
-        fn read(name: &str, default: u64) -> u64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|s| s.trim().parse::<u64>().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or(default)
-        }
+        let read =
+            |name, default| sns_rt::env_knob::<u64>(name).filter(|&v| v > 0).unwrap_or(default);
         ElabLimits {
             max_cells: read("SNS_MAX_CELLS", Self::DEFAULT_MAX_CELLS as u64) as usize,
             max_net_bits: read("SNS_MAX_NET_BITS", Self::DEFAULT_MAX_NET_BITS as u64)

@@ -11,8 +11,8 @@
 //!   model serialization (`sns-nn`, `sns-circuitformer`, `sns-core`).
 //! * [`fifo`] — [`fifo::Fifo`], the bounded FIFO map with an insert-time
 //!   ledger behind every cache, memo and session store in the workspace.
-//! * [`pool`] — a scoped thread pool with order-preserving `par_map`
-//!   primitives, used by training minibatches, dataset labeling, and the
+//! * [`pool`] — a scoped thread pool with an order-preserving `par_map`,
+//!   used by training minibatches, dataset labeling, and the
 //!   parallel path-inference hot path. Thread count defaults honour the
 //!   `SNS_THREADS` environment variable, read once per process.
 //! * [`net`] — readiness-based I/O on `poll(2)` (poll sets, a self-pipe
@@ -33,7 +33,7 @@ pub mod pool;
 pub mod rng;
 
 pub use json::{parse as parse_json, Json, JsonError};
-pub use pool::{default_threads, par_map, par_map_chunks};
+pub use pool::{default_threads, par_map};
 pub use rng::{SliceRandom, StdRng};
 
 /// Reads environment knob `name` parsed as `T`, ignoring surrounding

@@ -1,13 +1,12 @@
 //! Scoped data-parallelism on `std::thread` alone.
 //!
-//! Two order-preserving primitives cover every parallel site in the
-//! workspace:
-//!
-//! * [`par_map`] — map a function over items with dynamic (work-stealing)
-//!   scheduling; results come back in input order, so callers observe
-//!   exactly the serial semantics.
-//! * [`par_map_chunks`] — map over contiguous chunks, for callers that
-//!   reduce per-worker state (e.g. private gradient buffers).
+//! One order-preserving primitive covers every parallel site in the
+//! workspace: [`par_map`] maps a function over items with dynamic
+//! (work-stealing) scheduling, and results come back in input order, so
+//! callers observe exactly the serial semantics. A caller that reduces
+//! into private per-chunk state (the trainer's gradient buffers) maps over
+//! contiguous chunks it cuts itself, so the chunking, and with it the
+//! reduction order, is the caller's choice.
 //!
 //! Thread counts default to [`default_threads`], which honours the
 //! `SNS_THREADS` environment variable. The pool knobs (`SNS_THREADS`,
@@ -100,35 +99,6 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Splits `items` into at most `threads` contiguous chunks and maps `f`
-/// over each chunk on its own worker, returning per-chunk results in
-/// chunk order.
-///
-/// The chunking is a pure function of `(items.len(), threads)`, so a
-/// caller that merges the per-chunk results with an associative,
-/// commutative-enough operation (summed gradients, concatenation) gets
-/// results independent of scheduling.
-pub fn par_map_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 {
-        return vec![f(items)];
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> =
-            items.chunks(chunk).map(|part| s.spawn(|| f(part))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,27 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_chunks_covers_every_item_once() {
-        let items: Vec<usize> = (0..103).collect();
-        for threads in [1, 2, 5, 16] {
-            let sums = par_map_chunks(&items, threads, |part| part.iter().sum::<usize>());
-            assert!(sums.len() <= threads.max(1));
-            assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-        }
-    }
-
-    #[test]
-    fn chunk_concatenation_matches_serial() {
-        let items: Vec<i32> = (0..57).collect();
-        let chunks = par_map_chunks(&items, 4, |part| {
-            part.iter().map(|&x| x * 2).collect::<Vec<_>>()
-        });
-        let flat: Vec<i32> = chunks.into_iter().flatten().collect();
-        let serial: Vec<i32> = items.iter().map(|&x| x * 2).collect();
-        assert_eq!(flat, serial);
-    }
-
-    #[test]
     fn worker_panics_reach_the_caller_with_their_own_payload() {
         let items: Vec<u32> = (0..16).collect();
         let mapped = std::panic::catch_unwind(|| {
@@ -194,17 +143,6 @@ mod tests {
         });
         let payload = mapped.expect_err("par_map must propagate the worker panic");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 5 is hostile"));
-
-        let chunked = std::panic::catch_unwind(|| {
-            par_map_chunks(&items, 4, |part| {
-                if part.contains(&9) {
-                    panic!("chunk with 9 is hostile");
-                }
-                part.len()
-            })
-        });
-        let payload = chunked.expect_err("par_map_chunks must propagate the worker panic");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk with 9 is hostile"));
     }
 
     #[test]

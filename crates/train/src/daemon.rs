@@ -7,12 +7,12 @@
 //! any `SNS_THREADS` / `SNS_BATCH`. Every stage holds the invariant
 //! independently: the conformance generator is a pure function of its
 //! seed, vsynth runs on one thread, model predictions are bit-identical at any thread/batch
-//! setting, [`FineTuner`] accumulates gradients in fixed-size chunks,
+//! setting, [`FineTuner`] sums gradients in fixed 8-example chunks,
 //! the Markov arm consumes its own seeded RNG, and the bootstrap
 //! trainer's thread knob is pinned to 1 in the config (the batch
-//! trainer's chunking is the one thread-dependent site in the
-//! workspace). `tests/train_determinism.rs` sweeps the env knobs and
-//! compares zoo weight hashes.
+//! trainer cuts ⌈batch / threads⌉-example chunks, the one place the
+//! thread count reaches the weights). `tests/train_determinism.rs`
+//! sweeps the env knobs and compares zoo weight hashes.
 //!
 //! ## Replay entries carry their front-end
 //!
@@ -113,8 +113,9 @@ impl DaemonConfig {
             max_len: 64,
             ..CircuitformerConfig::fast()
         };
-        // threads is pinned to 1: the batch trainer's gradient chunking
-        // depends on the thread count (1e-4-tolerance, not bit-exact).
+        // threads is pinned to 1: the batch trainer sums each minibatch's
+        // gradient in ⌈batch / threads⌉-example chunks, so its weights are
+        // bit-identical only at a fixed thread count.
         bootstrap.cf_train =
             TrainConfig { epochs: 8, batch_size: 32, threads: 1, ..TrainConfig::fast() };
         bootstrap.mlp_train = MlpTrainConfig { epochs: 200, ..MlpTrainConfig::fast() };

@@ -14,10 +14,11 @@
 //! * **Filter** — an active-learning top-q filter ([`select_top_q`])
 //!   spends the gradient budget on the designs where the model disagrees
 //!   most with the oracle;
-//! * **Fine-tune** — `sns_core::FineTuner` takes one thread-invariant
-//!   Adam step per batch on the selected designs' path labels, plus a
-//!   second generator arm of synthetic paths from an online Markov model
-//!   (`sns_genmodel::MarkovArm`);
+//! * **Fine-tune** — `sns_core::FineTuner` takes one clipped Adam step
+//!   per batch on the selected designs' path labels, plus a second
+//!   generator arm of synthetic paths from an online Markov model
+//!   (`sns_genmodel::MarkovArm`). It is the batch trainer's own step, in
+//!   fixed 8-example gradient chunks, so the thread count moves no bit;
 //! * **Checkpoint** — snapshots land in a **versioned model zoo**
 //!   (`sns_core::model_io`): a manifest of model id, corner, train-step
 //!   provenance, and FNV-128 weight hash, written atomically so
