@@ -6,7 +6,7 @@
 //! started server with cold caches, so the K = 1 level *is* the
 //! sequential baseline: any req/s gain at K ≥ 4 comes from the
 //! event-driven connection core pipelining requests and from workers
-//! running inference side by side, each request priming its replica's
+//! running inference side by side, each request priming the shared
 //! path cache on its own worker. One request in every [`HEAVY_EVERY`]
 //! is a [`heavy_design`] tail anchor, and each level keeps the better
 //! of [`ATTEMPTS`] fresh-server runs (closed-loop numbers on a shared
@@ -15,15 +15,10 @@
 //! comment, so it misses the memo and still runs elaboration and
 //! sampling (its paths hit the warm path cache).
 //!
-//! `SNS_REPLICAS=N` runs every level in **sns-shard mode** (N model
-//! replicas behind the consistent-hash router); the artifact records
-//! the replica count and any shed (503) responses alongside the
-//! latency/throughput rows.
-//!
 //! Artifact: `BENCH_serve.json` at the repo root (req/s, client-side
-//! p50/mean/p99, shed counts, design-memo hits, and per-level inference
-//! counters: primes that computed anything and the sequences they
-//! computed).
+//! p50/mean/p99, shed (503) counts, design-memo hits and their share of
+//! the level's requests, and per-level inference counters: primes that
+//! computed anything and the sequences they computed).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -164,9 +159,8 @@ fn quantile(sorted_us: &[u64], q: f64) -> f64 {
     sorted_us[rank - 1] as f64 / 1000.0
 }
 
-/// Runs the full concurrency sweep against servers with `replicas`
-/// model replicas, returning one artifact row per level.
-fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: usize) -> Vec<Json> {
+/// Runs the full concurrency sweep, returning one artifact row per level.
+fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design) -> Vec<Json> {
     // Connection handling is the reactor's and costs no worker, so the
     // worker pool only needs to cover the inference pipeline — a small
     // pool avoids pure context-switch overhead at high K on few cores.
@@ -175,11 +169,10 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
         workers: 4,
         queue_cap: 256,
         cache_cap: None,
-        replicas,
         ..ServeConfig::default()
     };
     println!(
-        "  [serve] replicas={replicas}, {} workers, inference threads={}, batch={}",
+        "  [serve] {} workers, inference threads={}, batch={}",
         config.workers, config.threads, config.batch
     );
 
@@ -188,9 +181,9 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
     for &k in CONCURRENCY {
         let mut best: Option<(f64, f64, Vec<u64>, [u64; 4])> = None;
         for _attempt in 0..ATTEMPTS {
-            // Same cold start for every level: a fresh server (replica
-            // forks start with empty caches) and a cleared replica-0
-            // cache (shared with our `model` handle across restarts).
+            // Same cold start for every level: a fresh server (with an
+            // empty design memo) and a cleared path cache (shared with
+            // our `model` handle across restarts).
             model.cache().clear();
             let server = Server::start_shared(Arc::clone(model), config.clone()).expect("bind");
             let addr = server.addr();
@@ -243,17 +236,18 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
         if k == 1 {
             baseline_rps = rps;
         }
+        let memo_share = hits as f64 / TOTAL_REQUESTS as f64;
         println!(
-            "  [k={k:>2}] {rps:7.2} req/s ({:.2}x vs k=1) | p50 {:7.2} ms  mean {:7.2} ms  p99 {:7.1} ms | {seqs} seqs in {rounds} primes | {hits} memo hits | shed {shed}",
+            "  [k={k:>2}] {rps:7.2} req/s ({:.2}x vs k=1) | p50 {:7.2} ms  mean {:7.2} ms  p99 {:7.1} ms | {seqs} seqs in {rounds} primes | {hits} memo hits ({:.0}%) | shed {shed}",
             rps / baseline_rps,
             quantile(&lat_us, 0.50),
             mean_ms(&lat_us),
             quantile(&lat_us, 0.99),
+            memo_share * 100.0,
         );
         rows.push(Json::obj(vec![
             ("concurrency", Json::UInt(k as u64)),
             ("requests", Json::UInt(TOTAL_REQUESTS as u64)),
-            ("replicas", Json::UInt(replicas as u64)),
             ("wall_s", Json::Num(wall_s)),
             ("req_per_s", Json::Num(rps)),
             ("speedup_vs_sequential", Json::Num(rps / baseline_rps)),
@@ -263,6 +257,7 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
             ("batch_rounds", Json::UInt(rounds)),
             ("batched_seqs", Json::UInt(seqs)),
             ("memo_hits", Json::UInt(hits)),
+            ("memo_hit_share", Json::Num(memo_share)),
             ("shed_503", Json::UInt(shed)),
         ]));
     }
@@ -271,17 +266,6 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design, replicas: u
 
 fn main() {
     headline("sns-serve: throughput vs concurrency (event-driven core, inference on the request's worker)");
-
-    // `SNS_REPLICAS=N` sweeps one shard configuration; `SNS_SOAK=1`
-    // (what `scripts/serve_soak.sh` sets) soaks both the single-replica
-    // and the 4-replica shard configuration in one artifact.
-    let soak = std::env::var("SNS_SOAK").is_ok_and(|v| v.trim() == "1");
-    let replicas: usize = std::env::var("SNS_REPLICAS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
-    let replica_counts: Vec<usize> = if soak { vec![1, 4] } else { vec![replicas] };
 
     let pool = design_pool();
     println!("  [model] training a small serving model ({} pool designs)...", pool.len());
@@ -299,27 +283,18 @@ fn main() {
     let model = Arc::new(model);
     let heavy = heavy_design();
 
-    let mut sweeps: Vec<(usize, Vec<Json>)> = Vec::new();
-    for &n in &replica_counts {
-        sweeps.push((n, run_sweep(&model, &pool, &heavy, n)));
-    }
+    let levels = run_sweep(&model, &pool, &heavy);
 
-    let (first_replicas, first_rows) = sweeps.remove(0);
     let defaults = ServeConfig::default();
-    let mut fields = vec![
+    let fields = vec![
         ("bench", Json::Str("serve_load".into())),
         ("total_requests_per_level", Json::UInt(TOTAL_REQUESTS as u64)),
         ("attempts_per_level", Json::UInt(ATTEMPTS as u64)),
         ("heavy_every", Json::UInt(HEAVY_EVERY as u64)),
         ("design_pool", Json::UInt(pool.len() as u64)),
-        ("replicas", Json::UInt(first_replicas as u64)),
         ("inference_threads", Json::UInt(defaults.threads as u64)),
         ("batch", Json::UInt(defaults.batch as u64)),
-        ("levels", Json::Arr(first_rows)),
+        ("levels", Json::Arr(levels)),
     ];
-    if let Some((shard_replicas, shard_rows)) = sweeps.pop() {
-        fields.push(("shard_replicas", Json::UInt(shard_replicas as u64)));
-        fields.push(("shard_levels", Json::Arr(shard_rows)));
-    }
     write_root_json("BENCH_serve.json", &Json::obj(fields));
 }

@@ -216,21 +216,19 @@ impl SnsModel {
         &self.cache
     }
 
-    /// A replica-scoped handle on this model: identical weights, scalers,
+    /// A cold-cache clone of this model: identical weights, scalers,
     /// vocabulary and sampling configuration, but a *fresh, empty*
     /// [`PathPredictionCache`] owned by the new handle alone.
     ///
-    /// This is the unit of scale-out for `sns-shard` mode: each replica
-    /// answers bit-identically to every other (the Circuitformer is pure
-    /// and the cache never changes values, only latency), while cache
-    /// contents stay partitioned so a consistent-hash router preserves
-    /// locality. The weight tensors and prepacked panels are cloned per
-    /// replica — a deliberate trade: replicas share nothing mutable, and
-    /// each one's working set stays local to the cores serving it.
+    /// The clone answers bit-identically to the original (the
+    /// Circuitformer is pure and the cache never changes values, only
+    /// latency), so tests and benchmarks use it to compare a cold model
+    /// against a warm one, or to keep a reference model whose cache no
+    /// other caller fills.
     pub fn fork_replica(&self) -> SnsModel {
-        let mut replica = self.clone();
-        replica.cache = PathPredictionCache::new();
-        replica
+        let mut fork = self.clone();
+        fork.cache = PathPredictionCache::new();
+        fork
     }
 
     /// Drops all memoized path predictions. Call after mutating model

@@ -89,7 +89,7 @@ impl Hasher for Fnv128 {
     }
 }
 
-/// [`Fnv128`] over raw bytes: zoo weight hashes and replica shard keys.
+/// [`Fnv128`] over raw bytes: zoo weight hashes.
 pub fn fnv128_bytes(bytes: &[u8]) -> [u64; 2] {
     let mut h = Fnv128::new();
     h.write(bytes);

@@ -2,14 +2,10 @@
 //! predictions over HTTP until SIGTERM/ctrl-C, then drain and exit.
 //!
 //! ```text
-//! sns-serve --model model.bin [--addr 127.0.0.1:7878] [--replicas N] [--zoo DIR]
-//! sns-serve --zoo zoo/         [--addr 127.0.0.1:7878] [--replicas N]   # latest checkpoint
-//! sns-serve --train 8          [--addr 127.0.0.1:7878] [--replicas N]   # demo model
+//! sns-serve --model model.bin [--addr 127.0.0.1:7878] [--zoo DIR]
+//! sns-serve --zoo zoo/         [--addr 127.0.0.1:7878]   # latest checkpoint
+//! sns-serve --train 8          [--addr 127.0.0.1:7878]   # demo model
 //! ```
-//!
-//! `--replicas N` (or `SNS_REPLICAS=N`) enables **sns-shard mode**: N
-//! model replicas, each with a private path cache, behind a
-//! consistent-hash router keyed on design content.
 //!
 //! `--zoo DIR` (or `SNS_ZOO_DIR`) points at a versioned model zoo (as
 //! written by `sns-train`); without `--model`/`--train` the latest
@@ -17,10 +13,9 @@
 //! latest checkpoint on **SIGHUP** or `POST /admin/reload` without
 //! dropping in-flight requests.
 //!
-//! Environment knobs: SNS_REPLICAS, SNS_WORKERS, SNS_QUEUE_CAP,
-//! SNS_MAX_CONNS, SNS_MAX_BODY, SNS_DEADLINE_MS, SNS_CACHE_CAP,
-//! SNS_THREADS, SNS_BATCH, SNS_SESSION_CAP, SNS_ELAB_CACHE_CAP,
-//! SNS_ZOO_DIR.
+//! Environment knobs: SNS_WORKERS, SNS_QUEUE_CAP, SNS_MAX_CONNS,
+//! SNS_MAX_BODY, SNS_DEADLINE_MS, SNS_CACHE_CAP, SNS_THREADS, SNS_BATCH,
+//! SNS_SESSION_CAP, SNS_ELAB_CACHE_CAP, SNS_ZOO_DIR.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,15 +68,15 @@ fn arg(args: &[String], name: &str) -> Option<String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  sns-serve --model <model.bin> [--addr <ip:port>] [--replicas <n>] [--zoo <dir>]
-  sns-serve --zoo <dir>          [--addr <ip:port>] [--replicas <n>]
-  sns-serve --train <n-designs>  [--addr <ip:port>] [--replicas <n>]
+  sns-serve --model <model.bin> [--addr <ip:port>] [--zoo <dir>]
+  sns-serve --zoo <dir>          [--addr <ip:port>]
+  sns-serve --train <n-designs>  [--addr <ip:port>]
 
 SIGHUP or POST /admin/reload hot-swaps to the zoo's latest checkpoint.
 
-env: SNS_REPLICAS SNS_WORKERS SNS_QUEUE_CAP SNS_MAX_CONNS SNS_MAX_BODY
-     SNS_DEADLINE_MS SNS_CACHE_CAP SNS_THREADS SNS_BATCH SNS_SESSION_CAP
-     SNS_ELAB_CACHE_CAP SNS_ZOO_DIR"
+env: SNS_WORKERS SNS_QUEUE_CAP SNS_MAX_CONNS SNS_MAX_BODY SNS_DEADLINE_MS
+     SNS_CACHE_CAP SNS_THREADS SNS_BATCH SNS_SESSION_CAP SNS_ELAB_CACHE_CAP
+     SNS_ZOO_DIR"
     );
     ExitCode::from(2)
 }
@@ -90,10 +85,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = ServeConfig::from_env();
     config.addr = arg(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    if let Some(n) = arg(&args, "--replicas") {
-        let Ok(n) = n.parse::<usize>() else { return usage() };
-        config.replicas = n.max(1);
-    }
     if let Some(dir) = arg(&args, "--zoo") {
         config.zoo_dir = Some(dir.into());
     }
@@ -139,9 +130,8 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "sns-serve listening on http://{} (replicas={}, workers={}, threads={}, batch={}, queue_cap={}, max_conns={}, cache_cap={}, deadline={})",
+        "sns-serve listening on http://{} (workers={}, threads={}, batch={}, queue_cap={}, max_conns={}, cache_cap={}, deadline={})",
         server.addr(),
-        config.replicas,
         config.workers,
         config.threads,
         config.batch,

@@ -32,8 +32,8 @@
 //!
 //! Every body kind runs sns-core's staged pipeline
 //! ([`SnsModel::predict_with`](sns_core::SnsModel::predict_with)); this
-//! crate only supplies its hooks: stage histograms, deadline and replica
-//! liveness checks, and inference on the request's own worker. The one
+//! crate only supplies its hooks: stage histograms, deadline checks, and
+//! inference on the request's own worker. The one
 //! exception is an exact repeat of a flat body (same `verilog` and
 //! `top`, no `activity` map), which is answered from the serving model
 //! generation's byte-bounded design memo without running any stage.
@@ -49,25 +49,21 @@
 //! connection-table entry, never a thread, and cannot head-of-line-block
 //! other requests.
 //!
-//! ## Replica sharding (`sns-shard` mode)
+//! ## One model slot
 //!
-//! With `SNS_REPLICAS=N` the server runs N model replicas, each owning a
-//! private path-prediction cache, behind a consistent-hash router
-//! ([`shard`]) keyed on design content
-//! (FNV-128 of the Verilog + top, or of the session base token for ECO
-//! patches). Identical designs always land on the same warm cache;
-//! killing a replica moves only its keys (clean `503`s for requests
-//! caught mid-flight), and a revived replica resumes its old range.
-//! `/metrics` gains per-replica routed/shed/in-flight counts, inference
-//! counters and cache stats.
+//! The server serves from exactly one model slot: every worker shares
+//! its path cache, so a path computed for one request is a hit for every
+//! later request, whichever worker takes it. A hot-swap installs a new
+//! generation in the slot; each request pins the generation it started
+//! on.
 //!
 //! ## Throughput under concurrency
 //!
 //! Every body kind runs inference on the worker that took the request:
 //! the hook computes the request's *uncached* unique path sequences in
 //! length-bucketed packed forwards of at most `SNS_BATCH` sequences over
-//! `SNS_THREADS` pool threads, and inserts them into the replica's
-//! shared cache, where later requests for the same paths hit. Concurrent
+//! `SNS_THREADS` pool threads, and inserts them into the model's shared
+//! cache, where later requests for the same paths hit. Concurrent
 //! workers keep every core busy; a request's latency tracks its own
 //! missing work and never waits behind another request's round
 //! (DESIGN.md §2d has the measurements behind this choice).
@@ -92,22 +88,18 @@
 //! panic costs one `500` (and bumps the `panics_total` metric) rather
 //! than the worker thread.
 //!
-//! Environment knobs: `SNS_REPLICAS`, `SNS_WORKERS`, `SNS_QUEUE_CAP`,
-//! `SNS_MAX_CONNS`, `SNS_MAX_BODY`, `SNS_DEADLINE_MS`, `SNS_CACHE_CAP`
-//! (0 = unbounded), plus the model-level `SNS_THREADS` / `SNS_BATCH` and
-//! the elaboration budgets above.
+//! Environment knobs: `SNS_WORKERS`, `SNS_QUEUE_CAP`, `SNS_MAX_CONNS`,
+//! `SNS_MAX_BODY`, `SNS_DEADLINE_MS`, `SNS_CACHE_CAP` (0 = unbounded),
+//! `SNS_SESSION_CAP`, `SNS_ELAB_CACHE_CAP`, `SNS_ZOO_DIR`, plus the
+//! model-level `SNS_THREADS` / `SNS_BATCH` and the elaboration budgets
+//! above.
 
 pub mod http;
 pub(crate) mod memo;
 pub mod metrics;
 pub(crate) mod reactor;
 pub mod server;
-pub mod shard;
 
 pub use http::{HttpError, Request};
-pub use metrics::{
-    CacheStats, DesignMemoStats, ElabCacheStats, Histogram, Metrics, ModelTally,
-    ReplicaSnapshot, ReplicaStats,
-};
+pub use metrics::{CacheStats, DesignMemoStats, ElabCacheStats, Histogram, Metrics, ModelTally};
 pub use server::{ReloadError, ReloadOutcome, ServeConfig, Server};
-pub use shard::{design_key, token_key, HashRing, RouteChoice};

@@ -9,10 +9,9 @@
 //! answer can outlive the weights that computed it.
 //!
 //! Keys are compared as whole strings in a std `HashMap` with its keyed
-//! default hasher. The FNV `design_key` the router uses is unkeyed, so it
-//! is never treated as identity: a crafted collision would otherwise
-//! return another design's answer, and colliding keys could flood one
-//! bucket.
+//! default hasher. An unkeyed content hash (FNV) is never treated as
+//! identity: a crafted collision would otherwise return another design's
+//! answer, and colliding keys could flood one bucket.
 //!
 //! The memo is bounded by bytes, not entries, because one body may carry
 //! a source of up to `max_body` bytes: it is an [`sns_rt::fifo::Fifo`]
@@ -26,7 +25,7 @@ use sns_rt::fifo::Fifo;
 
 use crate::metrics::DesignMemoStats;
 
-/// Bytes each replica's memo may hold for one model generation: room for
+/// Bytes the memo may hold for one model generation: room for
 /// sixteen sources at the default 1 MiB body limit, or thousands of
 /// typical ones.
 pub(crate) const DESIGN_MEMO_BYTES: usize = 16 << 20;

@@ -9,7 +9,7 @@
 //!             └───┼────────────────┼───────────┼───────────┘
 //!                 │          dispatch queue    │ completions + waker
 //!                 │                ▼           │
-//!                 │          worker pool ──────┘  (route → replica → reply)
+//!                 │          worker pool ──────┘  (route → predict → reply)
 //! ```
 //!
 //! The reactor owns every socket and never runs inference: it frames

@@ -1,35 +1,30 @@
-//! Server assembly: the reactor thread, the worker pool, the replica
-//! set with its consistent-hash router, and the `/predict` hooks.
+//! Server assembly: the reactor thread, the worker pool, the serving
+//! model slot, and the `/predict` hooks.
 //!
 //! ```text
-//! reactor ──► dispatch queue ──► workers ──► router (FNV-128 of content)
+//! reactor ──► dispatch queue ──► workers ──► model slot, pinned generation
 //!    ▲  (full → 503 + Retry-After)  │            │
-//!    │                              │            ▼ replica k (alive?), pinned generation
+//!    │                              │            ▼
 //!    └── completions + waker ◄──────┘   flat body: design memo (exact verilog + top)
 //!                                            │ hit ─────────────────► answer
 //!                                            ▼ miss, session, patch, activity
-//!                                       SnsModel::predict_with(body, ReplicaHooks)
+//!                                       SnsModel::predict_with(body, ServeHooks)
 //!                                        parse ► sample ► infer ► aggregate
 //!                                                           │
-//!                                                  prime: cache_k
+//!                                                  prime: path cache
 //! ```
 //!
 //! Connection I/O lives entirely on the reactor thread
 //! (`crate::reactor`); workers only ever see complete requests, so
-//! inference latency and socket behaviour cannot interfere. In
-//! **shard mode** (`replicas > 1`) each replica owns a full model clone
-//! with a private path cache; the router keys on
-//! design content (see [`crate::shard`]) so identical designs always
-//! land on the same warm cache. Replicas can be marked dead
-//! ([`Server::kill_replica`]) — in-flight requests routed there get a
-//! clean `503` at the next stage boundary, new requests fail over along
-//! the ring, and a revived replica resumes exactly its old key range.
+//! inference latency and socket behaviour cannot interfere. One model
+//! slot serves every request: all workers share its path cache, so a
+//! path computed for one request is a hit for every later one.
 //!
 //! Every `/predict` body kind (flat, session, ECO patch) runs the core
-//! pipeline under `ReplicaHooks`, which check liveness and the
-//! per-request deadline at every stage boundary — a request that has
-//! blown `SNS_DEADLINE_MS` never starts sampling or inference — and
-//! fill the replica's path cache on the request's own worker. A flat
+//! pipeline under `ServeHooks`, which check the per-request deadline at
+//! every stage boundary — a request that has blown `SNS_DEADLINE_MS`
+//! never starts sampling or inference — and fill the path cache on the
+//! request's own worker. A flat
 //! body without an activity map first consults the pinned generation's
 //! design memo (`memo.rs`): an exact repeat is answered without
 //! running any stage, and a fresh answer is stored for the next repeat.
@@ -52,9 +47,8 @@ use sns_rt::net::Waker;
 
 use crate::http::{build_response, Request};
 use crate::memo::{memo_key, DesignMemo, DESIGN_MEMO_BYTES};
-use crate::metrics::{ElabCacheStats, Metrics, ModelTally, ReplicaSnapshot, ReplicaStats};
+use crate::metrics::{ElabCacheStats, Metrics, ModelTally};
 use crate::reactor::reactor_loop;
-use crate::shard::{design_key, token_key, HashRing};
 
 /// Locks a mutex, recovering the guard from a poisoned lock. Every lock
 /// in this crate guards a slot, registry or queue whose updates are a
@@ -80,7 +74,7 @@ pub struct ServeConfig {
     pub max_body: usize,
     /// Per-request deadline; stages are never started past it (`504`).
     pub deadline: Option<Duration>,
-    /// Entry cap installed on each replica's path cache (`None` =
+    /// Entry cap installed on the serving model's path cache (`None` =
     /// unbounded).
     pub cache_cap: Option<usize>,
     /// Inference pool threads per batch round (`SNS_THREADS`).
@@ -95,8 +89,9 @@ pub struct ServeConfig {
     pub session_cap: usize,
     /// Module-elaboration-unit cache entries (`SNS_ELAB_CACHE_CAP`).
     pub elab_cache_cap: usize,
-    /// Model replicas behind the consistent-hash router (`SNS_REPLICAS`).
-    /// 1 = classic single-replica serving.
+    /// Kept only so existing struct literals (routebench's) still
+    /// compile: the server runs exactly one model slot, and
+    /// [`Server::start`] refuses any value other than 1.
     pub replicas: usize,
     /// Connection-count cap; accepts beyond it are shed with `503`
     /// (`SNS_MAX_CONNS`).
@@ -139,8 +134,8 @@ impl ServeConfig {
     /// applied: `SNS_WORKERS`,
     /// `SNS_QUEUE_CAP`, `SNS_MAX_BODY`, `SNS_DEADLINE_MS`,
     /// `SNS_CACHE_CAP` (0 = unbounded), `SNS_THREADS`, `SNS_BATCH`,
-    /// `SNS_SESSION_CAP`, `SNS_ELAB_CACHE_CAP`, `SNS_REPLICAS`,
-    /// `SNS_MAX_CONNS`, `SNS_ZOO_DIR`.
+    /// `SNS_SESSION_CAP`, `SNS_ELAB_CACHE_CAP`, `SNS_MAX_CONNS`,
+    /// `SNS_ZOO_DIR`.
     pub fn from_env() -> Self {
         let mut c = ServeConfig::default();
         let env_usize = |name| sns_rt::env_knob::<usize>(name).filter(|&n| n >= 1);
@@ -164,9 +159,6 @@ impl ServeConfig {
         }
         if let Some(n) = env_usize("SNS_ELAB_CACHE_CAP") {
             c.elab_cache_cap = n;
-        }
-        if let Some(n) = env_usize("SNS_REPLICAS") {
-            c.replicas = n;
         }
         if let Some(n) = env_usize("SNS_MAX_CONNS") {
             c.max_conns = n;
@@ -193,8 +185,8 @@ pub(crate) struct Completion {
     pub bytes: Vec<u8>,
 }
 
-/// One generation of the model behind a replica slot: the model clone
-/// with its private path cache, its design memo, and the zoo identity
+/// One generation of the serving model: the model with its path cache,
+/// its design memo, and the zoo identity
 /// the server reports for every prediction it makes. Hot-swapping
 /// installs a new `Arc<ModelEntry>` in the slot; requests already
 /// holding the old `Arc` finish on the model they started with
@@ -210,32 +202,6 @@ pub(crate) struct ModelEntry {
     pub memo: DesignMemo,
 }
 
-/// One model replica: a swappable [`ModelEntry`] slot, per-replica
-/// counters, and a liveness flag the chaos tests (and an eventual health
-/// checker) flip. Liveness and routing identity survive a model swap —
-/// only the entry changes.
-pub(crate) struct Replica {
-    pub entry: Mutex<Arc<ModelEntry>>,
-    pub stats: ReplicaStats,
-    pub alive: AtomicBool,
-}
-
-impl Replica {
-    fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
-    }
-
-    /// The current model generation. The lock is held only for the
-    /// `Arc` clone; handlers pin one generation per request.
-    pub(crate) fn entry(&self) -> Arc<ModelEntry> {
-        Arc::clone(&lock_or_recover(&self.entry))
-    }
-
-    fn install(&self, entry: Arc<ModelEntry>) {
-        *lock_or_recover(&self.entry) = entry;
-    }
-}
-
 /// A model known to the `/metrics` registry: identity plus its tally.
 /// Re-installing weights served earlier resumes the existing tally.
 pub(crate) struct ModelInfo {
@@ -247,22 +213,27 @@ pub(crate) struct ModelInfo {
 pub(crate) struct Shared {
     pub config: ServeConfig,
     pub metrics: Arc<Metrics>,
-    pub replicas: Vec<Replica>,
-    pub ring: HashRing,
-    /// Session store is deliberately shared across replicas: base tokens
-    /// are content-addressed, and ECO requests route by token so the
-    /// replica-local path caches still get affinity.
+    /// The serving model generation. A hot-swap installs a new entry;
+    /// the lock is held only for the store or an `Arc` clone.
+    pub entry: Mutex<Arc<ModelEntry>>,
     pub sessions: SessionStore,
     /// Every model this server has served, for per-model metrics.
     pub models: Mutex<Vec<ModelInfo>>,
     /// Serializes hot-swaps (`/admin/reload`, SIGHUP) so two concurrent
-    /// reloads cannot interleave replica installs.
+    /// reloads cannot interleave their check and install.
     pub reload_lock: Mutex<()>,
     pub dispatch: Mutex<VecDeque<Job>>,
     pub dispatch_cv: Condvar,
     pub completions: Mutex<Vec<Completion>>,
     pub waker: Waker,
     pub shutdown: AtomicBool,
+}
+
+impl Shared {
+    /// The current model generation; handlers pin one per request.
+    pub(crate) fn entry(&self) -> Arc<ModelEntry> {
+        Arc::clone(&lock_or_recover(&self.entry))
+    }
 }
 
 /// A running inference daemon. Dropping it without calling
@@ -276,21 +247,21 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts accepting. Each replica's path cache is bounded
-    /// to `config.cache_cap` entries.
+    /// Binds and starts accepting. The model's path cache is bounded to
+    /// `config.cache_cap` entries.
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the address is unavailable, or the OS
-    /// error if a thread or the waker pipe cannot be created.
+    /// Returns [`InvalidInput`](std::io::ErrorKind::InvalidInput) when
+    /// `config.replicas` is not 1, the bind error if the address is
+    /// unavailable, or the OS error if a thread or the waker pipe cannot
+    /// be created.
     pub fn start(model: SnsModel, config: ServeConfig) -> std::io::Result<Server> {
         Self::start_shared(Arc::new(model), config)
     }
 
     /// [`start`](Self::start) for callers that keep their own handle to
     /// the model (benchmarks clearing the cache between rounds, tests).
-    /// The caller's model becomes replica 0; further replicas are
-    /// [`fork_replica`](SnsModel::fork_replica) clones with cold caches.
     /// The model is served under the id `"boot"` until a hot-swap
     /// installs a zoo checkpoint.
     pub fn start_shared(model: Arc<SnsModel>, config: ServeConfig) -> std::io::Result<Server> {
@@ -305,18 +276,20 @@ impl Server {
         model_id: &str,
         config: ServeConfig,
     ) -> std::io::Result<Server> {
+        if config.replicas != 1 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "ServeConfig::replicas must be 1 (the server runs one model slot), got {}",
+                    config.replicas
+                ),
+            ));
+        }
         model.cache().set_capacity(config.cache_cap);
         let metrics = Arc::new(Metrics::default());
         let weight_hash = model_weight_hash(&model);
         let tally = Arc::new(ModelTally::default());
-        let replicas: Vec<Replica> = build_entries(&model, model_id, &weight_hash, &tally, &config)
-            .into_iter()
-            .map(|entry| Replica {
-                entry: Mutex::new(entry),
-                stats: ReplicaStats::default(),
-                alive: AtomicBool::new(true),
-            })
-            .collect();
+        let entry = new_entry(model, model_id, &weight_hash, &tally);
         let models = vec![ModelInfo {
             id: model_id.to_string(),
             weight_hash,
@@ -328,13 +301,11 @@ impl Server {
         let addr = listener.local_addr()?;
         let waker = Waker::new()?;
         let sessions = SessionStore::new(config.session_cap, config.elab_cache_cap);
-        let ring = HashRing::new(replicas.len());
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             config,
             metrics,
-            replicas,
-            ring,
+            entry: Mutex::new(entry),
             sessions,
             models: Mutex::new(models),
             reload_lock: Mutex::new(()),
@@ -392,46 +363,9 @@ impl Server {
         &self.shared.sessions
     }
 
-    /// Number of model replicas behind the router.
-    pub fn replica_count(&self) -> usize {
-        self.shared.replicas.len()
-    }
-
-    /// The replica a full-design request for (`verilog`, `top`) homes on
-    /// (ignoring liveness) — lets tests aim chaos at the right replica.
-    pub fn replica_for(&self, verilog: &str, top: &str) -> usize {
-        self.shared.ring.home(design_key(verilog, top)) as usize
-    }
-
-    /// Marks a replica dead: new requests fail over along the ring,
-    /// in-flight requests on it get `503` at their next stage boundary.
-    /// Returns `false` for an out-of-range index.
-    pub fn kill_replica(&self, idx: usize) -> bool {
-        match self.shared.replicas.get(idx) {
-            Some(r) => {
-                r.alive.store(false, Ordering::SeqCst);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Marks a replica alive again; it resumes its old ring range (its
-    /// cache kept warm through the outage — liveness is routing state,
-    /// not process state). Returns `false` for an out-of-range index.
-    pub fn revive_replica(&self, idx: usize) -> bool {
-        match self.shared.replicas.get(idx) {
-            Some(r) => {
-                r.alive.store(true, Ordering::SeqCst);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The id and weight hash of the currently serving model generation.
     pub fn current_model(&self) -> (String, String) {
-        let entry = self.shared.replicas[0].entry();
+        let entry = self.shared.entry();
         (entry.model_id.clone(), entry.weight_hash.clone())
     }
 
@@ -521,36 +455,21 @@ pub struct ReloadOutcome {
     pub previous_hash: String,
 }
 
-/// Builds one [`ModelEntry`] per replica for `model`: replica 0 serves
-/// the given `Arc` directly, the rest serve
-/// [`fork_replica`](SnsModel::fork_replica) clones with cold private
-/// caches. Every entry starts with an empty design memo. All entries of
-/// a generation share one [`ModelTally`].
-fn build_entries(
-    model: &Arc<SnsModel>,
+/// A fresh [`ModelEntry`] generation for `model`, starting with an empty
+/// design memo.
+fn new_entry(
+    model: Arc<SnsModel>,
     model_id: &str,
     weight_hash: &str,
     tally: &Arc<ModelTally>,
-    config: &ServeConfig,
-) -> Vec<Arc<ModelEntry>> {
-    (0..config.replicas.max(1))
-        .map(|i| {
-            let model = if i == 0 {
-                Arc::clone(model)
-            } else {
-                let fork = model.fork_replica();
-                fork.cache().set_capacity(config.cache_cap);
-                Arc::new(fork)
-            };
-            Arc::new(ModelEntry {
-                model,
-                model_id: model_id.to_string(),
-                weight_hash: weight_hash.to_string(),
-                tally: Arc::clone(tally),
-                memo: DesignMemo::new(DESIGN_MEMO_BYTES),
-            })
-        })
-        .collect()
+) -> Arc<ModelEntry> {
+    Arc::new(ModelEntry {
+        model,
+        model_id: model_id.to_string(),
+        weight_hash: weight_hash.to_string(),
+        tally: Arc::clone(tally),
+        memo: DesignMemo::new(DESIGN_MEMO_BYTES),
+    })
 }
 
 /// The tally for (`id`, `weight_hash`) in the model registry, appending
@@ -581,7 +500,7 @@ pub(crate) fn reload_from_zoo(
         return Err(ReloadError::NoZoo);
     };
     let _guard = lock_or_recover(&shared.reload_lock);
-    let current = shared.replicas[0].entry();
+    let current = shared.entry();
     let (model, zoo_entry) = load_from_zoo(dir, id).map_err(ReloadError::Zoo)?;
     if zoo_entry.weight_hash == current.weight_hash {
         // Cache invalidation is keyed by weight hash: identical weights
@@ -598,13 +517,9 @@ pub(crate) fn reload_from_zoo(
     }
     model.cache().set_capacity(shared.config.cache_cap);
     let sample_config_changed = model.sample_config() != current.model.sample_config();
-    let model = Arc::new(model);
     let tally = tally_for(shared, &zoo_entry.id, &zoo_entry.weight_hash);
-    let entries =
-        build_entries(&model, &zoo_entry.id, &zoo_entry.weight_hash, &tally, &shared.config);
-    for (replica, entry) in shared.replicas.iter().zip(entries) {
-        replica.install(entry);
-    }
+    *lock_or_recover(&shared.entry) =
+        new_entry(Arc::new(model), &zoo_entry.id, &zoo_entry.weight_hash, &tally);
     // Live ECO sessions hold terminal samples, which depend only on the
     // sample config, not the weights — they stay bit-exact across a
     // weight swap. A changed sample config invalidates them.
@@ -678,14 +593,7 @@ fn route(request: &Request, shared: &Shared) -> Reply {
         ("POST", "/predict") => handle_predict(request, shared),
         ("POST", "/admin/reload") => handle_reload(request, shared),
         ("GET", "/metrics") => {
-            let snapshots: Vec<ReplicaSnapshot> = shared
-                .replicas
-                .iter()
-                .map(|r| {
-                    let entry = r.entry();
-                    r.stats.snapshot(r.is_alive(), entry.model.cache().stats(), entry.memo.stats())
-                })
-                .collect();
+            let serving = shared.entry();
             let elab = shared.sessions.elab_cache();
             let units = elab.stats();
             let elab_stats = ElabCacheStats {
@@ -697,7 +605,6 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                 invalidations: elab.invalidations(),
                 sessions: shared.sessions.session_count(),
             };
-            let serving = shared.replicas[0].entry();
             let models: Vec<Json> = lock_or_recover(&shared.models)
                 .iter()
                 .map(|info| {
@@ -715,7 +622,14 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                     Json::Obj(obj)
                 })
                 .collect();
-            (200, Vec::new(), shared.metrics.to_json(&snapshots, elab_stats, serving.model.prepack_bytes(), models))
+            let json = shared.metrics.to_json(
+                serving.model.cache().stats(),
+                serving.memo.stats(),
+                elab_stats,
+                serving.model.prepack_bytes(),
+                models,
+            );
+            (200, Vec::new(), json)
         }
         ("GET", "/healthz") => (200, Vec::new(), Json::obj(vec![("status", Json::Str("ok".into()))])),
         ("GET", target)
@@ -874,26 +788,21 @@ fn parse_predict_body<'a>(
     Ok((Input::Flat { verilog, top, activity: activity.as_ref() }, clock_ps))
 }
 
-/// Why [`ReplicaHooks`] stopped a prediction.
-enum Halt {
-    /// The routed replica was killed mid-flight (`503`).
-    Lost,
-    /// The deadline passed before the named stage (`504`).
-    Deadline(&'static str),
-}
+/// The deadline passed before the named stage (`504`): why
+/// [`ServeHooks`] stopped a prediction.
+struct DeadlinePassed(&'static str);
 
-/// The daemon's pipeline hooks for one request on one replica: stage
-/// histograms, replica liveness, the per-request deadline, and inference.
-struct ReplicaHooks<'a> {
+/// The daemon's pipeline hooks for one request: stage histograms, the
+/// per-request deadline, and inference on the request's own worker.
+struct ServeHooks<'a> {
     shared: &'a Shared,
-    replica: &'a Replica,
     deadline: Option<Instant>,
 }
 
-impl Hooks for ReplicaHooks<'_> {
-    type Stop = Halt;
+impl Hooks for ServeHooks<'_> {
+    type Stop = DeadlinePassed;
 
-    fn after(&self, stage: Stage, took: Duration) -> Result<(), Halt> {
+    fn after(&self, stage: Stage, took: Duration) -> Result<(), DeadlinePassed> {
         let m = &self.shared.metrics;
         let (histogram, next) = match stage {
             Stage::Parse => (&m.stage_parse, Some("sampling")),
@@ -902,12 +811,9 @@ impl Hooks for ReplicaHooks<'_> {
             Stage::Aggregate => (&m.stage_aggregate, None),
         };
         histogram.record(took);
-        if !self.replica.is_alive() {
-            return Err(Halt::Lost);
-        }
         match next {
             Some(next) if self.deadline.is_some_and(|d| Instant::now() >= d) => {
-                Err(Halt::Deadline(next))
+                Err(DeadlinePassed(next))
             }
             _ => Ok(()),
         }
@@ -920,16 +826,14 @@ impl Hooks for ReplicaHooks<'_> {
         let c = &self.shared.config;
         let computed = model.prime_path_cache(seqs, c.threads, c.batch) as u64;
         if computed > 0 {
-            let (m, r) = (&self.shared.metrics, &self.replica.stats);
+            let m = &self.shared.metrics;
             m.batch_rounds.fetch_add(1, Ordering::Relaxed);
             m.batched_seqs.fetch_add(computed, Ordering::Relaxed);
-            r.batch_rounds.fetch_add(1, Ordering::Relaxed);
-            r.batched_seqs.fetch_add(computed, Ordering::Relaxed);
         }
     }
 }
 
-/// Parses the request body, routes it to a replica and runs it there.
+/// Parses the request body and runs it on the serving model generation.
 fn handle_predict(request: &Request, shared: &Shared) -> Reply {
     let start = Instant::now();
     shared.metrics.predict_requests.fetch_add(1, Ordering::Relaxed);
@@ -943,74 +847,50 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
         Ok(parsed) => parsed,
         Err(msg) => return (400, Vec::new(), error_body(&msg, "json")),
     };
-    let key = match input {
-        Input::Flat { verilog, top, .. } | Input::Session { verilog, top, .. } => {
-            design_key(verilog, top)
-        }
-        Input::Patch { base, .. } => token_key(base),
-    };
-    let Some(choice) = shared.ring.route(key, |r| {
-        shared.replicas.get(r as usize).is_some_and(Replica::is_alive)
-    }) else {
-        return (
-            503,
-            vec![("retry-after", "1".to_string())],
-            error_body("no live replicas", "replica"),
-        );
-    };
-    if choice.failed_over {
-        shared.metrics.router_failovers.fetch_add(1, Ordering::Relaxed);
-    }
-    let replica = &shared.replicas[choice.replica as usize];
-    replica.stats.routed.fetch_add(1, Ordering::Relaxed);
-    replica.stats.in_flight.fetch_add(1, Ordering::Relaxed);
 
     // Pin one model generation for the whole request: model and cache
     // both come from this entry, so a concurrent hot-swap can
     // never mix generations mid-pipeline — the response is bit-identical
     // to a direct call on the model the request started with, and the
     // headers below say which one that was.
-    let entry = replica.entry();
+    let entry = shared.entry();
     entry.tally.requests.fetch_add(1, Ordering::Relaxed);
 
-    // Deterministic chaos hook: lets tests hold a request in-flight on
-    // its routed replica (e.g. to kill the replica underneath it).
+    // Deterministic test hook: holds a request in flight on its pinned
+    // generation (e.g. to hot-swap underneath it, or to fill the queue).
     if shared.config.debug_hooks {
         if let Some(ms) = request.header("x-sns-sleep-ms").and_then(|v| v.parse::<u64>().ok()) {
             std::thread::sleep(Duration::from_millis(ms.min(10_000)));
         }
     }
 
-    let mut reply = predict_on_replica(shared, choice.replica, &entry, input, clock_ps, start);
+    let mut reply = predict_on(shared, &entry, input, clock_ps, start);
     if reply.0 == 200 {
         entry.tally.ok.fetch_add(1, Ordering::Relaxed);
     }
     entry.tally.latency.record(start.elapsed());
     reply.1.push(("x-sns-model-id", entry.model_id.clone()));
     reply.1.push(("x-sns-weight-hash", entry.weight_hash.clone()));
-    replica.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
     reply
 }
 
-/// Runs one parsed `/predict` body on replica `index`: answers an exact
-/// repeat of a flat body from the generation's design memo, and runs
-/// anything else through the core pipeline ([`SnsModel::predict_with`])
-/// under [`ReplicaHooks`], then maps the outcome onto a reply (a
-/// mid-flight replica loss is a clean `503`). Responses are
+/// Runs one parsed `/predict` body on the pinned generation `entry`:
+/// answers an exact repeat of a flat body from the generation's design
+/// memo, and runs anything else through the core pipeline
+/// ([`SnsModel::predict_with`]) under [`ServeHooks`], then maps the
+/// outcome onto a reply. Responses are
 /// bit-identical to the direct call on the pinned model: the hooks fill
 /// the same cache with the same pure function, and the memo returns
 /// what that function returned for the same source.
-fn predict_on_replica(
+fn predict_on(
     shared: &Shared,
-    index: u32,
     entry: &ModelEntry,
     input: Input<'_>,
     clock_ps: Option<f64>,
     start: Instant,
 ) -> Reply {
-    let replica = &shared.replicas[index as usize];
     let deadline = shared.config.deadline.map(|d| start + d);
-    let hooks = ReplicaHooks { shared, replica, deadline };
+    let hooks = ServeHooks { shared, deadline };
     if matches!(input, Input::Patch { .. }) {
         shared.metrics.eco_requests.fetch_add(1, Ordering::Relaxed);
     }
@@ -1023,15 +903,11 @@ fn predict_on_replica(
     };
     let hit = key.as_deref().and_then(|k| entry.memo.get(k));
     let result = match &hit {
-        Some(_) if !replica.is_alive() => Err(PipelineError::Stopped(Halt::Lost)),
         Some(pred) => {
             Ok(Output::Flat(DesignPrediction { runtime: start.elapsed(), ..(**pred).clone() }))
         }
         None => entry.model.predict_with(input, &hooks, start),
     };
-    let lost = matches!(result, Err(PipelineError::Stopped(Halt::Lost)));
-    (if lost { &replica.stats.shed } else { &replica.stats.completed })
-        .fetch_add(1, Ordering::Relaxed);
     let fields = match result {
         Ok(Output::Flat(pred)) => {
             let fields = prediction_fields(&pred, clock_ps);
@@ -1052,11 +928,7 @@ fn predict_on_replica(
             fields.push(("resampled_terminals", Json::UInt(outcome.resampled_terminals as u64)));
             fields
         }
-        Err(PipelineError::Stopped(Halt::Lost)) => {
-            let msg = format!("replica {index} lost mid-flight, retry");
-            return (503, vec![("retry-after", "1".to_string())], error_body(&msg, "replica"));
-        }
-        Err(PipelineError::Stopped(Halt::Deadline(next))) => {
+        Err(PipelineError::Stopped(DeadlinePassed(next))) => {
             shared.metrics.deadline_504.fetch_add(1, Ordering::Relaxed);
             let msg = format!("deadline exceeded before {next} stage (SNS_DEADLINE_MS)");
             return (504, Vec::new(), error_body(&msg, "deadline"));

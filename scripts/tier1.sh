@@ -146,7 +146,7 @@ if [ -n "$sat_sites" ]; then
 fi
 
 # One content hasher: module hashes, design tokens, sampler seeds and
-# signatures, zoo weight hashes, shard keys and trace hashes all go
+# signatures, zoo weight hashes and trace hashes all go
 # through `sns_rt::hash::Fnv128` (DESIGN.md §2g), so the FNV offset basis
 # appears in non-test code only in that module. Underscores are dropped
 # before matching, so no digit grouping slips past. routebench is its

@@ -25,7 +25,7 @@
 //! | [`designs`] | `sns-designs` | the 41-design hardware dataset (Table 3) |
 //! | [`core`] | `sns-core` | the end-to-end predictor and training flow |
 //! | [`casestudies`] | `sns-casestudies` | BOOM DSE (§5.6) and DianNao (§5.7) |
-//! | [`serve`] | `sns-serve` | HTTP inference daemon with a shared path cache per replica |
+//! | [`serve`] | `sns-serve` | HTTP inference daemon: one model slot, one shared path cache |
 //! | [`conformance`] | `sns-conformance` | differential conformance harness (random RTL + oracles) |
 //! | [`train`] | `sns-train` | self-training label factory + versioned model zoo |
 //!
